@@ -24,9 +24,7 @@ from .embedding import EmbeddingResult, ainf_constant, aq_constant, rht_constant
 from .errors import DomainError, IterationError
 from .ndim import NDimBound, delta_threshold, epsilon_bound, ndim_aq_bound, ratio_bound_y
 from .roots import (
-    RootConfig,
     SPair,
-    default_config,
     q_star,
     q_sub,
     r_pair,
@@ -63,7 +61,6 @@ __all__ = [
     "NDimBound",
     "Parameters",
     "PowerWeight",
-    "RootConfig",
     "SPair",
     "TangentSegment",
     "ainf_constant",
@@ -74,7 +71,6 @@ __all__ = [
     "bellman_value_gamma_form",
     "boundary_values",
     "classify_point",
-    "default_config",
     "delta_threshold",
     "epsilon_bound",
     "ess_sup",

@@ -25,13 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import roots
-from .domain import INF, DomainPoint, classify_point, is_inf, validate_delta, validate_exponent
+from .domain import (_EDGE_GUARD, INF, DomainPoint, classify_point, exp_or_inf, is_inf,
+                     validate_delta, validate_exponent)
 from .errors import DomainError
-
-# Relative guard band around the critical exponents: q this close to the
-# band edge is treated as inside the band (the value blows up there and
-# the closed forms lose all significance).
-_EDGE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class Parameters:
         return self.q / (self.q - 1.0)
 
     @cached_property
-    def gamma(self) -> float:
+    def gamma(self) -> float | None:
         """Combined exponent p + q' - 1; None when p is infinite."""
         if is_inf(self.p):
             return None
@@ -73,7 +69,7 @@ class Parameters:
         return roots.q_star(self.p, self.delta)
 
     @cached_property
-    def q_sub(self) -> float:
+    def q_sub(self) -> float | None:
         if is_inf(self.p):
             return None
         return roots.q_sub(self.p, self.delta)
@@ -90,19 +86,8 @@ class Parameters:
 
 def _branch_pair(params: Parameters, x: DomainPoint) -> tuple[float, float]:
     """(s, r) on the branch selected by the regime."""
-    p, delta = params.p, params.delta
-    cfg = roots.default_config()
-    log_t_s = -p * math.log(delta)
-    log_t_r = roots.point_log_ratio(p, delta, x)
-    if params.regime == "upper":
-        return (
-            roots.u_plus_from_log(p, log_t_s, cfg),
-            roots.u_plus_from_log(p, log_t_r, cfg),
-        )
-    return (
-        roots.u_minus_from_log(p, log_t_s, cfg),
-        roots.u_minus_from_log(p, log_t_r, cfg),
-    )
+    branch = "plus" if params.regime == "upper" else "minus"
+    return roots.branch_pair(params.p, params.delta, x, branch)
 
 
 def _log_value_finite(params: Parameters, x: DomainPoint) -> float:
@@ -140,7 +125,7 @@ def _log_bellman(params: Parameters, x: DomainPoint) -> float:
 def bellman_value(params: Parameters, x: DomainPoint) -> float:
     """Value at x; +inf exactly when q lies in the closed critical band
     and x is off the lower curve."""
-    return math.exp(_log_bellman(params, x))
+    return exp_or_inf(_log_bellman(params, x))
 
 
 def bellman_value_gamma_form(params: Parameters, x: DomainPoint) -> float:
@@ -151,13 +136,13 @@ def bellman_value_gamma_form(params: Parameters, x: DomainPoint) -> float:
     side = classify_point(params.p, params.delta, x)
     x1, x2 = x
     if params.delta == 1.0 or side == "lower":
-        return math.exp((1.0 - params.q_conj) * math.log(x1))
+        return exp_or_inf((1.0 - params.q_conj) * math.log(x1))
     if params.regime == "band":
         return INF
     p = params.p
     g = params.gamma
     s, r = _branch_pair(params, x)
-    return math.exp(
+    return exp_or_inf(
         -g * math.log(x1)
         + math.log(x2)
         + g * (math.log1p(-p * s) - math.log1p(-p * r))
@@ -172,7 +157,7 @@ def bellman_limit_check(params: Parameters, x: DomainPoint) -> float:
     functional; requires q above the finiteness threshold."""
     if params.regime != "upper":
         raise DomainError("the limit check needs q above the finiteness threshold")
-    return math.exp((params.q - 1.0) * _log_bellman(params, x))
+    return exp_or_inf((params.q - 1.0) * _log_bellman(params, x))
 
 
 def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
@@ -186,13 +171,11 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     side = classify_point(p, delta, x)
     x1, x2 = x
     if is_inf(p):
-        return (1.0 / x2) * math.exp(delta * (1.0 - x1 / x2))
+        return exp_or_inf(delta * (1.0 - x1 / x2) - math.log(x2))
     if delta == 1.0 or side == "lower":
         return 1.0 / x1
-    cfg = roots.default_config()
-    s = roots.u_plus_from_log(p, -p * math.log(delta), cfg)
-    r = roots.u_plus_from_log(p, roots.point_log_ratio(p, delta, x), cfg)
-    return math.exp(
+    s, r = roots.branch_pair(p, delta, x, "plus")
+    return exp_or_inf(
         -math.log(x1)
         + math.log1p(-(p - 1.0) * r)
         + math.log1p(-p * s)
@@ -263,10 +246,7 @@ def tangent_segment(
         raise DomainError("the anchor b must be a positive real")
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    # The endpoints must land on the boundary curves within the 1e-12
-    # membership slack, so s needs more accuracy than the default.
-    tight = roots.RootConfig(rel_tol=1e-15, abs_tol=1e-16)
-    pair = roots.s_pair(p, delta, tight)
+    pair = roots.s_pair(p, delta)
     s = pair.s_plus if branch == "plus" else pair.s_minus
     x1_lower = b * (1.0 - (p - 1.0) * s) / (1.0 - p * s)
     x2_lower = (delta * b) ** p / (1.0 - p * s)

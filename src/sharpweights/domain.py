@@ -18,6 +18,7 @@ first-class value, never a large finite sentinel.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -27,7 +28,23 @@ INF = math.inf
 # this relative tolerance; boundary formulas then apply exactly.
 BOUNDARY_RTOL = 1e-12
 
+# q (or t) within this relative band of a critical exponent counts as
+# critical: the closed band is exact mathematics, the guard only absorbs
+# solver rounding (the values blow up there and lose all significance).
+_EDGE_GUARD = 1e-12
+
+# logarithm of the largest finite double
+_LOG_MAX = math.log(sys.float_info.max)
+
 DomainPoint = tuple[float, float]
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp of a log-space result, +inf where it passes the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return INF
 
 
 def is_inf(p: float) -> bool:

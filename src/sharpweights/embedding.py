@@ -17,20 +17,11 @@ exponent makes the direct power overflow long before the value does.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import roots
-from .domain import INF, is_inf, validate_delta, validate_exponent
+from .domain import _EDGE_GUARD, INF, exp_or_inf, is_inf, validate_delta, validate_exponent
 from .errors import DomainError
-
-# q (or t) within this relative band of the critical exponent counts as
-# critical and yields +inf; the closed band is exact mathematics, the
-# guard only absorbs solver rounding.
-_EDGE_GUARD = 1e-12
-
-# constants whose logarithm exceeds this are +inf in double precision
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -53,10 +44,7 @@ def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
     qs = roots.q_star(p, delta)
     if q <= qs * (1.0 + _EDGE_GUARD):
         return EmbeddingResult(INF, qs, False)
-    log_c = (q - 1.0) * (math.log(q - 1.0) - math.log(q - qs)) - math.log(qs)
-    if log_c >= _LOG_MAX:
-        return EmbeddingResult(INF, qs, False)
-    c = math.exp(log_c)
+    c = exp_or_inf((q - 1.0) * (math.log(q - 1.0) - math.log(q - qs)) - math.log(qs))
     return EmbeddingResult(c, qs, math.isfinite(c))
 
 
@@ -67,10 +55,7 @@ def ainf_constant(p: float, delta: float) -> EmbeddingResult:
     if delta == 1.0:
         return EmbeddingResult(1.0, 1.0, True)
     qs = roots.q_star(p, delta)
-    log_c = qs - 1.0 - math.log(qs)
-    if log_c >= _LOG_MAX:
-        return EmbeddingResult(INF, qs, False)
-    c = math.exp(log_c)
+    c = INF if math.isinf(qs) else exp_or_inf(qs - 1.0 - math.log(qs))
     return EmbeddingResult(c, qs, math.isfinite(c))
 
 

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 from . import embedding, roots
 from .domain import is_inf, validate_exponent
-from .errors import DomainError, IterationError
-
-_MAX_DOUBLINGS = 60
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -57,26 +55,17 @@ def _log1p_pow(y: float, p: float) -> float:
     return math.log1p(y**p)
 
 
-def ratio_bound_y(
-    p: float,
-    n: int,
-    delta: float,
-    cfg: roots.RootConfig | None = None,
-    bracket: str = "above",
-) -> float:
+def ratio_bound_y(p: float, n: int, delta: float) -> float:
     """The root y >= 1 of (1+y)**p/(1+y**p) = L**(p-1), where
     L = 2 + 2**n*(delta**(-p') - 1).
 
     The left side is invariant under y -> 1/y and strictly decreasing
-    on [1, inf), so the root above 1 is unique; ``bracket="below"``
-    solves on (0, 1] instead and inverts, giving the same value (used
-    by the symmetry tests).  delta = 1 returns exactly 1.
+    on [1, inf), so the root above 1 is unique.  delta = 1 returns
+    exactly 1.
     """
     _validate_pn(p, n)
     if math.isnan(delta) or delta < 1.0:
         raise DomainError(f"delta must be at least 1, got {delta}")
-    if bracket not in ("above", "below"):
-        raise DomainError(f"bracket must be 'above' or 'below', got {bracket!r}")
     threshold = delta_threshold(p, n)
     if delta >= threshold:
         raise DomainError(
@@ -84,36 +73,18 @@ def ratio_bound_y(
         )
     if delta == 1.0:
         return 1.0
-    cfg = cfg or roots.default_config()
     p_conj = p / (p - 1.0)
     big_l = 2.0 + 2.0**n * math.expm1(-p_conj * math.log(delta))
     target = (p - 1.0) * math.log(big_l)
 
-    def h(y: float) -> float:
-        return p * math.log1p(y) - _log1p_pow(y, p) - target
+    def h(y: float) -> tuple[float, float]:
+        value = p * math.log1p(y) - _log1p_pow(y, p) - target
+        return value, p / (1.0 + y) - p / (1.0 + y ** (-p)) / y
 
     h_one = (p - 1.0) * (math.log(2.0) - math.log(big_l))
-    if bracket == "above":
-        hi = 2.0
-        h_hi = h(hi)
-        for _ in range(_MAX_DOUBLINGS):
-            if h_hi < 0.0:
-                break
-            hi *= 2.0
-            h_hi = h(hi)
-        else:
-            raise IterationError("no upper bracket for the ratio bound")
-        return roots.bisect_root(h, 1.0, hi, cfg, f_lo=h_one, f_hi=h_hi)
-    lo = 0.5
-    h_lo = h(lo)
-    for _ in range(_MAX_DOUBLINGS):
-        if h_lo < 0.0:
-            break
-        lo *= 0.5
-        h_lo = h(lo)
-    else:
-        raise IterationError("no lower bracket for the ratio bound")
-    return 1.0 / roots.bisect_root(h, lo, 1.0, cfg, f_lo=h_lo, f_hi=h_one)
+    # h(y) < p/y - target, so the root lies below p/target.
+    hi, h_hi = roots.grow_bracket(h, max(2.0, p / target), h_one)
+    return roots.bisect_root(h, 1.0, hi, f_lo=h_one, f_hi=h_hi)
 
 
 def _epsilon_from_y(p: float, delta: float, y: float) -> float:
@@ -128,22 +99,18 @@ def _epsilon_from_y(p: float, delta: float, y: float) -> float:
     )
 
 
-def epsilon_bound(
-    p: float, n: int, delta: float, cfg: roots.RootConfig | None = None
-) -> float:
+def epsilon_bound(p: float, n: int, delta: float) -> float:
     """Enlarged effective class norm implied by the ratio bound; always
     at least delta, and exactly delta at delta = 1."""
-    return _epsilon_from_y(p, delta, ratio_bound_y(p, n, delta, cfg))
+    return _epsilon_from_y(p, delta, ratio_bound_y(p, n, delta))
 
 
-def ndim_aq_bound(
-    p: float, q: float, n: int, delta: float, cfg: roots.RootConfig | None = None
-) -> NDimBound:
+def ndim_aq_bound(p: float, q: float, n: int, delta: float) -> NDimBound:
     """Moment-class bound for dyadic cubes: the one-dimensional sharp
     constant evaluated at the enlarged norm epsilon.  Not sharp."""
     if math.isnan(q) or not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q}")
-    y = ratio_bound_y(p, n, delta, cfg)
+    y = ratio_bound_y(p, n, delta)
     eps = _epsilon_from_y(p, delta, y)
     result = embedding.aq_constant(p, q, eps)
     return NDimBound(n=n, y=y, epsilon=eps, constant=result.constant)

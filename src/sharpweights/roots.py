@@ -12,63 +12,41 @@ point parameters r = u(x2/(delta*x1)**p), and the critical exponents
 q_star (finiteness threshold above 1), q_sub (its mirror below 1), and
 t_star (the self-improvement threshold, equal to 1/(1 - q_sub)).
 
-All solvers use plain bisection on a bracket with a proven sign change.
-F is evaluated through its logarithm, since (1 - p*u)**(p-1) overflows
-double precision quickly for large p or large |u|.  Where one endpoint
-sign is analytically forced but floating-point evaluation of it would
-be pure cancellation noise (for example the lower q_sub endpoint, where
-both sides of the defining equation vanish to first order), the known
-sign is supplied instead of an evaluated one.
+Every root comes from ``bisect_root``, Newton steps inside a bracket
+with a proven sign change, run to full double precision from a start on
+the side where Newton converges monotonically; searched brackets grow
+from a log-space asymptote in ``grow_bracket``.  F is evaluated through
+its logarithm, since (1 - p*u)**(p-1) overflows double precision
+quickly for large p or large |u|.  Where one endpoint sign is
+analytically forced but floating-point evaluation of it would be pure
+cancellation noise (for example the lower q_sub endpoint, where both
+sides of the defining equation vanish to first order), the known sign
+is supplied instead of an evaluated one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .domain import INF, DomainPoint, classify_point, is_inf, validate_delta, validate_exponent
+from .domain import (_LOG_MAX, INF, DomainPoint, classify_point, exp_or_inf, is_inf,
+                     validate_delta, validate_exponent)
 from .errors import DomainError, IterationError
 
 # Growth budget for bracket searches: doubling more than this many times
 # means the root magnitude is out of any reasonable range.
 _MAX_DOUBLINGS = 60
 
+# Solves from the start points below take at most about 25 steps; the
+# budget turns a broken equation into an error instead of a hang.
+_MAX_STEPS = 100
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Stopping rule for the bisection solvers."""
+# After a Newton step this small relative to x the next correction is at
+# rounding level, so a residual that fails to shrink is evaluation noise.
+_SMALL_STEP = 2.0**-26
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-def default_config() -> RootConfig:
-    """Default solver configuration.
-
-    The environment variable SHARP_WEIGHTS_TOL, when set, overrides the
-    default relative tolerance.
-    """
-    raw = os.environ.get("SHARP_WEIGHTS_TOL")
-    if raw is None or raw == "":
-        return RootConfig()
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise DomainError(f"SHARP_WEIGHTS_TOL is not a number: {raw!r}") from None
-    if not tol > 0.0:
-        raise DomainError("SHARP_WEIGHTS_TOL must be positive")
-    return RootConfig(rel_tol=tol)
+# An equation hands back its value and its slope at x.
+Equation = Callable[[float], tuple[float, float]]
 
 
 class SPair(NamedTuple):
@@ -77,24 +55,33 @@ class SPair(NamedTuple):
 
 
 def bisect_root(
-    f: Callable[[float], float],
+    f: Equation,
     lo: float,
     hi: float,
-    cfg: RootConfig,
     f_lo: float | None = None,
     f_hi: float | None = None,
+    start: float | None = None,
 ) -> float:
-    """Bisection on [lo, hi] down to abs_tol + rel_tol*|mid|.
+    """Root of f, which returns (value, slope), on [lo, hi] to full
+    double precision.
+
+    Each step evaluates f at x, moves the end of the bracket whose sign
+    f(x) shares onto x, and takes the Newton step from x when it lands
+    strictly inside the bracket, else bisects.  The solve stops when the
+    Newton correction is at most 2 ulp of x (tested first: at the root a
+    correction of an ulp may point just outside the bracket), when no
+    float is left inside the bracket, or when a small Newton step fails
+    to shrink |f|, which is then rounding noise: the better point wins.
 
     ``f_lo``/``f_hi`` may supply endpoint values whose signs are known
     analytically, so the solver never trusts a cancellation-dominated
-    endpoint evaluation.  A missing sign change is an error, never a
-    guess.
+    endpoint evaluation.  ``start`` is the first point (the midpoint by
+    default).  A missing sign change is an error, never a guess.
     """
     if f_lo is None:
-        f_lo = f(lo)
+        f_lo = f(lo)[0]
     if f_hi is None:
-        f_hi = f(hi)
+        f_hi = f(hi)[0]
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -102,18 +89,42 @@ def bisect_root(
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise IterationError(f"no sign change on bracket [{lo}, {hi}]")
     positive_at_lo = f_lo > 0.0
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.abs_tol + cfg.rel_tol * abs(mid):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == positive_at_lo:
-            lo = mid
+    x = 0.5 * (lo + hi) if start is None else start
+    last = None  # (x, |f(x)|) before a small Newton step
+    for _ in range(_MAX_STEPS):
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if last is not None and abs(fx) >= last[1]:
+            return last[0]
+        if (fx > 0.0) == positive_at_lo:
+            lo = x
         else:
-            hi = mid
-    raise IterationError(f"bisection did not converge within {cfg.max_iter} iterations")
+            hi = x
+        step = fx / slope if slope else INF
+        if abs(step) <= 2.0 * math.ulp(x):
+            return x
+        nxt = x - step
+        if lo < nxt < hi:
+            last = (x, abs(fx)) if abs(step) <= _SMALL_STEP * abs(x) else None
+        else:
+            last = None
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return x
+        x = nxt
+    raise IterationError(f"no convergence within {_MAX_STEPS} steps on [{lo}, {hi}]")
+
+
+def grow_bracket(f: Equation, x: float, f_fixed: float) -> tuple[float, float]:
+    """Double x > 0 until f(x) has the sign opposite to ``f_fixed``, the
+    sign at the fixed end of the bracket; returns (x, f(x))."""
+    for _ in range(_MAX_DOUBLINGS):
+        fx = f(x)[0]
+        if fx == 0.0 or (fx > 0.0) != (f_fixed > 0.0):
+            return x, fx
+        x *= 2.0
+    raise IterationError(f"no sign change within {_MAX_DOUBLINGS} doublings up to {x}")
 
 
 def _require_finite_p(p: float) -> None:
@@ -123,41 +134,31 @@ def _require_finite_p(p: float) -> None:
 
 
 def _log_forward(u: float, p: float) -> float:
-    """log F(u); -inf at the right endpoint u = 1/p where F vanishes."""
-    a = -p * u
-    if a <= -1.0:
+    """log F(u); -inf at the right endpoint u = 1/p where F vanishes.
+
+    Written as (p-1)*log((1-p*u)/(1-(p-1)*u)) - log(1-(p-1)*u), whose two
+    terms cancel far less than the plain two logarithms do, both near
+    u = 0 and for large |u|.
+    """
+    if -p * u <= -1.0:
         return -INF
-    return (p - 1.0) * math.log1p(a) - p * math.log1p(-(p - 1.0) * u)
+    b = (p - 1.0) * u
+    return (p - 1.0) * math.log1p(-u / (1.0 - b)) - math.log1p(-b)
 
 
 def _log_forward_deriv(u: float, p: float) -> float:
-    return -p * (p - 1.0) * u / ((1.0 - p * u) * (1.0 - (p - 1.0) * u))
+    a = 1.0 - p * u
+    if a <= 0.0:
+        return -INF
+    # divided in two steps so that large |u| does not overflow a product
+    return -p * (p - 1.0) * (u / a) / (1.0 - (p - 1.0) * u)
 
 
-def _polish_branch(p: float, log_t: float, u: float, lo: float, hi: float) -> float:
-    """Finish a bisected branch root with guarded Newton steps.
-
-    Bisection stops at the configured tolerance, but quantities derived
-    from the branch value (critical exponents, threshold margins) divide
-    by 1 - p*u and amplify that leftover, so the root is driven to
-    machine precision here.  Steps that leave (lo, hi) or meet a
-    degenerate derivative keep the bisection iterate.
-    """
-    for _ in range(3):
-        d = _log_forward_deriv(u, p)
-        if not math.isfinite(d) or d == 0.0:
-            break
-        r = _log_forward(u, p) - log_t
-        if r == 0.0 or not math.isfinite(r):
-            break
-        nxt = u - r / d
-        if not lo < nxt < hi or nxt == u:
-            break
-        u = nxt
-    return u
+def _branch_equation(p: float, log_t: float) -> Equation:
+    return lambda u: (_log_forward(u, p) - log_t, _log_forward_deriv(u, p))
 
 
-def u_plus_from_log(p: float, log_t: float, cfg: RootConfig) -> float:
+def u_plus_from_log(p: float, log_t: float) -> float:
     """Right inverse branch with t passed as log(t).
 
     Taking log(t) directly keeps callers exact when t = delta**-p would
@@ -167,45 +168,55 @@ def u_plus_from_log(p: float, log_t: float, cfg: RootConfig) -> float:
         return 0.0
     if log_t == -INF:
         return 1.0 / p
-    f = lambda u: _log_forward(u, p) - log_t
+    # log F is concave and decreasing on [0, 1/p], so Newton converges
+    # monotonically from the right of the root.  Both seeds lie there:
+    # log F(u) <= -p*(p-1)*u**2/2, and F(u) <= p**p * (1-p*u)**(p-1).
+    near = math.sqrt(-2.0 * log_t / (p * (p - 1.0)))
+    far = -math.expm1((log_t - p * math.log(p)) / (p - 1.0)) / p
+    start = min(near, far, math.nextafter(1.0 / p, 0.0))
     # f(0) = -log_t > 0 and f(1/p) = -inf: analytic endpoint signs.
-    root = bisect_root(f, 0.0, 1.0 / p, cfg, f_lo=-log_t, f_hi=-INF)
-    return _polish_branch(p, log_t, root, 0.0, 1.0 / p)
+    return bisect_root(
+        _branch_equation(p, log_t), 0.0, 1.0 / p, f_lo=-log_t, f_hi=-INF, start=start
+    )
 
 
-def u_minus_from_log(p: float, log_t: float, cfg: RootConfig) -> float:
+def u_minus_from_log(p: float, log_t: float) -> float:
     """Left inverse branch with t passed as log(t)."""
     if log_t == 0.0:
         return 0.0
-    f = lambda u: _log_forward(u, p) - log_t
-    # F(u) ~ (p**(p-1)/(p-1)**p)/|u| as u -> -inf, so seed the bracket
-    # near the asymptotic magnitude and double from there.
-    log_mag = (p - 1.0) * math.log(p) - p * math.log(p - 1.0) - log_t
-    lo = -max(2.0, 2.0 * math.exp(min(log_mag, 700.0)))
-    f_lo = f(lo)
-    for _ in range(_MAX_DOUBLINGS):
-        if f_lo <= 0.0:
-            break
-        lo *= 2.0
-        f_lo = f(lo)
+    # |u|*F(u) increases to C = p**(p-1)/(p-1)**p as u -> -inf, so
+    # F(-2C/t) < t/2: the left end has f < -log 2 < 0.
+    lo = -2.0 * exp_or_inf((p - 1.0) * math.log(p) - p * math.log(p - 1.0) - log_t)
+    if math.isinf(p * lo):  # F is evaluable while p*u is finite
+        raise IterationError(
+            f"no bracket for the negative branch: its root passes the float range "
+            f"(p = {p}, log t = {log_t})"
+        )
+    # log F is convex left of its inflection -1/sqrt(p*(p-1)), concave
+    # right of it.  A root left of it starts from -C/t, barely left of the
+    # root once far out; one right of it from where -p*(p-1)*u**2/2, a
+    # lower bound of log F, equals log t: right of the root, and close.
+    if log_t < _log_forward(-1.0 / math.sqrt(p * (p - 1.0)), p):
+        start = 0.5 * lo
     else:
-        raise IterationError("no bracket for the negative branch within the doubling budget")
+        start = -math.sqrt(-2.0 * log_t / (p * (p - 1.0)))
     # f(0) = -log_t > 0 analytically.
-    root = bisect_root(f, lo, 0.0, cfg, f_lo=f_lo, f_hi=-log_t)
-    return _polish_branch(p, log_t, root, lo, 0.0)
+    return bisect_root(
+        _branch_equation(p, log_t), lo, 0.0, f_lo=-1.0, f_hi=-log_t, start=start
+    )
 
 
-def u_plus(p: float, t: float, cfg: RootConfig | None = None) -> float:
+def u_plus(p: float, t: float) -> float:
     """Solve F(u) = t on [0, 1/p]; strictly decreasing branch."""
     _require_finite_p(p)
     if math.isnan(t) or not 0.0 <= t <= 1.0:
         raise DomainError(f"u_plus requires t in [0, 1], got {t}")
     if t == 0.0:
         return 1.0 / p
-    return u_plus_from_log(p, math.log(t), cfg or default_config())
+    return u_plus_from_log(p, math.log(t))
 
 
-def u_minus(p: float, t: float, cfg: RootConfig | None = None) -> float:
+def u_minus(p: float, t: float) -> float:
     """Solve F(u) = t on (-inf, 0]; strictly increasing branch.
 
     t = 0 is refused: the branch value there is -inf, and callers that
@@ -214,18 +225,17 @@ def u_minus(p: float, t: float, cfg: RootConfig | None = None) -> float:
     _require_finite_p(p)
     if math.isnan(t) or not 0.0 < t <= 1.0:
         raise DomainError(f"u_minus requires t in (0, 1], got {t}")
-    return u_minus_from_log(p, math.log(t), cfg or default_config())
+    return u_minus_from_log(p, math.log(t))
 
 
-def s_pair(p: float, delta: float, cfg: RootConfig | None = None) -> SPair:
+def s_pair(p: float, delta: float) -> SPair:
     """Both branch values at t = delta**-p; exactly (0, 0) at delta = 1."""
     _require_finite_p(p)
     validate_delta(delta)
     if delta == 1.0:
         return SPair(0.0, 0.0)
-    cfg = cfg or default_config()
     log_t = -p * math.log(delta)
-    return SPair(u_minus_from_log(p, log_t, cfg), u_plus_from_log(p, log_t, cfg))
+    return SPair(u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 
 
 def point_log_ratio(p: float, delta: float, x: DomainPoint) -> float:
@@ -237,9 +247,7 @@ def point_log_ratio(p: float, delta: float, x: DomainPoint) -> float:
     return min(0.0, max(log_t, log_lo))
 
 
-def r_pair(
-    p: float, delta: float, x: DomainPoint, cfg: RootConfig | None = None
-) -> tuple[float, float]:
+def r_pair(p: float, delta: float, x: DomainPoint) -> tuple[float, float]:
     """Both branch values at t = x2/(delta*x1)**p for x in the domain.
 
     Returns (r_minus, r_plus); the chain
@@ -247,50 +255,71 @@ def r_pair(
     """
     _require_finite_p(p)
     validate_delta(delta)
-    cfg = cfg or default_config()
     log_t = point_log_ratio(p, delta, x)
-    return (u_minus_from_log(p, log_t, cfg), u_plus_from_log(p, log_t, cfg))
+    return (u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 
 
-def _critical_gap(p: float, log_delta: float) -> Callable[[float], float]:
+def branch_pair(p: float, delta: float, x: DomainPoint, branch: str) -> tuple[float, float]:
+    """(s, r) on one branch: the class parameter at t = delta**-p and the
+    point parameter at t = x2/(delta*x1)**p; ``branch`` is "plus" (the
+    right branch, q above q_star) or "minus" (the left branch)."""
+    solve = u_plus_from_log if branch == "plus" else u_minus_from_log
+    return solve(p, -p * math.log(delta)), solve(p, point_log_ratio(p, delta, x))
+
+
+def _critical_gap(p: float, log_delta: float) -> Equation:
     """g(x) = (x/delta)**p - 1 - p*(x - 1), whose two roots straddle 1.
 
     Written with expm1 so the x near 1 regime (delta near 1) keeps full
     precision.  g is convex with g(1) = delta**-p - 1 < 0, one root in
-    ((p-1)/p, 1) and one in (1, inf).
+    ((p-1)/p, 1) and one in (1, inf).  Past the float range g counts as
+    +inf.
     """
 
-    def g(x: float) -> float:
-        return math.expm1(p * (math.log(x) - log_delta)) - p * (x - 1.0)
+    def g(x: float) -> tuple[float, float]:
+        a = p * (math.log(x) - log_delta)
+        if a > _LOG_MAX:
+            return INF, INF
+        return math.expm1(a) - p * (x - 1.0), p * (math.exp(a) / x - 1.0)
 
     return g
 
 
-def q_star(p: float, delta: float, cfg: RootConfig | None = None) -> float:
-    """Finiteness threshold above 1; equals delta in the p = inf limit."""
+def _near_one(p: float, log_delta: float) -> float:
+    """Distance of both roots of g from 1 to leading order in log(delta)."""
+    return math.sqrt(2.0 * log_delta / (p - 1.0))
+
+
+def q_star(p: float, delta: float) -> float:
+    """Finiteness threshold above 1; equals delta in the p = inf limit,
+    and +inf when the root passes the float range (p near 1)."""
     validate_exponent(p)
     validate_delta(delta)
     if delta == 1.0:
         return 1.0
     if is_inf(p):
         return delta
-    cfg = cfg or default_config()
     log_delta = math.log(delta)
+    # (x/delta)**p = 1 + p*(x - 1) < p*x at the root, so the root lies
+    # below exp(log_hi), and barely so once it is large: past the float
+    # range (where g counts as +inf) the root is +inf too.  The relative
+    # margin covers the rounding of log_hi.
+    log_hi = (math.log(p) + p * log_delta) / (p - 1.0)
     g = _critical_gap(p, log_delta)
     g_one = math.expm1(-p * log_delta)  # g(1) < 0 for delta > 1
-    hi = 2.0
-    g_hi = g(hi)
-    for _ in range(_MAX_DOUBLINGS):
-        if g_hi > 0.0:
-            break
-        hi *= 2.0
-        g_hi = g(hi)
-    else:
-        raise IterationError("no upper bracket for the critical exponent")
-    return bisect_root(g, 1.0, hi, cfg, f_lo=g_one, f_hi=g_hi)
+    hi, g_hi = grow_bracket(g, exp_or_inf(log_hi * (1.0 + 1e-14)), g_one)
+    if math.isinf(hi):
+        return INF
+    # g is convex: Newton converges monotonically from the right.  The
+    # delta -> 1 limit of the root is the start when it lies right of the
+    # minimum of g at delta**(p/(p-1)), so that Newton heads upward.
+    start = 1.0 + _near_one(p, log_delta)
+    if not math.log(start) > p * log_delta / (p - 1.0):
+        start = hi
+    return bisect_root(g, 1.0, hi, f_lo=g_one, f_hi=g_hi, start=start)
 
 
-def q_sub(p: float, delta: float, cfg: RootConfig | None = None) -> float:
+def q_sub(p: float, delta: float) -> float:
     """Mirror root of the threshold equation in ((p-1)/p, 1).
 
     At the left endpoint the defining equation degenerates: both sides
@@ -303,41 +332,39 @@ def q_sub(p: float, delta: float, cfg: RootConfig | None = None) -> float:
     validate_delta(delta)
     if delta == 1.0:
         return 1.0
-    cfg = cfg or default_config()
     log_delta = math.log(delta)
     g = _critical_gap(p, log_delta)
     g_one = math.expm1(-p * log_delta)
-    return bisect_root(g, (p - 1.0) / p, 1.0, cfg, f_lo=1.0, f_hi=g_one)
+    lo = (p - 1.0) / p
+    # g is convex and decreasing here: Newton converges from the left.
+    start = max(lo, 1.0 - _near_one(p, log_delta))
+    return bisect_root(g, lo, 1.0, f_lo=1.0, f_hi=g_one, start=start)
 
 
-def t_star(p: float, delta: float, cfg: RootConfig | None = None) -> float:
+def t_star(p: float, delta: float) -> float:
     """Self-improvement threshold: the root above p of
     (delta*x/(x-1))**p * (x-p)/x = 1, or +inf at delta = 1."""
     _require_finite_p(p)
     validate_delta(delta)
     if delta == 1.0:
         return INF
-    cfg = cfg or default_config()
     log_delta = math.log(delta)
 
-    def psi(x: float) -> float:
+    def psi(x: float) -> tuple[float, float]:
         gap = x - p
         if gap <= 0.0:
-            return -INF
-        return (
-            p * (log_delta + math.log(x) - math.log(x - 1.0))
-            + math.log(gap)
-            - math.log(x)
-        )
+            return -INF, INF
+        value = p * (log_delta + math.log1p(1.0 / (x - 1.0))) - math.log1p(p / gap)
+        return value, p * (1.0 / x - 1.0 / (x - 1.0)) + 1.0 / gap - 1.0 / x
 
-    hi = 2.0 * p
-    psi_hi = psi(hi)
-    for _ in range(_MAX_DOUBLINGS):
-        if psi_hi > 0.0:
-            break
-        hi *= 2.0
-        psi_hi = psi(hi)
-    else:
-        raise IterationError("no upper bracket for the self-improvement threshold")
+    # psi is concave and increasing: Newton converges from the left.  The
+    # root is a fixed point of the increasing x -> p + x*((x-1)/(delta*x))**p,
+    # so lies right of its value at p; and psi(x) < p*log(delta) -
+    # p*(p-1)/(2*x**2) (all higher terms in 1/x are negative), so it also
+    # lies right of sqrt((p-1)/(2*log(delta))), its limit as delta -> 1.
+    near_p = p + p * math.exp(p * (math.log(p - 1.0) - math.log(p) - log_delta))
+    far = math.sqrt((p - 1.0) / (2.0 * log_delta))
+    start = max(near_p, far, math.nextafter(p, INF))
+    hi, psi_hi = grow_bracket(psi, 2.0 * start, -1.0)
     # psi -> -inf as x -> p from above: analytic lower endpoint sign.
-    return bisect_root(psi, p, hi, cfg, f_lo=-INF, f_hi=psi_hi)
+    return bisect_root(psi, p, hi, f_lo=-INF, f_hi=psi_hi, start=start)

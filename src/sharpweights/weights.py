@@ -199,20 +199,17 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
         nu = delta - 1.0
         a = (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
         return PowerWeight(c=x2, a=min(a, 1.0), nu=nu)
-    cfg = roots.default_config()
-    log_t_s = -p * math.log(delta)
-    log_t_r = roots.point_log_ratio(p, delta, x)
-    if branch == "plus":
-        s = roots.u_plus_from_log(p, log_t_s, cfg)
-        r = roots.u_plus_from_log(p, log_t_r, cfg)
-    else:
-        s = roots.u_minus_from_log(p, log_t_s, cfg)
-        r = roots.u_minus_from_log(p, log_t_r, cfg)
+    s, r = roots.branch_pair(p, delta, x, branch)
     nu = s / (1.0 - p * s)
-    # The negative branch keeps the p-th power integrable: s <= 0 pins
-    # nu into (-1/p, 0]; asserted, not assumed.
-    assert nu > -1.0 / p, "ramp exponent fell outside the integrable range"
-    if log_t_r == 0.0:
+    # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
+    # p*log(delta) the rounded nu can reach -1/p, where w**p stops being
+    # integrable.
+    if not nu > -1.0 / p:
+        raise DomainError(
+            f"the {branch} branch at p = {p}, delta = {delta} gives ramp exponent "
+            f"{nu}, outside the integrable range (-1/p, inf)"
+        )
+    if r == 0.0:
         a = 1.0
     else:
         a = (s - r) / (s * (1.0 - p * r))

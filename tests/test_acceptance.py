@@ -229,8 +229,7 @@ def test_criterion_07_interval_norms_of_power_weights():
     report(7, "searched interval norms match the closed forms", failures)
 
 
-def test_criterion_08_boundary_supremum_structure(monkeypatch):
-    monkeypatch.setenv("SHARP_WEIGHTS_TOL", "1e-15")
+def test_criterion_08_boundary_supremum_structure():
     failures = []
     upper = Parameters(2.0, 10.0, 2.0)
     lower = Parameters(2.0, 0.7, 1.05)

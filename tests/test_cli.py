@@ -111,6 +111,25 @@ def test_bellman_record(capsys):
     assert float(rec["limit_value"]) == pytest.approx(85.969840050095824801, rel=1e-10)
 
 
+def test_bellman_limit_overflow_prints_inf(capsys):
+    code, out, _ = run_cli(
+        ["bellman", "--p", "inf", "--q", "3", "--delta", "1000",
+         "--x1", "1", "--x2", "1000", "--limit"],
+        capsys,
+    )
+    assert code == 0
+    assert parse_plain(out)["limit_value"] == "inf"
+
+
+def test_constants_near_p_one(capsys):
+    # q_star is about 1.6495e18, past any doubling budget from 2
+    code, out, _ = run_cli(
+        ["constants", "--p", "1.01", "--q", "1e20", "--delta", "1.5"], capsys
+    )
+    assert code == 0
+    assert float(parse_plain(out)["q_star"]) == pytest.approx(1.6495084432553664e18, rel=1e-10)
+
+
 def test_bellman_without_limit_flag(capsys):
     code, out, _ = run_cli(
         ["bellman", "--p", "2", "--q", "10", "--delta", "2",
@@ -212,9 +231,10 @@ def test_verify_band_compares_infinities(capsys):
 
 
 def test_verify_reports_mismatch_under_tiny_tolerance(capsys):
-    # the depth-12 search agrees to ~1e-10, so 1e-12 must trip
+    # the depth-12 search agrees with the constant to rounding (about
+    # 1e-14), so 1e-16 must trip
     code, out, _ = run_cli(
-        ["verify", "--p", "2", "--q", "10", "--delta", "2", "--tol", "1e-12"],
+        ["verify", "--p", "2", "--q", "10", "--delta", "2", "--tol", "1e-16"],
         capsys,
     )
     assert code == 1

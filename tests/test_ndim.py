@@ -46,13 +46,20 @@ def test_ratio_bound_quadratic_oracle():
     assert ratio_bound_y(2.0, 2, 1.05) == pytest.approx(Y_105, rel=1e-9)
 
 
-def test_ratio_bound_bracket_symmetry():
-    for delta in (1.01, 1.05, 1.1):
-        above = ratio_bound_y(2.0, 2, delta, bracket="above")
-        below = ratio_bound_y(2.0, 2, delta, bracket="below")
-        assert above == pytest.approx(below, rel=1e-9)
-    with pytest.raises(DomainError):
-        ratio_bound_y(2.0, 2, 1.05, bracket="middle")
+def test_ratio_bound_solves_symmetric_equation():
+    # y solves (1+y)**p/(1+y**p) = L**(p-1), whose left side is the same
+    # at y and 1/y
+    def lhs(v, p):
+        return (1.0 + v) ** p / (1.0 + v**p)
+
+    for p in (1.5, 2.0, 4.0):
+        for frac in (0.2, 0.5, 0.9):
+            delta = 1.0 + frac * (delta_threshold(p, 2) - 1.0)
+            y = ratio_bound_y(p, 2, delta)
+            big_l = 2.0 + 4.0 * (delta ** (-p / (p - 1.0)) - 1.0)
+            assert y > 1.0
+            assert lhs(y, p) == pytest.approx(big_l ** (p - 1.0), rel=1e-12)
+            assert lhs(1.0 / y, p) == pytest.approx(lhs(y, p), rel=1e-14)
 
 
 def test_ratio_bound_blows_up_at_threshold():

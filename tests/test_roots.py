@@ -4,13 +4,14 @@ properties, ordering chains, and the degenerate/asymptotic limits."""
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from sharpweights import (
     DomainError,
     IterationError,
-    RootConfig,
-    default_config,
+    ainf_constant,
+    aq_constant,
     q_star,
     q_sub,
     r_pair,
@@ -19,6 +20,7 @@ from sharpweights import (
     u_minus,
     u_plus,
 )
+from sharpweights import ndim, roots
 
 SQRT3 = math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
@@ -215,36 +217,157 @@ def test_large_p_asymptotics():
     assert p * p * (1.0 / p - sp) == pytest.approx(1.0, rel=0.15)
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        RootConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        RootConfig(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        RootConfig(max_iter=0)
-
-
-def test_env_tolerance_override(monkeypatch):
-    monkeypatch.setenv("SHARP_WEIGHTS_TOL", "1e-6")
-    assert default_config().rel_tol == 1e-6
-    monkeypatch.setenv("SHARP_WEIGHTS_TOL", "bogus")
-    with pytest.raises(DomainError):
-        default_config()
-    monkeypatch.setenv("SHARP_WEIGHTS_TOL", "-1e-9")
-    with pytest.raises(DomainError):
-        default_config()
-    monkeypatch.delenv("SHARP_WEIGHTS_TOL")
-    assert default_config().rel_tol == 1e-12
-
-
-def test_tight_tolerance_still_converges():
-    cfg = RootConfig(rel_tol=1e-15, abs_tol=1e-16)
-    v = q_star(2.0, 2.0, cfg)
-    assert v == pytest.approx(4.0 + 2.0 * SQRT3, abs=1e-12)
-
-
 def test_iteration_error_on_bad_bracket():
     from sharpweights.roots import bisect_root
 
     with pytest.raises(IterationError, match="sign change"):
-        bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0, default_config())
+        bisect_root(lambda x: (1.0 + x * x, 2.0 * x), 0.0, 1.0)
+
+
+# -- agreement with 50-digit roots of the log-form equations -----------------
+
+
+def _eq_critical(x, p, delta):
+    return p * (mp.log(x) - mp.log(delta)) - mp.log(1 + p * (x - 1))
+
+
+def _eq_gehring(x, p, delta):
+    return p * (mp.log(delta) + mp.log(x) - mp.log(x - 1)) + mp.log(x - p) - mp.log(x)
+
+
+def _eq_branch(u, p, log_t):
+    return (p - 1) * mp.log(1 - p * u) - p * mp.log(1 - (p - 1) * u) - log_t
+
+
+def _eq_ratio(y, p, log_l):
+    return p * mp.log(1 + y) - mp.log(1 + y**p) - (p - 1) * log_l
+
+
+def _ndim_log_l(p, delta):
+    return mp.log(2 + 4 * (mp.exp(-p / (p - 1) * mp.log(delta)) - 1))
+
+
+# name -> (float solve, equation, its parameter c, open domain (lo, hi))
+def _case(name, p, delta):
+    p_m, d_m = mp.mpf(p), mp.mpf(delta)
+    log_t = -p * math.log(delta)
+    return {
+        "q_star": (lambda: q_star(p, delta), _eq_critical, d_m, (1, mp.inf)),
+        "q_sub": (lambda: q_sub(p, delta), _eq_critical, d_m, ((p_m - 1) / p_m, 1)),
+        "t_star": (lambda: t_star(p, delta), _eq_gehring, d_m, (p_m, mp.inf)),
+        "u_plus": (lambda: roots.u_plus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (0, 1 / p_m)),
+        "u_minus": (lambda: roots.u_minus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (-mp.inf, 0)),
+        "y": (lambda: ndim.ratio_bound_y(p, 2, delta), _eq_ratio, _ndim_log_l(p_m, d_m), (1, mp.inf)),
+    }[name]
+
+
+def _reference(eq, p, c, x, domain):
+    """50-digit root by bisection on x*(1 -+ 1e-9), clipped to the domain."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        w = abs(x) * mp.mpf("1e-9")
+        lo = max(x - w, domain[0] + mp.mpf("1e-45"))
+        hi = min(x + w, domain[1] - mp.mpf("1e-45"))
+        f = lambda v: eq(v, mp.mpf(p), c)
+        f_lo = f(lo)
+        assert mp.sign(f_lo) != mp.sign(f(hi)), "float root is off by more than 1e-9"
+        for _ in range(130):
+            mid = (lo + hi) / 2
+            if mp.sign(f(mid)) == mp.sign(f_lo):
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+GRID_P = (1.5, 2.0, 6.0, 50.0)
+GRID_DELTA_M1 = (1e-3, 0.3, 1.0)
+ROOT_NAMES = ("q_star", "q_sub", "t_star", "u_plus", "u_minus", "y")
+
+# Cases where the float evaluation of the equation, not the solver, limits
+# agreement: its sign is rounding noise over a band of a few 1e-15 around
+# the root, and the solver returns a point inside that band.
+EVALUATION_LIMITED = {
+    # the O(1/x) terms of the equation cancel, leaving p*log(delta) ~ 1e-3
+    ("t_star", 1.5, 1e-3): 1e-14,
+    ("t_star", 2.0, 1e-3): 1e-14,
+    # log F ~ -p*(p-1)*u**2/2 is what is left of terms of size (p-1)*u
+    ("u_plus", 1.5, 1e-3): 1e-14,
+    # log F ~ log t ~ -13 and -35 is the difference of logarithms of that size
+    ("u_minus", 50.0, 0.3): 1e-14,
+    ("u_minus", 50.0, 1.0): 1e-14,
+    # p*log(1+y) and log(1+y**p) cancel down to (p-1)*log(L)
+    ("y", 1.5, 1e-3): 1e-14,
+    ("y", 6.0, 1e-3): 1e-14,
+    ("y", 50.0, 0.3): 1e-14,
+}
+
+
+def _grid(name):
+    for p in GRID_P:
+        for dm in GRID_DELTA_M1:
+            delta = 1.0 + dm
+            if name == "y" and delta >= ndim.delta_threshold(p, 2):
+                continue
+            yield p, dm, delta
+
+
+@pytest.mark.parametrize("name", ROOT_NAMES)
+def test_roots_match_50_digit_references(name):
+    failures = []
+    for p, dm, delta in _grid(name):
+        solve, eq, c, domain = _case(name, p, delta)
+        got = solve()
+        want = _reference(eq, p, c, got, domain)
+        err = float(abs((mp.mpf(got) - want) / want))
+        bound = EVALUATION_LIMITED.get((name, p, dm), 1e-15)
+        if err > bound:
+            failures.append(f"p={p} delta-1={dm}: {got!r} off by {err:.1e}")
+    assert not failures, failures
+
+
+def test_q_star_hits_closed_form_at_p_two():
+    # the parent bisection stopped 4e-13 short of 4 + 2*sqrt(3)
+    want = 4 + 2 * mp.sqrt(3)
+    assert float(abs((mp.mpf(q_star(2.0, 2.0)) - want) / want)) <= 1e-15
+
+
+def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
+    counts = []
+
+    def counting(fn):
+        def wrapped(f, *args, **kwargs):
+            def counted(x):
+                counts[-1] += 1
+                return f(x)
+
+            return fn(counted, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(roots, "bisect_root", counting(roots.bisect_root))
+    monkeypatch.setattr(roots, "grow_bracket", counting(roots.grow_bracket))
+    worst = {}
+    for name in ROOT_NAMES:
+        for p, dm, delta in _grid(name):
+            counts.append(0)
+            _case(name, p, delta)[0]()
+            worst[name] = max(worst.get(name, 0), counts[-1])
+    assert max(worst.values()) <= 16, worst
+
+
+# -- q_star near p = 1 -------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.01, 1.001])
+def test_q_star_near_p_one_is_representable(p):
+    # about 1.6495e18 and 5.03e176: far past any doubling budget from 2
+    got = q_star(p, 1.5)
+    want = _reference(_eq_critical, p, mp.mpf(1.5), got, (1, mp.inf))
+    assert float(abs((mp.mpf(got) - want) / want)) <= 1e-10
+
+
+def test_q_star_past_the_float_range_is_inf():
+    assert q_star(1.0001, 1.5) == math.inf
+    assert ainf_constant(1.0001, 1.5).constant == math.inf
+    assert aq_constant(1.0001, 1e20, 1.5).constant == math.inf

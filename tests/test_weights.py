@@ -179,6 +179,14 @@ def test_extremal_reproduces_bellman_value():
     assert lhs == pytest.approx(bellman_value(params, (1.0, 1.05)), rel=1e-10)
 
 
+def test_extremal_minus_branch_outside_integrable_range():
+    # for large p*log(delta), nu = s/(1 - p*s) rounds to within an ulp of
+    # -1/p; a weight at -1/p itself is refused, never asserted
+    with pytest.raises(DomainError, match=r"minus branch at p = 20.0, delta = 50.0"):
+        extremal_weight(20.0, 50.0, (1.0, 1e16), "minus")
+    assert extremal_weight(20.0, 55.0, (1.0, 1e16), "minus").nu > -1.0 / 20.0
+
+
 def test_extremal_p_inf():
     w = extremal_weight(math.inf, 2.0, (1.0, 2.0), "plus")
     assert (w.c, w.a, w.nu) == (2.0, 1.0, 1.0)
