@@ -1,22 +1,25 @@
-"""Timing comparison of the two pair-scan backends.
+"""Timing of the block-pruned pair scan against the brute-force reference.
 
-Both backends are imported directly (the package itself picks one at
-import time), driven on the same prefix arrays the sup search builds,
-and cross-checked against each other before timing.
+Both scans run on the prefix arrays the sup search builds for the
+extremal weight at p = 2, delta = 2, q = 10, and must agree bit for bit
+before they are timed.  The reference is the one the test suite checks
+against (``brute_force_scan`` in ``tests/test_kernels.py``).  Run from
+the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
+import sys
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from sharpweights import extremal_weight
-from sharpweights._kernels import KERNEL_BACKEND, _scan_slow
-from sharpweights.weights import _prefix_log, _prefix_power
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-try:
-    from sharpweights._kernels import _scan_fast
-except ImportError:
-    _scan_fast = None
+from sharpweights import _pairscan, extremal_weight  # noqa: E402
+from sharpweights.weights import _prefix_log, _prefix_power  # noqa: E402
+from test_kernels import brute_force_scan  # noqa: E402
 
 
 def workloads(depth):
@@ -36,29 +39,47 @@ def workloads(depth):
     }
 
 
-def best_time(fn, args, reps):
-    return min(timeit.repeat(lambda: fn(*args), number=reps, repeat=3)) / reps
+def best_time(fn, args):
+    """Best of three, each long enough to time (at least 0.1 s)."""
+    number = 1
+    while True:
+        t = timeit.timeit(lambda: fn(*args), number=number)
+        if t >= 0.1:
+            break
+        number *= 4
+    return min([t] + timeit.repeat(lambda: fn(*args), number=number, repeat=2)) / number
+
+
+def visited_share(args):
+    """Share of the block pairs (I <= J) whose pairs the scan evaluates."""
+    calls = [0]
+    leaf = _pairscan._pair_values
+
+    def counted(*a):
+        calls[0] += 1
+        return leaf(*a)
+
+    _pairscan._pair_values = counted
+    try:
+        _pairscan.max_pair_ratio(*args)
+    finally:
+        _pairscan._pair_values = leaf
+    blocks = -(-len(args[0]) // _pairscan._BLOCK)
+    return calls[0] / (blocks * (blocks + 1) // 2)
 
 
 def main():
-    print(f"active backend: {KERNEL_BACKEND}")
-    header = f"{'scan':>12} {'depth':>5} {'points':>7} {'numpy':>12}"
-    if _scan_fast is not None:
-        header += f" {'cython':>12} {'speedup':>8}"
-    print(header)
-    for depth in (8, 10, 12):
-        reps = max(1, 4096 // (1 << depth))
+    print(f"{'scan':>12} {'depth':>5} {'points':>7} {'brute':>10} {'pruned':>10} "
+          f"{'speedup':>8} {'visited':>8}")
+    for depth in (8, 10, 12, 14):
         for name, args in workloads(depth).items():
-            if _scan_fast is not None:
-                slow = _scan_slow.max_pair_ratio(*args)
-                fast = _scan_fast.max_pair_ratio(*args)
-                assert slow[1:] == fast[1:], "backends disagree on the argmax"
-            t_slow = best_time(_scan_slow.max_pair_ratio, args, reps)
-            row = f"{name:>12} {depth:>5} {len(args[0]):>7} {t_slow * 1e3:>10.2f}ms"
-            if _scan_fast is not None:
-                t_fast = best_time(_scan_fast.max_pair_ratio, args, reps)
-                row += f" {t_fast * 1e3:>10.2f}ms {t_slow / t_fast:>7.1f}x"
-            print(row)
+            got = _pairscan.max_pair_ratio(*args)
+            assert got == brute_force_scan(*args), f"{name} at depth {depth}: scans disagree"
+            t_brute = best_time(brute_force_scan, args)
+            t_pruned = best_time(_pairscan.max_pair_ratio, args)
+            print(f"{name:>12} {depth:>5} {len(args[0]):>7} {t_brute * 1e3:>8.2f}ms "
+                  f"{t_pruned * 1e3:>8.2f}ms {t_brute / t_pruned:>7.1f}x "
+                  f"{visited_share(args):>7.1%}")
 
 
 if __name__ == "__main__":

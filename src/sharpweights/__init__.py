@@ -4,11 +4,10 @@ The package computes, in closed form backed by bracketed root solves,
 the best possible constants for the embeddings between reverse-Holder
 classes, moment (A_q) classes, and their exponential (A_inf) limit,
 together with the boundary supremum function that produces them, the
-extremal weights that attain them, and a brute-force subinterval oracle
-that verifies every sharpness claim numerically.
+extremal weights that attain them, and an exact subinterval oracle that
+verifies every sharpness claim numerically.
 """
 
-from ._kernels import KERNEL_BACKEND
 from .bellman import (
     Parameters,
     TangentSegment,
@@ -57,7 +56,6 @@ __all__ = [
     "FunctionalKind",
     "INF",
     "IterationError",
-    "KERNEL_BACKEND",
     "NDimBound",
     "Parameters",
     "PowerWeight",

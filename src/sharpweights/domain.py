@@ -62,11 +62,20 @@ def validate_delta(delta: float) -> None:
         raise DomainError(f"class constant delta must satisfy delta >= 1, got {delta}")
 
 
+def _power_or_inf(base: float, p: float) -> float:
+    """base**p, +inf where it passes the float range."""
+    try:
+        return base**p
+    except OverflowError:
+        return INF
+
+
 def boundary_values(p: float, delta: float, x1: float) -> tuple[float, float]:
-    """Lower and upper admissible x2 at abscissa x1."""
+    """Lower and upper admissible x2 at abscissa x1; +inf past the float
+    range."""
     if is_inf(p):
         return x1, delta * x1
-    return x1**p, (delta * x1) ** p
+    return _power_or_inf(x1, p), _power_or_inf(delta * x1, p)
 
 
 def classify_point(p: float, delta: float, x: DomainPoint) -> str:
@@ -91,6 +100,7 @@ def classify_point(p: float, delta: float, x: DomainPoint) -> str:
         raise DomainError(f"x2 <= {bound} violated: x2 = {x2} > {upper}")
     if abs(x2 - lower) <= BOUNDARY_RTOL * lower:
         return "lower"
-    if abs(x2 - upper) <= BOUNDARY_RTOL * upper:
+    # an upper bound past the float range lies above every finite x2
+    if upper < INF and abs(x2 - upper) <= BOUNDARY_RTOL * upper:
         return "upper"
     return "interior"

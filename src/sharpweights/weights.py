@@ -4,9 +4,9 @@ A weight here is w(t) = c*(t/a)**nu on [0, a) and w(t) = c on [a, 1].
 Every moment, subinterval average, and class norm it needs has a closed
 form, which makes two things possible: exact extremal-weight
 construction from a domain point (the weight whose averages hit the
-point and whose class norm is exactly delta), and a brute-force
-supremum oracle over all dyadic subintervals that runs in O(grid**2)
-with O(1) per pair via prefix integrals.
+point and whose class norm is exactly delta), and an exact supremum
+oracle over all dyadic subintervals, O(1) per pair via prefix
+integrals, that skips the blocks of pairs a bound rules out.
 
 The supremum oracle is the numeric court of appeal for every sharpness
 claim: the closed-form constants must be attained by these weights, and
@@ -23,7 +23,7 @@ import numpy as np
 from . import roots
 from .domain import INF, DomainPoint, classify_point, is_inf, validate_delta, validate_exponent
 from .errors import DomainError
-from ._kernels import max_pair_ratio
+from ._pairscan import max_pair_ratio
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,11 @@ def sup_ratio_search(
     """Maximum of functional_ratio over intervals with endpoints on the
     dyadic grid of size 2**depth, plus the candidates {0, a, 1}.
 
-    Returns (sup, (alpha, beta)).  The search is exhaustive over pairs;
-    prefix integrals make each pair O(1).  All four functionals are
-    invariant under scaling the weight, so the scan normalizes c to 1.
+    Returns (sup, (alpha, beta)).  The search is exact over all pairs:
+    prefix integrals make each pair O(1), and blocks of pairs are
+    skipped only when a bound proves none of them reaches the maximum.
+    All four functionals are invariant under scaling the weight, so the
+    scan normalizes c to 1.
     Intervals touching 0 with a divergent moment make the result +inf
     with the canonical witness (0, min(a, 1)).  ``inject_candidates``
     exists so tests can measure the pure-grid gap.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sharpweights import DomainError
+from sharpweights import DomainError, r_pair
 from sharpweights.domain import (
     BOUNDARY_RTOL,
     boundary_values,
@@ -70,3 +70,17 @@ def test_degenerate_class_pins_the_diagonal():
     assert classify_point(2.0, 1.0, (3.0, 9.0)) == "lower"
     with pytest.raises(DomainError):
         classify_point(2.0, 1.0, (3.0, 9.5))
+
+
+def test_bounds_past_the_float_range():
+    # (delta*x1)**p overflows at this point, which lies well inside the domain
+    p, delta, x = 359.68625747631864, 8.77617427932621, (1.3824505996777134, 1.1835603267012838e174)
+    assert boundary_values(p, delta, x[0])[1] == math.inf
+    assert classify_point(p, delta, x) == "interior"
+    r_minus, r_plus = r_pair(p, delta, x)
+    assert isinstance(r_minus, float) and isinstance(r_plus, float)
+    assert r_minus <= 0.0 <= r_plus
+    # an overflowed lower bound lies above every finite x2
+    assert boundary_values(400.0, 2.0, 10.0) == (math.inf, math.inf)
+    with pytest.raises(DomainError, match=r"x2 >= x1\^p"):
+        classify_point(400.0, 2.0, (10.0, 1e300))

@@ -1,21 +1,55 @@
-"""Backend parity for the pairwise ratio scan."""
+"""The block-pruned pair scan against brute-force references."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sharpweights._kernels import KERNEL_BACKEND
-from sharpweights._kernels import _scan_slow
+from sharpweights import FunctionalKind, PowerWeight, extremal_weight, sup_ratio_search
+from sharpweights import weights
+from sharpweights._pairscan import max_pair_ratio
+from sharpweights.weights import _prefix_log, _prefix_power
 
-try:
-    from sharpweights._kernels import _scan_fast
-except ImportError:
-    _scan_fast = None
+_REF_ROWS = 256
 
-BACKENDS = [("numpy", _scan_slow.max_pair_ratio)]
-if _scan_fast is not None:
-    BACKENDS.append(("cython", _scan_fast.max_pair_ratio))
+
+def brute_force_scan(grid, p1, p2, e1, e2, cap, mode):
+    """Every pair, _REF_ROWS rows at a time: the bit-identity reference.
+
+    Modes: 0 -> (d1/L)**e1 * (d2/L)**e2, 1 -> (d1/L) * exp(-(d2/L)),
+    2 -> cap[j] / (d1/L).  Ties resolve to the first (i, j) in row-major
+    order because only a strict improvement replaces the incumbent.
+    """
+    g = np.asarray(grid, dtype=np.float64)
+    q1 = np.asarray(p1, dtype=np.float64)
+    q2 = np.asarray(p2, dtype=np.float64)
+    cp = np.asarray(cap, dtype=np.float64)
+    n = g.size
+    if n < 2:
+        raise ValueError("need at least two grid points")
+    best = -np.inf
+    bi, bj = 0, 1
+    for lo in range(0, n - 1, _REF_ROWS):
+        hi = min(lo + _REF_ROWS, n - 1)
+        rows = slice(lo, hi)
+        length = g[None, :] - g[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a1 = (q1[None, :] - q1[rows, None]) / length
+            if mode == 0:
+                vals = a1**e1 * ((q2[None, :] - q2[rows, None]) / length) ** e2
+            elif mode == 1:
+                vals = a1 * np.exp(-(q2[None, :] - q2[rows, None]) / length)
+            else:
+                vals = cp[None, :] / a1
+        vals[length <= 0.0] = -np.inf
+        np.nan_to_num(vals, copy=False, nan=-np.inf, posinf=np.inf)
+        flat = int(np.argmax(vals))
+        r, c = divmod(flat, n)
+        v = float(vals[r, c])
+        if v > best:
+            best = v
+            bi, bj = lo + r, c
+    return best, bi, bj
 
 
 def reference_scan(grid, p1, p2, e1, e2, cap, mode):
@@ -43,6 +77,10 @@ def reference_scan(grid, p1, p2, e1, e2, cap, mode):
     return best, bi, bj
 
 
+# the pruned scan, and the brute-force reference it must reproduce
+SCANS = [("numpy", max_pair_ratio), ("brute", brute_force_scan)]
+
+
 def random_inputs(rng, n):
     grid = np.sort(rng.random(n))
     grid[0], grid[-1] = 0.0, 1.0
@@ -52,11 +90,11 @@ def random_inputs(rng, n):
     return grid, p1, p2, cap
 
 
-def test_backend_reports_a_known_name():
-    assert KERNEL_BACKEND in ("cython", "numpy")
+def assert_bit_identical(*args):
+    assert max_pair_ratio(*args) == brute_force_scan(*args)
 
 
-@pytest.mark.parametrize("name,fn", BACKENDS)
+@pytest.mark.parametrize("name,fn", SCANS)
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_backend_matches_reference(name, fn, mode):
     rng = np.random.default_rng(20240814 + mode)
@@ -70,20 +108,71 @@ def test_backend_matches_reference(name, fn, mode):
         assert got[0] == pytest.approx(expected[0], rel=1e-13)
 
 
-@pytest.mark.skipif(_scan_fast is None, reason="compiled kernel not built")
 @pytest.mark.parametrize("mode", [0, 1, 2])
-def test_fast_and_slow_agree(mode):
-    rng = np.random.default_rng(7)
-    for trial in range(10):
-        grid, p1, p2, cap = random_inputs(rng, 200)
-        e1, e2 = 1.0, float(rng.uniform(-2.0, 2.0))
-        slow = _scan_slow.max_pair_ratio(grid, p1, p2, e1, e2, cap, mode)
-        fast = _scan_fast.max_pair_ratio(grid, p1, p2, e1, e2, cap, mode)
-        assert slow[1:] == fast[1:]
-        assert slow[0] == pytest.approx(fast[0], rel=1e-13)
+def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
+    rng = np.random.default_rng(31 + mode)
+    for e2 in (-1.0, -0.7, 0.4, 1.0, 2.5):
+        for n in (65, 300):
+            grid, p1, p2, cap = random_inputs(rng, n)
+            assert_bit_identical(grid, p1, p2, float(rng.uniform(0.2, 2.0)), e2, cap, mode)
 
 
-@pytest.mark.parametrize("name,fn", BACKENDS)
+@pytest.mark.parametrize("nu_sign", ["positive", "negative"])
+@pytest.mark.parametrize("inject", [True, False])
+def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, inject):
+    scans = []
+
+    def checked(*args):
+        expected = brute_force_scan(*args)
+        assert max_pair_ratio(*args) == expected
+        scans.append(args[6])
+        return expected
+
+    monkeypatch.setattr(weights, "max_pair_ratio", checked)
+    # an interior point, so the weight has both a ramp and a plateau;
+    # q = 5 lies above q_star and t = 2 below t_star at p = 2.5, delta = 1.6
+    branch = "plus" if nu_sign == "positive" else "minus"
+    w = extremal_weight(2.5, 1.6, (1.0, 1.5), branch)
+    assert (w.nu > 0.0) == (nu_sign == "positive") and w.a < 1.0
+    kinds = [FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(2.0)]
+    if w.nu >= 0.0:
+        kinds.append(FunctionalKind.rh_inf())
+    for kind in kinds:
+        sup_ratio_search(w, kind, 9, inject_candidates=inject)
+    assert len(scans) == len(kinds)
+
+
+def test_exponential_scan_with_a_negative_log_prefix():
+    # the log prefix of a ramp weight dips below zero before it rises
+    w = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
+    grid = np.arange(513, dtype=np.float64) / 512.0
+    p1 = _prefix_power(grid, w.a, w.nu, 1.0)
+    p2 = _prefix_log(grid, w.a, w.nu)
+    assert p2.min() < 0.0
+    assert_bit_identical(grid, p1, p2, 0.0, 0.0, p1, 1)
+    walk = np.cumsum(np.random.default_rng(5).standard_normal(grid.size))
+    assert walk.min() < 0.0
+    assert_bit_identical(grid, p1, walk, 0.0, 0.0, p1, 1)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_constant_weight_ties_resolve_to_the_first_pair(mode):
+    # every pair of every block ties at exactly 1
+    grid = np.arange(301, dtype=np.float64) / 300.0
+    p2 = np.zeros_like(grid) if mode == 1 else grid
+    args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode)
+    assert max_pair_ratio(*args) == (1.0, 0, 1)
+    assert brute_force_scan(*args) == (1.0, 0, 1)
+
+
+def test_constant_weight_search_reports_the_first_interval():
+    w = PowerWeight(3.0, 1.0, 0.0)
+    kinds = [FunctionalKind.aq(4.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
+    for kind in kinds:
+        assert sup_ratio_search(w, kind, 8) == (1.0, (0.0, 1.0 / 256.0))
+
+
+@pytest.mark.parametrize("name,fn", SCANS)
 def test_tie_resolution_is_lexicographic(name, fn):
     # a constant ratio field must report the first pair
     grid = np.linspace(0.0, 1.0, 9)
@@ -95,7 +184,7 @@ def test_tie_resolution_is_lexicographic(name, fn):
     assert (i, j) == (0, 1)
 
 
-@pytest.mark.parametrize("name,fn", BACKENDS)
+@pytest.mark.parametrize("name,fn", SCANS)
 def test_rejects_degenerate_input(name, fn):
     one = np.array([0.5])
     with pytest.raises(ValueError):
@@ -108,16 +197,35 @@ def test_duplicate_grid_points_are_skipped():
     p1 = np.array([0.0, 1.0, 1.0, 4.0])
     p2 = p1.copy()
     cap = np.ones_like(grid)
-    for _, fn in BACKENDS:
+    for _, fn in SCANS:
         best, i, j = fn(grid, p1, p2, 1.0, 1.0, cap, 0)
         assert math.isfinite(best)
         assert grid[j] > grid[i]
 
 
-@pytest.mark.skipif(_scan_fast is None, reason="compiled kernel not built")
-def test_fast_rejects_mismatched_prefixes():
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_duplicate_grid_points_in_every_block(mode):
+    rng = np.random.default_rng(70 + mode)
+    grid, p1, p2, cap = random_inputs(rng, 300)
+    grid = np.sort(np.concatenate([grid, grid[rng.integers(0, 300, 40)]]))
+    p1 = np.cumsum(rng.uniform(0.01, 1.0, grid.size))
+    p2 = np.cumsum(rng.uniform(0.01, 1.0, grid.size))
+    cap = rng.uniform(0.1, 2.0, grid.size)
+    assert_bit_identical(grid, p1, p2, 1.0, -1.0, cap, mode)
+    # a grid of one repeated point has no interval at all
+    flat = np.full(130, 0.5)
+    assert_bit_identical(flat, p1[:130], p2[:130], 1.0, 1.0, cap[:130], mode)
+
+
+def test_rejects_mismatched_prefixes():
     grid = np.linspace(0.0, 1.0, 5)
     short = np.zeros(4)
     cap = np.ones(5)
     with pytest.raises(ValueError, match="match the grid length"):
-        _scan_fast.max_pair_ratio(grid, short, grid, 1.0, 1.0, cap, 0)
+        max_pair_ratio(grid, short, grid, 1.0, 1.0, cap, 0)
+
+
+def test_rejects_a_decreasing_grid():
+    grid = np.array([0.0, 0.5, 0.25, 1.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        max_pair_ratio(grid, grid, grid, 1.0, 1.0, grid, 0)
