@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import roots
-from .domain import (_EDGE_GUARD, INF, DomainPoint, classify_point, exp_or_inf, is_inf,
-                     validate_delta, validate_exponent)
+from .domain import (_EDGE_GUARD, INF, DomainPoint, boundary_values, classify_point,
+                     exp_or_inf, is_inf, validate_delta, validate_exponent)
 from .errors import DomainError
 
 
@@ -219,7 +219,7 @@ class TangentSegment:
     """Chord between the two boundary curves along which the value is
     linear: from (b, (delta*b)**p) on the upper curve (gamma_delta) to
     the point on the lower curve (gamma_one) with the same branch
-    parameter."""
+    parameter.  Second coordinates past the float range are +inf."""
 
     b: float
     endpoint_gamma_delta: DomainPoint
@@ -246,13 +246,19 @@ def tangent_segment(
         raise DomainError("the anchor b must be a positive real")
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    pair = roots.s_pair(p, delta)
-    s = pair.s_plus if branch == "plus" else pair.s_minus
+    s = roots.class_parameter(p, delta, branch)
+    if math.isinf(s):
+        raise DomainError(
+            f"the minus branch at p = {p}, delta = {delta} passes the float range"
+        )
     x1_lower = b * (1.0 - (p - 1.0) * s) / (1.0 - p * s)
-    x2_lower = (delta * b) ** p / (1.0 - p * s)
+    # (delta*b)**p/(1 - p*s), formed as the upper-curve value over
+    # b/(1 - p*s)**(1/p): +inf exactly past the float range, and a few
+    # times more accurate at large p than exp of the summed logarithms.
+    x2_lower = boundary_values(p, delta, b * (1.0 - p * s) ** (-1.0 / p))[1]
     return TangentSegment(
         b=b,
-        endpoint_gamma_delta=(b, (delta * b) ** p),
+        endpoint_gamma_delta=(b, boundary_values(p, delta, b)[1]),
         endpoint_gamma_one=(x1_lower, x2_lower),
         branch=branch,
     )

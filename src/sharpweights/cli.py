@@ -16,7 +16,7 @@ import sys
 
 from . import embedding, ndim, weights
 from .bellman import Parameters, bellman_infinity_value, bellman_value
-from .domain import INF, is_inf
+from .domain import INF, boundary_values, is_inf, validate_delta, validate_exponent
 from .errors import DomainError, IterationError
 from .roots import r_pair
 
@@ -159,16 +159,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if (args.q is None) == (args.t is None):
         raise DomainError("verify needs exactly one of --q (moment mode) or --t (self-improvement mode)")
     p, delta = args.p, args.delta
+    validate_exponent(p)
+    validate_delta(delta)
+    # the extremal weights start at the upper-curve point over x1 = 1
+    x = (1.0, boundary_values(p, delta, 1.0)[1])
+    if math.isinf(x[1]):
+        raise DomainError(f"delta**p passes the float range at p = {p}, delta = {delta}")
     if args.t is not None:
         if is_inf(p):
             raise DomainError("self-improvement mode needs finite p")
-        x = (1.0, delta**p)
         w = weights.extremal_weight(p, delta, x, "minus")
         kind = weights.FunctionalKind.rh_p(args.t)
         result = embedding.rht_constant(p, args.t, delta)
         swept = ("t", args.t)
     else:
-        x = (1.0, delta if is_inf(p) else delta**p)
         w = weights.extremal_weight(p, delta, x, "plus")
         kind = weights.FunctionalKind.aq(args.q)
         result = embedding.aq_constant(p, args.q, delta)

@@ -69,21 +69,15 @@ def rht_constant(p: float, t: float, delta: float) -> EmbeddingResult:
         raise DomainError(f"t must be at least p = {p}, got {t}")
     if delta == 1.0:
         return EmbeddingResult(1.0, INF, True)
-    tp = delta ** -p
-    if tp > 1e-300:
-        # The threshold sits at p - 1/s with s the negative inverse
-        # branch at delta**-p.  Forming the margin from 1/|s| and t - p
-        # keeps it accurate even when it is far below one ulp of the
-        # threshold itself, which happens already at moderate p*log(delta).
-        inv = -1.0 / roots.u_minus(p, tp)
-        ts = p + inv
-        margin = inv - (t - p)
-        noise = _EDGE_GUARD * (inv + (t - p))
-    else:
-        ts = roots.t_star(p, delta)
-        margin = ts - t
-        noise = _EDGE_GUARD * ts
-    if margin <= noise:
+    # t_star = p + w with w = -1/s_minus.  Forming the margin from w and
+    # t - p keeps it accurate even when it is far below one ulp of the
+    # threshold itself, which happens already at moderate p*log(delta).
+    w = roots.gehring_gap(p, delta)
+    ts = p + w
+    if t == p:  # C_t**p = 1/F(s_minus) = delta**p
+        return EmbeddingResult(delta, ts, True)
+    margin = w - (t - p)
+    if margin <= _EDGE_GUARD * (w + (t - p)):
         return EmbeddingResult(INF, ts, False)
-    c = (ts - 1.0) / ts * math.exp((math.log(ts) - math.log(margin)) / t)
+    c = (ts - 1.0) / ts * exp_or_inf((math.log(ts) - math.log(margin)) / t)
     return EmbeddingResult(c, ts, math.isfinite(c))

@@ -12,16 +12,19 @@ point parameters r = u(x2/(delta*x1)**p), and the critical exponents
 q_star (finiteness threshold above 1), q_sub (its mirror below 1), and
 t_star (the self-improvement threshold, equal to 1/(1 - q_sub)).
 
+The Gehring side has one source: with the left class parameter s_minus
+and the gap w = -1/s_minus >= 0, t_star = p + w and q_sub =
+(p - 1 + w)/(p + w) in closed form.  The left branch returns -inf where
+p times its root passes the float range; w is then 0 to double
+precision.
+
 Every root comes from ``bisect_root``, Newton steps inside a bracket
 with a proven sign change, run to full double precision from a start on
 the side where Newton converges monotonically; searched brackets grow
 from a log-space asymptote in ``grow_bracket``.  F is evaluated through
 its logarithm, since (1 - p*u)**(p-1) overflows double precision
-quickly for large p or large |u|.  Where one endpoint sign is
-analytically forced but floating-point evaluation of it would be pure
-cancellation noise (for example the lower q_sub endpoint, where both
-sides of the defining equation vanish to first order), the known sign
-is supplied instead of an evaluated one.
+quickly for large p or large |u|.  Where an endpoint sign is known
+analytically, the known sign is supplied instead of an evaluated one.
 """
 
 from __future__ import annotations
@@ -181,17 +184,25 @@ def u_plus_from_log(p: float, log_t: float) -> float:
 
 
 def u_minus_from_log(p: float, log_t: float) -> float:
-    """Left inverse branch with t passed as log(t)."""
+    """Left inverse branch with t passed as log(t); -inf where p times the
+    root passes the float range, so that 1 - p*u is finite whenever u is."""
     if log_t == 0.0:
         return 0.0
     # |u|*F(u) increases to C = p**(p-1)/(p-1)**p as u -> -inf, so
-    # F(-2C/t) < t/2: the left end has f < -log 2 < 0.
+    # F(-2C/t) < t/2: the left end has f < -log 2 < 0.  This bracket end
+    # may be off by 1e-13 at large p, which moves the bracket and where
+    # Newton starts, not the root.
     lo = -2.0 * exp_or_inf((p - 1.0) * math.log(p) - p * math.log(p - 1.0) - log_t)
-    if math.isinf(p * lo):  # F is evaluable while p*u is finite
-        raise IterationError(
-            f"no bracket for the negative branch: its root passes the float range "
-            f"(p = {p}, log t = {log_t})"
-        )
+    if math.isinf(p * lo):
+        # F is evaluable while p*u is finite.  Past that the root is C/t
+        # to relative 2/((p-1)*|u|), far below an ulp.  Here C is needed
+        # to an ulp, so it takes the log1p form, and C and exp(-log_t)
+        # are formed apart (the latter as a square) so that rounding
+        # log(C/t) does not cost 1e-13.
+        c = math.exp((p - 1.0) * math.log1p(1.0 / (p - 1.0)) - math.log(p - 1.0))
+        half = exp_or_inf(-0.5 * log_t)
+        root = -(half * c * half)
+        return root if math.isfinite(p * root) else -INF
     # log F is convex left of its inflection -1/sqrt(p*(p-1)), concave
     # right of it.  A root left of it starts from -C/t, barely left of the
     # root once far out; one right of it from where -p*(p-1)*u**2/2, a
@@ -234,8 +245,7 @@ def s_pair(p: float, delta: float) -> SPair:
     validate_delta(delta)
     if delta == 1.0:
         return SPair(0.0, 0.0)
-    log_t = -p * math.log(delta)
-    return SPair(u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
+    return SPair(class_parameter(p, delta, "minus"), class_parameter(p, delta, "plus"))
 
 
 def point_log_ratio(p: float, delta: float, x: DomainPoint) -> float:
@@ -259,12 +269,21 @@ def r_pair(p: float, delta: float, x: DomainPoint) -> tuple[float, float]:
     return (u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 
 
+def _branch_solver(branch: str) -> Callable[[float, float], float]:
+    return u_plus_from_log if branch == "plus" else u_minus_from_log
+
+
+def class_parameter(p: float, delta: float, branch: str) -> float:
+    """s at t = delta**-p on one branch: "plus" (the right branch, q above
+    q_star) or "minus" (the left branch)."""
+    return _branch_solver(branch)(p, -p * math.log(delta))
+
+
 def branch_pair(p: float, delta: float, x: DomainPoint, branch: str) -> tuple[float, float]:
-    """(s, r) on one branch: the class parameter at t = delta**-p and the
-    point parameter at t = x2/(delta*x1)**p; ``branch`` is "plus" (the
-    right branch, q above q_star) or "minus" (the left branch)."""
-    solve = u_plus_from_log if branch == "plus" else u_minus_from_log
-    return solve(p, -p * math.log(delta)), solve(p, point_log_ratio(p, delta, x))
+    """(s, r) on one branch: the class parameter and the point parameter
+    at t = x2/(delta*x1)**p."""
+    s = class_parameter(p, delta, branch)
+    return s, _branch_solver(branch)(p, point_log_ratio(p, delta, x))
 
 
 def _critical_gap(p: float, log_delta: float) -> Equation:
@@ -319,52 +338,24 @@ def q_star(p: float, delta: float) -> float:
     return bisect_root(g, 1.0, hi, f_lo=g_one, f_hi=g_hi, start=start)
 
 
-def q_sub(p: float, delta: float) -> float:
-    """Mirror root of the threshold equation in ((p-1)/p, 1).
-
-    At the left endpoint the defining equation degenerates: both sides
-    agree to within ((p-1)/(p*delta))**p, which underflows the rounding
-    noise of an evaluated difference for large p*log(delta).  The sign
-    there is analytically positive, so it is pinned rather than
-    computed.
-    """
-    _require_finite_p(p)
-    validate_delta(delta)
-    if delta == 1.0:
-        return 1.0
-    log_delta = math.log(delta)
-    g = _critical_gap(p, log_delta)
-    g_one = math.expm1(-p * log_delta)
-    lo = (p - 1.0) / p
-    # g is convex and decreasing here: Newton converges from the left.
-    start = max(lo, 1.0 - _near_one(p, log_delta))
-    return bisect_root(g, lo, 1.0, f_lo=1.0, f_hi=g_one, start=start)
-
-
-def t_star(p: float, delta: float) -> float:
-    """Self-improvement threshold: the root above p of
-    (delta*x/(x-1))**p * (x-p)/x = 1, or +inf at delta = 1."""
+def gehring_gap(p: float, delta: float) -> float:
+    """w = t_star - p = -1/s_minus: +inf at delta = 1, and 0 where s_minus
+    is -inf (w is then below p/1.8e308, far below an ulp of p)."""
     _require_finite_p(p)
     validate_delta(delta)
     if delta == 1.0:
         return INF
-    log_delta = math.log(delta)
+    return -1.0 / class_parameter(p, delta, "minus")
 
-    def psi(x: float) -> tuple[float, float]:
-        gap = x - p
-        if gap <= 0.0:
-            return -INF, INF
-        value = p * (log_delta + math.log1p(1.0 / (x - 1.0))) - math.log1p(p / gap)
-        return value, p * (1.0 / x - 1.0 / (x - 1.0)) + 1.0 / gap - 1.0 / x
 
-    # psi is concave and increasing: Newton converges from the left.  The
-    # root is a fixed point of the increasing x -> p + x*((x-1)/(delta*x))**p,
-    # so lies right of its value at p; and psi(x) < p*log(delta) -
-    # p*(p-1)/(2*x**2) (all higher terms in 1/x are negative), so it also
-    # lies right of sqrt((p-1)/(2*log(delta))), its limit as delta -> 1.
-    near_p = p + p * math.exp(p * (math.log(p - 1.0) - math.log(p) - log_delta))
-    far = math.sqrt((p - 1.0) / (2.0 * log_delta))
-    start = max(near_p, far, math.nextafter(p, INF))
-    hi, psi_hi = grow_bracket(psi, 2.0 * start, -1.0)
-    # psi -> -inf as x -> p from above: analytic lower endpoint sign.
-    return bisect_root(psi, p, hi, f_lo=-INF, f_hi=psi_hi, start=start)
+def q_sub(p: float, delta: float) -> float:
+    """Mirror root of the threshold equation in [(p-1)/p, 1): equal to
+    1 - 1/t_star, formed as (p - 1 + w)/(p + w) to avoid cancellation."""
+    w = gehring_gap(p, delta)
+    return 1.0 if math.isinf(w) else (p - 1.0 + w) / (p + w)
+
+
+def t_star(p: float, delta: float) -> float:
+    """Self-improvement threshold p + w, the root above p of
+    (delta*x/(x-1))**p * (x-p)/x = 1, or +inf at delta = 1."""
+    return p + gehring_gap(p, delta)

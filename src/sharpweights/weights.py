@@ -203,11 +203,11 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     nu = s / (1.0 - p * s)
     # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
     # p*log(delta) the rounded nu can reach -1/p, where w**p stops being
-    # integrable.
+    # integrable, and past the float range s is -inf and nu is nan.
     if not nu > -1.0 / p:
         raise DomainError(
-            f"the {branch} branch at p = {p}, delta = {delta} gives ramp exponent "
-            f"{nu}, outside the integrable range (-1/p, inf)"
+            f"the {branch} branch at p = {p}, delta = {delta} gives s = {s} and ramp "
+            f"exponent {nu}, outside the integrable range (-1/p, inf)"
         )
     if r == 0.0:
         a = 1.0
@@ -290,42 +290,30 @@ def sup_ratio_search(
         raise DomainError("depth must be at least 1")
     nu = w.nu
     a = w.a
+    # Power-prefix exponents (the plain average first, except for rhp),
+    # the mode's exponents, and the mode.  ainf adds the log prefix; rhinf
+    # reads only the first prefix and the cap.
     if kind.name == "aq":
         q = kind.exponent
-        thetas = (1.0, -1.0 / (q - 1.0))
+        thetas, e1, e2, mode = (1.0, -1.0 / (q - 1.0)), 1.0, q - 1.0, 0
     elif kind.name == "rhp":
-        thetas = (1.0, kind.exponent)
-    elif kind.name == "rhinf":
+        thetas, e1, e2, mode = (kind.exponent, 1.0), 1.0 / kind.exponent, -1.0, 0
+    elif kind.name == "ainf":
+        thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 1
+    else:
         if nu < 0.0:
             raise DomainError("the sup-over-average search needs nu >= 0")
-        thetas = (1.0,)
-    else:
-        thetas = (1.0,)
-    for theta in thetas:
-        if theta * nu <= -1.0:
-            return INF, (0.0, a)
+        thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 2
+    if any(theta * nu <= -1.0 for theta in thetas):
+        return INF, (0.0, a)
     n = (1 << depth) + 1
     grid = np.arange(n, dtype=np.float64) / float(n - 1)
     if inject_candidates:
         grid = np.unique(np.concatenate([grid, np.array([0.0, a, 1.0])]))
-    pref_avg = _prefix_power(grid, a, nu, 1.0)
-    dummy = pref_avg
-    if kind.name == "aq":
-        p1, p2 = pref_avg, _prefix_power(grid, a, nu, -1.0 / (kind.exponent - 1.0))
-        e1, e2 = 1.0, kind.exponent - 1.0
-        cap, mode = dummy, 0
-    elif kind.name == "rhp":
-        p1, p2 = _prefix_power(grid, a, nu, kind.exponent), pref_avg
-        e1, e2 = 1.0 / kind.exponent, -1.0
-        cap, mode = dummy, 0
-    elif kind.name == "ainf":
-        p1, p2 = pref_avg, _prefix_log(grid, a, nu)
-        e1 = e2 = 0.0
-        cap, mode = dummy, 1
-    else:
-        p1, p2 = pref_avg, dummy
-        e1 = e2 = 0.0
-        cap = (np.minimum(grid, a) / a) ** nu
-        mode = 2
+    prefixes = [_prefix_power(grid, a, nu, theta) for theta in thetas]
+    if mode == 1:
+        prefixes.append(_prefix_log(grid, a, nu))
+    p1, p2 = prefixes[0], prefixes[-1]
+    cap = (np.minimum(grid, a) / a) ** nu if mode == 2 else p1
     best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode)
     return float(best), (float(grid[i]), float(grid[j]))

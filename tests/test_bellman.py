@@ -273,6 +273,21 @@ def test_value_affine_along_segments():
             assert v_mid == pytest.approx(v_avg, rel=1e-9)
 
 
+def test_tangent_segment_past_the_float_range():
+    # (delta*b)**p = 60**200 overflows
+    seg = tangent_segment(200.0, 30.0, 2.0)
+    assert seg.endpoint_gamma_delta == (2.0, math.inf)
+    assert seg.endpoint_gamma_one[1] == math.inf
+    # the minus endpoint sits on the lower curve near 1.99**200, representable
+    x1l, x2l = tangent_segment(200.0, 30.0, 2.0, "minus").endpoint_gamma_one
+    assert x1l == pytest.approx(1.99, rel=1e-15)
+    assert x2l == pytest.approx(1.99**200, rel=1e-13)
+    # p*s_minus passes the float range at (1000, 2.0324) while
+    # (delta*b)**p = 1.02e308 does not
+    with pytest.raises(DomainError):
+        tangent_segment(1000.0, 2.0324, 1.0, "minus")
+
+
 def test_tangent_segment_rejects_bad_inputs():
     with pytest.raises(DomainError):
         tangent_segment(math.inf, 2.0, 1.0)

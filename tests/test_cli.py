@@ -96,6 +96,12 @@ def test_gehring_csv_header(capsys):
     assert float(row["c_t"]) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_gehring_large_p_log_delta(capsys):
+    code, out, _ = run_cli(["gehring", "--p", "100", "--t", "100", "--delta", "1000"], capsys)
+    assert code == 0
+    assert parse_plain(out)["c_t"] == "1000"
+
+
 def test_bellman_record(capsys):
     code, out, _ = run_cli(
         ["bellman", "--p", "2", "--q", "10", "--delta", "2",
@@ -251,6 +257,22 @@ def test_verify_needs_exactly_one_mode(capsys):
     assert err.startswith("error:")
     code, out, err = run_cli(["verify", "--p", "2", "--delta", "2"], capsys)
     assert code == 2
+
+
+def test_verify_upper_point_past_the_float_range(capsys):
+    # 1000**120 overflows: a domain error (exit 2), not a mismatch (exit 1)
+    code, out, err = run_cli(
+        ["verify", "--p", "120", "--t", "120", "--delta", "1000"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "p = 120" in err and "delta = 1000" in err
+    # delta**p = 1.02e308 is finite, but p*s_minus is not
+    code, out, err = run_cli(
+        ["verify", "--p", "1000", "--t", "1000", "--delta", "2.0324"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: the minus branch at p = 1000")
 
 
 def test_ndim_record(capsys):

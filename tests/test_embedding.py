@@ -71,6 +71,22 @@ def test_rht_self_embedding_random():
         assert rht_constant(p, p, d).constant == pytest.approx(d, rel=1e-9)
 
 
+def test_rht_just_above_t_equal_p_approaches_delta():
+    # t = p returns delta without solving; just above it the general
+    # formula and the left-branch root must give delta in the limit
+    rng = random.Random(12)
+    for _ in range(30):
+        p = rng.uniform(1.2, 6.0)
+        d = rng.uniform(1.01, 3.0)
+        assert rht_constant(p, p * (1.0 + 1e-9), d).constant == pytest.approx(d, rel=1e-6)
+
+
+@pytest.mark.parametrize("p, d", [(100.0, 1000.0), (300.0, 10.0), (300.0, 1000.0)])
+def test_rht_at_t_equal_p_is_delta_for_large_p_log_delta(p, d):
+    # C_t**p = 1/F(s_minus) = delta**p at t = p, however far out s_minus is
+    assert rht_constant(p, p, d).constant == d
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         aq_constant(2.0, 1.0, 2.0)

@@ -15,6 +15,7 @@ from sharpweights import (
     q_star,
     q_sub,
     r_pair,
+    rht_constant,
     s_pair,
     t_star,
     u_minus,
@@ -288,9 +289,6 @@ ROOT_NAMES = ("q_star", "q_sub", "t_star", "u_plus", "u_minus", "y")
 # agreement: its sign is rounding noise over a band of a few 1e-15 around
 # the root, and the solver returns a point inside that band.
 EVALUATION_LIMITED = {
-    # the O(1/x) terms of the equation cancel, leaving p*log(delta) ~ 1e-3
-    ("t_star", 1.5, 1e-3): 1e-14,
-    ("t_star", 2.0, 1e-3): 1e-14,
     # log F ~ -p*(p-1)*u**2/2 is what is left of terms of size (p-1)*u
     ("u_plus", 1.5, 1e-3): 1e-14,
     # log F ~ log t ~ -13 and -35 is the difference of logarithms of that size
@@ -349,7 +347,9 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
     monkeypatch.setattr(roots, "grow_bracket", counting(roots.grow_bracket))
     worst = {}
     for name in ROOT_NAMES:
-        for p, dm, delta in _grid(name):
+        # plus a large p*log(delta) corner whose left root is still finite
+        corner = [] if name == "y" else [(300.0, 9.0, 10.0)]
+        for p, dm, delta in [*_grid(name), *corner]:
             counts.append(0)
             _case(name, p, delta)[0]()
             worst[name] = max(worst.get(name, 0), counts[-1])
@@ -371,3 +371,42 @@ def test_q_star_past_the_float_range_is_inf():
     assert q_star(1.0001, 1.5) == math.inf
     assert ainf_constant(1.0001, 1.5).constant == math.inf
     assert aq_constant(1.0001, 1e20, 1.5).constant == math.inf
+
+
+# -- the left branch past the float range -----------------------------------
+
+
+def test_left_branch_past_the_float_range_is_minus_inf():
+    sm, sp = s_pair(300.0, 1000.0)
+    assert sm == -math.inf
+    assert sp == roots.u_plus_from_log(300.0, -300.0 * math.log(1000.0))
+    assert t_star(300.0, 1000.0) == 300.0
+    assert q_sub(300.0, 1000.0) == 299.0 / 300.0
+    # -inf as soon as p times the root passes the float range, so that
+    # callers forming 1 - p*u never see an infinite product
+    assert roots.u_minus_from_log(2.0, -709.0) == -math.inf
+    assert roots.u_minus_from_log(300.0, -709.0) == -math.inf
+
+
+@pytest.mark.parametrize("p, log_t", [(2.0, -708.0), (1.5, -708.0), (300.0, -708.5)])
+def test_left_branch_beyond_its_bracket_end_is_representable(p, log_t):
+    # p*(-2C/t) overflows while p times the root, about -C/t, does not
+    got = roots.u_minus_from_log(p, log_t)
+    assert math.isfinite(p * got)
+    want = _reference(_eq_branch, p, mp.mpf(log_t), got, (-mp.inf, 0))
+    assert float(abs((mp.mpf(got) - want) / want)) <= 1e-15
+
+
+def test_gehring_side_on_the_4000_draw_sweep():
+    # p*log(delta) reaches 6,900: the left root passes the float range in
+    # most draws, and nothing may raise there
+    rng = random.Random(1)
+    for _ in range(4000):
+        p = 1001.0 - 1000.0 * rng.random()
+        delta = 1.0 + 1000.0 * rng.random()
+        s_pair(p, delta)
+        ts, qs = t_star(p, delta), q_sub(p, delta)
+        assert ts >= p, (p, delta)
+        assert (p - 1.0) / p <= qs <= 1.0, (p, delta)
+        assert rht_constant(p, p, delta).constant == delta, (p, delta)
+        rht_constant(p, 1.5 * p, delta)

@@ -187,6 +187,12 @@ def test_extremal_minus_branch_outside_integrable_range():
     assert extremal_weight(20.0, 55.0, (1.0, 1e16), "minus").nu > -1.0 / 20.0
 
 
+def test_extremal_minus_branch_past_the_float_range():
+    # delta**p = 1.02e308 is finite, but p*s_minus is not: s_minus is -inf
+    with pytest.raises(DomainError, match=r"minus branch at p = 1000, delta = 2.0324"):
+        extremal_weight(1000, 2.0324, (1.0, 2.0324**1000), "minus")
+
+
 def test_extremal_p_inf():
     w = extremal_weight(math.inf, 2.0, (1.0, 2.0), "plus")
     assert (w.c, w.a, w.nu) == (2.0, 1.0, 1.0)
