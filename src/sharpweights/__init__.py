@@ -10,7 +10,6 @@ verifies every sharpness claim numerically.
 
 from .bellman import (
     Parameters,
-    TangentSegment,
     bellman_infinity_value,
     bellman_limit_check,
     bellman_value,
@@ -18,12 +17,11 @@ from .bellman import (
     hessian_form,
     tangent_segment,
 )
-from .domain import INF, BOUNDARY_RTOL, DomainPoint, boundary_values, classify_point
+from .domain import INF, BOUNDARY_RTOL, boundary_values, classify_point
 from .embedding import EmbeddingResult, ainf_constant, aq_constant, rht_constant
 from .errors import DomainError, IterationError
 from .ndim import NDimBound, delta_threshold, epsilon_bound, ndim_aq_bound, ratio_bound_y
 from .roots import (
-    SPair,
     q_star,
     q_sub,
     r_pair,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDARY_RTOL",
     "DomainError",
-    "DomainPoint",
     "EmbeddingResult",
     "FunctionalKind",
     "INF",
@@ -59,8 +56,6 @@ __all__ = [
     "NDimBound",
     "Parameters",
     "PowerWeight",
-    "SPair",
-    "TangentSegment",
     "ainf_constant",
     "aq_constant",
     "bellman_infinity_value",

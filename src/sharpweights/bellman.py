@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import roots
-from .domain import (_EDGE_GUARD, INF, DomainPoint, boundary_values, classify_point,
-                     exp_or_inf, is_inf, validate_delta, validate_exponent)
+from .domain import (_EDGE_GUARD, INF, DomainPoint, above_q_star, boundary_values,
+                     classify_point, exp_or_inf, require_finite, validate_delta,
+                     validate_exponent)
 from .errors import DomainError
 
 
@@ -46,7 +47,7 @@ class Parameters:
             raise DomainError("q must be a finite real")
         if q == 1.0:
             raise DomainError("q = 1 is excluded (the moment exponent degenerates)")
-        if is_inf(self.p):
+        if math.isinf(self.p):
             if q < 1.0:
                 raise DomainError("p = inf requires q > 1")
         elif q < 1.0 and q <= (self.p - 1.0) / self.p:
@@ -60,7 +61,7 @@ class Parameters:
     @cached_property
     def gamma(self) -> float | None:
         """Combined exponent p + q' - 1; None when p is infinite."""
-        if is_inf(self.p):
+        if math.isinf(self.p):
             return None
         return self.p + self.q_conj - 1.0
 
@@ -70,16 +71,16 @@ class Parameters:
 
     @cached_property
     def q_sub(self) -> float | None:
-        if is_inf(self.p):
+        if math.isinf(self.p):
             return None
         return roots.q_sub(self.p, self.delta)
 
     @cached_property
     def regime(self) -> str:
         """'upper' above q_star, 'lower' below q_sub, 'band' in between."""
-        if self.q > self.q_star * (1.0 + _EDGE_GUARD):
+        if above_q_star(self.q, self.q_star):
             return "upper"
-        if not is_inf(self.p) and self.q < self.q_sub * (1.0 - _EDGE_GUARD):
+        if not math.isinf(self.p) and self.q < self.q_sub * (1.0 - _EDGE_GUARD):
             return "lower"
         return "band"
 
@@ -90,11 +91,10 @@ def _branch_pair(params: Parameters, x: DomainPoint) -> tuple[float, float]:
     return roots.branch_pair(params.p, params.delta, x, branch)
 
 
-def _log_value_finite(params: Parameters, x: DomainPoint) -> float:
+def _log_value_form(params: Parameters, x: DomainPoint, s: float, r: float) -> float:
     p = params.p
     qc = params.q_conj
     g = params.gamma
-    s, r = _branch_pair(params, x)
     x1 = x[0]
     return (
         (1.0 - qc) * math.log(x1)
@@ -105,21 +105,36 @@ def _log_value_finite(params: Parameters, x: DomainPoint) -> float:
     )
 
 
-def _log_bellman(params: Parameters, x: DomainPoint) -> float:
+def _log_gamma_form(params: Parameters, x: DomainPoint, s: float, r: float) -> float:
+    p = params.p
+    g = params.gamma
+    x1, x2 = x
+    return (
+        -g * math.log(x1)
+        + math.log(x2)
+        + g * (math.log1p(-p * s) - math.log1p(-p * r))
+        + g * (math.log1p(-(p - 1.0) * r) - math.log1p(-(p - 1.0) * s))
+        + math.log1p(-g * r)
+        - math.log1p(-g * s)
+    )
+
+
+def _log_bellman(params: Parameters, x: DomainPoint, log_form=_log_value_form) -> float:
+    """log of the value at x; ``log_form`` is the finite-p expression."""
     side = classify_point(params.p, params.delta, x)
     x1, x2 = x
     if params.delta == 1.0 or side == "lower":
         return (1.0 - params.q_conj) * math.log(x1)
     if params.regime == "band":
         return INF
-    if is_inf(params.p):
+    if math.isinf(params.p):
         qc = params.q_conj
         return (
             (1.0 - qc) * math.log(x2)
             + math.log(params.q - (x1 / x2) * params.delta)
             - math.log(params.q - params.delta)
         )
-    return _log_value_finite(params, x)
+    return log_form(params, x, *_branch_pair(params, x))
 
 
 def bellman_value(params: Parameters, x: DomainPoint) -> float:
@@ -131,25 +146,8 @@ def bellman_value(params: Parameters, x: DomainPoint) -> float:
 def bellman_value_gamma_form(params: Parameters, x: DomainPoint) -> float:
     """Same value through the representation with the common exponent
     gamma = p + q' - 1 and an explicit x2 factor.  Finite p only."""
-    if is_inf(params.p):
-        raise DomainError("the gamma-form representation needs finite p")
-    side = classify_point(params.p, params.delta, x)
-    x1, x2 = x
-    if params.delta == 1.0 or side == "lower":
-        return exp_or_inf((1.0 - params.q_conj) * math.log(x1))
-    if params.regime == "band":
-        return INF
-    p = params.p
-    g = params.gamma
-    s, r = _branch_pair(params, x)
-    return exp_or_inf(
-        -g * math.log(x1)
-        + math.log(x2)
-        + g * (math.log1p(-p * s) - math.log1p(-p * r))
-        + g * (math.log1p(-(p - 1.0) * r) - math.log1p(-(p - 1.0) * s))
-        + math.log1p(-g * r)
-        - math.log1p(-g * s)
-    )
+    require_finite(params.p, "the gamma form")
+    return exp_or_inf(_log_bellman(params, x, _log_gamma_form))
 
 
 def bellman_limit_check(params: Parameters, x: DomainPoint) -> float:
@@ -170,7 +168,7 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     validate_delta(delta)
     side = classify_point(p, delta, x)
     x1, x2 = x
-    if is_inf(p):
+    if math.isinf(p):
         return exp_or_inf(delta * (1.0 - x1 / x2) - math.log(x2))
     if delta == 1.0 or side == "lower":
         return 1.0 / x1
@@ -190,11 +188,11 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
 
     Nonpositive in both finite regimes (the value is locally concave),
     and zero exactly along the direction d1/d2 = x1/((1-(p-1)r)*p*x2),
-    which is the tangent direction of the level structure.
+    which is the tangent direction of the level structure.  -inf where
+    the value passes the float range, except along that direction.
     """
     p = params.p
-    if is_inf(p):
-        raise DomainError("the quadratic form is defined for finite p")
+    require_finite(p, "the quadratic form")
     if params.regime == "band":
         raise DomainError("q lies in the critical band: the value is infinite")
     side = classify_point(p, params.delta, x)
@@ -202,7 +200,7 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
         raise DomainError("the quadratic form needs a strictly interior point")
     x1, x2 = x
     s, r = _branch_pair(params, x)
-    value = math.exp(_log_value_finite(params, x))
+    value = exp_or_inf(_log_value_form(params, x, s, r))
     g = params.gamma
     qc = params.q_conj
     mr = 1.0 - (p - 1.0) * r
@@ -211,6 +209,8 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     )
     kernel_slope = x1 / (mr * p * x2)
     line = d1 - kernel_slope * d2
+    if line == 0.0:  # an infinite prefactor would give 0 * inf = nan
+        return 0.0
     return prefactor * line * line
 
 
@@ -236,16 +236,12 @@ def tangent_segment(
     first coordinate is b*(1-(p-1)*s)/(1-p*s); both endpoints satisfy
     delta**p * p * x1 - b**(1-p) * x2 = delta**p * b * (p-1).
     """
-    validate_exponent(p)
-    if is_inf(p):
-        raise DomainError("tangent segments are defined for finite p")
+    require_finite(p, "a tangent segment")
     validate_delta(delta)
     if delta == 1.0:
         raise DomainError("delta = 1 degenerates the segment to a point")
     if not b > 0.0 or math.isinf(b) or math.isnan(b):
         raise DomainError("the anchor b must be a positive real")
-    if branch not in ("plus", "minus"):
-        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
     s = roots.class_parameter(p, delta, branch)
     if math.isinf(s):
         raise DomainError(

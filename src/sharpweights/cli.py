@@ -16,21 +16,11 @@ import sys
 
 from . import embedding, ndim, weights
 from .bellman import Parameters, bellman_infinity_value, bellman_value
-from .domain import INF, boundary_values, is_inf, validate_delta, validate_exponent
+from .domain import INF, boundary_values, validate_delta, validate_exponent
 from .errors import DomainError, IterationError
 from .roots import r_pair
 
 Record = list[tuple[str, object]]
-
-
-def _parse_exponent(text: str) -> float:
-    t = text.strip().lower()
-    if t == "inf":
-        return INF
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
 
 
 def _fmt(value: object) -> str:
@@ -118,7 +108,7 @@ def cmd_bellman(args: argparse.Namespace) -> int:
         ("x1", args.x1),
         ("x2", args.x2),
     ]
-    if not is_inf(args.p):
+    if not math.isinf(args.p):
         r_minus, r_plus = r_pair(args.p, args.delta, x)
         record += [("r_minus", r_minus), ("r_plus", r_plus)]
     record.append(("value", bellman_value(params, x)))
@@ -132,7 +122,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     x = (args.x1, args.x2)
     w = weights.extremal_weight(args.p, args.delta, x, args.branch)
     avg = weights.moment(w, 1.0)
-    if is_inf(args.p):
+    if math.isinf(args.p):
         upper = weights.ess_sup(w, 0.0, 1.0)
         norm = weights.rhinf_norm_closed(w)
     else:
@@ -166,11 +156,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if math.isinf(x[1]):
         raise DomainError(f"delta**p passes the float range at p = {p}, delta = {delta}")
     if args.t is not None:
-        if is_inf(p):
-            raise DomainError("self-improvement mode needs finite p")
+        result = embedding.rht_constant(p, args.t, delta)
         w = weights.extremal_weight(p, delta, x, "minus")
         kind = weights.FunctionalKind.rh_p(args.t)
-        result = embedding.rht_constant(p, args.t, delta)
         swept = ("t", args.t)
     else:
         w = weights.extremal_weight(p, delta, x, "plus")
@@ -246,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="critical exponent and embedding constants")
-    c.add_argument("--p", type=_parse_exponent, required=True, help="class exponent (> 1 or 'inf')")
+    c.add_argument("--p", type=float, required=True, help="class exponent (> 1 or 'inf')")
     c.add_argument("--q", type=float, required=True, help="moment exponent (> 1)")
     c.add_argument("--delta", type=float, required=True, help="class norm (>= 1)")
     _add_format(c)
@@ -260,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gehring)
 
     b = sub.add_parser("bellman", help="boundary supremum value at a point")
-    b.add_argument("--p", type=_parse_exponent, required=True)
+    b.add_argument("--p", type=float, required=True)
     b.add_argument("--q", type=float, required=True)
     b.add_argument("--delta", type=float, required=True)
     b.add_argument("--x1", type=float, required=True)
@@ -270,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bellman)
 
     e = sub.add_parser("extremal", help="optimizing weight at a point, with self-check residuals")
-    e.add_argument("--p", type=_parse_exponent, required=True)
+    e.add_argument("--p", type=float, required=True)
     e.add_argument("--delta", type=float, required=True)
     e.add_argument("--x1", type=float, required=True)
     e.add_argument("--x2", type=float, required=True)
@@ -279,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_extremal)
 
     v = sub.add_parser("verify", help="numeric sharpness check of a constant")
-    v.add_argument("--p", type=_parse_exponent, required=True)
+    v.add_argument("--p", type=float, required=True)
     v.add_argument("--q", type=float, default=None)
     v.add_argument("--t", type=float, default=None)
     v.add_argument("--delta", type=float, required=True)
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--from", dest="start", type=float, required=True)
     s.add_argument("--to", dest="stop", type=float, required=True)
     s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--p", type=_parse_exponent, default=None)
+    s.add_argument("--p", type=float, default=None)
     s.add_argument("--q", type=float, default=None)
     s.add_argument("--t", type=float, default=None)
     s.add_argument("--n", type=int, default=None)

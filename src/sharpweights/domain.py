@@ -47,19 +47,27 @@ def exp_or_inf(log_value: float) -> float:
         return INF
 
 
-def is_inf(p: float) -> bool:
-    return math.isinf(p)
-
-
 def validate_exponent(p: float) -> None:
     """Require p > 1, finite or infinite."""
     if math.isnan(p) or p <= 1.0:
         raise DomainError(f"exponent p must satisfy p > 1 (or inf), got {p}")
 
 
+def require_finite(p: float, what: str) -> None:
+    """Require a finite p > 1 for ``what``, which has no p = inf form."""
+    if not 1.0 < p < INF:
+        raise DomainError(f"{what} needs a finite exponent p > 1, got p = {p}")
+
+
+def above_q_star(q: float, q_star: float) -> bool:
+    """q lies above the critical band's upper end q_star, beyond the guard."""
+    return q > q_star * (1.0 + _EDGE_GUARD)
+
+
 def validate_delta(delta: float) -> None:
-    if not delta >= 1.0:
-        raise DomainError(f"class constant delta must satisfy delta >= 1, got {delta}")
+    """Require a finite class constant delta >= 1."""
+    if not 1.0 <= delta < INF:
+        raise DomainError(f"class constant delta must satisfy 1 <= delta < inf, got {delta}")
 
 
 def _power_or_inf(base: float, p: float) -> float:
@@ -73,7 +81,7 @@ def _power_or_inf(base: float, p: float) -> float:
 def boundary_values(p: float, delta: float, x1: float) -> tuple[float, float]:
     """Lower and upper admissible x2 at abscissa x1; +inf past the float
     range."""
-    if is_inf(p):
+    if math.isinf(p):
         return x1, delta * x1
     return _power_or_inf(x1, p), _power_or_inf(delta * x1, p)
 
@@ -93,10 +101,10 @@ def classify_point(p: float, delta: float, x: DomainPoint) -> str:
         raise DomainError(f"x2 > 0 violated: x2 = {x2}")
     lower, upper = boundary_values(p, delta, x1)
     if x2 < lower * (1.0 - BOUNDARY_RTOL):
-        bound = "x1" if is_inf(p) else "x1^p"
+        bound = "x1" if math.isinf(p) else "x1^p"
         raise DomainError(f"x2 >= {bound} violated: x2 = {x2} < {lower}")
     if x2 > upper * (1.0 + BOUNDARY_RTOL):
-        bound = "delta*x1" if is_inf(p) else "(delta*x1)^p"
+        bound = "delta*x1" if math.isinf(p) else "(delta*x1)^p"
         raise DomainError(f"x2 <= {bound} violated: x2 = {x2} > {upper}")
     if abs(x2 - lower) <= BOUNDARY_RTOL * lower:
         return "lower"

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 from . import roots
-from .domain import _EDGE_GUARD, INF, exp_or_inf, is_inf, validate_delta, validate_exponent
+from .domain import (_EDGE_GUARD, INF, above_q_star, exp_or_inf, require_finite,
+                     validate_delta, validate_exponent)
 from .errors import DomainError
 
 
@@ -30,7 +31,10 @@ class EmbeddingResult:
 
     constant: float
     critical_exponent: float
-    finite: bool
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.constant)
 
 
 def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
@@ -40,12 +44,12 @@ def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
     if math.isnan(q) or not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q}")
     if delta == 1.0:
-        return EmbeddingResult(1.0, 1.0, True)
+        return EmbeddingResult(1.0, 1.0)
     qs = roots.q_star(p, delta)
-    if q <= qs * (1.0 + _EDGE_GUARD):
-        return EmbeddingResult(INF, qs, False)
+    if not above_q_star(q, qs):
+        return EmbeddingResult(INF, qs)
     c = exp_or_inf((q - 1.0) * (math.log(q - 1.0) - math.log(q - qs)) - math.log(qs))
-    return EmbeddingResult(c, qs, math.isfinite(c))
+    return EmbeddingResult(c, qs)
 
 
 def ainf_constant(p: float, delta: float) -> EmbeddingResult:
@@ -53,31 +57,29 @@ def ainf_constant(p: float, delta: float) -> EmbeddingResult:
     validate_exponent(p)
     validate_delta(delta)
     if delta == 1.0:
-        return EmbeddingResult(1.0, 1.0, True)
+        return EmbeddingResult(1.0, 1.0)
     qs = roots.q_star(p, delta)
     c = INF if math.isinf(qs) else exp_or_inf(qs - 1.0 - math.log(qs))
-    return EmbeddingResult(c, qs, math.isfinite(c))
+    return EmbeddingResult(c, qs)
 
 
 def rht_constant(p: float, t: float, delta: float) -> EmbeddingResult:
     """Sharp constant of the self-improvement embedding, for t >= p."""
-    validate_exponent(p)
-    if is_inf(p):
-        raise DomainError("self-improvement is stated for finite p")
+    require_finite(p, "the self-improvement constant")
     validate_delta(delta)
     if math.isnan(t) or not t >= p:
         raise DomainError(f"t must be at least p = {p}, got {t}")
     if delta == 1.0:
-        return EmbeddingResult(1.0, INF, True)
+        return EmbeddingResult(1.0, INF)
     # t_star = p + w with w = -1/s_minus.  Forming the margin from w and
     # t - p keeps it accurate even when it is far below one ulp of the
     # threshold itself, which happens already at moderate p*log(delta).
     w = roots.gehring_gap(p, delta)
     ts = p + w
     if t == p:  # C_t**p = 1/F(s_minus) = delta**p
-        return EmbeddingResult(delta, ts, True)
+        return EmbeddingResult(delta, ts)
     margin = w - (t - p)
     if margin <= _EDGE_GUARD * (w + (t - p)):
-        return EmbeddingResult(INF, ts, False)
+        return EmbeddingResult(INF, ts)
     c = (ts - 1.0) / ts * exp_or_inf((math.log(ts) - math.log(margin)) / t)
-    return EmbeddingResult(c, ts, math.isfinite(c))
+    return EmbeddingResult(c, ts)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import embedding, roots
-from .domain import is_inf, validate_exponent
+from .domain import require_finite, validate_delta
 from .errors import DomainError
 
 
@@ -32,9 +32,7 @@ class NDimBound:
 
 
 def _validate_pn(p: float, n: int) -> None:
-    validate_exponent(p)
-    if is_inf(p):
-        raise DomainError("the cube bounds need finite p")
+    require_finite(p, "the cube bounds")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"dimension n must be an integer >= 2, got {n!r}")
 
@@ -64,8 +62,7 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
     exactly 1.
     """
     _validate_pn(p, n)
-    if math.isnan(delta) or delta < 1.0:
-        raise DomainError(f"delta must be at least 1, got {delta}")
+    validate_delta(delta)
     threshold = delta_threshold(p, n)
     if delta >= threshold:
         raise DomainError(

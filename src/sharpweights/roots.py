@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .domain import (_LOG_MAX, INF, DomainPoint, classify_point, exp_or_inf, is_inf,
+from .domain import (_LOG_MAX, INF, DomainPoint, classify_point, exp_or_inf, require_finite,
                      validate_delta, validate_exponent)
 from .errors import DomainError, IterationError
 
@@ -130,12 +130,6 @@ def grow_bracket(f: Equation, x: float, f_fixed: float) -> tuple[float, float]:
     raise IterationError(f"no sign change within {_MAX_DOUBLINGS} doublings up to {x}")
 
 
-def _require_finite_p(p: float) -> None:
-    validate_exponent(p)
-    if is_inf(p):
-        raise DomainError("a finite exponent p is required here")
-
-
 def _log_forward(u: float, p: float) -> float:
     """log F(u); -inf at the right endpoint u = 1/p where F vanishes.
 
@@ -143,10 +137,13 @@ def _log_forward(u: float, p: float) -> float:
     terms cancel far less than the plain two logarithms do, both near
     u = 0 and for large |u|.
     """
-    if -p * u <= -1.0:
-        return -INF
     b = (p - 1.0) * u
-    return (p - 1.0) * math.log1p(-u / (1.0 - b)) - math.log1p(-b)
+    v = -u / (1.0 - b)
+    # v = -1 exactly where 1 - p*u = 0; testing v itself keeps a u a
+    # rounding step below 1/p from reaching log1p(-1).
+    if v <= -1.0:
+        return -INF
+    return (p - 1.0) * math.log1p(v) - math.log1p(-b)
 
 
 def _log_forward_deriv(u: float, p: float) -> float:
@@ -219,7 +216,7 @@ def u_minus_from_log(p: float, log_t: float) -> float:
 
 def u_plus(p: float, t: float) -> float:
     """Solve F(u) = t on [0, 1/p]; strictly decreasing branch."""
-    _require_finite_p(p)
+    require_finite(p, "u_plus")
     if math.isnan(t) or not 0.0 <= t <= 1.0:
         raise DomainError(f"u_plus requires t in [0, 1], got {t}")
     if t == 0.0:
@@ -233,7 +230,7 @@ def u_minus(p: float, t: float) -> float:
     t = 0 is refused: the branch value there is -inf, and callers that
     need the limit must handle it explicitly.
     """
-    _require_finite_p(p)
+    require_finite(p, "u_minus")
     if math.isnan(t) or not 0.0 < t <= 1.0:
         raise DomainError(f"u_minus requires t in (0, 1], got {t}")
     return u_minus_from_log(p, math.log(t))
@@ -241,7 +238,7 @@ def u_minus(p: float, t: float) -> float:
 
 def s_pair(p: float, delta: float) -> SPair:
     """Both branch values at t = delta**-p; exactly (0, 0) at delta = 1."""
-    _require_finite_p(p)
+    require_finite(p, "the class parameters")
     validate_delta(delta)
     if delta == 1.0:
         return SPair(0.0, 0.0)
@@ -263,27 +260,33 @@ def r_pair(p: float, delta: float, x: DomainPoint) -> tuple[float, float]:
     Returns (r_minus, r_plus); the chain
     s_minus <= r_minus <= 0 <= r_plus <= s_plus holds.
     """
-    _require_finite_p(p)
+    require_finite(p, "the point parameters")
     validate_delta(delta)
     log_t = point_log_ratio(p, delta, x)
     return (u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 
 
-def _branch_solver(branch: str) -> Callable[[float, float], float]:
+def branch_solver(branch: str) -> Callable[[float, float], float]:
+    """The log-t solver of one branch: "plus" (the right branch, q above
+    q_star) or "minus" (the left branch); any other name is refused."""
+    if branch not in ("plus", "minus"):
+        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
     return u_plus_from_log if branch == "plus" else u_minus_from_log
 
 
 def class_parameter(p: float, delta: float, branch: str) -> float:
-    """s at t = delta**-p on one branch: "plus" (the right branch, q above
-    q_star) or "minus" (the left branch)."""
-    return _branch_solver(branch)(p, -p * math.log(delta))
+    """s at t = delta**-p on one branch."""
+    solve = branch_solver(branch)
+    require_finite(p, "the class parameter")
+    validate_delta(delta)
+    return solve(p, -p * math.log(delta))
 
 
 def branch_pair(p: float, delta: float, x: DomainPoint, branch: str) -> tuple[float, float]:
     """(s, r) on one branch: the class parameter and the point parameter
     at t = x2/(delta*x1)**p."""
     s = class_parameter(p, delta, branch)
-    return s, _branch_solver(branch)(p, point_log_ratio(p, delta, x))
+    return s, branch_solver(branch)(p, point_log_ratio(p, delta, x))
 
 
 def _critical_gap(p: float, log_delta: float) -> Equation:
@@ -316,7 +319,7 @@ def q_star(p: float, delta: float) -> float:
     validate_delta(delta)
     if delta == 1.0:
         return 1.0
-    if is_inf(p):
+    if math.isinf(p):
         return delta
     log_delta = math.log(delta)
     # (x/delta)**p = 1 + p*(x - 1) < p*x at the root, so the root lies
@@ -341,7 +344,7 @@ def q_star(p: float, delta: float) -> float:
 def gehring_gap(p: float, delta: float) -> float:
     """w = t_star - p = -1/s_minus: +inf at delta = 1, and 0 where s_minus
     is -inf (w is then below p/1.8e308, far below an ulp of p)."""
-    _require_finite_p(p)
+    require_finite(p, "the Gehring side")
     validate_delta(delta)
     if delta == 1.0:
         return INF

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import roots
-from .domain import INF, DomainPoint, classify_point, is_inf, validate_delta, validate_exponent
+from .domain import (INF, DomainPoint, classify_point, require_finite, validate_delta,
+                     validate_exponent)
 from .errors import DomainError
 from ._pairscan import max_pair_ratio
 
@@ -109,9 +110,11 @@ def moment(w: PowerWeight, theta: float) -> float:
 def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> float:
     """Average of w**theta over [alpha, beta], in closed form.
 
-    +inf exactly when the interval touches 0 and theta*nu <= -1; the
-    near-cancelling exponent theta*nu + 1 within 1e-9 of zero switches
-    the ramp antiderivative to its logarithmic limit.
+    +inf exactly when the interval touches 0 and theta*nu <= -1.  The
+    ramp term (ramp_hi**e - alpha**e)/e, with e = theta*nu + 1, is formed
+    as the larger power times -expm1(-|e|*log(ramp_hi/alpha))/|e|, which
+    cancels neither for small |e| nor on short intervals; e = 0 is its
+    log limit.
     """
     _validate_interval(alpha, beta)
     tn = theta * w.nu
@@ -122,10 +125,12 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
             return INF
         e = tn + 1.0
         ramp_hi = min(beta, a)
-        if alpha > 0.0 and abs(e) < 1e-9:
-            total += a ** (-tn) * math.log(ramp_hi / alpha)
+        log_ratio = math.log1p((ramp_hi - alpha) / alpha) if alpha > 0.0 else INF
+        if e == 0.0:
+            total += a ** (-tn) * log_ratio
         else:
-            total += a ** (-tn) * (ramp_hi**e - alpha**e) / e
+            larger = ramp_hi if e > 0.0 else alpha
+            total += a ** (-tn) * larger**e * -math.expm1(-abs(e) * log_ratio) / abs(e)
     if beta > a:
         total += beta - max(alpha, a)
     return w.c**theta * total / (beta - alpha)
@@ -162,9 +167,7 @@ def rhp_norm_closed(w: PowerWeight, p: float) -> float:
 
     Depends only on nu: (1 + nu)/(1 + p*nu)**(1/p).
     """
-    validate_exponent(p)
-    if is_inf(p):
-        raise DomainError("use rhinf_norm_closed for the p = inf norm")
+    require_finite(p, "the RH_p norm (rhinf_norm_closed covers p = inf)")
     if not w.nu > -1.0 / p:
         raise DomainError(f"nu must exceed -1/p = {-1.0 / p}, got {w.nu}")
     return (1.0 + w.nu) / (1.0 + p * w.nu) ** (1.0 / p)
@@ -189,30 +192,28 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     """
     validate_exponent(p)
     validate_delta(delta)
-    if branch not in ("plus", "minus"):
-        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    roots.branch_solver(branch)  # refuses an unknown name before any shortcut
     side = classify_point(p, delta, x)
     x1, x2 = x
     if delta == 1.0 or side == "lower":
         return PowerWeight(c=x1, a=1.0, nu=0.0)
-    if is_inf(p):
+    if math.isinf(p):
         nu = delta - 1.0
         a = (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
         return PowerWeight(c=x2, a=min(a, 1.0), nu=nu)
     s, r = roots.branch_pair(p, delta, x, branch)
     nu = s / (1.0 - p * s)
+    a = 1.0 if r == 0.0 else (s - r) / (s * (1.0 - p * r))
     # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
     # p*log(delta) the rounded nu can reach -1/p, where w**p stops being
-    # integrable, and past the float range s is -inf and nu is nan.
-    if not nu > -1.0 / p:
+    # integrable, and past the float range s is -inf and nu is nan.  On
+    # the plus branch near p = 1, s and r can round to one float next to
+    # 1/p, which collapses the ramp to a = 0.
+    if not (nu > -1.0 / p and a > 0.0):
         raise DomainError(
-            f"the {branch} branch at p = {p}, delta = {delta} gives s = {s} and ramp "
-            f"exponent {nu}, outside the integrable range (-1/p, inf)"
+            f"the {branch} branch at p = {p}, delta = {delta} gives s = {s}, r = {r}: "
+            f"ramp exponent {nu} and breakpoint {a}, outside nu > -1/p, a > 0"
         )
-    if r == 0.0:
-        a = 1.0
-    else:
-        a = (s - r) / (s * (1.0 - p * r))
     c = (
         x1
         * (1.0 - p * r)

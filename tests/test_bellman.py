@@ -218,6 +218,17 @@ def test_hessian_rejects_bad_inputs():
         hessian_form(UPPER, (1.0, 4.0), 1.0, 0.0)
 
 
+def test_hessian_past_the_float_range():
+    # the value overflows here; the form follows it to -inf, and along the
+    # kernel direction the vanishing line term wins over the infinite prefactor
+    x = (1e150, 1.05e300)
+    assert bellman_value(LOWER, x) == math.inf
+    assert hessian_form(LOWER, x, 1.0, 0.0) == -math.inf
+    r_minus, _ = r_pair(2.0, 1.05, x)  # q = 0.7 is below q_sub: the minus branch
+    slope = x[0] / ((1.0 - r_minus) * 2.0 * x[1])
+    assert hessian_form(LOWER, x, slope, 1.0) == 0.0
+
+
 def test_hessian_matches_finite_differences():
     # second differences amplify solver noise by h**-2, so the step
     # stays at 1e-3 with one Richardson pass

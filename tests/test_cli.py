@@ -173,6 +173,20 @@ def test_extremal_residuals_vanish(capsys):
         assert abs(float(rec[key])) < 1e-9
 
 
+def test_extremal_next_to_the_right_branch_endpoint(capsys):
+    # s_plus and r_plus both round next to 1/p: the command reports the
+    # collapsed ramp as a domain error instead of crashing in log1p
+    code, out, err = run_cli(
+        ["extremal", "--p", "1.1068881383566298", "--delta", "79.2479422471094",
+         "--x1", "1", "--x2", "2"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: the plus branch at p = 1.1068881383566298, delta = 79.2479422471094"
+    )
+
+
 def test_extremal_minus_branch(capsys):
     code, out, _ = run_cli(
         ["extremal", "--p", "2", "--delta", "1.05", "--x1", "1", "--x2", "1.05",

@@ -410,3 +410,23 @@ def test_gehring_side_on_the_4000_draw_sweep():
         assert (p - 1.0) / p <= qs <= 1.0, (p, delta)
         assert rht_constant(p, p, delta).constant == delta, (p, delta)
         rht_constant(p, 1.5 * p, delta)
+
+
+# -- the right branch next to its endpoint 1/p --------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, delta",
+    [
+        (1.1068881383566298, 50.0),
+        (1.1068881383566298, 79.2479422471094),
+        (1.1068881383566298, 1000.0),
+        (1.0687558844372493, 18.81672041581738),
+    ],
+)
+def test_right_branch_within_rounding_of_its_endpoint(p, delta):
+    # 1 - p*s is below 1e-17 here, far under an ulp, so the root rounds
+    # next to 1/p, where the log1p argument of log F can round to -1
+    for s in (roots.class_parameter(p, delta, "plus"), u_plus(p, delta**-p)):
+        assert 0.0 < s <= 1.0 / p
+        assert 1.0 / p - s <= 4.0 * math.ulp(1.0 / p)

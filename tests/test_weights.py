@@ -4,6 +4,7 @@ norms, extremal construction, and the supremum oracle."""
 import math
 import random
 
+import mpmath as mp
 import pytest
 from scipy.integrate import quad
 
@@ -101,11 +102,34 @@ def test_interval_moment_divergence_and_errors():
 
 
 def test_interval_moment_near_singular_exponent():
-    # theta*nu + 1 ~ 0 switches the antiderivative to its log limit
+    # theta*nu + 1 ~ 0: the ramp antiderivative approaches its log limit
     w = PowerWeight(1.0, 1.0, 2.0)
     val = interval_moment(w, -0.5 + 1e-12, 0.25, 0.75)
     exact = math.log(3.0) / 0.5  # integral of 1/t over [0.25, 0.75] / 0.5
     assert val == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "theta, alpha, beta",
+    [
+        (-0.5 - 1e-9, 0.5, 0.5001),
+        (-0.4999999, 0.5, 0.50001),
+        (-0.5 + 1e-12, 0.25, 0.75),
+        (-0.5, 0.25, 0.75),
+        (-0.75, 0.3, 0.3 + 1e-6),
+        (3.0, 1e-3, 0.9),
+    ],
+)
+def test_interval_moment_next_to_the_log_limit(theta, alpha, beta):
+    # (beta**e - alpha**e)/e with e = 2*theta + 1 near 0, and on short
+    # intervals: a plain difference of powers cancels there (4e-4
+    # relative error in the first case)
+    got = interval_moment(PowerWeight(1.0, 1.0, 2.0), theta, alpha, beta)
+    with mp.workdps(50):
+        e = 2 * mp.mpf(theta) + 1
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        ramp = mp.log(b / a) if e == 0 else (b**e - a**e) / e
+        assert float(abs(got / (ramp / (b - a)) - 1)) <= 1e-15
 
 
 def test_log_moment_examples():
