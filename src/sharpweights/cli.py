@@ -201,8 +201,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not math.isfinite(args.start) or not math.isfinite(args.stop):
         raise DomainError("sweep endpoints must be finite")
     fixed = {"p": args.p, "q": args.q, "t": args.t, "delta": args.delta, "n": args.n}
-    if args.param not in ("delta", "q", "t", "p"):
-        raise DomainError(f"cannot sweep {args.param!r}")
     if args.t is not None or args.param == "t":
         builder = lambda v: _gehring_record(v["p"], v["t"], v["delta"])
     elif args.n is not None:

@@ -18,7 +18,6 @@ first-class value, never a large finite sentinel.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import DomainError
 
@@ -32,9 +31,6 @@ BOUNDARY_RTOL = 1e-12
 # critical: the closed band is exact mathematics, the guard only absorbs
 # solver rounding (the values blow up there and lose all significance).
 _EDGE_GUARD = 1e-12
-
-# logarithm of the largest finite double
-_LOG_MAX = math.log(sys.float_info.max)
 
 DomainPoint = tuple[float, float]
 

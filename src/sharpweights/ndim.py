@@ -46,11 +46,7 @@ def delta_threshold(p: float, n: int) -> float:
     return (cells / (cells - 1.0)) ** (1.0 / p_conj)
 
 
-def _log1p_pow(y: float, p: float) -> float:
-    """log(1 + y**p) without overflow for large y."""
-    if y > 1.0:
-        return p * math.log(y) + math.log1p(y ** (-p))
-    return math.log1p(y**p)
+_LOG2 = math.log(2.0)
 
 
 def ratio_bound_y(p: float, n: int, delta: float) -> float:
@@ -71,17 +67,31 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
     if delta == 1.0:
         return 1.0
     p_conj = p / (p - 1.0)
-    big_l = 2.0 + 2.0**n * math.expm1(-p_conj * math.log(delta))
-    target = (p - 1.0) * math.log(big_l)
+    # Solved for z = log(y).  With a = z/2 and b = (p-1)*z/2 the equation
+    # reads (p-1)*log cosh(a) - log(cosh(a+b)/cosh(a)) = (p-1)*log(L/2).
+    # Each term is O((p-1)*z) or smaller, so none cancels down from size 1
+    # near y = 1 or p = 1.  Past 20 the cosh forms drop e**-40 terms.
+    log_half_l = math.log1p(2.0 ** (n - 1) * math.expm1(-p_conj * math.log(delta)))
+    target = (p - 1.0) * log_half_l
 
-    def h(y: float) -> tuple[float, float]:
-        value = p * math.log1p(y) - _log1p_pow(y, p) - target
-        return value, p / (1.0 + y) - p / (1.0 + y ** (-p)) / y
+    def h(z: float) -> tuple[float, float]:
+        a, b = 0.5 * z, 0.5 * (p - 1.0) * z
+        ta = math.tanh(a)
+        log_cosh = math.log1p(2.0 * math.sinh(0.5 * a) ** 2) if a < 20.0 else a - _LOG2
+        # log(cosh(a+b)/cosh(a)) = log(cosh(b) + tanh(a)*sinh(b))
+        if b < 20.0:
+            ratio = math.log1p(2.0 * math.sinh(0.5 * b) ** 2 + ta * math.sinh(b))
+        else:
+            ratio = b - _LOG2 + math.log1p(ta)
+        value = (p - 1.0) * log_cosh - ratio - target
+        return value, 0.5 * p * (ta - math.tanh(a + b))
 
-    h_one = (p - 1.0) * (math.log(2.0) - math.log(big_l))
-    # h(y) < p/y - target, so the root lies below p/target.
-    hi, h_hi = roots.grow_bracket(h, max(2.0, p / target), h_one)
-    return roots.bisect_root(h, 1.0, hi, f_lo=h_one, f_hi=h_hi)
+    # h(0) = -target > 0.  In y, h < p/y - (p-1)*log(L), so h < 0 at hi.
+    hi = math.log(max(2.0, p / ((p - 1.0) * (log_half_l + _LOG2))))
+    # where -p*(p-1)*z**2/8, the leading term of the left side, meets the right
+    near = math.sqrt(-8.0 * log_half_l / p)
+    z = roots.bisect_root(h, 0.0, hi, f_lo=-target, f_hi=-1.0, start=min(near, hi))
+    return math.exp(z)
 
 
 def _epsilon_from_y(p: float, delta: float, y: float) -> float:

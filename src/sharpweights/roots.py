@@ -20,11 +20,12 @@ precision.
 
 Every root comes from ``bisect_root``, Newton steps inside a bracket
 with a proven sign change, run to full double precision from a start on
-the side where Newton converges monotonically; searched brackets grow
-from a log-space asymptote in ``grow_bracket``.  F is evaluated through
-its logarithm, since (1 - p*u)**(p-1) overflows double precision
-quickly for large p or large |u|.  Where an endpoint sign is known
-analytically, the known sign is supplied instead of an evaluated one.
+the side where Newton converges monotonically.  Every bracket and both
+of its endpoint signs are analytic, so nothing is searched; q_star is
+solved for log(q_star/delta), whose bracket ends are finite even where
+q_star passes the float range.  F is evaluated through its logarithm,
+since (1 - p*u)**(p-1) overflows double precision quickly for large p
+or large |u|.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .domain import (_LOG_MAX, INF, DomainPoint, classify_point, exp_or_inf, require_finite,
+from .domain import (INF, DomainPoint, classify_point, exp_or_inf, require_finite,
                      validate_delta, validate_exponent)
 from .errors import DomainError, IterationError
-
-# Growth budget for bracket searches: doubling more than this many times
-# means the root magnitude is out of any reasonable range.
-_MAX_DOUBLINGS = 60
 
 # Solves from the start points below take at most about 25 steps; the
 # budget turns a broken equation into an error instead of a hang.
@@ -58,12 +55,7 @@ class SPair(NamedTuple):
 
 
 def bisect_root(
-    f: Equation,
-    lo: float,
-    hi: float,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-    start: float | None = None,
+    f: Equation, lo: float, hi: float, *, f_lo: float, f_hi: float, start: float
 ) -> float:
     """Root of f, which returns (value, slope), on [lo, hi] to full
     double precision.
@@ -76,15 +68,11 @@ def bisect_root(
     float is left inside the bracket, or when a small Newton step fails
     to shrink |f|, which is then rounding noise: the better point wins.
 
-    ``f_lo``/``f_hi`` may supply endpoint values whose signs are known
-    analytically, so the solver never trusts a cancellation-dominated
-    endpoint evaluation.  ``start`` is the first point (the midpoint by
-    default).  A missing sign change is an error, never a guess.
+    ``f_lo``/``f_hi`` carry the endpoint signs, known analytically, so
+    no sign rests on an endpoint evaluation that cancellation can swamp.
+    ``start`` in [lo, hi] is the first point.  A missing sign change is
+    an error, never a guess.
     """
-    if f_lo is None:
-        f_lo = f(lo)[0]
-    if f_hi is None:
-        f_hi = f(hi)[0]
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -92,7 +80,7 @@ def bisect_root(
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise IterationError(f"no sign change on bracket [{lo}, {hi}]")
     positive_at_lo = f_lo > 0.0
-    x = 0.5 * (lo + hi) if start is None else start
+    x = start
     last = None  # (x, |f(x)|) before a small Newton step
     for _ in range(_MAX_STEPS):
         fx, slope = f(x)
@@ -117,17 +105,6 @@ def bisect_root(
                 return x
         x = nxt
     raise IterationError(f"no convergence within {_MAX_STEPS} steps on [{lo}, {hi}]")
-
-
-def grow_bracket(f: Equation, x: float, f_fixed: float) -> tuple[float, float]:
-    """Double x > 0 until f(x) has the sign opposite to ``f_fixed``, the
-    sign at the fixed end of the bracket; returns (x, f(x))."""
-    for _ in range(_MAX_DOUBLINGS):
-        fx = f(x)[0]
-        if fx == 0.0 or (fx > 0.0) != (f_fixed > 0.0):
-            return x, fx
-        x *= 2.0
-    raise IterationError(f"no sign change within {_MAX_DOUBLINGS} doublings up to {x}")
 
 
 def _log_forward(u: float, p: float) -> float:
@@ -289,27 +266,26 @@ def branch_pair(p: float, delta: float, x: DomainPoint, branch: str) -> tuple[fl
     return s, branch_solver(branch)(p, point_log_ratio(p, delta, x))
 
 
-def _critical_gap(p: float, log_delta: float) -> Equation:
-    """g(x) = (x/delta)**p - 1 - p*(x - 1), whose two roots straddle 1.
+def _critical_equation(p: float, log_delta: float) -> Equation:
+    """phi(z) = (p-1)*z - log(delta) - log1p((p-1)*e) with e = 1 - 1/q:
+    the threshold equation (q/delta)**p = 1 + p*(q - 1) in z = log(q/delta).
 
-    Written with expm1 so the x near 1 regime (delta near 1) keeps full
-    precision.  g is convex with g(1) = delta**-p - 1 < 0, one root in
-    ((p-1)/p, 1) and one in (1, inf).  Past the float range g counts as
-    +inf.
+    phi is increasing and convex for q > 1.  Its slope
+    p*(p-1)*e/(1 + (p-1)*e) is formed so that large p does not overflow.
     """
 
-    def g(x: float) -> tuple[float, float]:
-        a = p * (math.log(x) - log_delta)
-        if a > _LOG_MAX:
-            return INF, INF
-        return math.expm1(a) - p * (x - 1.0), p * (math.exp(a) / x - 1.0)
+    def phi(z: float) -> tuple[float, float]:
+        b = (p - 1.0) * -math.expm1(-(z + log_delta))
+        return (p - 1.0) * z - log_delta - math.log1p(b), p * (b / (1.0 + b))
 
-    return g
+    return phi
 
 
 def _near_one(p: float, log_delta: float) -> float:
-    """Distance of both roots of g from 1 to leading order in log(delta)."""
-    return math.sqrt(2.0 * log_delta / (p - 1.0))
+    """log(q_star) to leading order in log(delta), its delta -> 1 limit,
+    which lies below the root; two square roots keep it from underflowing
+    to 0 at p near the float range."""
+    return math.sqrt(2.0 * log_delta) / math.sqrt(p - 1.0)
 
 
 def q_star(p: float, delta: float) -> float:
@@ -322,23 +298,27 @@ def q_star(p: float, delta: float) -> float:
     if math.isinf(p):
         return delta
     log_delta = math.log(delta)
-    # (x/delta)**p = 1 + p*(x - 1) < p*x at the root, so the root lies
-    # below exp(log_hi), and barely so once it is large: past the float
-    # range (where g counts as +inf) the root is +inf too.  The relative
-    # margin covers the rounding of log_hi.
-    log_hi = (math.log(p) + p * log_delta) / (p - 1.0)
-    g = _critical_gap(p, log_delta)
-    g_one = math.expm1(-p * log_delta)  # g(1) < 0 for delta > 1
-    hi, g_hi = grow_bracket(g, exp_or_inf(log_hi * (1.0 + 1e-14)), g_one)
-    if math.isinf(hi):
-        return INF
-    # g is convex: Newton converges monotonically from the right.  The
-    # delta -> 1 limit of the root is the start when it lies right of the
-    # minimum of g at delta**(p/(p-1)), so that Newton heads upward.
-    start = 1.0 + _near_one(p, log_delta)
-    if not math.log(start) > p * log_delta / (p - 1.0):
-        start = hi
-    return bisect_root(g, 1.0, hi, f_lo=g_one, f_hi=g_hi, start=start)
+    # Solved for z = log(q/delta), which keeps every digit of q near delta
+    # and stays finite where q passes the float range.  At q = 1, phi =
+    # -p*log(delta) < 0.  (q/delta)**p = 1 + p*(q - 1) < p*q at the root,
+    # so z lies below hi, where phi = log(p) - log(p - (p-1)/q) > 0.
+    lo = -log_delta
+    hi = (math.log(p) + log_delta) / (p - 1.0)
+    phi = _critical_equation(p, log_delta)
+    # phi is convex, so the zero of a tangent where phi increases lies
+    # right of the root, where Newton converges monotonically.  The tangent
+    # is taken at z0 = s - log(delta), the delta -> 1 limit, and its zero
+    # is formed from s so that no terms cancel while z0 < 0: z0 + log(delta)
+    # is off by an ulp of log(delta), which can exceed the root (large p).
+    s = _near_one(p, log_delta)
+    z0 = s - log_delta
+    b = (p - 1.0) * -math.expm1(-s)
+    tangent_zero = (
+        log_delta + math.log1p(b) - z0 * (math.exp(-s) * ((p - 1.0) / (1.0 + b)))
+    ) / (p * (b / (1.0 + b)))
+    start = min(tangent_zero, hi)
+    z = bisect_root(phi, lo, hi, f_lo=-p * log_delta, f_hi=1.0, start=start)
+    return delta * exp_or_inf(z)
 
 
 def gehring_gap(p: float, delta: float) -> float:

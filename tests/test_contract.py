@@ -1,11 +1,12 @@
 """Input contract: every entry point refuses a bad p, delta or branch name
-with a DomainError whose message names that parameter."""
+with a DomainError whose message names that parameter, and valid inputs
+give valid values."""
 
 import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sharpweights import (
     DomainError,
@@ -149,6 +150,22 @@ def test_entry_points_refuse_bad_delta(entry, delta):
 @given(branch=BAD_BRANCH | st.sampled_from(["Plus", "MINUS", " plus", ""]))
 def test_entry_points_refuse_unknown_branch(entry, branch):
     refused_naming(WITH_BRANCH[entry], branch, "branch")
+
+
+@CONTRACT
+@given(
+    p=st.floats(min_value=1.0, max_value=1e308, exclude_min=True),
+    delta=st.floats(min_value=1.0, max_value=1e308),
+)
+@example(p=5.050934025769548e305, delta=7.303497231054411e264)
+def test_q_star_lies_between_delta_and_its_upper_bound(p, delta):
+    value = q_star(p, delta)
+    assert not math.isnan(value) and value >= delta, (p, delta, value)
+    # (q/delta)**p = 1 + p*(q - 1) < p*q at the root, so q_star is below
+    # exp(log_hi), and finite wherever that bound is
+    log_hi = math.log(delta) + (math.log(p) + math.log(delta)) / (p - 1.0)
+    if log_hi < 709.0:
+        assert value <= math.exp(log_hi) * (1.0 + 1e-12), (p, delta, value)
 
 
 def test_verify_self_improvement_mode_refuses_p_inf(capsys):

@@ -3,6 +3,7 @@ properties, ordering chains, and the degenerate/asymptotic limits."""
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -222,7 +223,7 @@ def test_iteration_error_on_bad_bracket():
     from sharpweights.roots import bisect_root
 
     with pytest.raises(IterationError, match="sign change"):
-        bisect_root(lambda x: (1.0 + x * x, 2.0 * x), 0.0, 1.0)
+        bisect_root(lambda x: (1.0 + x * x, 2.0 * x), 0.0, 1.0, f_lo=1.0, f_hi=2.0, start=0.5)
 
 
 # -- agreement with 50-digit roots of the log-form equations -----------------
@@ -248,18 +249,20 @@ def _ndim_log_l(p, delta):
     return mp.log(2 + 4 * (mp.exp(-p / (p - 1) * mp.log(delta)) - 1))
 
 
-# name -> (float solve, equation, its parameter c, open domain (lo, hi))
+# name -> (float solve, equation, its parameter c, open domain (lo, hi)); the
+# parameters are formed at 50 digits whatever the global mpmath precision
 def _case(name, p, delta):
-    p_m, d_m = mp.mpf(p), mp.mpf(delta)
     log_t = -p * math.log(delta)
-    return {
-        "q_star": (lambda: q_star(p, delta), _eq_critical, d_m, (1, mp.inf)),
-        "q_sub": (lambda: q_sub(p, delta), _eq_critical, d_m, ((p_m - 1) / p_m, 1)),
-        "t_star": (lambda: t_star(p, delta), _eq_gehring, d_m, (p_m, mp.inf)),
-        "u_plus": (lambda: roots.u_plus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (0, 1 / p_m)),
-        "u_minus": (lambda: roots.u_minus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (-mp.inf, 0)),
-        "y": (lambda: ndim.ratio_bound_y(p, 2, delta), _eq_ratio, _ndim_log_l(p_m, d_m), (1, mp.inf)),
-    }[name]
+    with mp.workdps(50):
+        p_m, d_m = mp.mpf(p), mp.mpf(delta)
+        return {
+            "q_star": (lambda: q_star(p, delta), _eq_critical, d_m, (1, mp.inf)),
+            "q_sub": (lambda: q_sub(p, delta), _eq_critical, d_m, ((p_m - 1) / p_m, 1)),
+            "t_star": (lambda: t_star(p, delta), _eq_gehring, d_m, (p_m, mp.inf)),
+            "u_plus": (lambda: roots.u_plus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (0, 1 / p_m)),
+            "u_minus": (lambda: roots.u_minus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (-mp.inf, 0)),
+            "y": (lambda: ndim.ratio_bound_y(p, 2, delta), _eq_ratio, _ndim_log_l(p_m, d_m), (1, mp.inf)),
+        }[name]
 
 
 def _reference(eq, p, c, x, domain):
@@ -294,9 +297,8 @@ EVALUATION_LIMITED = {
     # log F ~ log t ~ -13 and -35 is the difference of logarithms of that size
     ("u_minus", 50.0, 0.3): 1e-14,
     ("u_minus", 50.0, 1.0): 1e-14,
-    # p*log(1+y) and log(1+y**p) cancel down to (p-1)*log(L)
-    ("y", 1.5, 1e-3): 1e-14,
-    ("y", 6.0, 1e-3): 1e-14,
+    # L - 1 = 0.06 next to the threshold: the rounding of delta**-p' moves
+    # log(L), and with it y, by a few 1e-15
     ("y", 50.0, 0.3): 1e-14,
 }
 
@@ -344,11 +346,13 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(roots, "bisect_root", counting(roots.bisect_root))
-    monkeypatch.setattr(roots, "grow_bracket", counting(roots.grow_bracket))
     worst = {}
     for name in ROOT_NAMES:
-        # plus a large p*log(delta) corner whose left root is still finite
+        # plus a large p*log(delta) corner whose left root is still finite,
+        # and a q_star near the float range that once took 35 evaluations
         corner = [] if name == "y" else [(300.0, 9.0, 10.0)]
+        if name == "q_star":
+            corner.append((1.0000015511551374, None, 1.0009595280371821))
         for p, dm, delta in [*_grid(name), *corner]:
             counts.append(0)
             _case(name, p, delta)[0]()
@@ -356,15 +360,56 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
     assert max(worst.values()) <= 16, worst
 
 
-# -- q_star near p = 1 -------------------------------------------------------
+# -- q_star near p = 1 and at the corners ------------------------------------
+
+
+def _q_star_miss(p, delta):
+    """None when q_star(p, delta) is within 4 ulp of max(1, log(q_star/delta))
+    of a 50-digit root of the log-form equation, solved for z = log(q/delta)
+    by bisection on [0, (log p + log delta)/(p - 1)], or is inf exactly
+    where that root passes the float range; else a description."""
+    got = q_star(p, delta)
+    with mp.workdps(50):
+        p_m, d_m = mp.mpf(p), mp.mpf(delta)
+        f = lambda z: _eq_critical(d_m * mp.exp(z), p_m, d_m)
+        lo, hi = mp.mpf(0), (mp.log(p_m) + mp.log(d_m)) / (p_m - 1)
+        # f(0) < 0 < f(hi), unless the root equals hi to 50 digits
+        if f(hi) > 0:
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        z = hi
+        want = d_m * mp.exp(z)
+        if want > sys.float_info.max:
+            return None if got == math.inf else f"{got!r}, want inf"
+        err = abs((got - want) / want)
+        bound = 4 * 2.0**-52 * max(1, z)
+        return None if err <= bound else f"{got!r} off by {float(err):.1e} > {float(bound):.1e}"
 
 
 @pytest.mark.parametrize("p", [1.01, 1.001])
 def test_q_star_near_p_one_is_representable(p):
     # about 1.6495e18 and 5.03e176: far past any doubling budget from 2
-    got = q_star(p, 1.5)
-    want = _reference(_eq_critical, p, mp.mpf(1.5), got, (1, mp.inf))
-    assert float(abs((mp.mpf(got) - want) / want)) <= 1e-10
+    assert _q_star_miss(p, 1.5) is None
+
+
+def test_q_star_corners_within_a_few_ulp_of_log_q_over_delta():
+    failures = []
+    for pm in (1e-6, 1e-4, 1e-2, 1.0, 299.0):
+        for dm in (1e-12, 1e-6, 1e-3, 0.5, 999.0):
+            miss = _q_star_miss(1.0 + pm, 1.0 + dm)
+            if miss:
+                failures.append(f"p-1={pm} delta-1={dm}: {miss}")
+    assert not failures, failures
+
+
+def test_q_star_at_named_corners():
+    # 9.0332214256068129e268, where a search from the x-form took 35
+    # evaluations and stopped 4.5e-8 short
+    got = q_star(1.0000015511551374, 1.0009595280371821)
+    assert got == pytest.approx(9.0332214256068129e268, rel=2e-13)
+    # p*log(delta) passes the float range while q_star = delta(1 + 3e-303)
+    assert q_star(5.050934025769548e305, 7.303497231054411e264) == 7.303497231054411e264
 
 
 def test_q_star_past_the_float_range_is_inf():
