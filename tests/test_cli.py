@@ -6,8 +6,11 @@ installed console script through a real subprocess.
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +203,19 @@ def test_extremal_minus_branch(capsys):
         assert abs(float(rec[key])) < 1e-9
 
 
+def test_extremal_infinite_exponent(capsys):
+    # p = inf checks the sup and the RH_inf norm instead of the p-th moment
+    code, out, _ = run_cli(
+        ["extremal", "--p", "inf", "--delta", "3", "--x1", "1", "--x2", "1.5"],
+        capsys,
+    )
+    assert code == 0
+    rec = parse_plain(out)
+    assert (rec["p"], rec["c"], rec["nu"]) == ("inf", "1.5", "2")
+    for key in ("resid_x1", "resid_x2", "resid_delta"):
+        assert abs(float(rec[key])) < 1e-12
+
+
 def test_verify_moment_mode_passes(capsys):
     code, out, _ = run_cli(
         ["verify", "--p", "2", "--q", "10", "--delta", "2"], capsys
@@ -390,6 +406,17 @@ def test_sweep_needs_two_steps(capsys):
     assert "--steps" in err
 
 
+@pytest.mark.parametrize("start, stop", [("inf", "2"), ("1.1", "nan")])
+def test_sweep_endpoints_must_be_finite(start, stop, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--param", "delta", "--from", start, "--to", stop,
+         "--steps", "3", "--p", "2", "--q", "10"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: sweep endpoints must be finite\n"
+
+
 def test_domain_error_exits_two(capsys):
     code, out, err = run_cli(
         ["constants", "--p", "2", "--q", "10", "--delta", "0.5"], capsys
@@ -409,6 +436,65 @@ def test_argparse_rejects_bad_usage():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
     assert exc.value.code == 2
+
+
+# the required flags of each subcommand, in their declared order
+REQUIRED = {
+    "constants": ["--p", "2", "--q", "10", "--delta", "2"],
+    "gehring": ["--p", "2", "--t", "2", "--delta", "2"],
+    "bellman": ["--p", "2", "--q", "10", "--delta", "2", "--x1", "1", "--x2", "4"],
+    "extremal": ["--p", "2", "--delta", "2", "--x1", "1", "--x2", "4"],
+    "verify": ["--p", "2", "--delta", "2"],
+    "ndim": ["--p", "2", "--q", "3", "--n", "2", "--delta", "1.01"],
+    "sweep": ["--param", "delta", "--from", "1", "--to", "2", "--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_parser_requires_each_required_flag(command, capsys):
+    parser = cli.build_parser()
+    flags = REQUIRED[command]
+    args = parser.parse_args([command, *flags])
+    assert (args.command, args.format) == (command, "plain")
+    for i in range(0, len(flags), 2):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, *flags[:i], *flags[i + 2:]])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {flags[i]}" in capsys.readouterr().err
+
+
+def test_parser_defaults():
+    parse = cli.build_parser().parse_args
+    args = parse(["verify", *REQUIRED["verify"]])
+    assert (args.q, args.t, args.depth, args.tol) == (None, None, 12, 1e-6)
+    assert parse(["extremal", *REQUIRED["extremal"]]).branch == "plus"
+    assert parse(["bellman", *REQUIRED["bellman"]]).limit is False
+    assert parse(["ndim", *REQUIRED["ndim"]]).n == 2
+    args = parse(["sweep", *REQUIRED["sweep"]])
+    assert (args.param, args.start, args.stop, args.steps) == ("delta", 1.0, 2.0, 3)
+    assert [args.p, args.q, args.t, args.n, args.delta] == [None] * 5
+
+
+def test_module_entry_point_exit_codes():
+    # `python -m sharpweights.cli`, from the source tree these tests import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "sharpweights.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("constants", "--p", "2", "--q", "10", "--delta", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("p=2 q=10 delta=2 q_star=7.46410161513775")
+    code, out, _ = run("verify", "--p", "2", "--q", "10", "--delta", "2", "--tol", "1e-16")
+    assert code == 1
+    assert parse_plain(out)["status"] == "mismatch"
+    code, out, err = run("constants", "--p", "2", "--q", "10", "--delta", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "delta" in err
 
 
 @pytest.mark.skipif(shutil.which("sharp-weights") is None, reason="script not installed")
