@@ -269,6 +269,11 @@ def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
     return nu * out
 
 
+# The scan's block-bound arrays grow fourfold per level: depth 17 peaks
+# near 0.8 GB, and depth 18 would need about 3.2 GB.
+_MAX_DEPTH = 17
+
+
 def sup_ratio_search(
     w: PowerWeight,
     kind: FunctionalKind,
@@ -276,7 +281,8 @@ def sup_ratio_search(
     inject_candidates: bool = True,
 ) -> tuple[float, tuple[float, float]]:
     """Maximum of functional_ratio over intervals with endpoints on the
-    dyadic grid of size 2**depth, plus the candidates {0, a, 1}.
+    dyadic grid of size 2**depth, depth in [1, 17], plus the candidates
+    {0, a, 1}.
 
     Returns (sup, (alpha, beta)).  The search is exact over all pairs:
     prefix integrals make each pair O(1), and blocks of pairs are
@@ -287,8 +293,8 @@ def sup_ratio_search(
     with the canonical witness (0, min(a, 1)).  ``inject_candidates``
     exists so tests can measure the pure-grid gap.
     """
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
+    if not 1 <= depth <= _MAX_DEPTH:
+        raise DomainError(f"depth must lie in [1, {_MAX_DEPTH}], got depth = {depth}")
     nu = w.nu
     a = w.a
     # Power-prefix exponents (the plain average first, except for rhp),

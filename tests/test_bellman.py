@@ -75,6 +75,7 @@ def test_regime_classification():
     assert LOWER.regime == "lower"
     assert Parameters(math.inf, 3.0, 2.0).regime == "upper"
     assert Parameters(math.inf, 1.5, 2.0).regime == "band"
+    assert Parameters(math.inf, 3.0, 2.0).q_sub is None  # no lower threshold at p = inf
 
 
 def test_value_oracles():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sharpweights import cli, embedding
+from sharpweights import IterationError, cli, embedding
 
 
 def run_cli(argv, capsys):
@@ -279,6 +279,19 @@ def test_verify_reports_mismatch_under_tiny_tolerance(capsys):
     assert 0.0 < float(rec["rel_err"]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--depth", "70"), ("--depth", "0"), ("--tol", "nan"), ("--tol", "-1")]
+)
+def test_verify_refuses_out_of_range_depth_and_tol(flag, value, capsys):
+    # a usage error (exit 2), not a mismatch (exit 1) or a crash
+    code, out, err = run_cli(
+        ["verify", "--p", "2", "--q", "10", "--delta", "2", flag, value], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert flag.lstrip("-") in err
+
+
 def test_verify_needs_exactly_one_mode(capsys):
     code, out, err = run_cli(
         ["verify", "--p", "2", "--q", "10", "--t", "2", "--delta", "2"], capsys
@@ -396,6 +409,19 @@ def test_sweep_missing_fixed_parameter(capsys):
     assert "error:" in err
 
 
+def test_sweep_keeps_rows_printed_before_a_failing_point(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--param", "delta", "--from", "2", "--to", "0.5",
+         "--steps", "3", "--p", "2", "--q", "10", "--format", "csv"],
+        capsys,
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "p,q,delta,q_star,c_q,c_inf"
+    assert [ln.split(",")[2] for ln in lines[1:]] == ["2", "1.25"]
+    assert err.startswith("error: class constant delta") and "0.5" in err
+
+
 def test_sweep_needs_two_steps(capsys):
     code, out, err = run_cli(
         ["sweep", "--param", "delta", "--from", "1.1", "--to", "2",
@@ -424,6 +450,19 @@ def test_domain_error_exits_two(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "delta" in err
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, IterationError])
+def test_internal_error_exits_three(exc_type, monkeypatch, capsys):
+    # a crash is neither a mismatch (1) nor a usage error (2)
+    def broken(*args):
+        raise exc_type("solver broke")
+
+    monkeypatch.setattr(cli.embedding, "aq_constant", broken)
+    code, out, err = run_cli(["constants", "--p", "2", "--q", "10", "--delta", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback")
+    assert err.endswith(f"{exc_type.__name__}: solver broke\n")
 
 
 def test_argparse_rejects_bad_usage():

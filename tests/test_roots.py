@@ -460,6 +460,12 @@ def test_gehring_side_on_the_4000_draw_sweep():
 # -- the right branch next to its endpoint 1/p --------------------------------
 
 
+def test_class_parameter_where_log_t_overflows():
+    # -p*log(delta) passes the float range, so log t = -inf and the right
+    # branch returns its endpoint 1/p
+    assert roots.class_parameter(1e307, 1e300, "plus") == 1.0 / 1e307
+
+
 @pytest.mark.parametrize(
     "p, delta",
     [

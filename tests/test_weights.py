@@ -274,6 +274,9 @@ def test_functional_ratio_infinity_propagation():
     steep = PowerWeight(1.0, 0.5, -1.5)
     with pytest.raises(DomainError, match="average is infinite"):
         functional_ratio(steep, FunctionalKind.rh_p(2.0), 0.0, 0.5)
+    # on [0, a]: <w> diverges for nu = -1.5, and <w**2> for nu = -0.6
+    assert functional_ratio(steep, FunctionalKind.a_inf(), 0.0, 0.5) == math.inf
+    assert functional_ratio(PowerWeight(1.0, 0.5, -0.6), FunctionalKind.rh_p(2.0), 0.0, 0.5) == math.inf
 
 
 def test_quadrature_cross_check():
@@ -379,5 +382,8 @@ def test_sup_search_validation():
     w = PowerWeight(1.0, 0.5, 1.0)
     with pytest.raises(DomainError):
         sup_ratio_search(w, FunctionalKind.aq(5.0), 0)
+    # the scan's memory grows fourfold per level: depth 18 would need GBs
+    with pytest.raises(DomainError, match=r"depth must lie in \[1, 17\], got depth = 18"):
+        sup_ratio_search(w, FunctionalKind.aq(5.0), 18)
     with pytest.raises(DomainError):
         sup_ratio_search(PowerWeight(1.0, 0.5, -0.2), FunctionalKind.rh_inf(), 4)
