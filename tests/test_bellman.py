@@ -10,10 +10,12 @@ import pytest
 from sharpweights import (
     DomainError,
     Parameters,
+    PowerWeight,
     bellman_infinity_value,
     bellman_limit_check,
     bellman_value,
     bellman_value_gamma_form,
+    extremal_weight,
     hessian_form,
     tangent_segment,
 )
@@ -316,3 +318,21 @@ def test_value_rejects_points_outside_domain():
         bellman_value(UPPER, (1.0, 5.0))
     with pytest.raises(DomainError, match="x1"):
         bellman_value(UPPER, (-1.0, 1.0))
+
+
+# the diagonal, a point 1e-12 above it (just outside the boundary slack),
+# and a diagonal point with x1 != 1
+DEGENERATE_POINTS = [(1.0, 1.0), (1.0, 1.000000000001), (2.0, 4.0)]
+
+
+@pytest.mark.parametrize("x", DEGENERATE_POINTS)
+def test_degenerate_class_values_are_the_constant_weight(x):
+    # at delta = 1 the domain is the lower curve: every admissible point
+    # is the average pair of the constant weight x1
+    x1 = x[0]
+    for q in (3.0, 0.7):
+        params = Parameters(2.0, q, 1.0)
+        assert bellman_value(params, x) == math.exp((1.0 - params.q_conj) * math.log(x1))
+    assert bellman_infinity_value(2.0, 1.0, x) == 1.0 / x1
+    for branch in ("plus", "minus"):
+        assert extremal_weight(2.0, 1.0, x, branch) == PowerWeight(c=x1, a=1.0, nu=0.0)

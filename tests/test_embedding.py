@@ -8,6 +8,7 @@ import pytest
 
 from sharpweights import (
     DomainError,
+    EmbeddingResult,
     Parameters,
     aq_constant,
     ainf_constant,
@@ -170,3 +171,9 @@ def test_gehring_constant_via_lower_branch_values():
         v = bellman_value(params, x)
         best = max(best, (1.0 / x[0]) * v ** (1.0 - params.q))
     assert best == pytest.approx(target, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0, 3e305])
+def test_degenerate_class_constants_are_one(p):
+    assert aq_constant(p, 3.0, 1.0) == EmbeddingResult(1.0, 1.0)
+    assert ainf_constant(p, 1.0) == EmbeddingResult(1.0, 1.0)

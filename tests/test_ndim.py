@@ -123,3 +123,9 @@ def test_aq_bound_validation():
         ndim_aq_bound(2.0, 1.0, 2, 1.05)
     with pytest.raises(DomainError):
         ndim_aq_bound(2.0, 0.5, 2, 1.05)
+
+
+def test_degenerate_class_bounds_are_one():
+    assert ratio_bound_y(2.0, 2, 1.0) == 1.0
+    assert epsilon_bound(2.0, 2, 1.0) == 1.0
+    assert ndim_aq_bound(2.0, 3.0, 2, 1.0) == NDimBound(n=2, y=1.0, epsilon=1.0, constant=1.0)

@@ -481,3 +481,16 @@ def test_right_branch_within_rounding_of_its_endpoint(p, delta):
     for s in (roots.class_parameter(p, delta, "plus"), u_plus(p, delta**-p)):
         assert 0.0 < s <= 1.0 / p
         assert 1.0 / p - s <= 4.0 * math.ulp(1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0, 3e305])
+def test_degenerate_class_gives_zero_roots(p):
+    # at delta = 1 both branch roots are exactly +0.0 and the Gehring
+    # side is unbounded, down to p near 1 and up to the float range
+    pair = s_pair(p, 1.0)
+    assert pair == (0.0, 0.0)
+    assert all(math.copysign(1.0, s) == 1.0 for s in pair)
+    for root in (u_plus(p, 1.0), u_minus(p, 1.0), *r_pair(p, 1.0, (1.0, 1.0))):
+        assert root == 0.0 and math.copysign(1.0, root) == 1.0
+    assert q_sub(p, 1.0) == 1.0
+    assert t_star(p, 1.0) == math.inf
