@@ -123,7 +123,7 @@ def _log_bellman(params: Parameters, x: DomainPoint, log_form=_log_value_form) -
     """log of the value at x; ``log_form`` is the finite-p expression."""
     side = classify_point(params.p, params.delta, x)
     x1, x2 = x
-    if params.delta == 1.0 or side == "lower":
+    if side == "lower":
         return (1.0 - params.q_conj) * math.log(x1)
     if params.regime == "band":
         return INF
@@ -170,7 +170,7 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     x1, x2 = x
     if math.isinf(p):
         return exp_or_inf(delta * (1.0 - x1 / x2) - math.log(x2))
-    if delta == 1.0 or side == "lower":
+    if side == "lower":
         return 1.0 / x1
     s, r = roots.branch_pair(p, delta, x, "plus")
     return exp_or_inf(
@@ -237,7 +237,6 @@ def tangent_segment(
     delta**p * p * x1 - b**(1-p) * x2 = delta**p * b * (p-1).
     """
     require_finite(p, "a tangent segment")
-    validate_delta(delta)
     if delta == 1.0:
         raise DomainError("delta = 1 degenerates the segment to a point")
     if not b > 0.0 or math.isinf(b) or math.isnan(b):

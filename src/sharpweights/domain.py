@@ -88,7 +88,8 @@ def classify_point(p: float, delta: float, x: DomainPoint) -> str:
     Raises DomainError naming the violated inequality for points
     outside the region.  Membership is checked with a relative slack of
     BOUNDARY_RTOL so that points constructed to sit on a boundary are
-    classified onto it rather than rejected by rounding.
+    classified onto it rather than rejected by rounding.  At delta = 1
+    the two curves coincide, and every admissible point is 'lower'.
     """
     x1, x2 = x
     if not x1 > 0.0:
@@ -102,7 +103,7 @@ def classify_point(p: float, delta: float, x: DomainPoint) -> str:
     if x2 > upper * (1.0 + BOUNDARY_RTOL):
         bound = "delta*x1" if math.isinf(p) else "(delta*x1)^p"
         raise DomainError(f"x2 <= {bound} violated: x2 = {x2} > {upper}")
-    if abs(x2 - lower) <= BOUNDARY_RTOL * lower:
+    if delta == 1.0 or abs(x2 - lower) <= BOUNDARY_RTOL * lower:
         return "lower"
     # an upper bound past the float range lies above every finite x2
     if upper < INF and abs(x2 - upper) <= BOUNDARY_RTOL * upper:

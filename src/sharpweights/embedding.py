@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import roots
-from .domain import (_EDGE_GUARD, INF, above_q_star, exp_or_inf, require_finite,
-                     validate_delta, validate_exponent)
+from .domain import _EDGE_GUARD, INF, above_q_star, exp_or_inf, require_finite
 from .errors import DomainError
 
 
@@ -39,13 +38,11 @@ class EmbeddingResult:
 
 def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
     """Sharp constant of the embedding into the q-th moment class."""
-    validate_exponent(p)
-    validate_delta(delta)
+    qs = roots.q_star(p, delta)
     if math.isnan(q) or not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q}")
     if delta == 1.0:
         return EmbeddingResult(1.0, 1.0)
-    qs = roots.q_star(p, delta)
     if not above_q_star(q, qs):
         return EmbeddingResult(INF, qs)
     c = exp_or_inf((q - 1.0) * (math.log(q - 1.0) - math.log(q - qs)) - math.log(qs))
@@ -54,10 +51,6 @@ def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
 
 def ainf_constant(p: float, delta: float) -> EmbeddingResult:
     """Sharp constant of the embedding into the exponential class."""
-    validate_exponent(p)
-    validate_delta(delta)
-    if delta == 1.0:
-        return EmbeddingResult(1.0, 1.0)
     qs = roots.q_star(p, delta)
     c = INF if math.isinf(qs) else exp_or_inf(qs - 1.0 - math.log(qs))
     return EmbeddingResult(c, qs)
@@ -66,7 +59,6 @@ def ainf_constant(p: float, delta: float) -> EmbeddingResult:
 def rht_constant(p: float, t: float, delta: float) -> EmbeddingResult:
     """Sharp constant of the self-improvement embedding, for t >= p."""
     require_finite(p, "the self-improvement constant")
-    validate_delta(delta)
     if math.isnan(t) or not t >= p:
         raise DomainError(f"t must be at least p = {p}, got {t}")
     if delta == 1.0:

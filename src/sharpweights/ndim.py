@@ -31,16 +31,12 @@ class NDimBound:
     constant: float
 
 
-def _validate_pn(p: float, n: int) -> None:
-    require_finite(p, "the cube bounds")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"dimension n must be an integer >= 2, got {n!r}")
-
-
 def delta_threshold(p: float, n: int) -> float:
     """Largest class norm for which the cube bounds exist:
     (2**n/(2**n - 1))**(1/p')."""
-    _validate_pn(p, n)
+    require_finite(p, "the cube bounds")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise DomainError(f"dimension n must be an integer >= 2, got {n!r}")
     cells = 2.0**n
     p_conj = p / (p - 1.0)
     return (cells / (cells - 1.0)) ** (1.0 / p_conj)
@@ -57,15 +53,12 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
     on [1, inf), so the root above 1 is unique.  delta = 1 returns
     exactly 1.
     """
-    _validate_pn(p, n)
-    validate_delta(delta)
     threshold = delta_threshold(p, n)
+    validate_delta(delta)
     if delta >= threshold:
         raise DomainError(
             f"delta >= threshold {threshold}: no finite ratio bound in dimension {n}"
         )
-    if delta == 1.0:
-        return 1.0
     p_conj = p / (p - 1.0)
     # Solved for z = log(y).  With a = z/2 and b = (p-1)*z/2 the equation
     # reads (p-1)*log cosh(a) - log(cosh(a+b)/cosh(a)) = (p-1)*log(L/2).
@@ -86,7 +79,8 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
         value = (p - 1.0) * log_cosh - ratio - target
         return value, 0.5 * p * (ta - math.tanh(a + b))
 
-    # h(0) = -target > 0.  In y, h < p/y - (p-1)*log(L), so h < 0 at hi.
+    # h(0) = -target >= 0, and 0 is the root at delta = 1.  In y,
+    # h < p/y - (p-1)*log(L), so h < 0 at hi.
     hi = math.log(max(2.0, p / ((p - 1.0) * (log_half_l + _LOG2))))
     # where -p*(p-1)*z**2/8, the leading term of the left side, meets the right
     near = math.sqrt(-8.0 * log_half_l / p)
@@ -115,8 +109,6 @@ def epsilon_bound(p: float, n: int, delta: float) -> float:
 def ndim_aq_bound(p: float, q: float, n: int, delta: float) -> NDimBound:
     """Moment-class bound for dyadic cubes: the one-dimensional sharp
     constant evaluated at the enlarged norm epsilon.  Not sharp."""
-    if math.isnan(q) or not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q}")
     y = ratio_bound_y(p, n, delta)
     eps = _epsilon_from_y(p, delta, y)
     result = embedding.aq_constant(p, q, eps)

@@ -141,8 +141,6 @@ def u_plus_from_log(p: float, log_t: float) -> float:
     Taking log(t) directly keeps callers exact when t = delta**-p would
     underflow or lose digits for large p*log(delta).
     """
-    if log_t == 0.0:
-        return 0.0
     if log_t == -INF:
         return 1.0 / p
     # log F is concave and decreasing on [0, 1/p], so Newton converges
@@ -151,7 +149,8 @@ def u_plus_from_log(p: float, log_t: float) -> float:
     near = math.sqrt(-2.0 * log_t / (p * (p - 1.0)))
     far = -math.expm1((log_t - p * math.log(p)) / (p - 1.0)) / p
     start = min(near, far, math.nextafter(1.0 / p, 0.0))
-    # f(0) = -log_t > 0 and f(1/p) = -inf: analytic endpoint signs.
+    # f(0) = -log_t >= 0 and f(1/p) = -inf: analytic endpoint signs.  At
+    # log_t = 0 the root is the endpoint 0 itself.
     return bisect_root(
         _branch_equation(p, log_t), 0.0, 1.0 / p, f_lo=-log_t, f_hi=-INF, start=start
     )
@@ -160,8 +159,6 @@ def u_plus_from_log(p: float, log_t: float) -> float:
 def u_minus_from_log(p: float, log_t: float) -> float:
     """Left inverse branch with t passed as log(t); -inf where p times the
     root passes the float range, so that 1 - p*u is finite whenever u is."""
-    if log_t == 0.0:
-        return 0.0
     # |u|*F(u) increases to C = p**(p-1)/(p-1)**p as u -> -inf, so
     # F(-2C/t) < t/2: the left end has f < -log 2 < 0.  This bracket end
     # may be off by 1e-13 at large p, which moves the bracket and where
@@ -185,7 +182,7 @@ def u_minus_from_log(p: float, log_t: float) -> float:
         start = 0.5 * lo
     else:
         start = -math.sqrt(-2.0 * log_t / (p * (p - 1.0)))
-    # f(0) = -log_t > 0 analytically.
+    # f(0) = -log_t >= 0 analytically, and 0 is the root at log_t = 0.
     return bisect_root(
         _branch_equation(p, log_t), lo, 0.0, f_lo=-1.0, f_hi=-log_t, start=start
     )
@@ -215,10 +212,6 @@ def u_minus(p: float, t: float) -> float:
 
 def s_pair(p: float, delta: float) -> SPair:
     """Both branch values at t = delta**-p; exactly (0, 0) at delta = 1."""
-    require_finite(p, "the class parameters")
-    validate_delta(delta)
-    if delta == 1.0:
-        return SPair(0.0, 0.0)
     return SPair(class_parameter(p, delta, "minus"), class_parameter(p, delta, "plus"))
 
 
@@ -325,7 +318,6 @@ def gehring_gap(p: float, delta: float) -> float:
     """w = t_star - p = -1/s_minus: +inf at delta = 1, and 0 where s_minus
     is -inf (w is then below p/1.8e308, far below an ulp of p)."""
     require_finite(p, "the Gehring side")
-    validate_delta(delta)
     if delta == 1.0:
         return INF
     return -1.0 / class_parameter(p, delta, "minus")

@@ -195,7 +195,7 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     roots.branch_solver(branch)  # refuses an unknown name before any shortcut
     side = classify_point(p, delta, x)
     x1, x2 = x
-    if delta == 1.0 or side == "lower":
+    if side == "lower":
         return PowerWeight(c=x1, a=1.0, nu=0.0)
     if math.isinf(p):
         nu = delta - 1.0

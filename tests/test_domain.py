@@ -68,6 +68,8 @@ def test_classify_errors_name_the_inequality():
 
 def test_degenerate_class_pins_the_diagonal():
     assert classify_point(2.0, 1.0, (3.0, 9.0)) == "lower"
+    # past the boundary slack but within the upper bound's: still the curve
+    assert classify_point(2.0, 1.0, (1.0, 1.000000000001)) == "lower"
     with pytest.raises(DomainError):
         classify_point(2.0, 1.0, (3.0, 9.5))
 
