@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import roots
-from .domain import (_EDGE_GUARD, INF, DomainPoint, above_q_star, boundary_values,
+from .domain import (INF, DomainPoint, above_q_star, below_q_sub, boundary_values,
                      classify_point, exp_or_inf, require_finite, validate_delta,
                      validate_exponent)
 from .errors import DomainError
@@ -80,7 +80,7 @@ class Parameters:
         """'upper' above q_star, 'lower' below q_sub, 'band' in between."""
         if above_q_star(self.q, self.q_star):
             return "upper"
-        if not math.isinf(self.p) and self.q < self.q_sub * (1.0 - _EDGE_GUARD):
+        if not math.isinf(self.p) and below_q_sub(self.q, self.q_sub):
             return "lower"
         return "band"
 

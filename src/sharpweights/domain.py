@@ -60,6 +60,16 @@ def above_q_star(q: float, q_star: float) -> bool:
     return q > q_star * (1.0 + _EDGE_GUARD)
 
 
+def below_q_sub(q: float, q_sub: float) -> bool:
+    """q lies below the critical band's lower end q_sub, beyond the guard."""
+    return q < q_sub * (1.0 - _EDGE_GUARD)
+
+
+def reaches_t_star(t_minus_p: float, w: float) -> bool:
+    """t = p + t_minus_p lies at or past t_star = p + w, within the guard."""
+    return w - t_minus_p <= _EDGE_GUARD * (w + t_minus_p)
+
+
 def validate_delta(delta: float) -> None:
     """Require a finite class constant delta >= 1."""
     if not 1.0 <= delta < INF:
@@ -86,16 +96,17 @@ def classify_point(p: float, delta: float, x: DomainPoint) -> str:
     """Locate x within the domain: 'lower', 'interior', or 'upper'.
 
     Raises DomainError naming the violated inequality for points
-    outside the region.  Membership is checked with a relative slack of
-    BOUNDARY_RTOL so that points constructed to sit on a boundary are
-    classified onto it rather than rejected by rounding.  At delta = 1
-    the two curves coincide, and every admissible point is 'lower'.
+    outside the region, and for an infinite coordinate.  Membership is
+    checked with a relative slack of BOUNDARY_RTOL so that points
+    constructed to sit on a boundary are classified onto it rather than
+    rejected by rounding.  At delta = 1 the two curves coincide, and
+    every admissible point is 'lower'.
     """
     x1, x2 = x
-    if not x1 > 0.0:
-        raise DomainError(f"x1 > 0 violated: x1 = {x1}")
-    if not x2 > 0.0:
-        raise DomainError(f"x2 > 0 violated: x2 = {x2}")
+    if not 0.0 < x1 < INF:
+        raise DomainError(f"finite x1 > 0 violated: x1 = {x1}")
+    if not 0.0 < x2 < INF:
+        raise DomainError(f"finite x2 > 0 violated: x2 = {x2}")
     lower, upper = boundary_values(p, delta, x1)
     if x2 < lower * (1.0 - BOUNDARY_RTOL):
         bound = "x1" if math.isinf(p) else "x1^p"

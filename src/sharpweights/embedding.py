@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import roots
-from .domain import _EDGE_GUARD, INF, above_q_star, exp_or_inf, require_finite
+from .domain import INF, above_q_star, exp_or_inf, reaches_t_star, require_finite
 from .errors import DomainError
 
 
@@ -39,13 +39,14 @@ class EmbeddingResult:
 def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
     """Sharp constant of the embedding into the q-th moment class."""
     qs = roots.q_star(p, delta)
-    if math.isnan(q) or not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q}")
+    if not 1.0 < q < INF:
+        raise DomainError(f"q must be a finite real above 1, got q = {q}")
     if delta == 1.0:
         return EmbeddingResult(1.0, 1.0)
     if not above_q_star(q, qs):
         return EmbeddingResult(INF, qs)
-    c = exp_or_inf((q - 1.0) * (math.log(q - 1.0) - math.log(q - qs)) - math.log(qs))
+    # log((q - 1)/(q - qs)) as a log1p, which keeps its digits as q grows
+    c = exp_or_inf((q - 1.0) * math.log1p((qs - 1.0) / (q - qs)) - math.log(qs))
     return EmbeddingResult(c, qs)
 
 
@@ -70,8 +71,7 @@ def rht_constant(p: float, t: float, delta: float) -> EmbeddingResult:
     ts = p + w
     if t == p:  # C_t**p = 1/F(s_minus) = delta**p
         return EmbeddingResult(delta, ts)
-    margin = w - (t - p)
-    if margin <= _EDGE_GUARD * (w + (t - p)):
+    if reaches_t_star(t - p, w):
         return EmbeddingResult(INF, ts)
-    c = (ts - 1.0) / ts * exp_or_inf((math.log(ts) - math.log(margin)) / t)
+    c = (ts - 1.0) / ts * exp_or_inf((math.log(ts) - math.log(w - (t - p))) / t)
     return EmbeddingResult(c, ts)

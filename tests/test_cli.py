@@ -7,6 +7,7 @@ installed console script through a real subprocess.
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -450,6 +451,22 @@ def test_domain_error_exits_two(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "delta" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["constants", "--p", "2", "--q", "inf", "--delta", "2"], "q"),
+        (["bellman", "--p", "400", "--q", "3", "--delta", "2", "--x1", "10", "--x2", "inf"], "x2"),
+        (["extremal", "--p", "331.46274704812816", "--delta", "1.0020927486879054",
+          "--x1", "17577.096413266456", "--x2", "inf"], "x2"),
+    ],
+)
+def test_infinite_inputs_exit_two(argv, name, capsys):
+    # these printed c_q=nan, a finite value, and an OverflowError traceback
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and re.search(rf"\b{name}\b", err), err
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, IterationError])

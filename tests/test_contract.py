@@ -1,6 +1,6 @@
-"""Input contract: every entry point refuses a bad p, delta or branch name
-with a DomainError whose message names that parameter, and valid inputs
-give valid values."""
+"""Input contract: every entry point refuses a bad p, delta, q, branch
+name or point coordinate with a DomainError whose message names that
+parameter, and valid inputs give valid values."""
 
 import math
 import re
@@ -15,7 +15,9 @@ from sharpweights import (
     ainf_constant,
     aq_constant,
     bellman_infinity_value,
+    bellman_value,
     bellman_value_gamma_form,
+    classify_point,
     delta_threshold,
     epsilon_bound,
     extremal_weight,
@@ -42,6 +44,8 @@ BAD_P = st.floats(max_value=1.0) | st.just(math.nan)
 NON_FINITE_OR_BAD_P = BAD_P | st.just(math.inf)
 BAD_DELTA = st.floats(max_value=1.0, exclude_max=True) | st.sampled_from([math.nan, math.inf])
 BAD_BRANCH = st.text(max_size=8).filter(lambda b: b not in ("plus", "minus"))
+BAD_Q = st.floats(max_value=1.0) | st.sampled_from([math.nan, math.inf])
+BAD_COORD = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
 
 X = (1.0, 2.0)  # interior at p = 2, delta = 2; the checks run before any use of x
 
@@ -100,6 +104,21 @@ WITH_DELTA = {
     "ndim_aq_bound": lambda d: ndim_aq_bound(2.0, 3.0, 2, d),
 }
 
+WITH_Q = {
+    "aq_constant": lambda q: aq_constant(2.0, q, 2.0),
+    "ndim_aq_bound": lambda q: ndim_aq_bound(2.0, q, 2, 1.01),
+}
+
+# entry points that take a domain point, as functions of it, at p = 400
+# and delta = 2: both bounds overflow at x1 = 10, so x2 = inf passes them
+# and only the coordinate check refuses it
+WITH_POINT = {
+    "classify_point": lambda x: classify_point(400.0, 2.0, x),
+    "r_pair": lambda x: r_pair(400.0, 2.0, x),
+    "bellman_value": lambda x: bellman_value(Parameters(400.0, 3.0, 2.0), x),
+    "extremal_weight": lambda x: extremal_weight(400.0, 2.0, x, "plus"),
+}
+
 # on the lower curve, at delta = 1 and at p = inf the branch is never
 # solved for, and a bad name must still be refused
 WITH_BRANCH = {
@@ -143,6 +162,21 @@ def test_finite_p_forms_refuse_p_inf(entry):
 @given(delta=BAD_DELTA)
 def test_entry_points_refuse_bad_delta(entry, delta):
     refused_naming(WITH_DELTA[entry], delta, "delta")
+
+
+@pytest.mark.parametrize("entry", sorted(WITH_Q))
+@CONTRACT
+@given(q=BAD_Q)
+def test_entry_points_refuse_bad_q(entry, q):
+    refused_naming(WITH_Q[entry], q, "q")
+
+
+@pytest.mark.parametrize("entry", sorted(WITH_POINT))
+@CONTRACT
+@given(coord=BAD_COORD)
+def test_entry_points_refuse_bad_coordinates(entry, coord):
+    refused_naming(lambda x1: WITH_POINT[entry]((x1, math.inf)), coord, "x1")
+    refused_naming(lambda x2: WITH_POINT[entry]((10.0, x2)), coord, "x2")
 
 
 @pytest.mark.parametrize("entry", sorted(WITH_BRANCH))

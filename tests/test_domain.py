@@ -58,6 +58,11 @@ def test_classify_errors_name_the_inequality():
         classify_point(2.0, 2.0, (0.0, 1.0))
     with pytest.raises(DomainError, match=r"x2 > 0"):
         classify_point(2.0, 2.0, (1.0, -1.0))
+    # an infinite coordinate is refused, even where the bounds overflow
+    with pytest.raises(DomainError, match=r"finite x1"):
+        classify_point(2.0, 2.0, (math.inf, math.inf))
+    with pytest.raises(DomainError, match=r"finite x2"):
+        classify_point(400.0, 2.0, (10.0, math.inf))
     with pytest.raises(DomainError, match=r"x2 >= x1\^p"):
         classify_point(2.0, 2.0, (2.0, 1.0))
     with pytest.raises(DomainError, match=r"x2 <= \(delta\*x1\)\^p"):

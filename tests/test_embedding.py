@@ -4,6 +4,7 @@ and the supremum provenance over the domain boundary."""
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from sharpweights import (
@@ -125,6 +126,22 @@ def test_aq_approaches_ainf_for_large_q():
     c_inf = ainf_constant(2.0, 2.0).constant
     c_q = aq_constant(2.0, 1e7, 2.0).constant
     assert c_q == pytest.approx(c_inf, rel=1e-5)
+
+
+@pytest.mark.parametrize("q", [1e3, 1e8, 1e15, 1e30])
+def test_aq_keeps_its_digits_at_large_q(q):
+    # the closed form at 60 digits from the same float q_star: a difference
+    # of logarithms of q - 1 and q - q_star lost digits in proportion to q
+    qs = q_star(2.0, 2.0)
+    with mp.workdps(60):
+        qm, qsm = mp.mpf(q), mp.mpf(qs)
+        ref = mp.exp((qm - 1) * mp.log((qm - 1) / (qm - qsm)) - mp.log(qsm))
+    assert aq_constant(2.0, q, 2.0).constant == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_aq_at_huge_q_is_the_ainf_constant():
+    c_inf = ainf_constant(2.0, 2.0).constant
+    assert aq_constant(2.0, 1e30, 2.0).constant == pytest.approx(c_inf, rel=1e-15)
 
 
 def sample_upper_curve(p, delta, count):
