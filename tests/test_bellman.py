@@ -340,6 +340,6 @@ def test_degenerate_class_values_are_the_constant_weight(x):
 
 def test_hessian_form_refuses_the_degenerate_class():
     # 1e-12 off the diagonal at delta = 1 is still on the (only) curve,
-    # where r = 0 used to reach the prefactor's denominator
+    # where r = 0 would reach the prefactor's denominator
     with pytest.raises(DomainError, match="strictly interior point"):
         hessian_form(Parameters(2.0, 3.0, 1.0), (1.0, 1.000000000001), 1.0, 0.3)

@@ -463,7 +463,7 @@ def test_domain_error_exits_two(capsys):
     ],
 )
 def test_infinite_inputs_exit_two(argv, name, capsys):
-    # these printed c_q=nan, a finite value, and an OverflowError traceback
+    # a non-finite q or coordinate is a domain error, never a value or a crash
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and re.search(rf"\b{name}\b", err), err

@@ -130,8 +130,8 @@ def test_aq_approaches_ainf_for_large_q():
 
 @pytest.mark.parametrize("q", [1e3, 1e8, 1e15, 1e30])
 def test_aq_keeps_its_digits_at_large_q(q):
-    # the closed form at 60 digits from the same float q_star: a difference
-    # of logarithms of q - 1 and q - q_star lost digits in proportion to q
+    # the closed form at 60 digits from the same float q_star, so that only
+    # its evaluation is tested: cancellation there grows with q
     qs = q_star(2.0, 2.0)
     with mp.workdps(60):
         qm, qsm = mp.mpf(q), mp.mpf(qs)
