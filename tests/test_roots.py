@@ -484,6 +484,11 @@ def test_right_branch_within_rounding_of_its_endpoint(p, delta):
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0, 3e305])
+def test_u_plus_at_zero_is_the_right_endpoint(p):
+    assert u_plus(p, 0.0) == 1.0 / p
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0, 3e305])
 def test_degenerate_class_gives_zero_roots(p):
     # at delta = 1 both branch roots are exactly +0.0 and the Gehring
     # side is unbounded, down to p near 1 and up to the float range

@@ -176,6 +176,14 @@ def test_extremal_on_upper_curve():
     assert rhp_norm_closed(w, 2.0) == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("p, delta, x", [(2.0, 2.0, (1.0, 4.0)), (3.0, 1.5, (1.0, 3.375))])
+def test_extremal_breakpoint_is_one_on_the_upper_curve(p, delta, x, branch):
+    # the point parameter r is 0 on the upper curve, where
+    # (s - r)/(s*(1 - p*r)) is exactly 1 for either branch value s
+    assert extremal_weight(p, delta, x, branch).a == 1.0
+
+
 def test_extremal_interior_point():
     w = extremal_weight(2.0, 2.0, (1.0, 2.0), "plus")
     assert w.nu == pytest.approx(EXT_NU, rel=1e-11)
