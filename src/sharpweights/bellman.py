@@ -80,7 +80,7 @@ class Parameters:
         """'upper' above q_star, 'lower' below q_sub, 'band' in between."""
         if above_q_star(self.q, self.q_star):
             return "upper"
-        if not math.isinf(self.p) and below_q_sub(self.q, self.q_sub):
+        if self.q < 1.0 and below_q_sub(self.q, self.q_sub):
             return "lower"
         return "band"
 
@@ -164,8 +164,6 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     For finite p this is the right-branch closed form; at p = inf the
     pair is (<w>, ess sup w) and the expression is elementary.
     """
-    validate_exponent(p)
-    validate_delta(delta)
     side = classify_point(p, delta, x)
     x1, x2 = x
     if math.isinf(p):

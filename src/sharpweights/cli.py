@@ -20,7 +20,7 @@ from collections.abc import Iterator
 
 from . import embedding, weights
 from .bellman import Parameters, bellman_infinity_value, bellman_value
-from .domain import INF, boundary_values, validate_delta, validate_exponent
+from .domain import INF, boundary_values
 from .errors import DomainError
 from .ndim import delta_threshold, ndim_aq_bound
 from .roots import r_pair
@@ -105,8 +105,6 @@ def verify(args: argparse.Namespace) -> Iterator[Record]:
     if not args.tol >= 0.0:
         raise DomainError(f"--tol must be a number >= 0, got {args.tol}")
     p, delta = args.p, args.delta
-    validate_exponent(p)
-    validate_delta(delta)
     # the extremal weights start at the upper-curve point over x1 = 1
     x = (1.0, boundary_values(p, delta, 1.0)[1])
     if math.isinf(x[1]):

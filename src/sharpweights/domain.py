@@ -86,7 +86,9 @@ def _power_or_inf(base: float, p: float) -> float:
 
 def boundary_values(p: float, delta: float, x1: float) -> tuple[float, float]:
     """Lower and upper admissible x2 at abscissa x1; +inf past the float
-    range."""
+    range.  Refuses a bad p or delta, for which there is no domain."""
+    validate_exponent(p)
+    validate_delta(delta)
     if math.isinf(p):
         return x1, delta * x1
     return _power_or_inf(x1, p), _power_or_inf(delta * x1, p)
@@ -95,8 +97,8 @@ def boundary_values(p: float, delta: float, x1: float) -> tuple[float, float]:
 def classify_point(p: float, delta: float, x: DomainPoint) -> str:
     """Locate x within the domain: 'lower', 'interior', or 'upper'.
 
-    Raises DomainError naming the violated inequality for points
-    outside the region, and for an infinite coordinate.  Membership is
+    Raises DomainError naming a bad coordinate, p or delta, or the
+    inequality that a point outside the region violates.  Membership is
     checked with a relative slack of BOUNDARY_RTOL so that points
     constructed to sit on a boundary are classified onto it rather than
     rejected by rounding.  At delta = 1 the two curves coincide, and

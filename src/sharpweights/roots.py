@@ -193,9 +193,7 @@ def u_plus(p: float, t: float) -> float:
     require_finite(p, "u_plus")
     if math.isnan(t) or not 0.0 <= t <= 1.0:
         raise DomainError(f"u_plus requires t in [0, 1], got {t}")
-    if t == 0.0:
-        return 1.0 / p
-    return u_plus_from_log(p, math.log(t))
+    return u_plus_from_log(p, math.log(t) if t > 0.0 else -INF)
 
 
 def u_minus(p: float, t: float) -> float:
@@ -231,7 +229,6 @@ def r_pair(p: float, delta: float, x: DomainPoint) -> tuple[float, float]:
     s_minus <= r_minus <= 0 <= r_plus <= s_plus holds.
     """
     require_finite(p, "the point parameters")
-    validate_delta(delta)
     log_t = point_log_ratio(p, delta, x)
     return (u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import roots
-from .domain import (INF, DomainPoint, classify_point, require_finite, validate_delta,
-                     validate_exponent)
+from .domain import INF, DomainPoint, classify_point, require_finite
 from .errors import DomainError
 from ._pairscan import max_pair_ratio
 
@@ -190,8 +189,6 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     `branch` is "plus" (moment regimes above the band) or "minus" (the
     self-improvement regime).
     """
-    validate_exponent(p)
-    validate_delta(delta)
     roots.branch_solver(branch)  # refuses an unknown name before any shortcut
     side = classify_point(p, delta, x)
     x1, x2 = x
@@ -203,7 +200,7 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
         return PowerWeight(c=x2, a=min(a, 1.0), nu=nu)
     s, r = roots.branch_pair(p, delta, x, branch)
     nu = s / (1.0 - p * s)
-    a = 1.0 if r == 0.0 else (s - r) / (s * (1.0 - p * r))
+    a = (s - r) / (s * (1.0 - p * r))
     # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
     # p*log(delta) the rounded nu can reach -1/p, where w**p stops being
     # integrable, and past the float range s is -inf and nu is nan.  On
@@ -227,7 +224,6 @@ def functional_ratio(
     w: PowerWeight, kind: FunctionalKind, alpha: float, beta: float
 ) -> float:
     """The chosen functional on [alpha, beta] via the closed forms."""
-    _validate_interval(alpha, beta)
     avg = interval_moment(w, 1.0, alpha, beta)
     if kind.name == "aq":
         q = kind.exponent

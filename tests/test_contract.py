@@ -17,6 +17,7 @@ from sharpweights import (
     bellman_infinity_value,
     bellman_value,
     bellman_value_gamma_form,
+    boundary_values,
     classify_point,
     delta_threshold,
     epsilon_bound,
@@ -70,6 +71,8 @@ NEED_FINITE_P = {
 
 # entry points defined at p = inf as well
 ANY_P = {
+    "boundary_values": lambda p: boundary_values(p, 2.0, 1.0),
+    "classify_point": lambda p: classify_point(p, 2.0, X),
     "q_star": lambda p: q_star(p, 2.0),
     "aq_constant": lambda p: aq_constant(p, 10.0, 2.0),
     "ainf_constant": lambda p: ainf_constant(p, 2.0),
@@ -85,6 +88,8 @@ FINITE_P_FORMS = {
 }
 
 WITH_DELTA = {
+    "boundary_values": lambda d: boundary_values(2.0, d, 1.0),
+    "classify_point": lambda d: classify_point(2.0, d, X),
     "q_star": lambda d: q_star(2.0, d),
     "s_pair": lambda d: s_pair(2.0, d),
     "r_pair": lambda d: r_pair(2.0, d, X),
