@@ -110,9 +110,11 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
     """Average of w**theta over [alpha, beta], in closed form.
 
     +inf exactly when the interval touches 0 and theta*nu <= -1.  The
-    ramp term (ramp_hi**e - alpha**e)/e, with e = theta*nu + 1, is formed
-    as the larger power times -expm1(-|e|*log(ramp_hi/alpha))/|e|, which
-    cancels neither for small |e| nor on short intervals; e = 0 is its
+    ramp term (ramp_hi**e - alpha**e)/(e*a**(theta*nu)), with e =
+    theta*nu + 1, is formed as larger*(larger/a)**(theta*nu) times
+    -expm1(-|e|*log(ramp_hi/alpha))/|e|, with larger the endpoint of the
+    larger power: this cancels neither for small |e| nor on short
+    intervals, and underflows only where the value does.  e = 0 is its
     log limit.
     """
     _validate_interval(alpha, beta)
@@ -126,29 +128,32 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
         ramp_hi = min(beta, a)
         log_ratio = math.log1p((ramp_hi - alpha) / alpha) if alpha > 0.0 else INF
         if e == 0.0:
-            total += a ** (-tn) * log_ratio
+            total += a * log_ratio
         else:
             larger = ramp_hi if e > 0.0 else alpha
-            total += a ** (-tn) * larger**e * -math.expm1(-abs(e) * log_ratio) / abs(e)
+            total += larger * (larger / a) ** tn * -math.expm1(-abs(e) * log_ratio) / abs(e)
     if beta > a:
         total += beta - max(alpha, a)
     return w.c**theta * total / (beta - alpha)
 
 
 def log_moment(w: PowerWeight, alpha: float, beta: float) -> float:
-    """Average of log w over [alpha, beta]; always finite."""
+    """Average of log w over [alpha, beta]; always finite.
+
+    The average of log(t/a) over the ramp part [alpha, ramp_hi] is
+    log(ramp_hi/a) - 1 + log1p(r)/r with r = (ramp_hi - alpha)/alpha,
+    which subtracts no two nearly equal antiderivatives on short
+    intervals.  The last term is 0 at alpha = 0, and below 1e-305 where
+    r passes the float range.
+    """
     _validate_interval(alpha, beta)
-    total = math.log(w.c) * (beta - alpha)
+    total = math.log(w.c)
     ramp_hi = min(beta, w.a)
     if alpha < ramp_hi:
-
-        def antideriv(t: float) -> float:
-            if t == 0.0:
-                return 0.0
-            return t * (math.log(t / w.a) - 1.0)
-
-        total += w.nu * (antideriv(ramp_hi) - antideriv(alpha))
-    return total / (beta - alpha)
+        r = (ramp_hi - alpha) / alpha if alpha > 0.0 else INF
+        ramp = math.log(ramp_hi / w.a) - 1.0 + (math.log1p(r) / r if r < INF else 0.0)
+        total += w.nu * ramp * ((ramp_hi - alpha) / (beta - alpha))
+    return total
 
 
 def ess_sup(w: PowerWeight, alpha: float, beta: float) -> float:
@@ -234,7 +239,8 @@ def functional_ratio(
     if kind.name == "ainf":
         if math.isinf(avg):
             return INF
-        return avg * math.exp(-log_moment(w, alpha, beta))
+        # at least 1 by Jensen's inequality; the max drops rounding below it
+        return max(1.0, avg * math.exp(-log_moment(w, alpha, beta)))
     if kind.name == "rhp":
         t = kind.exponent
         if math.isinf(avg):

@@ -138,6 +138,74 @@ def test_log_moment_examples():
     assert log_moment(PowerWeight(1.0, 0.5, 2.0), 0.0, 1.0) == pytest.approx(-1.0, rel=1e-14)
 
 
+def _ramp_integral_50(w, theta, alpha, beta):
+    """Integral of (w/c)**theta over the ramp part of [alpha, beta]."""
+    a, tn = mp.mpf(w.a), mp.mpf(theta) * mp.mpf(w.nu)
+    lo, hi = mp.mpf(alpha), min(mp.mpf(beta), a)
+    if lo >= hi:
+        return mp.mpf(0)
+    e = tn + 1
+    return (mp.log(hi / lo) if e == 0 else (hi**e - lo**e) / e) / a**tn
+
+
+def _log_moment_50(w, alpha, beta):
+    a, lo, hi = mp.mpf(w.a), mp.mpf(alpha), min(mp.mpf(beta), mp.mpf(w.a))
+    total = mp.log(mp.mpf(w.c)) * (mp.mpf(beta) - lo)
+    if lo < hi:
+        antideriv = lambda t: t * (mp.log(t / a) - 1) if t > 0 else mp.mpf(0)
+        total += mp.mpf(w.nu) * (antideriv(hi) - antideriv(lo))
+    return total / (mp.mpf(beta) - lo)
+
+
+SHORT_WEIGHTS = [
+    PowerWeight(1.0, 1.0, 2.0),
+    PowerWeight(2.0, 0.7, 6.46),
+    PowerWeight(0.03, 0.25, -0.8),
+    PowerWeight(546.0, 0.475, 9.7),
+]
+
+
+@pytest.mark.parametrize("w", SHORT_WEIGHTS)
+def test_log_moment_keeps_its_digits_on_short_intervals(w):
+    # the ramp average subtracts no two nearly equal antiderivatives, so
+    # the error stays at rounding level down to intervals 1e-14 long
+    with mp.workdps(50):
+        for k in range(15):
+            length = 10.0**-k
+            for alpha in (0.0, 1e-3, 0.1, 0.5 * w.a, w.a - 0.5 * length, w.a):
+                beta = min(alpha + length, 1.0)
+                if not 0.0 <= alpha < beta:
+                    continue
+                ref = _log_moment_50(w, alpha, beta)
+                got = log_moment(w, alpha, beta)
+                assert float(abs(got - ref)) <= 1e-14 * max(1.0, float(abs(ref))), (
+                    alpha, beta, got, ref)
+                # Jensen: the average of w is at least exp of the average of log w
+                assert functional_ratio(w, FunctionalKind.a_inf(), alpha, beta) >= 1.0
+
+
+def test_a_inf_functional_on_a_short_interval():
+    w = PowerWeight(2.0, 0.7, 6.46)
+    alpha, beta = 0.1, 0.1 + 2.0**-20
+    got = functional_ratio(w, FunctionalKind.a_inf(), alpha, beta)
+    with mp.workdps(50):
+        avg = _ramp_integral_50(w, 1.0, alpha, beta) / (mp.mpf(beta) - mp.mpf(alpha))
+        ref = avg * mp.exp(-_log_moment_50(w, alpha, beta) + mp.log(mp.mpf(w.c)))
+    assert got > 1.0
+    assert float(abs(got / ref - 1)) <= 1e-14
+
+
+def test_interval_moment_where_the_endpoint_power_underflows():
+    # a**(-theta*nu) times ramp_hi**(theta*nu + 1) underflowed to 0 here
+    w = PowerWeight(1.2016080357978036, 0.2264456716748494, 26.432547035434)
+    theta, alpha, beta = 9.963694793968244, 0.02635453440905089, 0.02803930625538631
+    got = interval_moment(w, theta, alpha, beta)
+    with mp.workdps(50):
+        ref = mp.mpf(w.c) ** theta * _ramp_integral_50(w, theta, alpha, beta) / (
+            mp.mpf(beta) - mp.mpf(alpha))
+    assert float(abs(got / ref - 1)) <= 1e-13, (got, ref)
+
+
 def test_ess_sup_examples():
     assert ess_sup(PowerWeight(3.0, 0.5, 2.0), 0.0, 1.0) == 3.0
     assert ess_sup(PowerWeight(1.0, 0.5, 1.0), 0.0, 0.25) == pytest.approx(0.5, rel=1e-14)
