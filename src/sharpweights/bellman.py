@@ -191,6 +191,8 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     """
     p = params.p
     require_finite(p, "the quadratic form")
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise DomainError(f"the direction needs finite d1 and d2, got d1 = {d1}, d2 = {d2}")
     if params.regime == "band":
         raise DomainError("q lies in the critical band: the value is infinite")
     side = classify_point(p, params.delta, x)
@@ -202,8 +204,10 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     g = params.gamma
     qc = params.q_conj
     mr = 1.0 - (p - 1.0) * r
+    # (p - 1)**2 would raise OverflowError past p = 1.34e154; a float
+    # product never raises, and (p - 1)*r < 1 on the plus branch
     prefactor = -(mr * mr) * g * qc * (qc - 1.0) * value / (
-        (1.0 - g * r) * (p - 1.0) ** 2 * r * x1 * x1
+        (1.0 - g * r) * ((p - 1.0) * r) * (p - 1.0) * x1 * x1
     )
     kernel_slope = x1 / (mr * p * x2)
     line = d1 - kernel_slope * d2

@@ -71,8 +71,10 @@ class FunctionalKind:
         if self.name not in ("aq", "ainf", "rhp", "rhinf"):
             raise DomainError(f"unknown functional kind {self.name!r}")
         if self.name in ("aq", "rhp"):
-            if self.exponent is None or not self.exponent > 1.0:
-                raise DomainError(f"{self.name} needs an exponent > 1")
+            if self.exponent is None or not 1.0 < self.exponent < INF:
+                raise DomainError(
+                    f"{self.name} needs a finite exponent > 1, got exponent = {self.exponent}"
+                )
         elif self.exponent is not None:
             raise DomainError(f"{self.name} takes no exponent")
 
@@ -98,8 +100,14 @@ def _validate_interval(alpha: float, beta: float) -> None:
         raise DomainError(f"need 0 <= alpha < beta <= 1, got [{alpha}, {beta}]")
 
 
+def _validate_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise DomainError(f"the power theta must be a finite real, got theta = {theta}")
+
+
 def moment(w: PowerWeight, theta: float) -> float:
     """Average of w**theta over [0, 1]; +inf when theta*nu <= -1."""
+    _validate_theta(theta)
     tn = theta * w.nu
     if tn <= -1.0:
         return INF
@@ -118,6 +126,7 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
     log limit.
     """
     _validate_interval(alpha, beta)
+    _validate_theta(theta)
     tn = theta * w.nu
     a = w.a
     total = 0.0

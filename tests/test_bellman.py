@@ -232,6 +232,14 @@ def test_hessian_past_the_float_range():
     assert hessian_form(LOWER, x, slope, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [1.4e154, 1e300])
+def test_hessian_form_at_huge_p_raises_no_overflow(p):
+    # (p - 1)**2 in the prefactor raised OverflowError from p = 1.34e154;
+    # whether the value is right there waits on the large-p roots
+    value = hessian_form(Parameters(p, 3.0, 2.0), (1.0, 1.5), 1.0, 0.3)
+    assert isinstance(value, float) and not math.isnan(value)
+
+
 def test_hessian_matches_finite_differences():
     # second differences amplify solver noise by h**-2, so the step
     # stays at 1e-3 with one Richardson pass

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sharpweights import (
     DomainError,
+    FunctionalKind,
     Parameters,
     PowerWeight,
     ainf_constant,
@@ -23,6 +24,8 @@ from sharpweights import (
     epsilon_bound,
     extremal_weight,
     hessian_form,
+    interval_moment,
+    moment,
     ndim_aq_bound,
     q_star,
     q_sub,
@@ -47,6 +50,7 @@ BAD_DELTA = st.floats(max_value=1.0, exclude_max=True) | st.sampled_from([math.n
 BAD_BRANCH = st.text(max_size=8).filter(lambda b: b not in ("plus", "minus"))
 BAD_Q = st.floats(max_value=1.0) | st.sampled_from([math.nan, math.inf])
 BAD_COORD = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 X = (1.0, 2.0)  # interior at p = 2, delta = 2; the checks run before any use of x
 
@@ -114,6 +118,18 @@ WITH_Q = {
     "ndim_aq_bound": lambda q: ndim_aq_bound(2.0, q, 2, 1.01),
 }
 
+# the functionals that take an exponent, which must be finite and above 1
+WITH_EXPONENT = {
+    "FunctionalKind.aq": FunctionalKind.aq,
+    "FunctionalKind.rh_p": FunctionalKind.rh_p,
+}
+
+# the averages of a power theta of a weight, which must be finite
+WITH_THETA = {
+    "moment": lambda theta: moment(PowerWeight(1.0, 0.5, 1.0), theta),
+    "interval_moment": lambda theta: interval_moment(PowerWeight(1.0, 0.5, 1.0), theta, 0.1, 0.7),
+}
+
 # entry points that take a domain point, as functions of it, at p = 400
 # and delta = 2: both bounds overflow at x1 = 10, so x2 = inf passes them
 # and only the coordinate check refuses it
@@ -176,6 +192,28 @@ def test_entry_points_refuse_bad_q(entry, q):
     refused_naming(WITH_Q[entry], q, "q")
 
 
+@pytest.mark.parametrize("entry", sorted(WITH_EXPONENT))
+@CONTRACT
+@given(exponent=BAD_Q)
+def test_functionals_refuse_bad_exponent(entry, exponent):
+    refused_naming(WITH_EXPONENT[entry], exponent, "exponent")
+
+
+@pytest.mark.parametrize("entry", sorted(WITH_THETA))
+@CONTRACT
+@given(theta=NON_FINITE)
+def test_averages_refuse_non_finite_theta(entry, theta):
+    refused_naming(WITH_THETA[entry], theta, "theta")
+
+
+@CONTRACT
+@given(d=NON_FINITE)
+def test_hessian_form_refuses_non_finite_direction(d):
+    params = Parameters(2.0, 10.0, 2.0)
+    refused_naming(lambda d1: hessian_form(params, X, d1, 0.3), d, "d1")
+    refused_naming(lambda d2: hessian_form(params, X, 0.3, d2), d, "d2")
+
+
 @pytest.mark.parametrize("entry", sorted(WITH_POINT))
 @CONTRACT
 @given(coord=BAD_COORD)
@@ -205,6 +243,13 @@ def test_q_star_lies_between_delta_and_its_upper_bound(p, delta):
     log_hi = math.log(delta) + (math.log(p) + math.log(delta)) / (p - 1.0)
     if log_hi < 709.0:
         assert value <= math.exp(log_hi) * (1.0 + 1e-12), (p, delta, value)
+
+
+def test_verify_refuses_an_infinite_self_improvement_exponent(capsys):
+    code = cli.main(["verify", "--p", "2", "--t", "inf", "--delta", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "exponent = inf" in err
 
 
 def test_verify_self_improvement_mode_refuses_p_inf(capsys):
