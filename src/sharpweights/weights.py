@@ -119,7 +119,7 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
 
     +inf exactly when the interval touches 0 and theta*nu <= -1.  The
     ramp term (ramp_hi**e - alpha**e)/(e*a**(theta*nu)), with e =
-    theta*nu + 1, is formed as larger*(larger/a)**(theta*nu) times
+    theta*nu + 1, is formed as a*(larger/a)**e times
     -expm1(-|e|*log(ramp_hi/alpha))/|e|, with larger the endpoint of the
     larger power: this cancels neither for small |e| nor on short
     intervals, and underflows only where the value does.  e = 0 is its
@@ -140,7 +140,7 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
             total += a * log_ratio
         else:
             larger = ramp_hi if e > 0.0 else alpha
-            total += larger * (larger / a) ** tn * -math.expm1(-abs(e) * log_ratio) / abs(e)
+            total += a * (larger / a) ** e * -math.expm1(-abs(e) * log_ratio) / abs(e)
     if beta > a:
         total += beta - max(alpha, a)
     return w.c**theta * total / (beta - alpha)
@@ -248,8 +248,7 @@ def functional_ratio(
     if kind.name == "ainf":
         if math.isinf(avg):
             return INF
-        # at least 1 by Jensen's inequality; the max drops rounding below it
-        return max(1.0, avg * math.exp(-log_moment(w, alpha, beta)))
+        return avg * math.exp(-log_moment(w, alpha, beta))
     if kind.name == "rhp":
         t = kind.exponent
         if math.isinf(avg):

@@ -233,11 +233,13 @@ def test_hessian_past_the_float_range():
 
 
 @pytest.mark.parametrize("p", [1.4e154, 1e300])
-def test_hessian_form_at_huge_p_raises_no_overflow(p):
-    # (p - 1)**2 in the prefactor raised OverflowError from p = 1.34e154;
-    # whether the value is right there waits on the large-p roots
+def test_hessian_form_at_huge_p_only_does_not_crash(p):
+    # (p - 1)**2 in the prefactor raised OverflowError from p = 1.34e154.
+    # This pins only the absence of that crash, not a value: the value
+    # here (-0.75) is wrong, because branch_pair's roots are wrong from
+    # this p on (see the large-p roots item in ROADMAP.md)
     value = hessian_form(Parameters(p, 3.0, 2.0), (1.0, 1.5), 1.0, 0.3)
-    assert isinstance(value, float) and not math.isnan(value)
+    assert isinstance(value, float)
 
 
 def test_hessian_matches_finite_differences():
