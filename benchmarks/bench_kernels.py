@@ -1,8 +1,10 @@
 """Timing of the block-pruned pair scan against the brute-force reference.
 
 Both scans run on the prefix arrays the sup search builds for the
-extremal weight at p = 2, delta = 2, q = 10, and must agree bit for bit
-before they are timed.  The reference is the one the test suite checks
+extremal weight at p = 2, q = 10 and delta in {1, 1.001, 2}, and must
+agree bit for bit before they are timed.  At delta = 1 the weight is
+constant and the scan returns without bounding; at delta = 1.001 it
+barely varies.  The reference is the one the test suite checks
 against (``brute_force_scan`` in ``tests/test_kernels.py``).  Run from
 the repository root:
 
@@ -22,10 +24,13 @@ from sharpweights.weights import _prefix_log, _prefix_power  # noqa: E402
 from test_kernels import brute_force_scan  # noqa: E402
 
 
-def workloads(depth):
-    # the verification oracle's grids at delta = 2: moment scan (mode 0),
-    # exponential scan (mode 1), sup-over-average scan (mode 2)
-    w = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
+DELTAS = (1.0, 1.001, 2.0)
+
+
+def workloads(depth, delta):
+    # the verification oracle's grids: moment scan (mode 0), exponential
+    # scan (mode 1), sup-over-average scan (mode 2)
+    w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
     n = (1 << depth) + 1
     grid = np.arange(n, dtype=np.float64) / float(n - 1)
     pref_avg = _prefix_power(grid, w.a, w.nu, 1.0)
@@ -69,17 +74,18 @@ def visited_share(args):
 
 
 def main():
-    print(f"{'scan':>12} {'depth':>5} {'points':>7} {'brute':>10} {'pruned':>10} "
+    print(f"{'scan':>12} {'delta':>6} {'depth':>5} {'points':>7} {'brute':>10} {'pruned':>10} "
           f"{'speedup':>8} {'visited':>8}")
     for depth in (8, 10, 12, 14):
-        for name, args in workloads(depth).items():
-            got = _pairscan.max_pair_ratio(*args)
-            assert got == brute_force_scan(*args), f"{name} at depth {depth}: scans disagree"
-            t_brute = best_time(brute_force_scan, args)
-            t_pruned = best_time(_pairscan.max_pair_ratio, args)
-            print(f"{name:>12} {depth:>5} {len(args[0]):>7} {t_brute * 1e3:>8.2f}ms "
-                  f"{t_pruned * 1e3:>8.2f}ms {t_brute / t_pruned:>7.1f}x "
-                  f"{visited_share(args):>7.1%}")
+        for delta in DELTAS:
+            for name, args in workloads(depth, delta).items():
+                got = _pairscan.max_pair_ratio(*args)
+                assert got == brute_force_scan(*args), f"{name} at depth {depth}, delta {delta}: scans disagree"
+                t_brute = best_time(brute_force_scan, args)
+                t_pruned = best_time(_pairscan.max_pair_ratio, args)
+                print(f"{name:>12} {delta:>6g} {depth:>5} {len(args[0]):>7} {t_brute * 1e3:>8.2f}ms "
+                      f"{t_pruned * 1e3:>8.2f}ms {t_brute / t_pruned:>7.1f}x "
+                      f"{visited_share(args):>7.1%}")
 
 
 if __name__ == "__main__":

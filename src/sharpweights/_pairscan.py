@@ -7,7 +7,11 @@ integrals P over a nondecreasing grid g.  The scan splits the indices
 into blocks of ``_BLOCK``, bounds the ratio over every pair of blocks,
 and evaluates the pairs of a block pair only while its bound can still
 reach the incumbent, visiting block pairs in decreasing bound order.
-The result is bit-identical to evaluating every pair.
+The exponential mode also bounds each block pair by Specht's ratio of
+its cell slopes, which is 1 + O(spread**2) where the weight barely
+varies.  Arrays that prove every pair value is exactly 1 (a constant
+weight) return the first nonempty pair without any bound.  The result
+is bit-identical to evaluating every pair.
 """
 
 from __future__ import annotations
@@ -40,8 +44,28 @@ _BLOCK = 64
 # - Subnormal intermediates lose the relative bound but err by at most
 #   a few 2**-1075 each; _TINY / gap covers them, and a final _TINY
 #   covers subnormal results.
+# - Specht term (mode 1).  The exact average of a pair is the
+#   length-weighted mean of the exact slopes s1_k, s2_k of its cells.
+#   With rho_k = s1_k * exp(-s2_k), the pair value A1 * exp(-A2) is
+#   sum(l_k rho_k e**s2_k) / exp(sum(l_k s2_k)) <= rho_max * R, where
+#   R is the weighted arithmetic over geometric mean of e**s2_k, which
+#   lies in [1, S] for Specht's ratio S = r * exp(1/r - 1), with
+#   r = expm1(D)/D and D = max s2 - min s2 (Math. Z. 74, 1960).  So the
+#   value is at most max(rho_max * S, rho_max), the second for
+#   rho_max < 0.  Each computed slope is within 3 ulp of the exact one,
+#   so D errs by a few ulp of max|s2| and each rho_k by a few ulp times
+#   1 + |s2_k|.  Widening rho_max, max s2 and -min s2 by
+#   _SLACK * |x| + _TINY covers both (and keeps D > 0) while exp(-s2)
+#   stays a normal float.  The computed pair value errs by 3 ulp of A1
+#   and a few ulp times |A2| <= max|s2| in exp(-A2), which the final
+#   _SLACK * |bound| covers with the error of S.  Where a cell has
+#   s2 > _EXP_SAFE, exp(-s2) and exp(-A2) may be subnormal, so rho_max
+#   is +inf there.  A zero-length cell (a repeated grid point) has an
+#   inf or NaN slope; it is not a mean of slopes when the prefix jumps
+#   there, and its inf or NaN reaches the bound, which is then +inf.
 _SLACK = 1e-9
 _TINY = 1e-300
+_EXP_SAFE = 700.0
 
 _LOWEST = np.finfo(np.float64).min
 
@@ -95,22 +119,72 @@ def _average_bounds(grid, prefix, first, last):
     chord = prefix[first][None, :] - prefix[last][:, None]
     gap = grid[first][None, :] - grid[last][:, None]
     span = grid[last] - grid[first]
-    up, down, size = [], [], []
+    lo = hi = size = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for left in (0.0, span[:, None]):
             for right in (0.0, span[None, :]):
                 length = gap + left + right
-                up.append((chord + smax[:, None] * left + smax[None, :] * right) / length)
-                down.append((chord + smin[:, None] * left + smin[None, :] * right) / length)
-                size.append((np.abs(chord) + smag[:, None] * left + smag[None, :] * right) / length)
-        lo, hi = np.min(down, axis=0), np.max(up, axis=0)
-        widen = _SLACK * np.max(size, axis=0) + _TINY / gap
+                up = (chord + smax[:, None] * left + smax[None, :] * right) / length
+                down = (chord + smin[:, None] * left + smin[None, :] * right) / length
+                mag = (np.abs(chord) + smag[:, None] * left + smag[None, :] * right) / length
+                if lo is None:
+                    lo, hi, size = down, up, mag
+                else:
+                    np.minimum(lo, down, out=lo)
+                    np.maximum(hi, up, out=hi)
+                    np.maximum(size, mag, out=size)
+        widen = _SLACK * size + _TINY / gap
         lo, hi = lo - widen, hi + widen
         # inside one block the average is itself an average of the slopes
         widen = _SLACK * smag + _TINY
         np.fill_diagonal(lo, smin - widen)
         np.fill_diagonal(hi, smax + widen)
     return lo, hi
+
+
+def _specht_bound(grid, p1, p2, first):
+    """Upper bound on the exponential mode's ratio over each block pair
+    [I, J] with I <= J, from Specht's ratio of the cell slopes (see the
+    comment above _SLACK); entries with I > J are meaningless."""
+    nb, n = first.size, grid.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # per cell k (points k and k+1), laid out by block: rho_k, s2_k
+        # and -s2_k, so that all three statistics are maxima
+        cells = np.full((3, nb * _BLOCK), -np.inf)
+        length = np.diff(grid)
+        s2 = np.divide(np.diff(p2), length, out=cells[1, : n - 1])
+        np.negative(s2, out=cells[2, : n - 1])
+        np.exp(cells[2, : n - 1], out=cells[0, : n - 1])
+        cells[0, : n - 1] *= np.diff(p1) / length
+        cells = cells.reshape(3, nb, _BLOCK)
+        # block pair [I, J] spans the cells inside block I and, for each
+        # later block K <= J, the cell joining K - 1 to K and those inside K
+        inner = cells[:, :, :-1].max(axis=2)
+        incoming = inner.copy()
+        np.maximum(inner[:, 1:], cells[:, :-1, -1], out=incoming[:, 1:])
+        for stats in (inner, incoming):
+            # x + _SLACK*|x| + _TINY is increasing, so widening a maximum
+            # widens every cell under it
+            stats += _SLACK * np.abs(stats) + _TINY
+            stats[0, stats[1] > _EXP_SAFE] = np.inf
+        # Rows of nb + 1 tiled from `incoming` hold incoming[I + c] at
+        # [I, c] (wrapping only past c = nb - 1 - I, the last block); with
+        # block I's inner cells at c = 0, the running maximum along a row
+        # covers blocks I..I+c.  Read as rows of nb, [I, c] is [I, I + c].
+        spread = np.tile(incoming, nb + 1).reshape(3, nb, nb + 1)
+        spread[:, :, 0] = inner
+        np.maximum.accumulate(spread, axis=2, out=spread)
+        rho, top, bottom = spread.reshape(3, -1)[:, : nb * nb].reshape(3, nb, nb)
+        term = top + bottom  # the spread D
+        ratio = np.expm1(term)
+        ratio /= term
+        # Specht's ratio S = ratio * exp(1/ratio - 1), times rho
+        np.divide(1.0, ratio, out=term)
+        term -= 1.0
+        np.exp(term, out=term)
+        term *= ratio
+        term *= rho
+        return np.maximum(term, rho, out=term)
 
 
 def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
@@ -127,12 +201,32 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
         elif mode == 1:
             lo2, hi2 = _average_bounds(grid, p2, first, last)
             bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
+            np.minimum(bound, _specht_bound(grid, p1, p2, first), out=bound)
         else:
             top = _by_block(cap, first.size, -np.inf).max(axis=1)[None, :]
             bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
         bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
     return bound
+
+
+def _all_pairs_are_one(grid, p1, p2, cap, mode):
+    """True when every nonempty pair's computed value is exactly 1.
+
+    With p1 equal to the grid and a finite span, every nonempty pair
+    averages fl(L)/fl(L) = 1; then mode 0 needs p2 equal to the grid
+    (1**e1 * 1**e2), mode 1 a zero p2 (1 * exp(-0)), and mode 2 a cap
+    of ones (1/1).
+    """
+    with np.errstate(over="ignore"):
+        span = grid[-1] - grid[0]
+    if not (np.isfinite(span) and np.array_equal(p1, grid)):
+        return False
+    if mode == 0:
+        return np.array_equal(p2, grid)
+    if mode == 1:
+        return not p2.any()
+    return bool(np.all(cap == 1.0))
 
 
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
@@ -157,6 +251,11 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
         raise ValueError("prefix arrays must match the grid length")
     if not np.all(g[1:] >= g[:-1]):
         raise ValueError("grid must be nondecreasing")
+    if _all_pairs_are_one(g, q1, q2, cp, mode):
+        # the first pair in row-major order with g[j] > g[i] has i = 0
+        if g[-1] > g[0]:
+            return 1.0, 0, int(np.argmax(g > g[0]))
+        return _LOWEST, 0, 0
     first = np.arange(0, n, _BLOCK)
     last = np.minimum(first + _BLOCK - 1, n - 1)
     bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)

@@ -262,7 +262,10 @@ def functional_ratio(
 
 def _prefix_power(grid: np.ndarray, a: float, nu: float, theta: float) -> np.ndarray:
     """Integral of (w/c)**theta from 0 to each grid point; needs
-    theta*nu + 1 > 0."""
+    theta*nu + 1 > 0.  A constant integrand integrates to the grid
+    itself, exactly."""
+    if theta * nu == 0.0:
+        return grid.copy()
     e = theta * nu + 1.0
     m = np.minimum(grid, a)
     out = (a / e) * (m / a) ** e
@@ -280,7 +283,7 @@ def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
 
 
 # The scan's block-bound arrays grow fourfold per level: depth 17 peaks
-# near 0.8 GB, and depth 18 would need about 3.2 GB.
+# near 0.5 GB, and depth 18 would need about 1.9 GB.
 _MAX_DEPTH = 17
 
 

@@ -257,6 +257,17 @@ def test_verify_trivial_class_is_exact(capsys):
     assert float(rec["rel_err"]) == 0.0
 
 
+def test_verify_trivial_class_at_the_deepest_grid(capsys):
+    # a constant weight needs no scan, so depth 17 costs no more than 12
+    code, out, _ = run_cli(
+        ["verify", "--p", "2", "--q", "10", "--delta", "1", "--depth", "17"], capsys
+    )
+    assert code == 0
+    rec = parse_plain(out)
+    assert rec["status"] == "ok"
+    assert (float(rec["sup"]), float(rec["argmax_beta"])) == (1.0, 2.0**-17)
+
+
 def test_verify_band_compares_infinities(capsys):
     code, out, _ = run_cli(
         ["verify", "--p", "2", "--q", "5", "--delta", "2"], capsys

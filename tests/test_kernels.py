@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sharpweights import FunctionalKind, PowerWeight, extremal_weight, sup_ratio_search
-from sharpweights import weights
-from sharpweights._pairscan import max_pair_ratio
+from sharpweights import _pairscan, weights
+from sharpweights._pairscan import _LOWEST, max_pair_ratio
 from sharpweights.weights import _prefix_log, _prefix_power
 
 _REF_ROWS = 256
@@ -157,19 +157,157 @@ def test_exponential_scan_with_a_negative_log_prefix():
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_constant_weight_ties_resolve_to_the_first_pair(mode):
-    # every pair of every block ties at exactly 1
-    grid = np.arange(301, dtype=np.float64) / 300.0
-    p2 = np.zeros_like(grid) if mode == 1 else grid
-    args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode)
-    assert max_pair_ratio(*args) == (1.0, 0, 1)
-    assert brute_force_scan(*args) == (1.0, 0, 1)
+    # every pair of every block ties at exactly 1, and the first
+    # nonempty pair is the first j past a repeated first point; one
+    # repeated point has no nonempty pair at all
+    even = np.arange(301, dtype=np.float64) / 300.0
+    repeated = np.concatenate([[0.0, 0.0], even])
+    flat = np.full(130, 0.5)
+    for grid, expected in ((even, (1.0, 0, 1)), (repeated, (1.0, 0, 3)), (flat, (_LOWEST, 0, 0))):
+        p2 = np.zeros_like(grid) if mode == 1 else grid
+        args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode)
+        assert max_pair_ratio(*args) == expected
+        assert brute_force_scan(*args) == expected
 
 
 def test_constant_weight_search_reports_the_first_interval():
-    w = PowerWeight(3.0, 1.0, 0.0)
+    # a constant weight's prefix integrals are the grid itself, whatever
+    # the breakpoint, so every interval scores exactly 1
     kinds = [FunctionalKind.aq(4.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
-    for kind in kinds:
-        assert sup_ratio_search(w, kind, 8) == (1.0, (0.0, 1.0 / 256.0))
+    for a in (1.0, 0.3, 0.7071):
+        for kind in kinds:
+            assert sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, 8) == (1.0, (0.0, 1.0 / 256.0))
+
+
+class BoundsComputed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_constant_path_computes_no_bound(monkeypatch, mode):
+    def refuse(*args):
+        raise BoundsComputed
+
+    monkeypatch.setattr(_pairscan, "_block_bounds", refuse)
+    grid = np.arange(301, dtype=np.float64) / 300.0
+    p2 = np.zeros_like(grid) if mode == 1 else grid
+    cap = np.ones_like(grid)
+    assert max_pair_ratio(grid, grid, p2, 2.0, -1.0, cap, mode) == (1.0, 0, 1)
+    # one value off 1 anywhere sends the arrays to the scan
+    for bumped in ("p1", "p2" if mode != 2 else "cap"):
+        arrays = {"p1": grid.copy(), "p2": p2.copy(), "cap": cap.copy()}
+        arrays[bumped][150] += 1e-3
+        with pytest.raises(BoundsComputed):
+            max_pair_ratio(grid, arrays["p1"], arrays["p2"], 2.0, -1.0, arrays["cap"], mode)
+
+
+def test_constant_path_needs_a_finite_span():
+    # 1e308 - (-1e308) overflows, and inf / inf is NaN, not 1
+    grid = np.array([-1e308, 1e308])
+    args = (grid, grid, grid, 1.0, 1.0, np.ones(2), 0)
+    with np.errstate(over="ignore"):
+        assert max_pair_ratio(*args) == (_LOWEST, 0, 0)
+
+
+def exponential_mode_inputs():
+    """(grid, p1, p2) cases for the soundness of the exponential bounds."""
+    grid = np.arange(1025, dtype=np.float64) / 1024.0
+    cases = {}
+    for excess in (1e-12, 1e-6, 1e-3, 1.0):
+        delta = 1.0 + excess
+        w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+        cases[f"extremal delta-1={excess}"] = (grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu))
+    # nu = 50 puts the average of log w near the origin at about -360
+    for nu in (-0.9, 12.0, 50.0):
+        w = PowerWeight(1.0, 0.5, nu)
+        cases[f"ramp nu={nu}"] = (grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu))
+    rng = np.random.default_rng(11)
+    p1 = _prefix_power(grid, 0.5, 2.0, 1.0)
+    walk = np.cumsum(rng.standard_normal(grid.size))
+    cases["random walk"] = (grid, p1, walk)
+    cases["small random walk"] = (grid, p1, 1e-3 * walk)
+    cases["random walks, averages of both signs"] = (grid, 1e-2 * walk[::-1], 1e-3 * walk)
+    cases["negative averages"] = (grid, -p1, 1e-3 * walk)
+    # repeated grid points, one of them under a jump of the prefix
+    repeats = np.sort(np.concatenate([grid, grid[rng.integers(1, grid.size - 1, 30)]]))
+    w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
+    p1 = _prefix_power(repeats, w.a, w.nu, 1.0)
+    p2 = _prefix_log(repeats, w.a, w.nu)
+    cases["repeated points"] = (repeats, p1, p2)
+    jump = int(np.flatnonzero(np.diff(repeats) == 0.0)[5]) + 1
+    p1 = p1.copy()
+    p1[jump:] += 0.5
+    cases["repeated point with a prefix jump"] = (repeats, p1, p2)
+    return cases
+
+
+def block_maxima(grid, p1, p2):
+    """The largest computed pair value of each block pair, [I, J]."""
+    n = grid.size
+    vals = _pairscan._pair_values(grid, p1, p2, p1, 0.0, 0.0, 1, slice(0, n), slice(0, n))
+    nb = -(-n // _pairscan._BLOCK)
+    padded = np.full((nb * _pairscan._BLOCK, nb * _pairscan._BLOCK), -np.inf)
+    padded[:n, :n] = vals
+    return padded.reshape(nb, _pairscan._BLOCK, nb, _pairscan._BLOCK).max(axis=(1, 3))
+
+
+def specht_reference(grid, p1, p2, lo, hi):
+    """The Specht term over cells lo..hi-1, widened as _specht_bound
+    widens it, one cell at a time."""
+    def widen(x):
+        return x + _pairscan._SLACK * abs(x) + _pairscan._TINY
+
+    length = np.diff(grid)[lo:hi]
+    s2 = np.diff(p2)[lo:hi] / length
+    rho = widen(max(np.diff(p1)[lo:hi] / length * np.exp(-s2)))
+    top, bottom = widen(max(s2)), widen(max(-s2))
+    if top > _pairscan._EXP_SAFE:
+        rho = np.inf
+    ratio = np.expm1(top + bottom) / (top + bottom)
+    return max(rho * (ratio * np.exp(1.0 / ratio - 1.0)), rho)
+
+
+def test_specht_term_matches_its_cellwise_definition():
+    rng = np.random.default_rng(12)
+    for n in (2, 64, 65, 66, 300):
+        grid, p1, _, _ = random_inputs(rng, n)
+        walk = np.cumsum(rng.normal(0.0, 0.01, n))
+        first = np.arange(0, n, _pairscan._BLOCK)
+        last = np.minimum(first + _pairscan._BLOCK - 1, n - 1)
+        # the tilted walk passes _EXP_SAFE in some cells
+        for sign, tilt in ((1.0, 0.0), (-1.0, 0.0), (1.0, 720.0)):
+            p2 = tilt * grid + walk
+            term = _pairscan._specht_bound(grid, sign * p1, p2, first)
+            for i, j in zip(*np.triu_indices(first.size)):
+                # pairs of block pair (i, j) span cells first[i]..last[j]-1
+                if last[j] > first[i]:
+                    expected = specht_reference(grid, sign * p1, p2, first[i], last[j])
+                    assert term[i, j] == expected, (n, i, j)
+
+
+def test_exponential_bounds_hold_every_pair_value(monkeypatch):
+    binds = {}
+    for name, (grid, p1, p2) in exponential_mode_inputs().items():
+        n = grid.size
+        first = np.arange(0, n, _pairscan._BLOCK)
+        last = np.minimum(first + _pairscan._BLOCK - 1, n - 1)
+        upper = np.triu_indices(first.size)
+        best = block_maxima(grid, p1, p2)[upper]
+        bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+        assert np.all(bound >= best), name
+        # the Specht term alone, with the same final widening, holds too
+        term = _pairscan._specht_bound(grid, p1, p2, first)[upper]
+        with np.errstate(invalid="ignore"):
+            term = term + _pairscan._SLACK * np.abs(term) + _pairscan._TINY
+        assert np.all((term >= best) | np.isnan(term)), name
+        with monkeypatch.context() as m:
+            m.setattr(_pairscan, "_specht_bound", lambda *args: np.inf)
+            plain = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+        binds[name] = np.count_nonzero(bound < plain)
+    # the pair jumping the prefix is not a mean of cell slopes
+    assert np.isinf(bound).any()
+    # where the weight barely varies, the Specht term is the tighter one
+    assert binds["extremal delta-1=0.001"] > 0 and binds["extremal delta-1=1e-06"] > 0
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
