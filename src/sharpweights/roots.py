@@ -23,9 +23,10 @@ with a proven sign change, run to full double precision from a start on
 the side where Newton converges monotonically.  Every bracket and both
 of its endpoint signs are analytic, so nothing is searched; q_star is
 solved for log(q_star/delta), whose bracket ends are finite even where
-q_star passes the float range.  F is evaluated through its logarithm,
-since (1 - p*u)**(p-1) overflows double precision quickly for large p
-or large |u|.
+q_star passes the float range.  The branches are solved in v = p*u,
+whose right bracket is [0, 1] at every p.  F is evaluated through its
+logarithm, since (1 - v)**(p-1) overflows double precision quickly for
+large p or large |v|.
 """
 
 from __future__ import annotations
@@ -107,32 +108,28 @@ def bisect_root(
     raise IterationError(f"no convergence within {_MAX_STEPS} steps on [{lo}, {hi}]")
 
 
-def _log_forward(u: float, p: float) -> float:
-    """log F(u); -inf at the right endpoint u = 1/p where F vanishes.
-
-    Written as (p-1)*log((1-p*u)/(1-(p-1)*u)) - log(1-(p-1)*u), whose two
-    terms cancel far less than the plain two logarithms do, both near
-    u = 0 and for large |u|.
-    """
-    b = (p - 1.0) * u
-    v = -u / (1.0 - b)
-    # v = -1 exactly where 1 - p*u = 0; testing v itself keeps a u a
-    # rounding step below 1/p from reaching log1p(-1).
-    if v <= -1.0:
-        return -INF
-    return (p - 1.0) * math.log1p(v) - math.log1p(-b)
-
-
-def _log_forward_deriv(u: float, p: float) -> float:
-    a = 1.0 - p * u
-    if a <= 0.0:
-        return -INF
-    # divided in two steps so that large |u| does not overflow a product
-    return -p * (p - 1.0) * (u / a) / (1.0 - (p - 1.0) * u)
-
-
 def _branch_equation(p: float, log_t: float) -> Equation:
-    return lambda u: (_log_forward(u, p) - log_t, _log_forward_deriv(u, p))
+    """log F - log t and its slope in v = p*u, where F is
+    (1 - v)**(p-1) / (1 - r*v)**p with r = (p-1)/p.
+
+    log F is written as (p-1)*log((1-v)/(1-r*v)) - log(1-r*v), whose two
+    terms cancel far less than the plain two logarithms do, both near
+    v = 0 and for large |v|.  Its slope is -r*v/((1-v)*(1-r*v)).
+    """
+
+    def f(v: float) -> tuple[float, float]:
+        w = v / p
+        # r*v, formed from w so that w and b round as if v moved, not p
+        b = (p - 1.0) * w
+        # p*(v/p) can round up to 1 (v = 1 - 2**-53 at p = 1e20)
+        b = v if b >= 1.0 else b
+        a = w / (1.0 - b)  # 1 - (1-v)/(1-r*v)
+        # a can round to 1 a rounding step below v = 1, where F vanishes
+        log_f = (p - 1.0) * math.log1p(-a) - math.log1p(-b) if a < 1.0 else -INF
+        # divided in two steps so that large |v| does not overflow a product
+        return log_f - log_t, -(b / (1.0 - v)) / (1.0 - b)
+
+    return f
 
 
 def u_plus_from_log(p: float, log_t: float) -> float:
@@ -143,49 +140,50 @@ def u_plus_from_log(p: float, log_t: float) -> float:
     """
     if log_t == -INF:
         return 1.0 / p
-    # log F is concave and decreasing on [0, 1/p], so Newton converges
+    # log F is concave and decreasing on [0, 1], so Newton converges
     # monotonically from the right of the root.  Both seeds lie there:
-    # log F(u) <= -p*(p-1)*u**2/2, and F(u) <= p**p * (1-p*u)**(p-1).
-    near = math.sqrt(-2.0 * log_t / (p * (p - 1.0)))
-    far = -math.expm1((log_t - p * math.log(p)) / (p - 1.0)) / p
-    start = min(near, far, math.nextafter(1.0 / p, 0.0))
-    # f(0) = -log_t >= 0 and f(1/p) = -inf: analytic endpoint signs.  At
-    # log_t = 0 the root is the endpoint 0 itself.
-    return bisect_root(
-        _branch_equation(p, log_t), 0.0, 1.0 / p, f_lo=-log_t, f_hi=-INF, start=start
+    # log F <= -v**2/(2*k*(1 - v/k)) with k = p/(p-1), a bound equal to
+    # log t at near, and F <= p**p * (1-v)**(p-1).  At log_t = 0 the root
+    # is the endpoint 0 itself, where the solve stops before it starts.
+    k = p / (p - 1.0)
+    near = 2.0 * k / (1.0 + math.sqrt(1.0 - 2.0 * k / log_t)) if log_t else 0.0
+    far = -math.expm1((log_t - p * math.log(p)) / (p - 1.0))
+    start = min(near, far, math.nextafter(1.0, 0.0))
+    # f(0) = -log_t >= 0 and f(1) = -inf: analytic endpoint signs.
+    v = bisect_root(
+        _branch_equation(p, log_t), 0.0, 1.0, f_lo=-log_t, f_hi=-INF, start=start
     )
+    # v/p can round up so that p*u is 1 (v = 1 - 2**-53 at p = 1e20); the
+    # float below it keeps 1 - p*u positive for the callers
+    u = v / p
+    return u if p * u < 1.0 else math.nextafter(u, 0.0)
 
 
 def u_minus_from_log(p: float, log_t: float) -> float:
-    """Left inverse branch with t passed as log(t); -inf where p times the
-    root passes the float range, so that 1 - p*u is finite whenever u is."""
-    # |u|*F(u) increases to C = p**(p-1)/(p-1)**p as u -> -inf, so
-    # F(-2C/t) < t/2: the left end has f < -log 2 < 0.  This bracket end
-    # may be off by 1e-13 at large p, which moves the bracket and where
-    # Newton starts, not the root.
-    lo = -2.0 * exp_or_inf((p - 1.0) * math.log(p) - p * math.log(p - 1.0) - log_t)
-    if math.isinf(p * lo):
-        # F is evaluable while p*u is finite.  Past that the root is C/t
-        # to relative 2/((p-1)*|u|), far below an ulp.  Here C is needed
-        # to an ulp, so it takes the log1p form, and C and exp(-log_t)
-        # are formed apart (the latter as a square) so that rounding
-        # log(C/t) does not cost 1e-13.
-        c = math.exp((p - 1.0) * math.log1p(1.0 / (p - 1.0)) - math.log(p - 1.0))
-        half = exp_or_inf(-0.5 * log_t)
-        root = -(half * c * half)
-        return root if math.isfinite(p * root) else -INF
-    # log F is convex left of its inflection -1/sqrt(p*(p-1)), concave
-    # right of it.  A root left of it starts from -C/t, barely left of the
-    # root once far out; one right of it from where -p*(p-1)*u**2/2, a
-    # lower bound of log F, equals log t: right of the root, and close.
-    if log_t < _log_forward(-1.0 / math.sqrt(p * (p - 1.0)), p):
-        start = 0.5 * lo
+    """Left inverse branch with t passed as log(t); -inf where v = p*u
+    passes the float range, so that 1 - p*u is finite whenever u is."""
+    # |v|*F increases to C = (p/(p-1))**p as v -> -inf, so F(-2C/t) < t/2:
+    # the left end has f < -log 2 < 0.  C and exp(-log_t) are formed apart
+    # (the latter as a square) so that rounding log(C/t) does not cost 1e-13.
+    k = p / (p - 1.0)
+    c = math.exp(p * math.log1p(1.0 / (p - 1.0)))
+    half = exp_or_inf(-0.5 * log_t)
+    asymptote = -(half * c * half)
+    if math.isinf(2.0 * asymptote):
+        # F is evaluable while v is finite.  Past that the root is -C/t to
+        # relative 2*k/|v|, far below an ulp.
+        return asymptote / p
+    f = _branch_equation(p, log_t)
+    # log F is convex left of its inflection -sqrt(k), concave right of
+    # it.  A root left of it starts from -C/t, barely left of the root once
+    # far out; one right of it from where -v**2/(2*k), a lower bound of
+    # log F, equals log t: right of the root, and close.
+    if f(-math.sqrt(k))[0] > 0.0:
+        start = asymptote
     else:
-        start = -math.sqrt(-2.0 * log_t / (p * (p - 1.0)))
+        start = -math.sqrt(-2.0 * k * log_t)
     # f(0) = -log_t >= 0 analytically, and 0 is the root at log_t = 0.
-    return bisect_root(
-        _branch_equation(p, log_t), lo, 0.0, f_lo=-1.0, f_hi=-log_t, start=start
-    )
+    return bisect_root(f, 2.0 * asymptote, 0.0, f_lo=-1.0, f_hi=-log_t, start=start) / p
 
 
 def u_plus(p: float, t: float) -> float:

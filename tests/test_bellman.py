@@ -232,12 +232,14 @@ def test_hessian_past_the_float_range():
     assert hessian_form(LOWER, x, slope, 1.0) == 0.0
 
 
-@pytest.mark.parametrize("p", [1.4e154, 1e300])
+@pytest.mark.parametrize("p", [1e20, 1.4e154, 1e300])
 def test_hessian_form_at_huge_p_only_does_not_crash(p):
-    # (p - 1)**2 in the prefactor raised OverflowError from p = 1.34e154.
-    # This pins only the absence of that crash, not a value: the value
-    # here (-0.75) is wrong, because branch_pair's roots are wrong from
-    # this p on (see the large-p roots item in ROADMAP.md)
+    # (p - 1)**2 in the prefactor raised OverflowError from p = 1.34e154,
+    # and at p = 1e20 the right root v = p*s = 1 - 2**-53 once rounded to
+    # an s with p*s = 1, where log1p(-p*s) raised ValueError.  This pins
+    # only the absence of those crashes, not a value: the value is about
+    # -4.86/p, but from p = 1e16 on 1 - p*s rounds at 1e-16, and the
+    # result (about -8e-17) is that rounding (see ROADMAP.md)
     value = hessian_form(Parameters(p, 3.0, 2.0), (1.0, 1.5), 1.0, 0.3)
     assert isinstance(value, float)
 

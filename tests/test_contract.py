@@ -2,6 +2,7 @@
 name or point coordinate with a DomainError whose message names that
 parameter, and valid inputs give valid values."""
 
+import dataclasses
 import math
 import re
 
@@ -16,6 +17,7 @@ from sharpweights import (
     ainf_constant,
     aq_constant,
     bellman_infinity_value,
+    bellman_limit_check,
     bellman_value,
     bellman_value_gamma_form,
     boundary_values,
@@ -243,6 +245,51 @@ def test_q_star_lies_between_delta_and_its_upper_bound(p, delta):
     log_hi = math.log(delta) + (math.log(p) + math.log(delta)) / (p - 1.0)
     if log_hi < 709.0:
         assert value <= math.exp(log_hi) * (1.0 + 1e-12), (p, delta, value)
+
+
+def _floats(value):
+    """Every float inside a result: a float, a tuple or a dataclass of them."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return [f for item in value for f in _floats(item)]
+    return [value] if isinstance(value, float) else []
+
+
+HUGE_X = (1.0, 1.5)
+AT_HUGE_P = {
+    "bellman_value": lambda p: bellman_value(Parameters(p, 3.0, 2.0), HUGE_X),
+    "bellman_value_gamma_form": lambda p: bellman_value_gamma_form(Parameters(p, 3.0, 2.0), HUGE_X),
+    "bellman_limit_check": lambda p: bellman_limit_check(Parameters(p, 3.0, 2.0), HUGE_X),
+    "bellman_infinity_value": lambda p: bellman_infinity_value(p, 2.0, HUGE_X),
+    "hessian_form": lambda p: hessian_form(Parameters(p, 3.0, 2.0), HUGE_X, 1.0, 0.3),
+    "extremal_weight_plus": lambda p: extremal_weight(p, 2.0, HUGE_X, "plus"),
+    "extremal_weight_minus": lambda p: extremal_weight(p, 2.0, HUGE_X, "minus"),
+    "tangent_segment": lambda p: tangent_segment(p, 2.0, 1.0),
+    "s_pair": lambda p: s_pair(p, 2.0),
+    "r_pair": lambda p: r_pair(p, 2.0, HUGE_X),
+    "q_star": lambda p: q_star(p, 2.0),
+    "q_sub": lambda p: q_sub(p, 2.0),
+    "t_star": lambda p: t_star(p, 2.0),
+    "aq_constant": lambda p: aq_constant(p, 3.0, 2.0),
+    "rht_constant": lambda p: rht_constant(p, 1.5 * p, 2.0),
+}
+
+
+@pytest.mark.parametrize("p", [1e16, 1e17, 1e20, 1e30, 1.4e154, 1e300, 3e305, 1.7e308])
+def test_public_calls_at_huge_p_give_floats_or_refuse(p):
+    # each call needs a branch root at a p where v = p*u rounds next to 1
+    # (1e16 on) or where p*(p-1) overflows (1.34e154 on); a root with
+    # p*u = 1 makes log1p(-p*s) raise
+    bad = []
+    for name, call in AT_HUGE_P.items():
+        try:
+            values = _floats(call(p))
+        except DomainError:
+            continue
+        if not values or any(math.isnan(v) for v in values):
+            bad.append(f"{name}: {values}")
+    assert not bad, bad
 
 
 def test_verify_refuses_an_infinite_self_improvement_exponent(capsys):

@@ -332,6 +332,11 @@ def test_q_star_hits_closed_form_at_p_two():
     assert float(abs((mp.mpf(q_star(2.0, 2.0)) - want) / want)) <= 1e-15
 
 
+LARGE_P_CORNERS = [
+    (p, dm, 1.0 + dm) for p in (1e15, 1e17, 1e30, 1e100, 1e305) for dm in (1e-12, 1e-3, 0.3, 1.0)
+]
+
+
 def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
     counts = []
 
@@ -349,8 +354,9 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
     worst = {}
     for name in ROOT_NAMES:
         # plus a large p*log(delta) corner whose left root is still finite,
-        # and a q_star near the float range that once took 35 evaluations
-        corner = [] if name == "y" else [(300.0, 9.0, 10.0)]
+        # the large-p corners, where a bracket end past the root once took
+        # up to 100, and a q_star near the float range that once took 35
+        corner = [] if name == "y" else [(300.0, 9.0, 10.0), *LARGE_P_CORNERS]
         if name == "q_star":
             corner.append((1.0000015511551374, None, 1.0009595280371821))
         for p, dm, delta in [*_grid(name), *corner]:
@@ -358,6 +364,49 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
             _case(name, p, delta)[0]()
             worst[name] = max(worst.get(name, 0), counts[-1])
     assert max(worst.values()) <= 16, worst
+
+
+# -- the branches at large p and on the whole p range -------------------------
+
+
+def _eq_branch_in_v(v, p, log_t):
+    """log F - log t in v = p*u, as (p-1)*log1p(-a) - log1p(-b) with b = v - v/p
+    and a = (v/p)/(1 - b): no term cancels at large p, where the power
+    form would need hundreds of digits."""
+    b = v - v / p
+    return (p - 1) * mp.log1p(-(v / p) / (1 - b)) - mp.log1p(-b) - log_t
+
+
+@pytest.mark.parametrize("p", [1e15, 1e17, 1e30, 1e100, 1e305])
+@pytest.mark.parametrize("t", [0.5, 1e-3])
+def test_branches_at_large_p_within_4_ulp(p, t):
+    # the left bracket end once lay right of the root near p = 1e15 (and
+    # p/e times too far out from 1e16 on), and the right seed past 1/p
+    log_t = math.log(t)
+    for solve, domain in ((roots.u_plus_from_log, (0, 1)), (roots.u_minus_from_log, (-mp.inf, 0))):
+        got = solve(p, log_t)
+        with mp.workdps(50):
+            want = _reference(_eq_branch_in_v, p, mp.mpf(log_t), p * got, domain) / p
+            err = abs(mp.mpf(got) - want)
+        assert err <= 4 * math.ulp(got), (solve.__name__, got, want)
+
+
+WHOLE_P = (1.0001, 1.5, 2.0, 50.0, 300.0, 1e6, 1e15, 1e17, 1e30, 1e100, 1e305, 1.7e308)
+WHOLE_LOG_T = (-1e-10, -1e-5, -0.01, -0.7, -7.0, -70.0, -700.0, -7e5, -1e300)
+
+
+def test_branches_return_a_float_on_the_whole_p_range():
+    for p in WHOLE_P:
+        # v = p*u of the left root lies below C/t in size, C = (p/(p-1))**p
+        log_c = p * math.log1p(1.0 / (p - 1.0))
+        for log_t in WHOLE_LOG_T:
+            plus = roots.u_plus_from_log(p, log_t)
+            assert 0.0 < plus and p * plus < 1.0, (p, log_t, plus)
+            minus = roots.u_minus_from_log(p, log_t)
+            if minus == -math.inf:
+                assert log_c - log_t > math.log(sys.float_info.max), (p, log_t)
+            else:
+                assert minus < 0.0 and math.isfinite(p * minus), (p, log_t, minus)
 
 
 # -- q_star near p = 1 and at the corners ------------------------------------

@@ -294,11 +294,21 @@ def test_extremal_reproduces_bellman_value():
 
 
 def test_extremal_minus_branch_outside_integrable_range():
-    # for large p*log(delta), nu = s/(1 - p*s) rounds to within an ulp of
-    # -1/p; a weight at -1/p itself is refused, never asserted
-    with pytest.raises(DomainError, match=r"minus branch at p = 20.0, delta = 50.0"):
-        extremal_weight(20.0, 50.0, (1.0, 1e16), "minus")
-    assert extremal_weight(20.0, 55.0, (1.0, 1e16), "minus").nu > -1.0 / 20.0
+    # for large p*log(delta), nu = s/(1 - p*s) rounds to -1/p: at delta =
+    # 55 the exact nu is -1/20 + 2.8e-37, whose nearest float is -1/20.  A
+    # weight at -1/p itself is refused, never asserted
+    for delta in (50.0, 55.0):
+        with pytest.raises(DomainError, match=rf"minus branch at p = 20.0, delta = {delta}"):
+            extremal_weight(20.0, delta, (1.0, 1e16), "minus")
+    # nu at delta = 5 lies about 27 ulp above -1/20, clear of that rounding
+    nu = extremal_weight(20.0, 5.0, (1.0, 5.0**20), "minus").nu
+    assert nu > -1.0 / 20.0
+    with mp.workdps(50):
+        log_t = -20 * mp.log(5)
+        v = mp.findroot(lambda v: 19 * mp.log1p(-v) - 20 * mp.log1p(-v * 19 / 20) - log_t, -2.7e14)
+        exact_nu = (v / 20) / (1 - v)
+        assert exact_nu + mp.mpf(1) / 20 > 20 * math.ulp(1.0 / 20.0)
+        assert abs(nu - exact_nu) <= 4 * math.ulp(nu)
 
 
 def test_extremal_minus_branch_past_the_float_range():
