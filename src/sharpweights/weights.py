@@ -11,19 +11,25 @@ integrals, that skips the blocks of pairs a bound rules out.
 The supremum oracle is the numeric court of appeal for every sharpness
 claim: the closed-form constants must be attained by these weights, and
 ``sup_ratio_search`` checks exactly that.
+
+Only the oracle needs arrays, so NumPy and the pair scan are imported
+inside the functions that use them: the scalar API and the CLI commands
+other than ``verify`` never load NumPy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import roots
 from .domain import INF, DomainPoint, classify_point, require_finite
 from .errors import DomainError
-from ._pairscan import max_pair_ratio
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -264,6 +270,8 @@ def _prefix_power(grid: np.ndarray, a: float, nu: float, theta: float) -> np.nda
     """Integral of (w/c)**theta from 0 to each grid point; needs
     theta*nu + 1 > 0.  A constant integrand integrates to the grid
     itself, exactly."""
+    import numpy as np
+
     if theta * nu == 0.0:
         return grid.copy()
     e = theta * nu + 1.0
@@ -275,11 +283,24 @@ def _prefix_power(grid: np.ndarray, a: float, nu: float, theta: float) -> np.nda
 
 def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
     """Integral of log(w/c) from 0 to each grid point."""
+    import numpy as np
+
     m = np.minimum(grid, a)
     out = np.zeros_like(grid)
     mask = m > 0.0
     out[mask] = m[mask] * (np.log(m[mask] / a) - 1.0)
     return nu * out
+
+
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
+    """The pair scan of ``_pairscan``, imported on the first call.
+
+    A plain module attribute, so that callers which wrap or replace
+    ``weights.max_pair_ratio`` see every scan ``sup_ratio_search`` makes.
+    """
+    from ._pairscan import max_pair_ratio as scan
+
+    return scan(grid, p1, p2, e1, e2, cap, mode)
 
 
 # The scan's block-bound arrays grow fourfold per level: depth 17 peaks
@@ -306,6 +327,10 @@ def sup_ratio_search(
     with the canonical witness (0, min(a, 1)).  ``inject_candidates``
     exists so tests can measure the pure-grid gap.
     """
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise DomainError(f"depth must be an integer, got depth = {depth}") from None
     if not 1 <= depth <= _MAX_DEPTH:
         raise DomainError(f"depth must lie in [1, {_MAX_DEPTH}], got depth = {depth}")
     nu = w.nu
@@ -326,6 +351,8 @@ def sup_ratio_search(
         thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 2
     if any(theta * nu <= -1.0 for theta in thetas):
         return INF, (0.0, a)
+    import numpy as np
+
     n = (1 << depth) + 1
     grid = np.arange(n, dtype=np.float64) / float(n - 1)
     if inject_candidates:

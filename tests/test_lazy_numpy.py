@@ -1,0 +1,98 @@
+"""NumPy and the pair scan load only when a supremum search runs.
+
+The scalar API and every CLI command but ``verify`` stay free of NumPy,
+which is most of a cold ``import sharpweights``.  The import boundary is
+checked in a fresh interpreter, since this test process has NumPy loaded
+already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from sharpweights import FunctionalKind, PowerWeight, _pairscan, weights
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCALAR_COMMANDS = [
+    ["constants", "--p", "2", "--q", "10", "--delta", "2"],
+    ["gehring", "--p", "2", "--t", "2", "--delta", "2"],
+    ["bellman", "--p", "2", "--q", "10", "--delta", "2", "--x1", "1", "--x2", "4", "--limit"],
+    ["extremal", "--p", "2", "--delta", "2", "--x1", "1", "--x2", "2"],
+    ["ndim", "--p", "2", "--q", "3", "--n", "2", "--delta", "1.01"],
+    ["sweep", "--param", "q", "--from", "7.6", "--to", "10", "--steps", "4",
+     "--p", "2", "--delta", "2"],
+]
+VERIFY = ["verify", "--p", "2", "--q", "10", "--delta", "2"]
+
+# what `verify` printed while NumPy was imported with the package
+VERIFY_RECORD = (
+    "p=2 q=10 delta=2 depth=12 constant=11967.912848418317 sup=11967.912848418438 "
+    "argmax_alpha=0 argmax_beta=0.8349609375 rel_err=1.0183253469603856e-14 status=ok"
+)
+
+SCRIPT = """
+import json, sys
+import sharpweights
+from sharpweights import cli, weights
+
+def loaded():
+    return [m for m in ("numpy", "sharpweights._pairscan") if m in sys.modules]
+
+steps = [("import", loaded(), "max_pair_ratio" in vars(weights))]
+for argv in json.loads(sys.argv[1]):
+    steps.append((argv[0], cli.main(argv), loaded()))
+print(json.dumps(steps))
+"""
+
+
+def run_fresh(commands):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    *printed, steps = proc.stdout.splitlines()
+    return printed, json.loads(steps)
+
+
+def test_scalar_commands_never_load_numpy_and_verify_does():
+    printed, steps = run_fresh(SCALAR_COMMANDS + [VERIFY])
+    # the scan's module attribute exists before NumPy does, so a tracer
+    # that looks in vars(weights) can wrap it without loading NumPy
+    assert steps[0] == ["import", [], True]
+    for argv, (name, code, mods) in zip(SCALAR_COMMANDS, steps[1:-1]):
+        assert (name, code, mods) == (argv[0], 0, []), argv
+    assert steps[-1] == ["verify", 0, ["numpy", "sharpweights._pairscan"]]
+    assert printed[-1] == VERIFY_RECORD
+
+
+def test_a_wrapped_scan_attribute_sees_every_scan(monkeypatch):
+    # the wrapping rule of perfbench/tracing.py: replace every reference
+    # to the attribute's function in the package's loaded modules
+    seen, made = [], []
+    orig = weights.max_pair_ratio
+    scan = _pairscan.max_pair_ratio
+
+    def wrapped(*args):
+        seen.append(args[6])
+        return orig(*args)
+
+    def counted(*args):
+        made.append(args[6])
+        return scan(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith("sharpweights"):
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, wrapped)
+    monkeypatch.setattr(_pairscan, "max_pair_ratio", counted)
+    w = PowerWeight(1.0, 0.4, 0.8)
+    kinds = [FunctionalKind.aq(5.0), FunctionalKind.a_inf(),
+             FunctionalKind.rh_p(2.0), FunctionalKind.rh_inf()]
+    for kind in kinds:
+        weights.sup_ratio_search(w, kind, 6)
+    assert seen == made == [0, 1, 0, 2]

@@ -5,6 +5,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -487,3 +488,15 @@ def test_sup_search_validation():
         sup_ratio_search(w, FunctionalKind.aq(5.0), 18)
     with pytest.raises(DomainError):
         sup_ratio_search(PowerWeight(1.0, 0.5, -0.2), FunctionalKind.rh_inf(), 4)
+
+
+@pytest.mark.parametrize("depth", [12.5, 3.0, "12", None])
+def test_sup_search_refuses_a_depth_that_is_not_an_integer(depth):
+    with pytest.raises(DomainError, match=rf"depth must be an integer, got depth = {depth}"):
+        sup_ratio_search(PowerWeight(1.0, 0.5, 1.0), FunctionalKind.aq(5.0), depth)
+
+
+def test_sup_search_takes_integer_types_as_their_value():
+    w, kind = PowerWeight(1.0, 0.5, 1.0), FunctionalKind.aq(5.0)
+    assert sup_ratio_search(w, kind, True) == sup_ratio_search(w, kind, 1)
+    assert sup_ratio_search(w, kind, np.int64(6)) == sup_ratio_search(w, kind, 6)
