@@ -19,7 +19,7 @@ from .bellman import (
 )
 from .domain import INF, BOUNDARY_RTOL, boundary_values, classify_point
 from .embedding import EmbeddingResult, ainf_constant, aq_constant, rht_constant
-from .errors import DomainError, IterationError
+from .errors import DomainError
 from .ndim import NDimBound, delta_threshold, epsilon_bound, ndim_aq_bound, ratio_bound_y
 from .roots import (
     q_star,
@@ -52,7 +52,6 @@ __all__ = [
     "EmbeddingResult",
     "FunctionalKind",
     "INF",
-    "IterationError",
     "NDimBound",
     "Parameters",
     "PowerWeight",

@@ -3,7 +3,3 @@
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class IterationError(RuntimeError):
-    """An iterative solver exhausted its budget without converging."""

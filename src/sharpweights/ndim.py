@@ -37,9 +37,9 @@ def delta_threshold(p: float, n: int) -> float:
     require_finite(p, "the cube bounds")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"dimension n must be an integer >= 2, got {n!r}")
-    cells = 2.0**n
     p_conj = p / (p - 1.0)
-    return (cells / (cells - 1.0)) ** (1.0 / p_conj)
+    # 2**-n by ldexp: 2.0**n overflows from n = 1024 on
+    return (1.0 / (1.0 - math.ldexp(1.0, -n))) ** (1.0 / p_conj)
 
 
 _LOG2 = math.log(2.0)
@@ -51,11 +51,11 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
 
     The left side is invariant under y -> 1/y and strictly decreasing
     on [1, inf), so the root above 1 is unique.  delta = 1 returns
-    exactly 1.
+    exactly 1 in every dimension, also where the threshold rounds to 1.
     """
     threshold = delta_threshold(p, n)
     validate_delta(delta)
-    if delta >= threshold:
+    if delta != 1.0 and delta >= threshold:
         raise DomainError(
             f"delta >= threshold {threshold}: no finite ratio bound in dimension {n}"
         )
@@ -64,7 +64,7 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
     # reads (p-1)*log cosh(a) - log(cosh(a+b)/cosh(a)) = (p-1)*log(L/2).
     # Each term is O((p-1)*z) or smaller, so none cancels down from size 1
     # near y = 1 or p = 1.  Past 20 the cosh forms drop e**-40 terms.
-    log_half_l = math.log1p(2.0 ** (n - 1) * math.expm1(-p_conj * math.log(delta)))
+    log_half_l = math.log1p(math.ldexp(math.expm1(-p_conj * math.log(delta)), n - 1))
     target = (p - 1.0) * log_half_l
 
     def h(z: float) -> tuple[float, float]:
@@ -89,15 +89,14 @@ def ratio_bound_y(p: float, n: int, delta: float) -> float:
 
 
 def _epsilon_from_y(p: float, delta: float, y: float) -> float:
-    if abs(y - 1.0) < 1e-8:
-        f = p
-    else:
-        f = (y * y - y ** (2.0 - 2.0 * p)) / (y * y - 1.0)
-    return (
-        delta
-        * (f / p)
-        * math.exp((1.0 - p) / p * (math.log(f - 1.0) - math.log(p - 1.0)))
-    )
+    # f = (y**2 - y**(2-2p))/(y**2 - 1) tends to p as y -> 1.  f - 1 is
+    # formed in z = log(y), as subtracting 1 from f near 1 cancels at large y.
+    if y == 1.0:
+        return delta
+    z = math.log(y)
+    f_minus_1 = -math.expm1((2.0 - 2.0 * p) * z) / math.expm1(2.0 * z)
+    log_ratio = math.log(f_minus_1 / (p - 1.0))
+    return delta * ((1.0 + f_minus_1) / p) * math.exp((1.0 - p) / p * log_ratio)
 
 
 def epsilon_bound(p: float, n: int, delta: float) -> float:

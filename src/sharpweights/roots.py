@@ -36,11 +36,10 @@ from typing import Callable, NamedTuple
 
 from .domain import (INF, DomainPoint, classify_point, exp_or_inf, require_finite,
                      validate_delta, validate_exponent)
-from .errors import DomainError, IterationError
+from .errors import DomainError
 
-# Solves from the start points below take at most about 25 steps; the
-# budget turns a broken equation into an error instead of a hang.
-_MAX_STEPS = 100
+# Newton steps before a solve only bisects; solves below take at most 20.
+_NEWTON_STEPS = 32
 
 # After a Newton step this small relative to x the next correction is at
 # rounding level, so a residual that fails to shrink is evaluation noise.
@@ -62,28 +61,33 @@ def bisect_root(
     double precision.
 
     Each step evaluates f at x, moves the end of the bracket whose sign
-    f(x) shares onto x, and takes the Newton step from x when it lands
-    strictly inside the bracket, else bisects.  The solve stops when the
-    Newton correction is at most 2 ulp of x (tested first: at the root a
-    correction of an ulp may point just outside the bracket), when no
-    float is left inside the bracket, or when a small Newton step fails
-    to shrink |f|, which is then rounding noise: the better point wins.
+    f(x) shares onto x, and takes the Newton step from x if it lands
+    strictly inside the bracket and fewer than 32 were taken, else
+    bisects.  The solve stops when the Newton correction is at most 2 ulp
+    of x (tested first: at the root a correction of an ulp may point just
+    outside the bracket), when no float is left inside the bracket, or
+    when a small Newton step fails to shrink |f|, which is then rounding
+    noise: the better point wins.  Each bisection halves the bracket,
+    which starts under 2**1025 wide and holds a float only while at least
+    2**-1073 wide, so a solve ends within 32 Newton steps and about 2,100
+    bisections.
 
     ``f_lo``/``f_hi`` carry the endpoint signs, known analytically, so
     no sign rests on an endpoint evaluation that cancellation can swamp.
     ``start`` in [lo, hi] is the first point.  A missing sign change is
-    an error, never a guess.
+    a caller's bug and raises ValueError, never a guess.
     """
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
-        raise IterationError(f"no sign change on bracket [{lo}, {hi}]")
+        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     positive_at_lo = f_lo > 0.0
     x = start
     last = None  # (x, |f(x)|) before a small Newton step
-    for _ in range(_MAX_STEPS):
+    newton = 0
+    while True:
         fx, slope = f(x)
         if fx == 0.0:
             return x
@@ -97,15 +101,16 @@ def bisect_root(
         if abs(step) <= 2.0 * math.ulp(x):
             return x
         nxt = x - step
-        if lo < nxt < hi:
+        if newton < _NEWTON_STEPS and lo < nxt < hi:
+            newton += 1
             last = (x, abs(fx)) if abs(step) <= _SMALL_STEP * abs(x) else None
         else:
             last = None
-            nxt = 0.5 * (lo + hi)
+            # halved apart: 0.5*(lo + hi) overflows past about 9e307
+            nxt = 0.5 * lo + 0.5 * hi
             if not lo < nxt < hi:
                 return x
         x = nxt
-    raise IterationError(f"no convergence within {_MAX_STEPS} steps on [{lo}, {hi}]")
 
 
 def _branch_equation(p: float, log_t: float) -> Equation:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sharpweights import IterationError, cli, embedding
+from sharpweights import cli, embedding
 
 
 def run_cli(argv, capsys):
@@ -480,9 +480,10 @@ def test_infinite_inputs_exit_two(argv, name, capsys):
     assert err.startswith("error: ") and re.search(rf"\b{name}\b", err), err
 
 
-@pytest.mark.parametrize("exc_type", [RuntimeError, IterationError])
+@pytest.mark.parametrize("exc_type", [RuntimeError, ValueError])
 def test_internal_error_exits_three(exc_type, monkeypatch, capsys):
-    # a crash is neither a mismatch (1) nor a usage error (2)
+    # a crash is neither a mismatch (1) nor a usage error (2); a ValueError
+    # that is not a DomainError is a crash
     def broken(*args):
         raise exc_type("solver broke")
 

@@ -3,11 +3,13 @@ norm, and the limit behavior of the resulting constants."""
 
 import math
 
+import mpmath as mp
 import pytest
 
 from sharpweights import (
     DomainError,
     NDimBound,
+    cli,
     delta_threshold,
     epsilon_bound,
     ndim_aq_bound,
@@ -129,3 +131,34 @@ def test_degenerate_class_bounds_are_one():
     assert ratio_bound_y(2.0, 2, 1.0) == 1.0
     assert epsilon_bound(2.0, 2, 1.0) == 1.0
     assert ndim_aq_bound(2.0, 3.0, 2, 1.0) == NDimBound(n=2, y=1.0, epsilon=1.0, constant=1.0)
+
+
+@pytest.mark.parametrize("n", [52, 60, 1024, 5000])
+@pytest.mark.parametrize("p", [1.5, 2.0, 50.0])
+def test_large_dimensions_admit_only_the_degenerate_class(p, n, capsys):
+    # the threshold rounds to 1 or the float above it from n = 52 on, and
+    # 2.0**n overflows from n = 1024 on; delta = 1 still gives the bounds
+    # of the degenerate class, and the float above 1 is past the threshold
+    above_one = math.nextafter(1.0, 2.0)
+    assert delta_threshold(p, n) <= above_one
+    assert ndim_aq_bound(p, 10.0, n, 1.0) == NDimBound(n=n, y=1.0, epsilon=1.0, constant=1.0)
+    with pytest.raises(DomainError, match="no finite ratio bound"):
+        ndim_aq_bound(p, 10.0, n, above_one)
+    argv = ["ndim", "--p", str(p), "--q", "10", "--n", str(n), "--delta", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith(" y=1 epsilon=1 c_q=1\n")
+
+
+@pytest.mark.parametrize(
+    "p, n, delta",
+    [(1.001226987371404, 5, 1.000038837968962), (62.04422484796464, 2, 1.3264867130343334)],
+)
+def test_epsilon_matches_50_digits_at_large_y(p, n, delta):
+    # y is about 5370 and 652 here, so f is within 1/y**2 of 1 and f - 1
+    # keeps its digits only if it is not formed by subtracting 1 from f
+    y = ratio_bound_y(p, n, delta)
+    with mp.workdps(50):
+        mp_p, mp_y = mp.mpf(p), mp.mpf(y)
+        f = (mp_y**2 - mp_y ** (2 - 2 * mp_p)) / (mp_y**2 - 1)
+        ref = mp.mpf(delta) * (f / mp_p) * ((f - 1) / (mp_p - 1)) ** ((1 - mp_p) / mp_p)
+        assert abs(epsilon_bound(p, n, delta) - ref) <= 1e-15 * ref

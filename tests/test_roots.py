@@ -10,7 +10,6 @@ import pytest
 
 from sharpweights import (
     DomainError,
-    IterationError,
     ainf_constant,
     aq_constant,
     q_star,
@@ -222,8 +221,69 @@ def test_large_p_asymptotics():
 def test_iteration_error_on_bad_bracket():
     from sharpweights.roots import bisect_root
 
-    with pytest.raises(IterationError, match="sign change"):
+    with pytest.raises(ValueError, match="sign change"):
         bisect_root(lambda x: (1.0 + x * x, 2.0 * x), 0.0, 1.0, f_lo=1.0, f_hi=2.0, start=0.5)
+
+
+# -- termination on equations that defeat Newton ------------------------------
+
+# the start, the Newton steps, and the bisections that take a bracket under
+# 2**1025 wide down to adjacent floats, 2**-1074 apart
+SOLVE_BOUND = 1 + roots._NEWTON_STEPS + 2100
+
+
+def _noise(x, k):
+    """A fixed pseudo-random number in [-1, 1] for each float x."""
+    return (hash(x) // 2001**k % 2001) / 1000.0 - 1.0
+
+
+def _cube_root(r):
+    def f(x):
+        d = x - r
+        return math.copysign(abs(d) ** (1.0 / 3.0), d), abs(d) ** (-2.0 / 3.0) / 3.0 if d else math.inf
+
+    return f
+
+
+# name -> (equation with its root at r, whether its sign changes only at r)
+ADVERSARIAL = {
+    "zero-slope step": (lambda r: lambda x: ((x > r) - (x < r), 0.0), True),
+    "cube root": (_cube_root, True),
+    "noise-level values and slopes": (
+        lambda r: lambda x: (x - r + 1e-3 * (abs(r) + 1e-300) * _noise(x, 0), _noise(x, 1)),
+        False,
+    ),
+    "wrong-sign slope": (lambda r: lambda x: (x - r, -1.0), True),
+    "NaN below the root": (lambda r: lambda x: (math.nan, 1.0) if x < r else (x - r, 1.0), True),
+    "NaN above the root": (lambda r: lambda x: (math.nan, 1.0) if x > r else (x - r, 1.0), False),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_bisect_root_ends_within_its_bound_on_adversarial_equations(name):
+    make, sign_changes_at_root = ADVERSARIAL[name]
+    for lo, hi in [(-1e308, 1e308), (1e308, 1.7e308)]:
+        for r in (0.3, 1e-300, -5e-324, 0.0, 7e307, -1e308, 1.5e308):
+            if not lo <= r <= hi:
+                continue
+            f = make(r)
+            for start in (lo, 0.5 * lo + 0.5 * hi, hi):
+                seen = []
+
+                def recorded(x):
+                    value, slope = f(x)
+                    seen.append((x, value))
+                    return value, slope
+
+                x = roots.bisect_root(recorded, lo, hi, f_lo=-1.0 if r > lo else 0.0,
+                                      f_hi=1.0 if r < hi else 0.0, start=start)
+                assert len(seen) <= SOLVE_BOUND, (lo, hi, r, start, len(seen))
+                # the last bracket: every evaluated point moves one of its ends
+                last_lo = max([lo] + [v for v, fv in seen if not fv > 0.0])
+                last_hi = min([hi] + [v for v, fv in seen if fv > 0.0])
+                assert last_lo <= x <= last_hi, (lo, hi, r, start, x)
+                if sign_changes_at_root:
+                    assert last_lo <= r <= last_hi, (lo, hi, r, start, x)
 
 
 # -- agreement with 50-digit roots of the log-form equations -----------------
