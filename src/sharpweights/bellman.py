@@ -21,8 +21,9 @@ chord on which the value function is linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from . import roots
 from .domain import (INF, DomainPoint, above_q_star, below_q_sub, boundary_values,
@@ -31,27 +32,25 @@ from .domain import (INF, DomainPoint, above_q_star, below_q_sub, boundary_value
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Parameters:
-    """Validated (p, q, delta) triple with the derived exponents cached."""
+class Parameters(namedtuple("Parameters", "p q delta")):
+    """Validated (p, q, delta) triple with the derived exponents cached.
 
-    p: float
-    q: float
-    delta: float
+    No ``__slots__``: the instance dict holds the cached properties.
+    """
 
-    def __post_init__(self) -> None:
-        validate_exponent(self.p)
-        validate_delta(self.delta)
-        q = self.q
+    def __new__(cls, p: float, q: float, delta: float) -> Parameters:
+        validate_exponent(p)
+        validate_delta(delta)
         if math.isnan(q) or math.isinf(q):
-            raise DomainError("q must be a finite real")
+            raise DomainError(f"q must be a finite real, got q = {q}")
         if q == 1.0:
             raise DomainError("q = 1 is excluded (the moment exponent degenerates)")
-        if math.isinf(self.p):
+        if math.isinf(p):
             if q < 1.0:
-                raise DomainError("p = inf requires q > 1")
-        elif q < 1.0 and q <= (self.p - 1.0) / self.p:
-            raise DomainError(f"q must exceed (p-1)/p = {(self.p - 1.0) / self.p}")
+                raise DomainError(f"p = inf requires q > 1, got q = {q}")
+        elif q < 1.0 and q <= (p - 1.0) / p:
+            raise DomainError(f"q must exceed (p-1)/p = {(p - 1.0) / p}, got q = {q}")
+        return super().__new__(cls, p, q, delta)
 
     @cached_property
     def q_conj(self) -> float:
@@ -216,8 +215,7 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     return prefactor * line * line
 
 
-@dataclass(frozen=True)
-class TangentSegment:
+class TangentSegment(NamedTuple):
     """Chord between the two boundary curves along which the value is
     linear: from (b, (delta*b)**p) on the upper curve (gamma_delta) to
     the point on the lower curve (gamma_one) with the same branch

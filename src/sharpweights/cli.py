@@ -13,7 +13,6 @@ traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections.abc import Iterator
@@ -38,6 +37,8 @@ def _fmt(value: object) -> str:
 
 def _render(record: Record, fmt: str, header: bool) -> str:
     if fmt == "json":
+        import json  # only this format needs it
+
         return json.dumps({k: _fmt(v) if isinstance(v, float) and math.isinf(v) else v
                            for k, v in record})
     if fmt == "csv":
@@ -150,9 +151,11 @@ def ndim(args: argparse.Namespace) -> Iterator[Record]:
 
 def sweep(args: argparse.Namespace) -> Iterator[Record]:
     if args.steps < 2:
-        raise DomainError("--steps must be at least 2")
+        raise DomainError(f"--steps must be at least 2, got steps = {args.steps}")
     if not math.isfinite(args.start) or not math.isfinite(args.stop):
-        raise DomainError("sweep endpoints must be finite")
+        raise DomainError(
+            f"sweep endpoints must be finite, got from = {args.start}, to = {args.stop}"
+        )
     if args.t is not None or args.param == "t":
         name = "gehring"
     else:

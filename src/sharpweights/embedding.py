@@ -17,15 +17,14 @@ exponent makes the direct power overflow long before the value does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import roots
 from .domain import INF, above_q_star, exp_or_inf, reaches_t_star, require_finite
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(NamedTuple):
     """A sharp constant plus the critical exponent that governs it."""
 
     constant: float

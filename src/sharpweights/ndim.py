@@ -13,15 +13,14 @@ nothing here feeds the sharpness oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import embedding, roots
 from .domain import require_finite, validate_delta
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class NDimBound:
+class NDimBound(NamedTuple):
     """Bundle of the cube-splitting bound: the average-ratio bound y,
     the enlarged class norm epsilon, and the resulting constant."""
 

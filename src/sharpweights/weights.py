@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import roots
@@ -32,21 +32,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PowerWeight:
+class PowerWeight(namedtuple("PowerWeight", "c a nu")):
     """Ramp exponent nu on [0, a), constant plateau c on [a, 1]."""
 
-    c: float
-    a: float
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.c > 0.0 or math.isinf(self.c) or math.isnan(self.c):
-            raise DomainError(f"plateau value c must be a positive real, got {self.c}")
-        if math.isnan(self.a) or not 0.0 < self.a <= 1.0:
-            raise DomainError(f"breakpoint a must lie in (0, 1], got {self.a}")
-        if math.isnan(self.nu) or math.isinf(self.nu):
-            raise DomainError("ramp exponent nu must be a finite real")
+    def __new__(cls, c: float, a: float, nu: float) -> PowerWeight:
+        if not c > 0.0 or math.isinf(c) or math.isnan(c):
+            raise DomainError(f"plateau value c must be a positive real, got {c}")
+        if math.isnan(a) or not 0.0 < a <= 1.0:
+            raise DomainError(f"breakpoint a must lie in (0, 1], got {a}")
+        if math.isnan(nu) or math.isinf(nu):
+            raise DomainError(f"ramp exponent nu must be a finite real, got nu = {nu}")
+        return super().__new__(cls, c, a, nu)
 
     def __call__(self, t: float) -> float:
         """Pointwise value; the origin maps per the sign of nu."""
@@ -61,8 +59,7 @@ class PowerWeight:
         return self.c * (t / self.a) ** self.nu
 
 
-@dataclass(frozen=True)
-class FunctionalKind:
+class FunctionalKind(namedtuple("FunctionalKind", "name exponent")):
     """Which subinterval functional to evaluate.
 
     Construct through the classmethods; `exponent` carries q for the
@@ -70,19 +67,17 @@ class FunctionalKind:
     for the two limiting kinds.
     """
 
-    name: str
-    exponent: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.name not in ("aq", "ainf", "rhp", "rhinf"):
-            raise DomainError(f"unknown functional kind {self.name!r}")
-        if self.name in ("aq", "rhp"):
-            if self.exponent is None or not 1.0 < self.exponent < INF:
-                raise DomainError(
-                    f"{self.name} needs a finite exponent > 1, got exponent = {self.exponent}"
-                )
-        elif self.exponent is not None:
-            raise DomainError(f"{self.name} takes no exponent")
+    def __new__(cls, name: str, exponent: float | None = None) -> FunctionalKind:
+        if name not in ("aq", "ainf", "rhp", "rhinf"):
+            raise DomainError(f"unknown functional kind {name!r}")
+        if name in ("aq", "rhp"):
+            if exponent is None or not 1.0 < exponent < INF:
+                raise DomainError(f"{name} needs a finite exponent > 1, got exponent = {exponent}")
+        elif exponent is not None:
+            raise DomainError(f"{name} takes no exponent, got exponent = {exponent}")
+        return super().__new__(cls, name, exponent)
 
     @classmethod
     def aq(cls, q: float) -> "FunctionalKind":
@@ -175,7 +170,7 @@ def ess_sup(w: PowerWeight, alpha: float, beta: float) -> float:
     """Essential supremum over [alpha, beta] for nondecreasing weights."""
     _validate_interval(alpha, beta)
     if w.nu < 0.0:
-        raise DomainError("ess_sup supports nonnegative ramp exponents only")
+        raise DomainError(f"ess_sup supports nonnegative ramp exponents only, got nu = {w.nu}")
     if beta >= w.a:
         return w.c
     return w.c * (beta / w.a) ** w.nu
@@ -195,7 +190,7 @@ def rhp_norm_closed(w: PowerWeight, p: float) -> float:
 def rhinf_norm_closed(w: PowerWeight) -> float:
     """Class norm sup over J of ess sup_J w / <w>_J; equals nu + 1."""
     if w.nu < 0.0:
-        raise DomainError("the sup-over-average norm needs nu >= 0")
+        raise DomainError(f"the sup-over-average norm needs nu >= 0, got nu = {w.nu}")
     return w.nu + 1.0
 
 
@@ -347,7 +342,7 @@ def sup_ratio_search(
         thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 1
     else:
         if nu < 0.0:
-            raise DomainError("the sup-over-average search needs nu >= 0")
+            raise DomainError(f"the sup-over-average search needs nu >= 0, got nu = {nu}")
         thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 2
     if any(theta * nu <= -1.0 for theta in thetas):
         return INF, (0.0, a)

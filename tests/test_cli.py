@@ -452,7 +452,9 @@ def test_sweep_endpoints_must_be_finite(start, stop, capsys):
         capsys,
     )
     assert (code, out) == (2, "")
-    assert err == "error: sweep endpoints must be finite\n"
+    assert err == (
+        f"error: sweep endpoints must be finite, got from = {float(start)}, to = {float(stop)}\n"
+    )
 
 
 def test_domain_error_exits_two(capsys):

@@ -2,7 +2,6 @@
 name or point coordinate with a DomainError whose message names that
 parameter, and valid inputs give valid values."""
 
-import dataclasses
 import math
 import re
 
@@ -24,6 +23,7 @@ from sharpweights import (
     classify_point,
     delta_threshold,
     epsilon_bound,
+    ess_sup,
     extremal_weight,
     hessian_form,
     interval_moment,
@@ -33,9 +33,11 @@ from sharpweights import (
     q_sub,
     r_pair,
     ratio_bound_y,
+    rhinf_norm_closed,
     rhp_norm_closed,
     rht_constant,
     s_pair,
+    sup_ratio_search,
     t_star,
     tangent_segment,
     u_minus,
@@ -248,9 +250,7 @@ def test_q_star_lies_between_delta_and_its_upper_bound(p, delta):
 
 
 def _floats(value):
-    """Every float inside a result: a float, a tuple or a dataclass of them."""
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
+    """Every float inside a result: a float, or a tuple or record of them."""
     if isinstance(value, tuple):
         return [f for item in value for f in _floats(item)]
     return [value] if isinstance(value, float) else []
@@ -304,3 +304,43 @@ def test_verify_self_improvement_mode_refuses_p_inf(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "p = inf" in err
+
+
+DOWN_RAMP = (1.0, 0.5, -0.25)  # a weight with nu < 0
+
+
+def _sweep(*argv):
+    argv = ["sweep", "--param", "q", "--p", "2", "--delta", "2", *argv]
+    return list(cli.sweep(cli.build_parser().parse_args(argv)))
+
+
+# (call, the "got ..." text its message must carry)
+VALUE_IN_MESSAGE = {
+    "PowerWeight nu nan": (lambda: PowerWeight(1.0, 0.5, math.nan), "got nu = nan"),
+    "PowerWeight nu inf": (lambda: PowerWeight(1.0, 0.5, -math.inf), "got nu = -inf"),
+    "Parameters q nan": (lambda: Parameters(2.0, math.nan, 2.0), "got q = nan"),
+    "Parameters q inf": (lambda: Parameters(2.0, math.inf, 2.0), "got q = inf"),
+    "Parameters p inf": (lambda: Parameters(math.inf, 0.5, 2.0), "got q = 0.5"),
+    "Parameters q low": (lambda: Parameters(2.0, 0.25, 2.0), "got q = 0.25"),
+    "FunctionalKind ainf": (lambda: FunctionalKind("ainf", 2.0), "got exponent = 2.0"),
+    "FunctionalKind rhinf": (lambda: FunctionalKind("rhinf", 3.5), "got exponent = 3.5"),
+    "ess_sup": (lambda: ess_sup(PowerWeight(*DOWN_RAMP), 0.0, 1.0), "got nu = -0.25"),
+    "rhinf_norm_closed": (lambda: rhinf_norm_closed(PowerWeight(*DOWN_RAMP)), "got nu = -0.25"),
+    "sup_ratio_search": (
+        lambda: sup_ratio_search(PowerWeight(*DOWN_RAMP), FunctionalKind.rh_inf(), 4),
+        "got nu = -0.25",
+    ),
+    "sweep steps": (lambda: _sweep("--from", "3", "--to", "4", "--steps", "1"), "got steps = 1"),
+    "sweep endpoints": (
+        lambda: _sweep("--from", "3", "--to", "nan", "--steps", "3"),
+        "got from = 3.0, to = nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_IN_MESSAGE))
+def test_domain_errors_carry_the_offending_value(case):
+    call, text = VALUE_IN_MESSAGE[case]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert text in str(info.value), str(info.value)

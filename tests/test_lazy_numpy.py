@@ -1,11 +1,13 @@
 """NumPy and the pair scan load only when a supremum search runs.
 
 The scalar API and every CLI command but ``verify`` stay free of NumPy,
-which is most of a cold ``import sharpweights``.  The import boundary is
-checked in a fresh interpreter, since this test process has NumPy loaded
-already.
+which is most of a cold ``import sharpweights``.  Nor do they load
+``dataclasses`` (the records are namedtuples) or ``json`` (only
+``--format json`` needs it).  The import boundary is checked in a fresh
+interpreter, since this test process has all three loaded already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +98,57 @@ def test_a_wrapped_scan_attribute_sees_every_scan(monkeypatch):
     for kind in kinds:
         weights.sup_ratio_search(w, kind, 6)
     assert seen == made == [0, 1, 0, 2]
+
+
+# captures the modules of interpreter start before anything else loads
+BOUNDARY_SCRIPT = """
+import sys
+start = set(sys.modules)
+import sharpweights
+from sharpweights import cli
+
+def added():
+    return sorted({"dataclasses", "json"} & (set(sys.modules) - start))
+
+steps = [added()]
+for argv in %r:
+    steps.append((cli.main(argv), added()))
+print(steps)
+"""
+
+# what the parent of the namedtuple records printed for --format json
+JSON_LINES = [
+    '{"p": 2.0, "q": 5.0, "delta": 2.0, "q_star": 7.464101615137755, "c_q": "inf", '
+    '"c_inf": 85.96984005009588}',
+    '{"p": 2.0, "delta": 2.0, "x1": 1.0, "x2": 2.0, "branch": "minus", '
+    '"c": 0.9148357668252575, "a": 0.10749381415070441, "nu": -0.4641016151377546, '
+    '"resid_x1": 2.220446049250313e-16, "resid_x2": 1.7763568394002505e-15, '
+    '"resid_delta": 4.440892098500626e-16}',
+]
+JSON_COMMANDS = [
+    ["constants", "--p", "2", "--q", "5", "--delta", "2", "--format", "json"],
+    ["extremal", "--p", "2", "--delta", "2", "--x1", "1", "--x2", "2", "--branch", "minus",
+     "--format", "json"],
+]
+
+
+def run_boundary(commands):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_SCRIPT % (commands,)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    *printed, steps = proc.stdout.splitlines()
+    return printed, ast.literal_eval(steps)
+
+
+def test_plain_commands_load_neither_dataclasses_nor_json():
+    printed, steps = run_boundary(SCALAR_COMMANDS)
+    assert steps == [[]] + [(0, [])] * len(SCALAR_COMMANDS)
+    assert len(printed) == len(SCALAR_COMMANDS) + 3  # the sweep prints four rows
+
+
+def test_json_format_loads_json_and_prints_the_same_bytes():
+    printed, steps = run_boundary(JSON_COMMANDS)
+    assert steps == [[], (0, ["json"]), (0, ["json"])]
+    assert printed == JSON_LINES
