@@ -3,19 +3,21 @@
 ``bellman_value`` evaluates the supremum of the normalized q-th moment
 over the weight class, as a function of the pair x = (<w>, <w**p>).
 The value is x1**(1 - q') on the lower curve, finite off it only when q
-lies outside the closed critical band [q_sub, q_star], and is built
-from the branch parameters r (point) and s (class) otherwise:
+lies outside the closed critical band [q_sub, q_star], and otherwise is
+a class factor times a point factor built from the branch parameter r:
 
     q > q_star uses the right branch,
     q < q_sub (only reachable for finite p) uses the left branch.
 
-Two algebraically equal product representations are provided; agreement
-between them is a strong end-to-end check because they consume the
-point through different factors.  ``bellman_infinity_value`` is the
-q -> inf limit object lim B**(1/(q-1)) normalized to the exponential
-functional, ``hessian_form`` is the second-order concavity form along a
-direction at an interior point, and ``tangent_segment`` produces the
-chord on which the value function is linear.
+Above q_star the class factor is C_q**(1/(q-1)), from q_star alone, and
+the two product representations share it (times F(s) = delta**-p in the
+gamma form), so their agreement checks the solve of r; below q_sub both
+are formed from the left class parameter s, and check its solve too.
+``bellman_infinity_value`` is the q -> inf limit object lim
+B**(1/(q-1)) normalized to the exponential functional, ``hessian_form``
+is the second-order concavity form along a direction at an interior
+point, and ``tangent_segment`` produces the chord on which the value
+function is linear.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import roots
-from .domain import (INF, DomainPoint, above_q_star, below_q_sub, boundary_values,
-                     classify_point, exp_or_inf, require_finite, validate_delta,
-                     validate_exponent)
+from .domain import (INF, DomainPoint, boundary_values, classify_point, exp_or_inf,
+                     require_finite, validate_delta, validate_exponent)
 from .errors import DomainError
 
 
@@ -69,57 +70,57 @@ class Parameters(namedtuple("Parameters", "p q delta")):
         return roots.q_star(self.p, self.delta)
 
     @cached_property
+    def s_minus(self) -> float | None:
+        """Left class parameter, solved once; None when p is infinite."""
+        if math.isinf(self.p):
+            return None
+        return roots.class_parameter(self.p, self.delta, "minus")
+
+    @cached_property
     def q_sub(self) -> float | None:
         if math.isinf(self.p):
             return None
-        return roots.q_sub(self.p, self.delta)
+        return roots.q_sub_from_s_minus(self.p, self.s_minus)
 
     @cached_property
     def regime(self) -> str:
-        """'upper' above q_star, 'lower' below q_sub, 'band' in between."""
-        if above_q_star(self.q, self.q_star):
-            return "upper"
-        if self.q < 1.0 and below_q_sub(self.q, self.q_sub):
-            return "lower"
-        return "band"
+        """'upper' above q_star, 'lower' below q_sub, 'band' in between;
+        below 1, gamma*s_minus < 1 is q < q_sub in exact arithmetic, and
+        the float product whose log1p the lower value takes."""
+        if self.q > 1.0:
+            return "upper" if self.q > self.q_star else "band"
+        return "lower" if self.gamma * self.s_minus < 1.0 else "band"
 
 
-def _branch_pair(params: Parameters, x: DomainPoint) -> tuple[float, float]:
-    """(s, r) on the branch selected by the regime."""
-    branch = "plus" if params.regime == "upper" else "minus"
-    return roots.branch_pair(params.p, params.delta, x, branch)
+def _log_product(
+    params: Parameters, x: DomainPoint, gamma_form: bool = False
+) -> tuple[float, float]:
+    """(log of the finite-p value at x off the lower curve, r), through
+    the value form or the gamma form, which share the point's terms."""
+    p, qc, g = params.p, params.q_conj, params.gamma
+    upper = params.regime == "upper"
+    solve = roots.u_plus_from_log if upper else roots.u_minus_from_log
+    r = solve(p, roots.point_log_ratio(p, params.delta, x))
+    a, b, c = math.log1p(-p * r), math.log1p(-(p - 1.0) * r), math.log1p(-g * r)
+    log_x1, log_x2 = math.log(x[0]), math.log(x[1])
+    if not upper:
+        s = params.s_minus
+        a_s, b_s, c_s = math.log1p(-p * s), math.log1p(-(p - 1.0) * s), math.log1p(-g * s)
+        if gamma_form:
+            return -g * log_x1 + log_x2 + g * (a_s - a) + g * (b - b_s) + c - c_s, r
+        return (1.0 - qc) * log_x1 + qc * (a_s - a) + (qc - 1.0) * (b - b_s) + c - c_s, r
+    # log C_q/(q-1), the expression that aq_constant exponentiates: with
+    # D = 1 + p*(q_star - 1) the right class parameter s has 1 - p*s = 1/D,
+    # 1 - (p-1)*s = q_star/D and 1 - gamma*s = (q - q_star)/((q-1)*D)
+    qs = params.q_star
+    log_class = math.log1p((qs - 1.0) / (params.q - qs)) - (qc - 1.0) * math.log(qs)
+    if gamma_form:  # its class factor is the value form's times F(s) = delta**-p
+        return g * (b - a - log_x1) + log_x2 - p * math.log(params.delta) + (c + log_class), r
+    return (1.0 - qc) * log_x1 - qc * a + (qc - 1.0) * b + (c + log_class), r
 
 
-def _log_value_form(params: Parameters, x: DomainPoint, s: float, r: float) -> float:
-    p = params.p
-    qc = params.q_conj
-    g = params.gamma
-    x1 = x[0]
-    return (
-        (1.0 - qc) * math.log(x1)
-        + qc * (math.log1p(-p * s) - math.log1p(-p * r))
-        + (qc - 1.0) * (math.log1p(-(p - 1.0) * r) - math.log1p(-(p - 1.0) * s))
-        + math.log1p(-g * r)
-        - math.log1p(-g * s)
-    )
-
-
-def _log_gamma_form(params: Parameters, x: DomainPoint, s: float, r: float) -> float:
-    p = params.p
-    g = params.gamma
-    x1, x2 = x
-    return (
-        -g * math.log(x1)
-        + math.log(x2)
-        + g * (math.log1p(-p * s) - math.log1p(-p * r))
-        + g * (math.log1p(-(p - 1.0) * r) - math.log1p(-(p - 1.0) * s))
-        + math.log1p(-g * r)
-        - math.log1p(-g * s)
-    )
-
-
-def _log_bellman(params: Parameters, x: DomainPoint, log_form=_log_value_form) -> float:
-    """log of the value at x; ``log_form`` is the finite-p expression."""
+def _log_bellman(params: Parameters, x: DomainPoint, gamma_form: bool = False) -> float:
+    """log of the value at x, through the gamma form if ``gamma_form``."""
     side = classify_point(params.p, params.delta, x)
     x1, x2 = x
     if side == "lower":
@@ -133,7 +134,7 @@ def _log_bellman(params: Parameters, x: DomainPoint, log_form=_log_value_form) -
             + math.log(params.q - (x1 / x2) * params.delta)
             - math.log(params.q - params.delta)
         )
-    return log_form(params, x, *_branch_pair(params, x))
+    return _log_product(params, x, gamma_form)[0]
 
 
 def bellman_value(params: Parameters, x: DomainPoint) -> float:
@@ -146,22 +147,26 @@ def bellman_value_gamma_form(params: Parameters, x: DomainPoint) -> float:
     """Same value through the representation with the common exponent
     gamma = p + q' - 1 and an explicit x2 factor.  Finite p only."""
     require_finite(params.p, "the gamma form")
-    return exp_or_inf(_log_bellman(params, x, _log_gamma_form))
+    return exp_or_inf(_log_bellman(params, x, gamma_form=True))
 
 
 def bellman_limit_check(params: Parameters, x: DomainPoint) -> float:
     """value**(q-1), the object whose q -> inf limit is the exponential
     functional; requires q above the finiteness threshold."""
     if params.regime != "upper":
-        raise DomainError("the limit check needs q above the finiteness threshold")
+        raise DomainError(
+            "the limit check needs q above the finiteness threshold, "
+            f"got q = {params.q}, q_star = {params.q_star}"
+        )
     return exp_or_inf((params.q - 1.0) * _log_bellman(params, x))
 
 
 def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     """The limiting exponential-functional value at x.
 
-    For finite p this is the right-branch closed form; at p = inf the
-    pair is (<w>, ess sup w) and the expression is elementary.
+    For finite p this is the right-branch closed form, whose class factor
+    is C_inf = exp(q_star - 1)/q_star; at p = inf the pair is
+    (<w>, ess sup w) and the expression is elementary.
     """
     side = classify_point(p, delta, x)
     x1, x2 = x
@@ -169,14 +174,16 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
         return exp_or_inf(delta * (1.0 - x1 / x2) - math.log(x2))
     if side == "lower":
         return 1.0 / x1
-    s, r = roots.branch_pair(p, delta, x, "plus")
+    qs = roots.q_star(p, delta)
+    r = roots.u_plus_from_log(p, roots.point_log_ratio(p, delta, x))
+    # (s - r)/((1 - p*s)*(1 - p*r)) = (q_star - 1) - r/(1 - p*r)
+    log_class = INF if math.isinf(qs) else qs - 1.0 - math.log(qs)
     return exp_or_inf(
         -math.log(x1)
         + math.log1p(-(p - 1.0) * r)
-        + math.log1p(-p * s)
         - math.log1p(-p * r)
-        - math.log1p(-(p - 1.0) * s)
-        + (s - r) / ((1.0 - p * s) * (1.0 - p * r))
+        - r / (1.0 - p * r)
+        + log_class
     )
 
 
@@ -193,13 +200,16 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise DomainError(f"the direction needs finite d1 and d2, got d1 = {d1}, d2 = {d2}")
     if params.regime == "band":
-        raise DomainError("q lies in the critical band: the value is infinite")
+        raise DomainError(
+            f"q lies in the critical band [{params.q_sub}, {params.q_star}]: the value "
+            f"is infinite, got q = {params.q}"
+        )
     side = classify_point(p, params.delta, x)
     if side != "interior":
-        raise DomainError("the quadratic form needs a strictly interior point")
+        raise DomainError(f"the quadratic form needs a strictly interior point, got x = {x}")
     x1, x2 = x
-    s, r = _branch_pair(params, x)
-    value = exp_or_inf(_log_value_form(params, x, s, r))
+    log_value, r = _log_product(params, x)
+    value = exp_or_inf(log_value)
     g = params.gamma
     qc = params.q_conj
     mr = 1.0 - (p - 1.0) * r
@@ -240,7 +250,7 @@ def tangent_segment(
     if delta == 1.0:
         raise DomainError("delta = 1 degenerates the segment to a point")
     if not b > 0.0 or math.isinf(b) or math.isnan(b):
-        raise DomainError("the anchor b must be a positive real")
+        raise DomainError(f"the anchor b must be a positive real, got b = {b}")
     s = roots.class_parameter(p, delta, branch)
     if math.isinf(s):
         raise DomainError(

@@ -27,11 +27,6 @@ INF = math.inf
 # this relative tolerance; boundary formulas then apply exactly.
 BOUNDARY_RTOL = 1e-12
 
-# q (or t) within this relative band of a critical exponent counts as
-# critical: the closed band is exact mathematics, the guard only absorbs
-# solver rounding (the values blow up there and lose all significance).
-_EDGE_GUARD = 1e-12
-
 DomainPoint = tuple[float, float]
 
 
@@ -53,21 +48,6 @@ def require_finite(p: float, what: str) -> None:
     """Require a finite p > 1 for ``what``, which has no p = inf form."""
     if not 1.0 < p < INF:
         raise DomainError(f"{what} needs a finite exponent p > 1, got p = {p}")
-
-
-def above_q_star(q: float, q_star: float) -> bool:
-    """q lies above the critical band's upper end q_star, beyond the guard."""
-    return q > q_star * (1.0 + _EDGE_GUARD)
-
-
-def below_q_sub(q: float, q_sub: float) -> bool:
-    """q lies below the critical band's lower end q_sub, beyond the guard."""
-    return q < q_sub * (1.0 - _EDGE_GUARD)
-
-
-def reaches_t_star(t_minus_p: float, w: float) -> bool:
-    """t = p + t_minus_p lies at or past t_star = p + w, within the guard."""
-    return w - t_minus_p <= _EDGE_GUARD * (w + t_minus_p)
 
 
 def validate_delta(delta: float) -> None:

@@ -324,10 +324,15 @@ def gehring_gap(p: float, delta: float) -> float:
 
 
 def q_sub(p: float, delta: float) -> float:
-    """Mirror root of the threshold equation in [(p-1)/p, 1): equal to
-    1 - 1/t_star, formed as (p - 1 + w)/(p + w) to avoid cancellation."""
-    w = gehring_gap(p, delta)
-    return 1.0 if math.isinf(w) else (p - 1.0 + w) / (p + w)
+    """Mirror root of the threshold equation in [(p-1)/p, 1)."""
+    require_finite(p, "the Gehring side")
+    return q_sub_from_s_minus(p, class_parameter(p, delta, "minus"))
+
+
+def q_sub_from_s_minus(p: float, s_minus: float) -> float:
+    """1 - 1/t_star, formed as (p - 1 + w)/(p + w) with w = -1/s_minus to
+    avoid cancellation; 1 at s_minus = 0 (delta = 1)."""
+    return (p - 1.0 - 1.0 / s_minus) / (p - 1.0 / s_minus) if s_minus else 1.0
 
 
 def t_star(p: float, delta: float) -> float:

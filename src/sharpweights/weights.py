@@ -253,7 +253,7 @@ def functional_ratio(
     if kind.name == "rhp":
         t = kind.exponent
         if math.isinf(avg):
-            raise DomainError("the plain average is infinite on this interval")
+            raise DomainError(f"the plain average is infinite on [{alpha}, {beta}]")
         power = interval_moment(w, t, alpha, beta)
         if math.isinf(power):
             return INF

@@ -25,6 +25,7 @@ from sharpweights import (
     epsilon_bound,
     ess_sup,
     extremal_weight,
+    functional_ratio,
     hessian_form,
     interval_moment,
     moment,
@@ -334,6 +335,23 @@ VALUE_IN_MESSAGE = {
     "sweep endpoints": (
         lambda: _sweep("--from", "3", "--to", "nan", "--steps", "3"),
         "got from = 3.0, to = nan",
+    ),
+    "bellman_limit_check": (
+        lambda: bellman_limit_check(Parameters(2.0, 3.0, 2.0), (1.0, 2.0)),
+        "got q = 3.0, q_star = 7.464101615137755",
+    ),
+    "hessian_form band": (
+        lambda: hessian_form(Parameters(2.0, 3.0, 2.0), (1.0, 2.0), 1.0, 0.0),
+        "band [0.5358983848622454, 7.464101615137755]: the value is infinite, got q = 3.0",
+    ),
+    "hessian_form point": (
+        lambda: hessian_form(Parameters(2.0, 10.0, 2.0), (1.0, 4.0), 1.0, 0.0),
+        "got x = (1.0, 4.0)",
+    ),
+    "tangent_segment anchor": (lambda: tangent_segment(2.0, 2.0, -1.0), "got b = -1.0"),
+    "functional_ratio plain average": (
+        lambda: functional_ratio(PowerWeight(1.0, 0.5, -2.0), FunctionalKind.rh_p(2.0), 0.0, 0.3),
+        "infinite on [0.0, 0.3]",
     ),
 }
 
