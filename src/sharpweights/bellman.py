@@ -13,6 +13,9 @@ Above q_star the class factor is C_q**(1/(q-1)), from q_star alone, and
 the two product representations share it (times F(s) = delta**-p in the
 gamma form), so their agreement checks the solve of r; below q_sub both
 are formed from the left class parameter s, and check its solve too.
+Where p*r passes 15/16 on the right branch the point's factors come from
+the gap 1 - p*r, solved on its own; the gamma form, which consumes x2
+and delta**-p apart, still loses about p ulp there.
 ``bellman_infinity_value`` is the q -> inf limit object lim
 B**(1/(q-1)) normalized to the exponential functional, ``hessian_form``
 is the second-order concavity form along a direction at an interior
@@ -80,7 +83,7 @@ class Parameters(namedtuple("Parameters", "p q delta")):
     def q_sub(self) -> float | None:
         if math.isinf(self.p):
             return None
-        return roots.q_sub_from_s_minus(self.p, self.s_minus)
+        return roots.q_sub(self.p, self.delta)
 
     @cached_property
     def regime(self) -> str:
@@ -92,31 +95,63 @@ class Parameters(namedtuple("Parameters", "p q delta")):
         return "lower" if self.gamma * self.s_minus < 1.0 else "band"
 
 
+def _point(p: float, delta: float, x: DomainPoint, upper: bool) -> tuple[float, ...]:
+    """(r, 1 - p*r, 1 - (p-1)*r, shift + the logs of the last two, shift)
+    at x on the right branch if ``upper``, else the left.  Past v = p*r =
+    15/16 the factors come from the gap 1 - p*r, solved on its own, and
+    the logs are of p times them (shift = log(p)), which are of size 1 at
+    large p: the value form's coefficients sum to 0, so the shift cancels."""
+    log_t = roots.point_log_ratio(p, delta, x)
+    log_m = None
+    if upper:
+        r, log_m = roots.u_plus_gap_from_log(p, log_t)
+    else:
+        r = roots.u_minus_from_log(p, log_t)
+    if log_m is None:
+        a, b = math.log1p(-p * r), math.log1p(-(p - 1.0) * r)
+        return r, 1.0 - p * r, 1.0 - (p - 1.0) * r, a, b, 0.0
+    m, v = math.exp(log_m), p * r  # m = p*(1 - p*r)
+    return r, m / p, (m + v) / p, log_m, math.log(m + v), math.log(p)
+
+
 def _log_product(
     params: Parameters, x: DomainPoint, gamma_form: bool = False
-) -> tuple[float, float]:
-    """(log of the finite-p value at x off the lower curve, r), through
-    the value form or the gamma form, which share the point's terms."""
+) -> tuple[float, float, float, float]:
+    """(log of the finite-p value at x off the lower curve, r, 1 - (p-1)*r,
+    1 - gamma*r), through the value form or the gamma form, which share
+    the point's terms.  The log is +inf where 1 - gamma*r <= 0: q then
+    lies in the band for this point (a few ulp above a float q_star)."""
     p, qc, g = params.p, params.q_conj, params.gamma
     upper = params.regime == "upper"
-    solve = roots.u_plus_from_log if upper else roots.u_minus_from_log
-    r = solve(p, roots.point_log_ratio(p, params.delta, x))
-    a, b, c = math.log1p(-p * r), math.log1p(-(p - 1.0) * r), math.log1p(-g * r)
+    r, eps, mr, a, b, shift = _point(p, params.delta, x, upper)
+    if shift:  # 1 - gamma*r = (1 - p*r) - r/(q - 1), and c is shifted too
+        cg = eps - r / (params.q - 1.0)
+        c = math.log(p * cg) if cg > 0.0 else INF
+    else:
+        cg = 1.0 - g * r
+        c = math.log1p(-g * r) if cg > 0.0 else INF
+    if c == INF:
+        return INF, r, mr, cg
     log_x1, log_x2 = math.log(x[0]), math.log(x[1])
-    if not upper:
+    if upper:
+        # log C_q/(q-1), the expression that aq_constant exponentiates: with
+        # D = 1 + p*(q_star - 1) the right class parameter s has 1 - p*s = 1/D,
+        # 1 - (p-1)*s = q_star/D and 1 - gamma*s = (q - q_star)/((q-1)*D)
+        qs = params.q_star
+        log_class = math.log1p((qs - 1.0) / (params.q - qs)) - (qc - 1.0) * math.log(qs)
+        if gamma_form:  # its class factor is the value form's times F(s) = delta**-p
+            log_f = -p * math.log(params.delta)
+            log_value = g * (b - a - log_x1) + log_x2 + log_f + (c - shift + log_class)
+        else:
+            log_value = (1.0 - qc) * log_x1 - qc * a + (qc - 1.0) * b + (c + log_class)
+    else:
         s = params.s_minus
         a_s, b_s, c_s = math.log1p(-p * s), math.log1p(-(p - 1.0) * s), math.log1p(-g * s)
         if gamma_form:
-            return -g * log_x1 + log_x2 + g * (a_s - a) + g * (b - b_s) + c - c_s, r
-        return (1.0 - qc) * log_x1 + qc * (a_s - a) + (qc - 1.0) * (b - b_s) + c - c_s, r
-    # log C_q/(q-1), the expression that aq_constant exponentiates: with
-    # D = 1 + p*(q_star - 1) the right class parameter s has 1 - p*s = 1/D,
-    # 1 - (p-1)*s = q_star/D and 1 - gamma*s = (q - q_star)/((q-1)*D)
-    qs = params.q_star
-    log_class = math.log1p((qs - 1.0) / (params.q - qs)) - (qc - 1.0) * math.log(qs)
-    if gamma_form:  # its class factor is the value form's times F(s) = delta**-p
-        return g * (b - a - log_x1) + log_x2 - p * math.log(params.delta) + (c + log_class), r
-    return (1.0 - qc) * log_x1 - qc * a + (qc - 1.0) * b + (c + log_class), r
+            log_value = -g * log_x1 + log_x2 + g * (a_s - a) + g * (b - b_s) + c - c_s
+        else:
+            log_value = (1.0 - qc) * log_x1 + qc * (a_s - a) + (qc - 1.0) * (b - b_s) + c - c_s
+    return log_value, r, mr, cg
 
 
 def _log_bellman(params: Parameters, x: DomainPoint, gamma_form: bool = False) -> float:
@@ -175,16 +210,12 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     if side == "lower":
         return 1.0 / x1
     qs = roots.q_star(p, delta)
-    r = roots.u_plus_from_log(p, roots.point_log_ratio(p, delta, x))
+    if math.isinf(qs):
+        return INF
+    r, eps, _, a, b, _ = _point(p, delta, x, upper=True)
     # (s - r)/((1 - p*s)*(1 - p*r)) = (q_star - 1) - r/(1 - p*r)
-    log_class = INF if math.isinf(qs) else qs - 1.0 - math.log(qs)
-    return exp_or_inf(
-        -math.log(x1)
-        + math.log1p(-(p - 1.0) * r)
-        - math.log1p(-p * r)
-        - r / (1.0 - p * r)
-        + log_class
-    )
+    ratio = r / eps if eps else INF
+    return exp_or_inf(-math.log(x1) + b - a - ratio + (qs - 1.0 - math.log(qs)))
 
 
 def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> float:
@@ -208,15 +239,19 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     if side != "interior":
         raise DomainError(f"the quadratic form needs a strictly interior point, got x = {x}")
     x1, x2 = x
-    log_value, r = _log_product(params, x)
+    log_value, r, mr, cg = _log_product(params, x)
+    if cg <= 0.0:
+        raise DomainError(
+            f"q lies in the critical band at this point (1 - gamma*r = {cg}), got "
+            f"q = {params.q} against the float q_star = {params.q_star}"
+        )
     value = exp_or_inf(log_value)
     g = params.gamma
     qc = params.q_conj
-    mr = 1.0 - (p - 1.0) * r
     # (p - 1)**2 would raise OverflowError past p = 1.34e154; a float
     # product never raises, and (p - 1)*r < 1 on the plus branch
     prefactor = -(mr * mr) * g * qc * (qc - 1.0) * value / (
-        (1.0 - g * r) * ((p - 1.0) * r) * (p - 1.0) * x1 * x1
+        cg * ((p - 1.0) * r) * (p - 1.0) * x1 * x1
     )
     kernel_slope = x1 / (mr * p * x2)
     line = d1 - kernel_slope * d2

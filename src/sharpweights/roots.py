@@ -26,7 +26,8 @@ solved for log(q_star/delta), whose bracket ends are finite even where
 q_star passes the float range.  The branches are solved in v = p*u,
 whose right bracket is [0, 1] at every p.  F is evaluated through its
 logarithm, since (1 - v)**(p-1) overflows double precision quickly for
-large p or large |v|.
+large p or large |v|.  Past v = 15/16 ``u_plus_gap_from_log`` also solves
+for the gap 1 - v, whose digits the rounding of v loses.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ _NEWTON_STEPS = 32
 # After a Newton step this small relative to x the next correction is at
 # rounding level, so a residual that fails to shrink is evaluation noise.
 _SMALL_STEP = 2.0**-26
+
+# Past v = p*u = 15/16 the right branch forms u from the gap 1 - p*u.
+_GAP_FROM_V = 0.9375
 
 # An equation hands back its value and its slope at x.
 Equation = Callable[[float], tuple[float, float]]
@@ -162,6 +166,55 @@ def u_plus_from_log(p: float, log_t: float) -> float:
     # float below it keeps 1 - p*u positive for the callers
     u = v / p
     return u if p * u < 1.0 else math.nextafter(u, 0.0)
+
+
+def _gap_equation(p: float, log_t: float) -> Equation:
+    """log F - log t and its slope in z = log(m), m = p*(1 - p*u).
+
+    With y = (p-1)*m/p, log F = (p-1)*z - p*log1p(y) + log(p); for y >= 1
+    the last two terms are rewritten through log1p(1/y), so that nothing
+    of size p*log(p) cancels.  The slope is (p-1-y)/(1+y).
+    """
+    k = p - 1.0
+    c = math.log(p) - log_t
+    c_far = c - p * math.log1p(-1.0 / p)
+
+    def f(z: float) -> tuple[float, float]:
+        y = k / p * math.exp(z)
+        if y < 1.0:
+            return k * z - p * math.log1p(y) + c, (k - y) / (1.0 + y)
+        return c_far - z - p * math.log1p(1.0 / y), (k - y) / (1.0 + y)
+
+    return f
+
+
+def u_plus_gap_from_log(p: float, log_t: float) -> tuple[float, float | None]:
+    """(u, log(p*(1 - p*u))) on the right branch, or (u, None) where
+    v = p*u <= 15/16 and 1 - p*u keeps its digits.
+
+    Past v = 15/16 the gap 1 - v has lost 4 bits to the rounding of v,
+    and all of them once it falls below an ulp of 1 (large p*log(delta),
+    or p near 1).  There the gap is solved from its own equation and u is
+    formed from it.  The gap is returned times p, which is of size 1 at
+    large p, so that callers cancel log(p) instead of carrying its rounding.
+    """
+    u = u_plus_from_log(p, log_t)
+    if p * u <= _GAP_FROM_V or log_t == -INF:
+        return u, None
+    f = _gap_equation(p, log_t)
+    # f <= (p-1)*z + log(p) - log(t), which vanishes at lo
+    lo, hi = (log_t - math.log(p)) / (p - 1.0), math.log(p / 16.0)
+    f_hi = f(hi)[0]
+    if not lo < hi or f_hi <= 0.0:  # v rounded past 15/16
+        return u, None
+    # f is concave and increasing, so Newton converges monotonically from
+    # the left of the root, where lo lies, and so does the gap left by the
+    # right seed of u_plus_from_log
+    k = p / (p - 1.0)
+    near = 2.0 * k / (1.0 + math.sqrt(1.0 - 2.0 * k / log_t))
+    start = max(lo, math.log(p * (1.0 - near))) if near < 1.0 else lo
+    z = bisect_root(f, lo, hi, f_lo=-1.0, f_hi=f_hi, start=start)
+    return -math.expm1(z - math.log(p)) / p, z
 
 
 def u_minus_from_log(p: float, log_t: float) -> float:
@@ -324,15 +377,10 @@ def gehring_gap(p: float, delta: float) -> float:
 
 
 def q_sub(p: float, delta: float) -> float:
-    """Mirror root of the threshold equation in [(p-1)/p, 1)."""
-    require_finite(p, "the Gehring side")
-    return q_sub_from_s_minus(p, class_parameter(p, delta, "minus"))
-
-
-def q_sub_from_s_minus(p: float, s_minus: float) -> float:
-    """1 - 1/t_star, formed as (p - 1 + w)/(p + w) with w = -1/s_minus to
-    avoid cancellation; 1 at s_minus = 0 (delta = 1)."""
-    return (p - 1.0 - 1.0 / s_minus) / (p - 1.0 / s_minus) if s_minus else 1.0
+    """Mirror root of the threshold equation in [(p-1)/p, 1): equal to
+    1 - 1/t_star, formed as (p - 1 + w)/(p + w) to avoid cancellation."""
+    w = gehring_gap(p, delta)
+    return 1.0 if math.isinf(w) else (p - 1.0 + w) / (p + w)
 
 
 def t_star(p: float, delta: float) -> float:
