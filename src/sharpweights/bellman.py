@@ -102,6 +102,8 @@ def _point(p: float, delta: float, x: DomainPoint, upper: bool) -> tuple[float, 
     the logs are of p times them (shift = log(p)), which are of size 1 at
     large p: the value form's coefficients sum to 0, so the shift cancels."""
     log_t = roots.point_log_ratio(p, delta, x)
+    if log_t == -INF:
+        raise DomainError(f"p*log(delta) passes the float range, got p = {p}, delta = {delta}")
     log_m = None
     if upper:
         r, log_m = roots.u_plus_gap_from_log(p, log_t)

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from sharpweights import (
+    DomainError,
     FunctionalKind,
     Parameters,
     PowerWeight,
@@ -115,6 +116,17 @@ def test_calls_just_above_the_float_q_star_near_p_one_return_floats():
     for value in (bellman_value(params, x), bellman_value_gamma_form(params, x),
                   bellman_limit_check(params, x), hessian_form(params, x, 1.0, 0.3)):
         assert isinstance(value, float) and not math.isnan(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bellman_value(Parameters(1e307, 1e100, 1e10), (1.0, 1.5)),
+    lambda: hessian_form(Parameters(1e307, 1e100, 1e10), (1.0, 1.5), 1.0, 0.3),
+    lambda: bellman_infinity_value(1e306, 1e100, (1.0, 1.5)),
+])
+def test_point_past_the_float_range_of_p_log_delta_is_refused(call):
+    # the point's log ratio was -inf, r = 1/p, and log1p(-p*r) raised ValueError
+    with pytest.raises(DomainError, match="got p = 1e"):
+        call()
 
 
 # -- open ---------------------------------------------------------------------

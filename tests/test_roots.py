@@ -608,3 +608,26 @@ def test_degenerate_class_gives_zero_roots(p):
         assert root == 0.0 and math.copysign(1.0, root) == 1.0
     assert q_sub(p, 1.0) == 1.0
     assert t_star(p, 1.0) == math.inf
+
+
+def _log_f_of_gap(p, log_gap):
+    """log F at 1 - p*u = exp(log_gap), at the working precision."""
+    k = p - 1
+    y = k * mp.exp(log_gap)
+    return k * mp.log(p * mp.exp(log_gap) / (1 + y)) - mp.log((1 + y) / p)
+
+
+@pytest.mark.parametrize("p", [1.000001, 1.001, 1.5, 3.0, 10.0, 1e6, 1e15, 1e30])
+@pytest.mark.parametrize("gap", [1 / 64, 1e-3, 1e-6, 1e-12, 1e-100])
+def test_right_gap_within_a_few_ulp_of_its_reference(p, gap):
+    # past v = 15/16 the gap 1 - p*u comes from its own solve: against
+    # 50-digit roots it is within 8 ulp of log(gap), and u within 4 ulp;
+    # log F sums terms of size p, hence the digits beyond 50
+    with mp.workdps(90):
+        log_t = float(_log_f_of_gap(mp.mpf(p), mp.log(gap)))
+        u, log_m = roots.u_plus_gap_from_log(p, log_t)
+        assert log_m is not None
+        ref = mp.findroot(lambda z: _log_f_of_gap(mp.mpf(p), z) - log_t, mp.log(gap))
+        assert abs(mp.mpf(log_m) - mp.log(p) - ref) <= 8 * 2.0**-53 * max(1.0, abs(ref))
+        u_ref = -mp.expm1(ref) / p
+        assert abs(mp.mpf(u) - u_ref) <= 4 * 2.0**-53 * u_ref
