@@ -9,9 +9,7 @@ and evaluates the pairs of a block pair only while its bound can still
 reach the incumbent, visiting block pairs in decreasing bound order.
 The exponential mode also bounds each block pair by Specht's ratio of
 its cell slopes, which is 1 + O(spread**2) where the weight barely
-varies.  Arrays that prove every pair value is exactly 1 (a constant
-weight) return the first nonempty pair without any bound.  The result
-is bit-identical to evaluating every pair.
+varies.  The result is bit-identical to evaluating every pair.
 """
 
 from __future__ import annotations
@@ -210,25 +208,6 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
     return bound
 
 
-def _all_pairs_are_one(grid, p1, p2, cap, mode):
-    """True when every nonempty pair's computed value is exactly 1.
-
-    With p1 equal to the grid and a finite span, every nonempty pair
-    averages fl(L)/fl(L) = 1; then mode 0 needs p2 equal to the grid
-    (1**e1 * 1**e2), mode 1 a zero p2 (1 * exp(-0)), and mode 2 a cap
-    of ones (1/1).
-    """
-    with np.errstate(over="ignore"):
-        span = grid[-1] - grid[0]
-    if not (np.isfinite(span) and np.array_equal(p1, grid)):
-        return False
-    if mode == 0:
-        return np.array_equal(p2, grid)
-    if mode == 1:
-        return not p2.any()
-    return bool(np.all(cap == 1.0))
-
-
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
     """Maximum of the mode's ratio over all index pairs i < j.
 
@@ -251,11 +230,6 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
         raise ValueError("prefix arrays must match the grid length")
     if not np.all(g[1:] >= g[:-1]):
         raise ValueError("grid must be nondecreasing")
-    if _all_pairs_are_one(g, q1, q2, cp, mode):
-        # the first pair in row-major order with g[j] > g[i] has i = 0
-        if g[-1] > g[0]:
-            return 1.0, 0, int(np.argmax(g > g[0]))
-        return _LOWEST, 0, 0
     first = np.arange(0, n, _BLOCK)
     last = np.minimum(first + _BLOCK - 1, n - 1)
     bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)

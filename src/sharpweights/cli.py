@@ -4,10 +4,10 @@ Subcommands: constants, gehring, bellman, extremal, verify, ndim,
 sweep.  Each is a function from the parsed arguments to records, and
 ``main`` prints them as key/value rows in plain, csv, or json (one
 object per line) form; +inf prints as the literal token "inf" in every
-format.  ``verify --depth`` must lie in [1, 17] and ``--tol`` must be
-at least 0.  Exit codes: 0 success, 1 verification failure
-(``status=mismatch``), 2 usage or domain error, 3 internal error (the
-traceback goes to stderr).
+format.  ``verify --depth`` must lie in [1, ``weights._MAX_DEPTH``] and
+``--tol`` must be at least 0.  Exit codes: 0 success, 1 verification
+failure (``status=mismatch``), 2 usage or domain error, 3 internal error
+(the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ _FLAGS = {
     "x2": dict(type=float),
     "limit": dict(action="store_true", help="also emit the q -> inf limit value"),
     "branch": dict(choices=("plus", "minus"), default="plus"),
-    "depth": dict(type=int, default=12, help="dyadic grid depth in [1, 17] (default 12)"),
+    "depth": dict(type=int, default=12,
+                  help=f"dyadic grid depth in [1, {weights._MAX_DEPTH}] (default 12)"),
     "tol": dict(type=float, default=1e-6, help="relative tolerance >= 0 (default 1e-6)"),
     "format": dict(choices=("plain", "csv", "json"), default="plain",
                    help="output format (default plain)"),

@@ -26,8 +26,10 @@ solved for log(q_star/delta), whose bracket ends are finite even where
 q_star passes the float range.  The branches are solved in v = p*u,
 whose right bracket is [0, 1] at every p.  F is evaluated through its
 logarithm, since (1 - v)**(p-1) overflows double precision quickly for
-large p or large |v|.  Past v = 15/16 ``u_plus_gap_from_log`` also solves
-for the gap 1 - v, whose digits the rounding of v loses.
+large p or large |v|.  Past v = 15/16 the right branch is solved for
+the gap 1 - v instead, whose digits the rounding of v loses;
+``u_plus_gap_from_log`` decides the side before it solves, and every
+right-branch root comes from it.
 """
 
 from __future__ import annotations
@@ -142,42 +144,24 @@ def _branch_equation(p: float, log_t: float) -> Equation:
 
 
 def u_plus_from_log(p: float, log_t: float) -> float:
-    """Right inverse branch with t passed as log(t).
+    """Right inverse branch with t passed as log(t): the u of
+    ``u_plus_gap_from_log``.
 
     Taking log(t) directly keeps callers exact when t = delta**-p would
     underflow or lose digits for large p*log(delta).
     """
-    if log_t == -INF:
-        return 1.0 / p
-    # log F is concave and decreasing on [0, 1], so Newton converges
-    # monotonically from the right of the root.  Both seeds lie there:
-    # log F <= -v**2/(2*k*(1 - v/k)) with k = p/(p-1), a bound equal to
-    # log t at near, and F <= p**p * (1-v)**(p-1).  At log_t = 0 the root
-    # is the endpoint 0 itself, where the solve stops before it starts.
-    k = p / (p - 1.0)
-    near = 2.0 * k / (1.0 + math.sqrt(1.0 - 2.0 * k / log_t)) if log_t else 0.0
-    far = -math.expm1((log_t - p * math.log(p)) / (p - 1.0))
-    start = min(near, far, math.nextafter(1.0, 0.0))
-    # f(0) = -log_t >= 0 and f(1) = -inf: analytic endpoint signs.
-    v = bisect_root(
-        _branch_equation(p, log_t), 0.0, 1.0, f_lo=-log_t, f_hi=-INF, start=start
-    )
-    # v/p can round up so that p*u is 1 (v = 1 - 2**-53 at p = 1e20); the
-    # float below it keeps 1 - p*u positive for the callers
-    u = v / p
-    return u if p * u < 1.0 else math.nextafter(u, 0.0)
+    return u_plus_gap_from_log(p, log_t)[0]
 
 
-def _gap_equation(p: float, log_t: float) -> Equation:
-    """log F - log t and its slope in z = log(m), m = p*(1 - p*u).
+def _gap_equation(p: float, c: float, c_far: float) -> Equation:
+    """log F - log t and its slope in z = log(m), m = p*(1 - p*u), with
+    c = log(p) - log(t) and c_far = c - p*log1p(-1/p).
 
     With y = (p-1)*m/p, log F = (p-1)*z - p*log1p(y) + log(p); for y >= 1
     the last two terms are rewritten through log1p(1/y), so that nothing
     of size p*log(p) cancels.  The slope is (p-1-y)/(1+y).
     """
     k = p - 1.0
-    c = math.log(p) - log_t
-    c_far = c - p * math.log1p(-1.0 / p)
 
     def f(z: float) -> tuple[float, float]:
         y = k / p * math.exp(z)
@@ -192,29 +176,55 @@ def u_plus_gap_from_log(p: float, log_t: float) -> tuple[float, float | None]:
     """(u, log(p*(1 - p*u))) on the right branch, or (u, None) where
     v = p*u <= 15/16 and 1 - p*u keeps its digits.
 
-    Past v = 15/16 the gap 1 - v has lost 4 bits to the rounding of v,
-    and all of them once it falls below an ulp of 1 (large p*log(delta),
-    or p near 1).  There the gap is solved from its own equation and u is
-    formed from it.  The gap is returned times p, which is of size 1 at
-    large p, so that callers cancel log(p) instead of carrying its rounding.
+    Below v = 15/16 the branch is solved for v.  Past it the gap 1 - v
+    has lost 4 bits to the rounding of v, and all of them once it falls
+    below an ulp of 1 (large p*log(delta), or p near 1), so there the gap
+    is solved from its own equation and u is formed from it.  The side is
+    decided before either solve, and only one runs.  The gap is returned
+    times p, which is of size 1 at large p, so that callers cancel log(p)
+    instead of carrying its rounding.
     """
-    u = u_plus_from_log(p, log_t)
-    if p * u <= _GAP_FROM_V or log_t == -INF:
-        return u, None
-    f = _gap_equation(p, log_t)
-    # f <= (p-1)*z + log(p) - log(t), which vanishes at lo
-    lo, hi = (log_t - math.log(p)) / (p - 1.0), math.log(p / 16.0)
-    f_hi = f(hi)[0]
-    if not lo < hi or f_hi <= 0.0:  # v rounded past 15/16
-        return u, None
-    # f is concave and increasing, so Newton converges monotonically from
-    # the left of the root, where lo lies, and so does the gap left by the
-    # right seed of u_plus_from_log
+    if log_t == -INF:
+        return 1.0 / p, None
+    # log F is concave and decreasing in v on [0, 1], so Newton converges
+    # monotonically from the right of the root.  Both seeds lie there:
+    # log F <= -v**2/(2*k*(1 - v/k)) with k = p/(p-1), a bound equal to
+    # log t at near, and F <= p**p * (1-v)**(p-1).  At log_t = 0 the root
+    # is the endpoint 0 itself, where the solve stops before it starts.
+    log_p = math.log(p)
     k = p / (p - 1.0)
-    near = 2.0 * k / (1.0 + math.sqrt(1.0 - 2.0 * k / log_t))
-    start = max(lo, math.log(p * (1.0 - near))) if near < 1.0 else lo
-    z = bisect_root(f, lo, hi, f_lo=-1.0, f_hi=f_hi, start=start)
-    return -math.expm1(z - math.log(p)) / p, z
+    near = 2.0 * k / (1.0 + math.sqrt(1.0 - 2.0 * k / log_t)) if log_t else 0.0
+    far = -math.expm1((log_t - p * log_p) / (p - 1.0))
+    start = min(near, far, math.nextafter(1.0, 0.0))
+    z = None
+    # a start at or below 15/16 puts the root there too
+    if start > _GAP_FROM_V:
+        c, log_r = log_p - log_t, math.log1p(-1.0 / p)  # r = (p-1)/p
+        c_far = c - p * log_r
+        f = _gap_equation(p, c, c_far)
+        # f <= (p-1)*z + c, which vanishes at lo, and v = 15/16 at hi
+        lo, hi = -c / (p - 1.0), math.log(p * (1.0 - _GAP_FROM_V))
+        f_hi = f(hi)[0] if lo < hi else 0.0
+        if f_hi > 0.0:
+            # f is concave and increasing, so Newton converges monotonically
+            # from the left of the root, where lo and the gap at near lie.
+            # At a root z >= 0, log1p(x) >= x/(1 + x) gives y >= p/c_far - 1,
+            # and p > 2*c_far makes f(0) < 0, so the root z > 0.
+            z0 = max(lo, math.log(p * (1.0 - near))) if near < 1.0 else lo
+            if p > 2.0 * c_far:
+                z0 = max(z0, math.log(p / c_far - 1.0) - log_r)
+            z = bisect_root(f, lo, hi, f_lo=-1.0, f_hi=f_hi, start=z0)
+    if z is None:
+        # f(0) = -log_t >= 0 and f(1) = -inf: analytic endpoint signs.
+        v = bisect_root(
+            _branch_equation(p, log_t), 0.0, 1.0, f_lo=-log_t, f_hi=-INF, start=start
+        )
+        u = v / p
+    else:
+        u = -math.expm1(z - log_p) / p
+    # p*u can round to 1 (v = 1 - 2**-53 at p = 1e20); the float below
+    # keeps 1 - p*u positive for the callers
+    return (u if p * u < 1.0 else math.nextafter(u, 0.0)), z
 
 
 def u_minus_from_log(p: float, log_t: float) -> float:
@@ -270,8 +280,8 @@ def s_pair(p: float, delta: float) -> SPair:
 
 
 def point_log_ratio(p: float, delta: float, x: DomainPoint) -> float:
-    """log of x2/(delta*x1)**p, validated and clamped into [-p*log(delta), 0]."""
-    classify_point(p, delta, x)
+    """log of x2/(delta*x1)**p for a classified x, clamped into
+    [-p*log(delta), 0]."""
     x1, x2 = x
     log_lo = -p * math.log(delta)
     log_t = math.log(x2) - p * (math.log(x1) + math.log(delta))
@@ -285,6 +295,7 @@ def r_pair(p: float, delta: float, x: DomainPoint) -> tuple[float, float]:
     s_minus <= r_minus <= 0 <= r_plus <= s_plus holds.
     """
     require_finite(p, "the point parameters")
+    classify_point(p, delta, x)
     log_t = point_log_ratio(p, delta, x)
     return (u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 
@@ -303,13 +314,6 @@ def class_parameter(p: float, delta: float, branch: str) -> float:
     require_finite(p, "the class parameter")
     validate_delta(delta)
     return solve(p, -p * math.log(delta))
-
-
-def branch_pair(p: float, delta: float, x: DomainPoint, branch: str) -> tuple[float, float]:
-    """(s, r) on one branch: the class parameter and the point parameter
-    at t = x2/(delta*x1)**p."""
-    s = class_parameter(p, delta, branch)
-    return s, branch_solver(branch)(p, point_log_ratio(p, delta, x))
 
 
 def _critical_equation(p: float, log_delta: float) -> Equation:

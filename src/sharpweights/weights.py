@@ -204,7 +204,7 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     `branch` is "plus" (moment regimes above the band) or "minus" (the
     self-improvement regime).
     """
-    roots.branch_solver(branch)  # refuses an unknown name before any shortcut
+    solve = roots.branch_solver(branch)  # refuses an unknown name before any shortcut
     side = classify_point(p, delta, x)
     x1, x2 = x
     if side == "lower":
@@ -213,7 +213,8 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
         nu = delta - 1.0
         a = (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
         return PowerWeight(c=x2, a=min(a, 1.0), nu=nu)
-    s, r = roots.branch_pair(p, delta, x, branch)
+    s = roots.class_parameter(p, delta, branch)
+    r = solve(p, roots.point_log_ratio(p, delta, x))
     nu = s / (1.0 - p * s)
     a = (s - r) / (s * (1.0 - p * r))
     # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
@@ -310,8 +311,8 @@ def sup_ratio_search(
     inject_candidates: bool = True,
 ) -> tuple[float, tuple[float, float]]:
     """Maximum of functional_ratio over intervals with endpoints on the
-    dyadic grid of size 2**depth, depth in [1, 17], plus the candidates
-    {0, a, 1}.
+    dyadic grid of size 2**depth, depth in [1, _MAX_DEPTH], plus the
+    candidates {0, a, 1}.
 
     Returns (sup, (alpha, beta)).  The search is exact over all pairs:
     prefix integrals make each pair O(1), and blocks of pairs are
@@ -319,7 +320,9 @@ def sup_ratio_search(
     All four functionals are invariant under scaling the weight, so the
     scan normalizes c to 1.
     Intervals touching 0 with a divergent moment make the result +inf
-    with the canonical witness (0, min(a, 1)).  ``inject_candidates``
+    with the canonical witness (0, min(a, 1)).  A constant weight (nu = 0)
+    scores exactly 1 on every interval, so it returns 1 with the first
+    interval, (0, first grid point), without a scan.  ``inject_candidates``
     exists so tests can measure the pure-grid gap.
     """
     try:
@@ -346,6 +349,9 @@ def sup_ratio_search(
         thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 2
     if any(theta * nu <= -1.0 for theta in thetas):
         return INF, (0.0, a)
+    if nu == 0.0:
+        step = 2.0**-depth
+        return 1.0, (0.0, min(a, step) if inject_candidates else step)
     import numpy as np
 
     n = (1 << depth) + 1

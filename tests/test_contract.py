@@ -66,7 +66,6 @@ NEED_FINITE_P = {
     "s_pair": lambda p: s_pair(p, 2.0),
     "r_pair": lambda p: r_pair(p, 2.0, X),
     "class_parameter": lambda p: roots.class_parameter(p, 2.0, "plus"),
-    "branch_pair": lambda p: roots.branch_pair(p, 2.0, X, "minus"),
     "q_sub": lambda p: q_sub(p, 2.0),
     "t_star": lambda p: t_star(p, 2.0),
     "rht_constant": lambda p: rht_constant(p, 3.0, 2.0),
@@ -103,7 +102,6 @@ WITH_DELTA = {
     "s_pair": lambda d: s_pair(2.0, d),
     "r_pair": lambda d: r_pair(2.0, d, X),
     "class_parameter": lambda d: roots.class_parameter(2.0, d, "minus"),
-    "branch_pair": lambda d: roots.branch_pair(2.0, d, X, "plus"),
     "q_sub": lambda d: q_sub(2.0, d),
     "t_star": lambda d: t_star(2.0, d),
     "aq_constant": lambda d: aq_constant(2.0, 10.0, d),
@@ -149,7 +147,6 @@ WITH_POINT = {
 # solved for, and a bad name must still be refused
 WITH_BRANCH = {
     "class_parameter": lambda b: roots.class_parameter(2.0, 2.0, b),
-    "branch_pair": lambda b: roots.branch_pair(2.0, 2.0, X, b),
     "extremal_weight": lambda b: extremal_weight(2.0, 2.0, X, b),
     "extremal_weight lower curve": lambda b: extremal_weight(2.0, 2.0, (1.0, 1.0), b),
     "extremal_weight delta = 1": lambda b: extremal_weight(2.0, 1.0, (1.0, 1.0), b),

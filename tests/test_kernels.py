@@ -179,26 +179,40 @@ def test_constant_weight_search_reports_the_first_interval():
             assert sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, 8) == (1.0, (0.0, 1.0 / 256.0))
 
 
-class BoundsComputed(Exception):
+class ScanCalled(Exception):
     pass
 
 
-@pytest.mark.parametrize("mode", [0, 1, 2])
-def test_constant_path_computes_no_bound(monkeypatch, mode):
-    def refuse(*args):
-        raise BoundsComputed
+CONSTANT_KINDS = {
+    0: [FunctionalKind.aq(4.0), FunctionalKind.rh_p(3.0)],
+    1: [FunctionalKind.a_inf()],
+    2: [FunctionalKind.rh_inf()],
+}
 
-    monkeypatch.setattr(_pairscan, "_block_bounds", refuse)
-    grid = np.arange(301, dtype=np.float64) / 300.0
-    p2 = np.zeros_like(grid) if mode == 1 else grid
-    cap = np.ones_like(grid)
-    assert max_pair_ratio(grid, grid, p2, 2.0, -1.0, cap, mode) == (1.0, 0, 1)
-    # one value off 1 anywhere sends the arrays to the scan
-    for bumped in ("p1", "p2" if mode != 2 else "cap"):
-        arrays = {"p1": grid.copy(), "p2": p2.copy(), "cap": cap.copy()}
-        arrays[bumped][150] += 1e-3
-        with pytest.raises(BoundsComputed):
-            max_pair_ratio(grid, arrays["p1"], arrays["p2"], 2.0, -1.0, arrays["cap"], mode)
+
+@pytest.mark.parametrize("mode", sorted(CONSTANT_KINDS))
+def test_constant_path_computes_no_bound(monkeypatch, mode):
+    # nu = 0 is decided before any array is built: no scan runs, and the
+    # result is what the full scan gives on the arrays of a constant
+    # weight, also where the breakpoint lies below the first grid step
+    def refuse(*args):
+        raise ScanCalled
+
+    monkeypatch.setattr(weights, "max_pair_ratio", refuse)
+    depth = 6
+    for kind in CONSTANT_KINDS[mode]:
+        for a, inject in ((1.0, True), (0.3, True), (2.0**-9, True), (2.0**-9, False)):
+            got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, depth, inject_candidates=inject)
+            grid = np.arange(2**depth + 1, dtype=np.float64) / 2**depth
+            if inject:
+                grid = np.unique(np.concatenate([grid, [0.0, a, 1.0]]))
+            # every prefix of w**theta is the grid, the log prefix is 0, the cap 1
+            p2 = np.zeros_like(grid) if mode == 1 else grid
+            best, i, j = brute_force_scan(grid, grid, p2, 2.0, -1.0, np.ones_like(grid), mode)
+            first = min(a, 2.0**-depth) if inject else 2.0**-depth
+            assert got == (best, (grid[i], grid[j])) == (1.0, (0.0, first))
+        with pytest.raises(ScanCalled):
+            sup_ratio_search(PowerWeight(3.0, 0.3, 0.5), kind, depth)
 
 
 def test_constant_path_needs_a_finite_span():

@@ -35,6 +35,14 @@ VERIFY_RECORD = (
     "argmax_alpha=0 argmax_beta=0.8349609375 rel_err=1.0183253469603856e-14 status=ok"
 )
 
+# delta = 1 admits only constant weights, decided without a scan; the
+# line is what the scan printed
+VERIFY_DELTA_ONE = ["verify", "--p", "2", "--q", "10", "--delta", "1"]
+VERIFY_DELTA_ONE_RECORD = (
+    "p=2 q=10 delta=1 depth=12 constant=1 sup=1 argmax_alpha=0 argmax_beta=0.000244140625 "
+    "rel_err=0 status=ok"
+)
+
 SCRIPT = """
 import json, sys
 import sharpweights
@@ -69,6 +77,12 @@ def test_scalar_commands_never_load_numpy_and_verify_does():
         assert (name, code, mods) == (argv[0], 0, []), argv
     assert steps[-1] == ["verify", 0, ["numpy", "sharpweights._pairscan"]]
     assert printed[-1] == VERIFY_RECORD
+
+
+def test_verify_at_delta_one_loads_no_numpy():
+    printed, steps = run_fresh([VERIFY_DELTA_ONE])
+    assert steps[1] == ["verify", 0, []]
+    assert printed == [VERIFY_DELTA_ONE_RECORD]
 
 
 def test_a_wrapped_scan_attribute_sees_every_scan(monkeypatch):

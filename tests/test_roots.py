@@ -354,9 +354,6 @@ ROOT_NAMES = ("q_star", "q_sub", "t_star", "u_plus", "u_minus", "y")
 EVALUATION_LIMITED = {
     # log F ~ -p*(p-1)*u**2/2 is what is left of terms of size (p-1)*u
     ("u_plus", 1.5, 1e-3): 1e-14,
-    # log F ~ log t ~ -13 and -35 is the difference of logarithms of that size
-    ("u_minus", 50.0, 0.3): 1e-14,
-    ("u_minus", 50.0, 1.0): 1e-14,
     # L - 1 = 0.06 next to the threshold: the rounding of delta**-p' moves
     # log(L), and with it y, by a few 1e-15
     ("y", 50.0, 0.3): 1e-14,
@@ -423,7 +420,17 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
             counts.append(0)
             _case(name, p, delta)[0]()
             worst[name] = max(worst.get(name, 0), counts[-1])
+    # the right branch's pair (u, gap) as the Bellman functions take it:
+    # one solve, of the gap past v = 15/16
+    for p, dm, delta in [*_grid("u_plus"), (300.0, 9.0, 10.0), *LARGE_P_CORNERS]:
+        counts.append(0)
+        roots.u_plus_gap_from_log(p, -p * math.log(delta))
+        worst["u_plus_gap"] = max(worst.get("u_plus_gap", 0), counts[-1])
     assert max(worst.values()) <= 16, worst
+    # a root within rounding of v = 1 near p = 1 once bisected 54 times
+    counts.append(0)
+    roots.class_parameter(1.1068881383566298, 50.0, "plus")
+    assert counts[-1] <= 10
 
 
 # -- the branches at large p and on the whole p range -------------------------
@@ -590,6 +597,15 @@ def test_right_branch_within_rounding_of_its_endpoint(p, delta):
     for s in (roots.class_parameter(p, delta, "plus"), u_plus(p, delta**-p)):
         assert 0.0 < s <= 1.0 / p
         assert 1.0 / p - s <= 4.0 * math.ulp(1.0 / p)
+
+
+def test_left_branch_at_log_t_near_700_within_4_ulp():
+    # log F there is a difference of logarithms of size |log t|, just
+    # short of where the left bracket end overflows
+    for log_t in (-707.5, -706.5):
+        got = roots.u_minus_from_log(2.0, log_t)
+        want = _reference(_eq_branch, 2.0, mp.mpf(log_t), got, (-mp.inf, 0))
+        assert abs(mp.mpf(got) - want) <= 4 * math.ulp(got)
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0, 3e305])
