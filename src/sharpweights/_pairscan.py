@@ -9,7 +9,9 @@ and evaluates the pairs of a block pair only while its bound can still
 reach the incumbent, visiting block pairs in decreasing bound order.
 The exponential mode also bounds each block pair by Specht's ratio of
 its cell slopes, which is 1 + O(spread**2) where the weight barely
-varies.  The result is bit-identical to evaluating every pair.
+varies.  Both bounds share each prefix's cell slopes, and one
+``np.errstate`` covers the scan, which scores inf and NaN itself.  The
+result is bit-identical to evaluating every pair.
 """
 
 from __future__ import annotations
@@ -71,14 +73,13 @@ _LOWEST = np.finfo(np.float64).min
 def _pair_values(grid, p1, p2, cap, e1, e2, mode, rows, cols):
     """The mode's ratio on rows x cols, as scores for argmax."""
     length = grid[None, cols] - grid[rows, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a1 = (p1[None, cols] - p1[rows, None]) / length
-        if mode == 0:
-            vals = a1**e1 * ((p2[None, cols] - p2[rows, None]) / length) ** e2
-        elif mode == 1:
-            vals = a1 * np.exp(-(p2[None, cols] - p2[rows, None]) / length)
-        else:
-            vals = cap[None, cols] / a1
+    a1 = (p1[None, cols] - p1[rows, None]) / length
+    if mode == 0:
+        vals = a1**e1 * ((p2[None, cols] - p2[rows, None]) / length) ** e2
+    elif mode == 1:
+        vals = a1 * np.exp(-(p2[None, cols] - p2[rows, None]) / length)
+    else:
+        vals = cap[None, cols] / a1
     # empty intervals and -inf score the most negative float, NaN scores
     # -inf (np.maximum keeps NaN), so argmax never picks a NaN
     vals[length <= 0.0] = -np.inf
@@ -94,7 +95,7 @@ def _by_block(values, nb, fill):
     return padded.reshape(nb, _BLOCK)
 
 
-def _average_bounds(grid, prefix, first, last):
+def _average_bounds(grid, prefix, slopes, first, last):
     """(lo, hi): outward bounds, indexed [I, J] for blocks I <= J, on the
     averages (P[j] - P[i]) / (g[j] - g[i]) with i in I, j in J and i < j.
 
@@ -104,8 +105,6 @@ def _average_bounds(grid, prefix, first, last):
     lengths l and r free in [0, len I] x [0, len J] the average is
     linear-fractional in (l, r), so its extremes sit at the 4 corners.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.diff(prefix) / np.diff(grid)
     # slope k joins points k and k+1; the last slot of each block joins
     # two blocks and is dropped.  A one-point block has no flank.
     nb = first.size
@@ -118,92 +117,92 @@ def _average_bounds(grid, prefix, first, last):
     gap = grid[first][None, :] - grid[last][:, None]
     span = grid[last] - grid[first]
     lo = hi = size = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for left in (0.0, span[:, None]):
-            for right in (0.0, span[None, :]):
-                length = gap + left + right
-                up = (chord + smax[:, None] * left + smax[None, :] * right) / length
-                down = (chord + smin[:, None] * left + smin[None, :] * right) / length
-                mag = (np.abs(chord) + smag[:, None] * left + smag[None, :] * right) / length
-                if lo is None:
-                    lo, hi, size = down, up, mag
-                else:
-                    np.minimum(lo, down, out=lo)
-                    np.maximum(hi, up, out=hi)
-                    np.maximum(size, mag, out=size)
-        widen = _SLACK * size + _TINY / gap
-        lo, hi = lo - widen, hi + widen
-        # inside one block the average is itself an average of the slopes
-        widen = _SLACK * smag + _TINY
-        np.fill_diagonal(lo, smin - widen)
-        np.fill_diagonal(hi, smax + widen)
+    for left in (0.0, span[:, None]):
+        for right in (0.0, span[None, :]):
+            length = gap + left + right
+            up = (chord + smax[:, None] * left + smax[None, :] * right) / length
+            down = (chord + smin[:, None] * left + smin[None, :] * right) / length
+            mag = (np.abs(chord) + smag[:, None] * left + smag[None, :] * right) / length
+            if lo is None:
+                lo, hi, size = down, up, mag
+            else:
+                np.minimum(lo, down, out=lo)
+                np.maximum(hi, up, out=hi)
+                np.maximum(size, mag, out=size)
+    widen = _SLACK * size + _TINY / gap
+    lo -= widen
+    hi += widen
+    # inside one block the average is itself an average of the slopes
+    widen = _SLACK * smag + _TINY
+    np.fill_diagonal(lo, smin - widen)
+    np.fill_diagonal(hi, smax + widen)
     return lo, hi
 
 
-def _specht_bound(grid, p1, p2, first):
+def _specht_bound(s1, s2, nb):
     """Upper bound on the exponential mode's ratio over each block pair
-    [I, J] with I <= J, from Specht's ratio of the cell slopes (see the
-    comment above _SLACK); entries with I > J are meaningless."""
-    nb, n = first.size, grid.size
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # per cell k (points k and k+1), laid out by block: rho_k, s2_k
-        # and -s2_k, so that all three statistics are maxima
-        cells = np.full((3, nb * _BLOCK), -np.inf)
-        length = np.diff(grid)
-        s2 = np.divide(np.diff(p2), length, out=cells[1, : n - 1])
-        np.negative(s2, out=cells[2, : n - 1])
-        np.exp(cells[2, : n - 1], out=cells[0, : n - 1])
-        cells[0, : n - 1] *= np.diff(p1) / length
-        cells = cells.reshape(3, nb, _BLOCK)
-        # block pair [I, J] spans the cells inside block I and, for each
-        # later block K <= J, the cell joining K - 1 to K and those inside K
-        inner = cells[:, :, :-1].max(axis=2)
-        incoming = inner.copy()
-        np.maximum(inner[:, 1:], cells[:, :-1, -1], out=incoming[:, 1:])
-        for stats in (inner, incoming):
-            # x + _SLACK*|x| + _TINY is increasing, so widening a maximum
-            # widens every cell under it
-            stats += _SLACK * np.abs(stats) + _TINY
-            stats[0, stats[1] > _EXP_SAFE] = np.inf
-        # Rows of nb + 1 tiled from `incoming` hold incoming[I + c] at
-        # [I, c] (wrapping only past c = nb - 1 - I, the last block); with
-        # block I's inner cells at c = 0, the running maximum along a row
-        # covers blocks I..I+c.  Read as rows of nb, [I, c] is [I, I + c].
-        spread = np.tile(incoming, nb + 1).reshape(3, nb, nb + 1)
-        spread[:, :, 0] = inner
-        np.maximum.accumulate(spread, axis=2, out=spread)
-        rho, top, bottom = spread.reshape(3, -1)[:, : nb * nb].reshape(3, nb, nb)
-        term = top + bottom  # the spread D
-        ratio = np.expm1(term)
-        ratio /= term
-        # Specht's ratio S = ratio * exp(1/ratio - 1), times rho
-        np.divide(1.0, ratio, out=term)
-        term -= 1.0
-        np.exp(term, out=term)
-        term *= ratio
-        term *= rho
-        return np.maximum(term, rho, out=term)
+    [I, J] with I <= J of nb blocks, from Specht's ratio of the cell
+    slopes s1, s2 (see above _SLACK); entries with I > J are meaningless."""
+    # per cell, laid out by block: rho_k, s2_k and -s2_k, so that all
+    # three statistics are maxima
+    cells = np.full((3, nb * _BLOCK), -np.inf)
+    rho, top, bottom = cells[:, : s2.size]
+    top[:] = s2
+    np.negative(s2, out=bottom)
+    np.exp(bottom, out=rho)
+    rho *= s1
+    cells = cells.reshape(3, nb, _BLOCK)
+    # block pair [I, J] spans the cells inside block I and, for each
+    # later block K <= J, the cell joining K - 1 to K and those inside K
+    inner = cells[:, :, :-1].max(axis=2)
+    incoming = inner.copy()
+    np.maximum(inner[:, 1:], cells[:, :-1, -1], out=incoming[:, 1:])
+    for stats in (inner, incoming):
+        # x + _SLACK*|x| + _TINY is increasing, so widening a maximum
+        # widens every cell under it
+        stats += _SLACK * np.abs(stats) + _TINY
+        stats[0, stats[1] > _EXP_SAFE] = np.inf
+    # Rows of nb + 1 tiled from `incoming` hold incoming[I + c] at
+    # [I, c] (wrapping only past c = nb - 1 - I, the last block); with
+    # block I's inner cells at c = 0, the running maximum along a row
+    # covers blocks I..I+c.  Read as rows of nb, [I, c] is [I, I + c].
+    spread = np.tile(incoming, nb + 1).reshape(3, nb, nb + 1)
+    spread[:, :, 0] = inner
+    np.maximum.accumulate(spread, axis=2, out=spread)
+    rho, top, bottom = spread.reshape(3, -1)[:, : nb * nb].reshape(3, nb, nb)
+    term = top + bottom  # the spread D
+    ratio = np.expm1(term)
+    ratio /= term
+    # Specht's ratio S = ratio * exp(1/ratio - 1), times rho
+    np.divide(1.0, ratio, out=term)
+    term -= 1.0
+    np.exp(term, out=term)
+    term *= ratio
+    term *= rho
+    return np.maximum(term, rho, out=term)
 
 
 def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
     """Upper bound on the mode's computed ratio over each block pair
     [I, J] with I <= J; +inf where no bound holds (NaN, or averages that
     may be nonpositive where the mode needs them positive)."""
-    lo1, hi1 = _average_bounds(grid, p1, first, last)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if mode == 0:
-            lo2, hi2 = _average_bounds(grid, p2, first, last)
-            f1 = (hi1 if e1 >= 0.0 else lo1) ** e1
-            f2 = (hi2 if e2 >= 0.0 else lo2) ** e2
-            bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
-        elif mode == 1:
-            lo2, hi2 = _average_bounds(grid, p2, first, last)
-            bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
-            np.minimum(bound, _specht_bound(grid, p1, p2, first), out=bound)
-        else:
-            top = _by_block(cap, first.size, -np.inf).max(axis=1)[None, :]
-            bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
-        bound = bound + _SLACK * np.abs(bound) + _TINY
+    length = np.diff(grid)
+    s1 = np.diff(p1) / length
+    lo1, hi1 = _average_bounds(grid, p1, s1, first, last)
+    if mode != 2:
+        s2 = np.divide(np.diff(p2), length, out=length)  # lengths not read again
+        lo2, hi2 = _average_bounds(grid, p2, s2, first, last)
+    if mode == 0:
+        f1 = (hi1 if e1 >= 0.0 else lo1) ** e1
+        f2 = (hi2 if e2 >= 0.0 else lo2) ** e2
+        bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
+    elif mode == 1:
+        bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
+        np.minimum(bound, _specht_bound(s1, s2, first.size), out=bound)
+    else:
+        top = _by_block(cap, first.size, -np.inf).max(axis=1)[None, :]
+        bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
+    bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
     return bound
 
@@ -215,9 +214,8 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
     smallest (i, j).  Empty intervals score the lowest float and NaN
     scores -inf, so with no value above the lowest float the result is
     (lowest float, 0, 0).  Inputs are equal-length 1-D float arrays
-    with a nondecreasing grid;
-    `cap` is only read in mode 2 and `p2`/`e1`/`e2` only where the mode
-    uses them.
+    with a nondecreasing grid; `cap` is only read in mode 2 and
+    `p2`/`e1`/`e2` only where the mode uses them.
     """
     g = np.asarray(grid, dtype=np.float64)
     q1 = np.asarray(p1, dtype=np.float64)
@@ -232,22 +230,23 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
         raise ValueError("grid must be nondecreasing")
     first = np.arange(0, n, _BLOCK)
     last = np.minimum(first + _BLOCK - 1, n - 1)
-    bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)
-    rows_i, cols_j = np.triu_indices(first.size)
-    bound = bound[rows_i, cols_j]
-    best, bi, bj = _LOWEST, 0, 0
-    # a block pair whose bound equals the incumbent may hold a tie with
-    # a smaller (i, j), so only a strictly smaller bound stops the scan
-    for k in np.argsort(-bound, kind="stable"):
-        if bound[k] < best:
-            break
-        i0, j0 = first[rows_i[k]], first[cols_j[k]]
-        rows = slice(i0, i0 + _BLOCK)
-        cols = slice(j0, j0 + _BLOCK)
-        vals = _pair_values(g, q1, q2, cp, e1, e2, mode, rows, cols)
-        r, c = divmod(int(np.argmax(vals)), vals.shape[1])
-        v = float(vals[r, c])
-        i, j = int(i0) + r, int(j0) + c
-        if v > best or (v == best and (i, j) < (bi, bj)):
-            best, bi, bj = v, i, j
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)
+        rows_i, cols_j = np.triu_indices(first.size)
+        bound = bound[rows_i, cols_j]
+        best, bi, bj = _LOWEST, 0, 0
+        # a block pair whose bound equals the incumbent may hold a tie with
+        # a smaller (i, j), so only a strictly smaller bound stops the scan
+        for k in np.argsort(-bound, kind="stable"):
+            if bound[k] < best:
+                break
+            i0, j0 = first[rows_i[k]], first[cols_j[k]]
+            rows = slice(i0, i0 + _BLOCK)
+            cols = slice(j0, j0 + _BLOCK)
+            vals = _pair_values(g, q1, q2, cp, e1, e2, mode, rows, cols)
+            r, c = divmod(int(np.argmax(vals)), vals.shape[1])
+            v = float(vals[r, c])
+            i, j = int(i0) + r, int(j0) + c
+            if v > best or (v == best and (i, j) < (bi, bj)):
+                best, bi, bj = v, i, j
     return best, bi, bj

@@ -264,12 +264,9 @@ def functional_ratio(
 
 def _prefix_power(grid: np.ndarray, a: float, nu: float, theta: float) -> np.ndarray:
     """Integral of (w/c)**theta from 0 to each grid point; needs
-    theta*nu + 1 > 0.  A constant integrand integrates to the grid
-    itself, exactly."""
+    theta*nu + 1 > 0."""
     import numpy as np
 
-    if theta * nu == 0.0:
-        return grid.copy()
     e = theta * nu + 1.0
     m = np.minimum(grid, a)
     out = (a / e) * (m / a) ** e
@@ -300,7 +297,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
 
 
 # The scan's block-bound arrays grow fourfold per level: depth 17 peaks
-# near 0.5 GB, and depth 18 would need about 1.9 GB.
+# near 0.45 GB, and depth 18 would need about 1.7 GB.
 _MAX_DEPTH = 17
 
 

@@ -1,6 +1,7 @@
 """The block-pruned pair scan against brute-force references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,11 +259,19 @@ def exponential_mode_inputs():
 def block_maxima(grid, p1, p2):
     """The largest computed pair value of each block pair, [I, J]."""
     n = grid.size
-    vals = _pairscan._pair_values(grid, p1, p2, p1, 0.0, 0.0, 1, slice(0, n), slice(0, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = _pairscan._pair_values(grid, p1, p2, p1, 0.0, 0.0, 1, slice(0, n), slice(0, n))
     nb = -(-n // _pairscan._BLOCK)
     padded = np.full((nb * _pairscan._BLOCK, nb * _pairscan._BLOCK), -np.inf)
     padded[:n, :n] = vals
     return padded.reshape(nb, _pairscan._BLOCK, nb, _pairscan._BLOCK).max(axis=(1, 3))
+
+
+def specht_term(grid, p1, p2, nb):
+    """_specht_bound on the cell slopes of the two prefixes."""
+    length = np.diff(grid)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _pairscan._specht_bound(np.diff(p1) / length, np.diff(p2) / length, nb)
 
 
 def specht_reference(grid, p1, p2, lo, hi):
@@ -291,7 +300,7 @@ def test_specht_term_matches_its_cellwise_definition():
         # the tilted walk passes _EXP_SAFE in some cells
         for sign, tilt in ((1.0, 0.0), (-1.0, 0.0), (1.0, 720.0)):
             p2 = tilt * grid + walk
-            term = _pairscan._specht_bound(grid, sign * p1, p2, first)
+            term = specht_term(grid, sign * p1, p2, first.size)
             for i, j in zip(*np.triu_indices(first.size)):
                 # pairs of block pair (i, j) span cells first[i]..last[j]-1
                 if last[j] > first[i]:
@@ -307,22 +316,67 @@ def test_exponential_bounds_hold_every_pair_value(monkeypatch):
         last = np.minimum(first + _pairscan._BLOCK - 1, n - 1)
         upper = np.triu_indices(first.size)
         best = block_maxima(grid, p1, p2)[upper]
-        bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
-        assert np.all(bound >= best), name
-        # the Specht term alone, with the same final widening, holds too
-        term = _pairscan._specht_bound(grid, p1, p2, first)[upper]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+            assert np.all(bound >= best), name
+            # the Specht term alone, with the same final widening, holds too
+            term = specht_term(grid, p1, p2, first.size)[upper]
             term = term + _pairscan._SLACK * np.abs(term) + _pairscan._TINY
-        assert np.all((term >= best) | np.isnan(term)), name
-        with monkeypatch.context() as m:
-            m.setattr(_pairscan, "_specht_bound", lambda *args: np.inf)
-            plain = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+            assert np.all((term >= best) | np.isnan(term)), name
+            with monkeypatch.context() as m:
+                m.setattr(_pairscan, "_specht_bound", lambda *args: np.inf)
+                plain = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
         binds[name] = np.count_nonzero(bound < plain)
         if "jump" in name:
             # the pairs across the jump are not means of cell slopes
             assert not np.isfinite(term).all() and np.isinf(bound).any()
     # where the weight barely varies, the Specht term is the tighter one
     assert binds["extremal delta-1=0.001"] > 0 and binds["extremal delta-1=1e-06"] > 0
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_scan_emits_no_float_warnings(mode):
+    # inf and NaN are scored inside the scan, under its own errstate
+    even = np.arange(301, dtype=np.float64) / 300.0
+    grids = (np.concatenate([[0.0, 0.0], even]), np.full(130, 0.5), np.array([-1e308, 1e308]))
+    cases = [(grid, grid, grid) for grid in grids]
+    cases += exponential_mode_inputs().values()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for grid, p1, p2 in cases:
+            max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode)
+
+
+# _pair_values calls per search for the p = 2 plus extremal weight at
+# (1, delta**2), for aq(10), a_inf and rh_inf, out of 2145 block pairs
+# at depth 12 and 33153 at depth 14.  Tighter bounds may lower them.
+VISITS = {
+    (12, 1.0): (0, 0, 0),
+    (12, 1.001): (1706, 330, 66),
+    (12, 2.0): (66, 68, 362),
+    (14, 1.0): (0, 0, 0),
+    (14, 1.001): (4870, 3359, 258),
+    (14, 2.0): (258, 260, 1706),
+}
+
+
+@pytest.mark.parametrize("depth,delta", sorted(VISITS))
+def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta):
+    calls = [0]
+    leaf = _pairscan._pair_values
+
+    def counted(*args):
+        calls[0] += 1
+        return leaf(*args)
+
+    monkeypatch.setattr(_pairscan, "_pair_values", counted)
+    w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+    visits = []
+    for kind in (FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_inf()):
+        calls[0] = 0
+        sup_ratio_search(w, kind, depth)
+        visits.append(calls[0])
+    assert all(v <= most for v, most in zip(visits, VISITS[depth, delta])), visits
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
