@@ -1,17 +1,22 @@
-"""Exact block-pruned scan for the largest pairwise ratio of interval
-averages.
+"""Exact block-pruned scan for the largest pairwise ratio of interval averages.
 
 Every functional of the supremum search reduces to a closed-form ratio
 of the interval averages (P[j] - P[i]) / (g[j] - g[i]) of prefix
-integrals P over a nondecreasing grid g.  The scan splits the indices
-into blocks of ``_BLOCK``, bounds the ratio over every pair of blocks,
-and evaluates the pairs of a block pair only while its bound can still
-reach the incumbent, visiting block pairs in decreasing bound order.
-The exponential mode also bounds each block pair by Specht's ratio of
-its cell slopes, which is 1 + O(spread**2) where the weight barely
-varies.  Both bounds share each prefix's cell slopes, and one
-``np.errstate`` covers the scan, which scores inf and NaN itself.  The
-result is bit-identical to evaluating every pair.
+integrals P over a nondecreasing grid g.  With d1, d2 and L the
+increments of p1, p2 and the grid from i to j > i, mode 0 is
+(d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) * exp(-(d2/L)), mode 2 cap[j] /
+(d1/L).  The scan splits the indices into blocks of ``_BLOCK``, bounds
+the ratio over every pair of blocks, and evaluates the pairs of a block
+pair (a leaf) only while its bound can still reach the incumbent,
+visiting block pairs in decreasing bound order.  The exponential mode
+also bounds each block pair by Specht's ratio of its cell slopes, which
+is 1 + O(spread**2) where the weight barely varies.  Both bounds share
+each prefix's cell slopes, and one ``np.errstate`` covers the scan,
+which scores inf and NaN itself.  A leaf takes 8 array passes in modes 0
+(9 where e1 != 1) and 1, and 5 in mode 2: only the diagonal, or every
+leaf on a grid with a repeated point, masks empty intervals, and only an
+argmax that lands on a NaN is taken again with the NaNs set to -inf.
+The result is bit-identical to evaluating every pair.
 """
 
 from __future__ import annotations
@@ -19,11 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK = 64
-
-# Modes: 0 -> (d1/L)**e1 * (d2/L)**e2   (moment-power ratios)
-#        1 -> (d1/L) * exp(-(d2/L))     (average times exponential)
-#        2 -> cap[j] / (d1/L)           (sup over average)
-# where d1 = p1[j]-p1[i], d2 = p2[j]-p2[i], L = grid[j]-grid[i], i < j.
 
 # Outward rounding of the block bounds.  A bound is computed with other
 # float operations than the pair values it must dominate, so both carry
@@ -70,22 +70,35 @@ _EXP_SAFE = 700.0
 _LOWEST = np.finfo(np.float64).min
 
 
-def _pair_values(grid, p1, p2, cap, e1, e2, mode, rows, cols):
-    """The mode's ratio on rows x cols, as scores for argmax."""
+def _best_pair(grid, p1, p2, cap, e1, e2, mode, i0, j0, mask):
+    """(value, r, c): the block pair from (i0, j0)'s largest score, floored at the
+    lowest float, and its first place.  NaN, and empty intervals if ``mask``, score -inf."""
+    rows, cols = slice(i0, i0 + _BLOCK), slice(j0, j0 + _BLOCK)
     length = grid[None, cols] - grid[rows, None]
-    a1 = (p1[None, cols] - p1[rows, None]) / length
+    vals = p1[None, cols] - p1[rows, None]
+    vals /= length
     if mode == 0:
-        vals = a1**e1 * ((p2[None, cols] - p2[rows, None]) / length) ** e2
+        if e1 != 1.0:  # x**1.0 == x
+            vals **= e1
+        a2 = p2[None, cols] - p2[rows, None]
+        a2 /= length
+        a2 **= e2
+        vals *= a2
     elif mode == 1:
-        vals = a1 * np.exp(-(p2[None, cols] - p2[rows, None]) / length)
+        # rounding is sign-symmetric, so this is exp(-(d2/L)) bit for bit
+        a2 = p2[rows, None] - p2[None, cols]
+        a2 /= length
+        vals *= np.exp(a2, out=a2)
     else:
-        vals = cap[None, cols] / a1
-    # empty intervals and -inf score the most negative float, NaN scores
-    # -inf (np.maximum keeps NaN), so argmax never picks a NaN
-    vals[length <= 0.0] = -np.inf
-    np.maximum(vals, _LOWEST, out=vals)
-    vals[np.isnan(vals)] = -np.inf
-    return vals
+        np.divide(cap[None, cols], vals, out=vals)
+    if mask:
+        vals[length <= 0.0] = -np.inf
+    k = int(vals.argmax())
+    if vals.item(k) != vals.item(k):  # a NaN: argmax stops at the first one
+        vals[np.isnan(vals)] = -np.inf
+        k = int(vals.argmax())
+    r, c = divmod(k, vals.shape[1])
+    return max(vals.item(k), _LOWEST), r, c
 
 
 def _by_block(values, nb, fill):
@@ -228,6 +241,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
         raise ValueError("prefix arrays must match the grid length")
     if not np.all(g[1:] >= g[:-1]):
         raise ValueError("grid must be nondecreasing")
+    repeated = not np.all(g[1:] > g[:-1])  # else only I == J has empty intervals
     first = np.arange(0, n, _BLOCK)
     last = np.minimum(first + _BLOCK - 1, n - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -235,18 +249,14 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
         rows_i, cols_j = np.triu_indices(first.size)
         bound = bound[rows_i, cols_j]
         best, bi, bj = _LOWEST, 0, 0
-        # a block pair whose bound equals the incumbent may hold a tie with
-        # a smaller (i, j), so only a strictly smaller bound stops the scan
+        # only a strictly smaller bound stops the scan, as an equal one may
+        # tie at a smaller (i, j); a leaf best of _LOWEST changes nothing
         for k in np.argsort(-bound, kind="stable"):
             if bound[k] < best:
                 break
-            i0, j0 = first[rows_i[k]], first[cols_j[k]]
-            rows = slice(i0, i0 + _BLOCK)
-            cols = slice(j0, j0 + _BLOCK)
-            vals = _pair_values(g, q1, q2, cp, e1, e2, mode, rows, cols)
-            r, c = divmod(int(np.argmax(vals)), vals.shape[1])
-            v = float(vals[r, c])
-            i, j = int(i0) + r, int(j0) + c
+            i0, j0 = int(first[rows_i[k]]), int(first[cols_j[k]])
+            v, r, c = _best_pair(g, q1, q2, cp, e1, e2, mode, i0, j0, repeated or i0 == j0)
+            i, j = i0 + r, j0 + c
             if v > best or (v == best and (i, j) < (bi, bj)):
                 best, bi, bj = v, i, j
     return best, bi, bj

@@ -23,6 +23,7 @@ from sharpweights import (
     bellman_value_gamma_form,
     functional_ratio,
     hessian_form,
+    interval_moment,
     q_star,
     t_star,
 )
@@ -173,3 +174,22 @@ def test_t_star_at_delta_near_one(p, reference):
 def test_functional_ratio_at_q_near_one():
     value = functional_ratio(PowerWeight(1.0, 0.5, 6.46), FunctionalKind.aq(1.01), 0.1, 0.2)
     assert rel_err(value, 21.99762029945685627922308) <= 1e-13
+
+
+@found("roots._branch_equation forms w = v/p, a subnormal float of about 11 "
+       "digits for small v at p above about 1e305: u_plus_from_log(1e307, -1e-10) "
+       "is 1.6e-8 off")
+def test_right_branch_at_subnormal_v_over_p():
+    # a 700-digit root of (p-1)*log(1 - v) - p*log(1 - r*v) = log t: its terms
+    # of size p*v = 1e302 cancel, so a reference below about 320 digits is noise
+    reference = 1.414200229141898725678209e-312
+    assert abs(u_plus_from_log(1e307, -1e-10) - reference) <= 2 * math.ulp(reference)
+
+
+@found("interval_moment raises the rounding of larger/a to the power theta*nu "
+       "and loses about |theta*nu| ulp: 3.06e-14 off at theta*nu = 215")
+def test_interval_moment_within_a_few_ulp_at_large_theta_nu():
+    value = interval_moment(PowerWeight(1.0, 0.43393882823119284, 24.22522235531663),
+                            8.869306756698956, 0.00967857630942603, 0.10743877943918628)
+    reference = 2.777401484350744432457098e-133
+    assert abs(value - reference) <= 4 * math.ulp(reference)

@@ -14,12 +14,35 @@ from sharpweights.weights import _prefix_log, _prefix_power
 _REF_ROWS = 256
 
 
+def brute_values(grid, p1, p2, e1, e2, cap, mode, rows, cols=slice(None)):
+    """The mode's ratio on rows x cols, and the interval lengths.
+
+    Modes: 0 -> (d1/L)**e1 * (d2/L)**e2, 1 -> (d1/L) * exp(-(d2/L)),
+    2 -> cap[j] / (d1/L).
+    """
+    length = grid[None, cols] - grid[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a1 = (p1[None, cols] - p1[rows, None]) / length
+        if mode == 0:
+            vals = a1**e1 * ((p2[None, cols] - p2[rows, None]) / length) ** e2
+        elif mode == 1:
+            vals = a1 * np.exp(-(p2[None, cols] - p2[rows, None]) / length)
+        else:
+            vals = cap[None, cols] / a1
+    return vals, length
+
+
+def brute_scores(vals, length):
+    """Empty intervals and -inf score the lowest float, NaN scores -inf."""
+    vals[length <= 0.0] = -np.inf
+    return np.nan_to_num(vals, copy=False, nan=-np.inf, posinf=np.inf)
+
+
 def brute_force_scan(grid, p1, p2, e1, e2, cap, mode):
     """Every pair, _REF_ROWS rows at a time: the bit-identity reference.
 
-    Modes: 0 -> (d1/L)**e1 * (d2/L)**e2, 1 -> (d1/L) * exp(-(d2/L)),
-    2 -> cap[j] / (d1/L).  Ties resolve to the first (i, j) in row-major
-    order because only a strict improvement replaces the incumbent.
+    Ties resolve to the first (i, j) in row-major order because only a
+    strict improvement replaces the incumbent.
     """
     g = np.asarray(grid, dtype=np.float64)
     q1 = np.asarray(p1, dtype=np.float64)
@@ -32,18 +55,7 @@ def brute_force_scan(grid, p1, p2, e1, e2, cap, mode):
     bi, bj = 0, 1
     for lo in range(0, n - 1, _REF_ROWS):
         hi = min(lo + _REF_ROWS, n - 1)
-        rows = slice(lo, hi)
-        length = g[None, :] - g[rows, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a1 = (q1[None, :] - q1[rows, None]) / length
-            if mode == 0:
-                vals = a1**e1 * ((q2[None, :] - q2[rows, None]) / length) ** e2
-            elif mode == 1:
-                vals = a1 * np.exp(-(q2[None, :] - q2[rows, None]) / length)
-            else:
-                vals = cp[None, :] / a1
-        vals[length <= 0.0] = -np.inf
-        np.nan_to_num(vals, copy=False, nan=-np.inf, posinf=np.inf)
+        vals = brute_scores(*brute_values(g, q1, q2, e1, e2, cp, mode, slice(lo, hi)))
         flat = int(np.argmax(vals))
         r, c = divmod(flat, n)
         v = float(vals[r, c])
@@ -259,8 +271,7 @@ def exponential_mode_inputs():
 def block_maxima(grid, p1, p2):
     """The largest computed pair value of each block pair, [I, J]."""
     n = grid.size
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = _pairscan._pair_values(grid, p1, p2, p1, 0.0, 0.0, 1, slice(0, n), slice(0, n))
+    vals = brute_scores(*brute_values(grid, p1, p2, 0.0, 0.0, p1, 1, slice(0, n)))
     nb = -(-n // _pairscan._BLOCK)
     padded = np.full((nb * _pairscan._BLOCK, nb * _pairscan._BLOCK), -np.inf)
     padded[:n, :n] = vals
@@ -347,7 +358,7 @@ def test_scan_emits_no_float_warnings(mode):
             max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode)
 
 
-# _pair_values calls per search for the p = 2 plus extremal weight at
+# leaves (_best_pair calls) per search for the p = 2 plus extremal weight at
 # (1, delta**2), for aq(10), a_inf and rh_inf, out of 2145 block pairs
 # at depth 12 and 33153 at depth 14.  Tighter bounds may lower them.
 VISITS = {
@@ -363,13 +374,13 @@ VISITS = {
 @pytest.mark.parametrize("depth,delta", sorted(VISITS))
 def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta):
     calls = [0]
-    leaf = _pairscan._pair_values
+    leaf = _pairscan._best_pair
 
     def counted(*args):
         calls[0] += 1
         return leaf(*args)
 
-    monkeypatch.setattr(_pairscan, "_pair_values", counted)
+    monkeypatch.setattr(_pairscan, "_best_pair", counted)
     w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
     visits = []
     for kind in (FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_inf()):
@@ -422,6 +433,91 @@ def test_duplicate_grid_points_in_every_block(mode):
     # a grid of one repeated point has no interval at all
     flat = np.full(130, 0.5)
     assert_bit_identical(flat, p1[:130], p2[:130], 1.0, 1.0, cap[:130], mode)
+
+
+def leaf_edge_inputs(mode):
+    """Cases (grid, p1, p2, cap, e2) of 150 points, blocks of 64, 64 and a
+    short 22: off-diagonal block pairs holding NaN, +inf, -inf and empty
+    intervals."""
+    rng = np.random.default_rng(90 + mode)
+    grid = np.arange(150, dtype=np.float64) / 149.0
+
+    def base():
+        p1, p2 = np.cumsum(rng.uniform(0.01, 1.0, (2, 150)), axis=1)
+        return p1, 1e-3 * p2, rng.uniform(0.1, 2.0, 150)
+
+    cases = {}
+    # the maximum at (127, 128), in block pair (1, 2) after its NaN column 140
+    p1, p2, cap = base()
+    if mode == 2:
+        p1[128:] += p1[127] + 1e-3 - p1[128]
+        cap[128] = 1e3
+    else:
+        p1[128:] += 1e4
+    p1[140] = np.nan
+    cases["NaN before the maximum"] = (grid, p1, p2, cap, -1.0)
+    # +inf in column 130 and -inf in column 135; in mode 0 from
+    # d2 = -0.0 - 0.0 = -0.0 at (10, 135), as (-0.0)**-1 is -inf
+    p1, p2, cap = base()
+    if mode == 2:
+        cap[130], cap[135] = np.inf, -np.inf
+    else:
+        p1[130] = np.inf
+    if mode == 1:
+        p1[135] = -np.inf
+    p2[10], p2[135] = 0.0, -0.0
+    cases["+inf and -inf"] = (grid, p1, p2, cap, -1.0)
+    # columns 128 on score NaN, or NaN and -inf, for every row before them
+    p1, p2, cap = base()
+    p1[128::2] = np.nan
+    p1[129::2] = np.nan if mode == 0 else -np.inf
+    cap[129::2] = -np.inf
+    cases["NaN or -inf only"] = (grid, p1, p2, cap, -1.0)
+    # (63, 64) and (99, 100) are empty; unmasked they score +inf in mode 0
+    # at e2 = 0.5 and in mode 1 where p2 falls there, and -0.0 in mode 2,
+    # above every other pair where the caps are below 0
+    p1, p2, cap = base()
+    repeated = grid.copy()
+    repeated[64], repeated[100] = repeated[63], repeated[99]
+    if mode == 1:
+        p2[64], p2[100] = p2[63] - 1e-3, p2[99] - 1e-3
+    cases["repeated points"] = (repeated, p1, p2, -cap, 0.5)
+    return cases
+
+
+@pytest.mark.parametrize("e1", [1.0, 0.7])
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_leaf_skips_are_bit_identical_at_nan_inf_and_repeated_points(monkeypatch, mode, e1):
+    leaves = []
+    leaf = _pairscan._best_pair
+
+    def recorded(*args):
+        leaves.append(args[7:9])
+        return leaf(*args)
+
+    monkeypatch.setattr(_pairscan, "_best_pair", recorded)
+    block = _pairscan._BLOCK
+    for name, (grid, p1, p2, cap, e2) in leaf_edge_inputs(mode).items():
+        args = (grid, p1, p2, e1, e2, cap, mode)
+        leaves.clear()
+        expected = brute_force_scan(*args)
+        assert max_pair_ratio(*args) == expected, name
+        # the case reaches an off-diagonal leaf of the kind it is named for
+        off = {(i0, j0): brute_values(*args, slice(i0, i0 + block), slice(j0, j0 + block))
+               for i0, j0 in leaves if i0 != j0}
+        assert any(j0 == 128 for _, j0 in off), name  # the short last block
+        if name == "NaN before the maximum":
+            _, i, j = expected
+            vals, _ = off[i - i % block, j - j % block]
+            assert np.isnan(vals.flat[: (i % block) * vals.shape[1] + j % block]).any()
+        elif name == "+inf and -inf":
+            assert any((vals == np.inf).any() for vals, _ in off.values())
+            assert any((vals == -np.inf).any() for vals, _ in off.values())
+        elif name == "NaN or -inf only":
+            assert any((np.isnan(vals) | (vals == -np.inf)).all() for vals, _ in off.values())
+            assert np.isfinite(expected[0])
+        else:
+            assert any((vals[length <= 0.0] > expected[0]).any() for vals, length in off.values())
 
 
 def test_rejects_mismatched_prefixes():
