@@ -5,18 +5,19 @@ of the interval averages (P[j] - P[i]) / (g[j] - g[i]) of prefix
 integrals P over a nondecreasing grid g.  With d1, d2 and L the
 increments of p1, p2 and the grid from i to j > i, mode 0 is
 (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) * exp(-(d2/L)), mode 2 cap[j] /
-(d1/L).  The scan splits the indices into blocks of ``_BLOCK``, bounds
-the ratio over every pair of blocks, and evaluates the pairs of a block
-pair (a leaf) only while its bound can still reach the incumbent,
-visiting block pairs in decreasing bound order.  The exponential mode
-also bounds each block pair by Specht's ratio of its cell slopes, which
-is 1 + O(spread**2) where the weight barely varies.  Both bounds share
-each prefix's cell slopes, and one ``np.errstate`` covers the scan,
-which scores inf and NaN itself.  A leaf takes 8 array passes in modes 0
-(9 where e1 != 1) and 1, and 5 in mode 2: only the diagonal, or every
-leaf on a grid with a repeated point, masks empty intervals, and only an
-argmax that lands on a NaN is taken again with the NaNs set to -inf.
-The result is bit-identical to evaluating every pair.
+(d1/L).  The scan splits the indices into blocks graded toward the
+origin, [0], [1], [2, 3], ..., [_BLOCK/2, _BLOCK - 1], then blocks of
+``_BLOCK``: on a power of t every interval [0, b] ties at the best, and
+that tie stays in the one-point row [0].  It bounds the ratio over every
+block pair (the exponential mode also by Specht's ratio of the cell
+slopes, 1 + O(spread**2) where the weight barely varies), visits block
+rows in decreasing order of their largest bound, and scores each run of
+column blocks whose bound can still reach the incumbent in slices of
+about ``_SLICE`` pairs, in 8 array passes in modes 0 (9 where e1 != 1)
+and 1 and 5 in mode 2.  Only a slice meeting the diagonal, or any on a
+grid with a repeated point, masks empty intervals; only an argmax on a
+NaN is retaken with the NaNs at -inf.  The scan scores inf and NaN under
+one ``np.errstate`` and is bit-identical to evaluating every pair.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK = 64
+_SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill L2
 
 # Outward rounding of the block bounds.  A bound is computed with other
 # float operations than the pair values it must dominate, so both carry
@@ -70,10 +72,9 @@ _EXP_SAFE = 700.0
 _LOWEST = np.finfo(np.float64).min
 
 
-def _best_pair(grid, p1, p2, cap, e1, e2, mode, i0, j0, mask):
-    """(value, r, c): the block pair from (i0, j0)'s largest score, floored at the
-    lowest float, and its first place.  NaN, and empty intervals if ``mask``, score -inf."""
-    rows, cols = slice(i0, i0 + _BLOCK), slice(j0, j0 + _BLOCK)
+def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
+    """(value, i, j): the largest score over the index slices rows x cols, floored at
+    the lowest float, and its first pair.  NaN, and empty intervals if ``mask``, score -inf."""
     length = grid[None, cols] - grid[rows, None]
     vals = p1[None, cols] - p1[rows, None]
     vals /= length
@@ -98,14 +99,14 @@ def _best_pair(grid, p1, p2, cap, e1, e2, mode, i0, j0, mask):
         vals[np.isnan(vals)] = -np.inf
         k = int(vals.argmax())
     r, c = divmod(k, vals.shape[1])
-    return max(vals.item(k), _LOWEST), r, c
+    return max(vals.item(k), _LOWEST), rows.start + r, cols.start + c
 
 
-def _by_block(values, nb, fill):
-    """values laid out as nb rows of _BLOCK, padded with ``fill``."""
-    padded = np.full(nb * _BLOCK, fill)
-    padded[: values.size] = values
-    return padded.reshape(nb, _BLOCK)
+def _partition(n):
+    """(first, last) index of each block of n points: [0], [1], [2, 3], ..., then _BLOCKs."""
+    first = np.r_[0, 1 << np.arange(_BLOCK.bit_length() - 1), _BLOCK : n : _BLOCK]
+    first = first[first < n]
+    return first, np.append(first[1:] - 1, n - 1)
 
 
 def _average_bounds(grid, prefix, slopes, first, last):
@@ -118,13 +119,15 @@ def _average_bounds(grid, prefix, slopes, first, last):
     lengths l and r free in [0, len I] x [0, len J] the average is
     linear-fractional in (l, r), so its extremes sit at the 4 corners.
     """
-    # slope k joins points k and k+1; the last slot of each block joins
-    # two blocks and is dropped.  A one-point block has no flank.
-    nb = first.size
-    smax = _by_block(slopes, nb, -np.inf)[:, :-1].max(axis=1)
-    smin = _by_block(slopes, nb, np.inf)[:, :-1].min(axis=1)
-    single = first == last
-    smax[single] = smin[single] = 0.0
+    # slope k joins points k and k+1; the slot at a block's last point
+    # joins two blocks (or lies past the grid) and is masked, to 0 in a
+    # one-point block, which has no flank
+    fill = np.where(first < last, np.inf, 0.0)
+    cells = np.append(slopes, 0.0)
+    cells[last] = -fill
+    smax = np.maximum.reduceat(cells, first)
+    cells[last] = fill
+    smin = np.minimum.reduceat(cells, first)
     smag = np.maximum(np.abs(smax), np.abs(smin))
     chord = prefix[first][None, :] - prefix[last][:, None]
     gap = grid[first][None, :] - grid[last][:, None]
@@ -152,37 +155,31 @@ def _average_bounds(grid, prefix, slopes, first, last):
     return lo, hi
 
 
-def _specht_bound(s1, s2, nb):
+def _specht_bound(s1, s2, first, last):
     """Upper bound on the exponential mode's ratio over each block pair
-    [I, J] with I <= J of nb blocks, from Specht's ratio of the cell
-    slopes s1, s2 (see above _SLACK); entries with I > J are meaningless."""
-    # per cell, laid out by block: rho_k, s2_k and -s2_k, so that all
-    # three statistics are maxima
-    cells = np.full((3, nb * _BLOCK), -np.inf)
-    rho, top, bottom = cells[:, : s2.size]
-    top[:] = s2
-    np.negative(s2, out=bottom)
-    np.exp(bottom, out=rho)
-    rho *= s1
-    cells = cells.reshape(3, nb, _BLOCK)
+    [I, J] with I <= J, from Specht's ratio of the cell slopes s1, s2 (see
+    above _SLACK); entries with I > J are meaningless."""
+    # per cell rho_k, s2_k and -s2_k, so that all three statistics are
+    # maxima, and a slot past the last cell
+    cells = np.pad(np.stack([s1 * np.exp(-s2), s2, -s2]), ((0, 0), (0, 1)))
     # block pair [I, J] spans the cells inside block I and, for each
-    # later block K <= J, the cell joining K - 1 to K and those inside K
-    inner = cells[:, :, :-1].max(axis=2)
-    incoming = inner.copy()
-    np.maximum(inner[:, 1:], cells[:, :-1, -1], out=incoming[:, 1:])
+    # later block K <= J, the cell joining K - 1 to K (at K = 0 the unread
+    # slot past the last cell) and those inside K
+    incoming = cells[:, first - 1]
+    cells[:, last] = -np.inf
+    inner = np.maximum.reduceat(cells, first, axis=1)
+    np.maximum(incoming, inner, out=incoming)
     for stats in (inner, incoming):
         # x + _SLACK*|x| + _TINY is increasing, so widening a maximum
-        # widens every cell under it
-        stats += _SLACK * np.abs(stats) + _TINY
+        # widens every cell under it; a block with no cell keeps -inf
+        np.fmax(stats, stats + _SLACK * np.abs(stats) + _TINY, out=stats)
         stats[0, stats[1] > _EXP_SAFE] = np.inf
-    # Rows of nb + 1 tiled from `incoming` hold incoming[I + c] at
-    # [I, c] (wrapping only past c = nb - 1 - I, the last block); with
-    # block I's inner cells at c = 0, the running maximum along a row
-    # covers blocks I..I+c.  Read as rows of nb, [I, c] is [I, I + c].
-    spread = np.tile(incoming, nb + 1).reshape(3, nb, nb + 1)
-    spread[:, :, 0] = inner
-    np.maximum.accumulate(spread, axis=2, out=spread)
-    rho, top, bottom = spread.reshape(3, -1)[:, : nb * nb].reshape(3, nb, nb)
+    # [I, K] holds block I's inner cells at K = I and incoming[K] past
+    # it, so the running maximum along row I at J covers blocks I..J
+    nb = first.size
+    spread = np.where(np.tri(nb, k=-1, dtype=bool), -np.inf, incoming[:, None, :])
+    spread[:, range(nb), range(nb)] = inner
+    rho, top, bottom = np.maximum.accumulate(spread, axis=2, out=spread)
     term = top + bottom  # the spread D
     ratio = np.expm1(term)
     ratio /= term
@@ -196,9 +193,9 @@ def _specht_bound(s1, s2, nb):
 
 
 def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
-    """Upper bound on the mode's computed ratio over each block pair
-    [I, J] with I <= J; +inf where no bound holds (NaN, or averages that
-    may be nonpositive where the mode needs them positive)."""
+    """Upper bound on the mode's computed ratio over each block pair [I, J]:
+    -inf where it holds no pair i < j, +inf where no bound holds (NaN, or
+    averages that may be nonpositive where the mode needs them positive)."""
     length = np.diff(grid)
     s1 = np.diff(p1) / length
     lo1, hi1 = _average_bounds(grid, p1, s1, first, last)
@@ -211,12 +208,13 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
         bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
     elif mode == 1:
         bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
-        np.minimum(bound, _specht_bound(s1, s2, first.size), out=bound)
+        np.minimum(bound, _specht_bound(s1, s2, first, last), out=bound)
     else:
-        top = _by_block(cap, first.size, -np.inf).max(axis=1)[None, :]
+        top = np.maximum.reduceat(cap, first)[None, :]
         bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
     bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
+    bound[last[None, :] <= first[:, None]] = -np.inf
     return bound
 
 
@@ -230,10 +228,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
     with a nondecreasing grid; `cap` is only read in mode 2 and
     `p2`/`e1`/`e2` only where the mode uses them.
     """
-    g = np.asarray(grid, dtype=np.float64)
-    q1 = np.asarray(p1, dtype=np.float64)
-    q2 = np.asarray(p2, dtype=np.float64)
-    cp = np.asarray(cap, dtype=np.float64)
+    g, q1, q2, cp = (np.asarray(x, dtype=np.float64) for x in (grid, p1, p2, cap))
     n = g.size
     if n < 2:
         raise ValueError("need at least two grid points")
@@ -241,22 +236,27 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
         raise ValueError("prefix arrays must match the grid length")
     if not np.all(g[1:] >= g[:-1]):
         raise ValueError("grid must be nondecreasing")
-    repeated = not np.all(g[1:] > g[:-1])  # else only I == J has empty intervals
-    first = np.arange(0, n, _BLOCK)
-    last = np.minimum(first + _BLOCK - 1, n - 1)
+    repeated = not np.all(g[1:] > g[:-1])
+    first, last = _partition(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)
-        rows_i, cols_j = np.triu_indices(first.size)
-        bound = bound[rows_i, cols_j]
+        top = bound.max(axis=1)
         best, bi, bj = _LOWEST, 0, 0
-        # only a strictly smaller bound stops the scan, as an equal one may
-        # tie at a smaller (i, j); a leaf best of _LOWEST changes nothing
-        for k in np.argsort(-bound, kind="stable"):
-            if bound[k] < best:
+        # only a strictly smaller bound stops the scan or skips a slice, as an
+        # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing
+        for row in np.argsort(-top, kind="stable"):
+            if top[row] < best:
                 break
-            i0, j0 = int(first[rows_i[k]]), int(first[cols_j[k]])
-            v, r, c = _best_pair(g, q1, q2, cp, e1, e2, mode, i0, j0, repeated or i0 == j0)
-            i, j = i0 + r, j0 + c
-            if v > best or (v == best and (i, j) < (bi, bj)):
-                best, bi, bj = v, i, j
+            rows = slice(int(first[row]), int(last[row]) + 1)
+            step = max(_SLICE // (_BLOCK * (rows.stop - rows.start)), 1)  # blocks a slice
+            # the column blocks [a, b) of each run still at or above best
+            runs = np.flatnonzero(np.diff(bound[row] >= best, prepend=False, append=False))
+            for a, b in runs.reshape(-1, 2):
+                for s in range(a, b, step):
+                    t = min(s + step, b)
+                    if bound[row, s:t].max() >= best:
+                        cols = slice(int(first[s]), int(last[t - 1]) + 1)
+                        v, i, j = _best_pair(g, q1, q2, cp, e1, e2, mode, rows, cols, repeated or s == row)
+                        if v > best or (v == best and (i, j) < (bi, bj)):
+                            best, bi, bj = v, i, j
     return best, bi, bj

@@ -353,8 +353,10 @@ def sup_ratio_search(
 
     n = (1 << depth) + 1
     grid = np.arange(n, dtype=np.float64) / float(n - 1)
-    if inject_candidates:
-        grid = np.unique(np.concatenate([grid, np.array([0.0, a, 1.0])]))
+    if inject_candidates:  # 0 and 1 are grid points, and 0 < a <= 1
+        k = int(grid.searchsorted(a))
+        if grid[k] != a:
+            grid = np.insert(grid, k, a)
     prefixes = [_prefix_power(grid, a, nu, theta) for theta in thetas]
     if mode == 1:
         prefixes.append(_prefix_log(grid, a, nu))

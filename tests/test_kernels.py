@@ -268,21 +268,34 @@ def exponential_mode_inputs():
     return cases
 
 
-def block_maxima(grid, p1, p2):
-    """The largest computed pair value of each block pair, [I, J]."""
-    n = grid.size
-    vals = brute_scores(*brute_values(grid, p1, p2, 0.0, 0.0, p1, 1, slice(0, n)))
-    nb = -(-n // _pairscan._BLOCK)
-    padded = np.full((nb * _pairscan._BLOCK, nb * _pairscan._BLOCK), -np.inf)
-    padded[:n, :n] = vals
-    return padded.reshape(nb, _pairscan._BLOCK, nb, _pairscan._BLOCK).max(axis=(1, 3))
+def last_indices(first, n):
+    """The last index of each block of n points that starts at ``first``."""
+    return np.append(first[1:] - 1, n - 1)
 
 
-def specht_term(grid, p1, p2, nb):
-    """_specht_bound on the cell slopes of the two prefixes."""
+def partitions(n):
+    """The scan's graded blocks and uniform blocks of _BLOCK, each as
+    the (first, last) index of every block."""
+    uniform = np.arange(0, n, _pairscan._BLOCK)
+    return {"graded": _pairscan._partition(n), "uniform": (uniform, last_indices(uniform, n))}
+
+
+def block_maxima(grid, p1, p2, first):
+    """The largest computed pair value of each block pair, [I, J], of the
+    blocks that start at ``first``, over its pairs i < j; -inf where it
+    has none."""
+    vals = brute_scores(*brute_values(grid, p1, p2, 0.0, 0.0, p1, 1, slice(0, grid.size)))
+    vals[np.tril_indices(grid.size)] = -np.inf
+    return np.maximum.reduceat(np.maximum.reduceat(vals, first, axis=0), first, axis=1)
+
+
+def specht_term(grid, p1, p2, first):
+    """_specht_bound on the cell slopes of the two prefixes, over the
+    blocks that start at ``first``."""
     length = np.diff(grid)
+    last = last_indices(first, grid.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _pairscan._specht_bound(np.diff(p1) / length, np.diff(p2) / length, nb)
+        return _pairscan._specht_bound(np.diff(p1) / length, np.diff(p2) / length, first, last)
 
 
 def specht_reference(grid, p1, p2, lo, hi):
@@ -303,54 +316,60 @@ def specht_reference(grid, p1, p2, lo, hi):
 
 def test_specht_term_matches_its_cellwise_definition():
     rng = np.random.default_rng(12)
-    for n in (2, 64, 65, 66, 300):
+    # n = 3 and 5 (one-point blocks in the graded head) come last, so that
+    # the other sizes keep their draws
+    for n in (2, 64, 65, 66, 300, 3, 5):
         grid, p1, _, _ = random_inputs(rng, n)
         walk = np.cumsum(rng.normal(0.0, 0.01, n))
-        first = np.arange(0, n, _pairscan._BLOCK)
-        last = np.minimum(first + _pairscan._BLOCK - 1, n - 1)
-        # the tilted walk passes _EXP_SAFE in some cells
-        for sign, tilt in ((1.0, 0.0), (-1.0, 0.0), (1.0, 720.0)):
-            p2 = tilt * grid + walk
-            term = specht_term(grid, sign * p1, p2, first.size)
-            for i, j in zip(*np.triu_indices(first.size)):
-                # pairs of block pair (i, j) span cells first[i]..last[j]-1
-                if last[j] > first[i]:
-                    expected = specht_reference(grid, sign * p1, p2, first[i], last[j])
-                    assert term[i, j] == expected, (n, i, j)
+        for kind, (first, last) in partitions(n).items():
+            # the tilted walk passes _EXP_SAFE in some cells
+            for sign, tilt in ((1.0, 0.0), (-1.0, 0.0), (1.0, 720.0)):
+                p2 = tilt * grid + walk
+                term = specht_term(grid, sign * p1, p2, first)
+                for i, j in zip(*np.triu_indices(first.size)):
+                    # pairs of block pair (i, j) span cells first[i]..last[j]-1
+                    if last[j] > first[i]:
+                        expected = specht_reference(grid, sign * p1, p2, first[i], last[j])
+                        assert term[i, j] == expected, (kind, n, i, j)
 
 
 def test_exponential_bounds_hold_every_pair_value(monkeypatch):
     binds = {}
     for name, (grid, p1, p2) in exponential_mode_inputs().items():
-        n = grid.size
-        first = np.arange(0, n, _pairscan._BLOCK)
-        last = np.minimum(first + _pairscan._BLOCK - 1, n - 1)
-        upper = np.triu_indices(first.size)
-        best = block_maxima(grid, p1, p2)[upper]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
-            assert np.all(bound >= best), name
-            # the Specht term alone, with the same final widening, holds too
-            term = specht_term(grid, p1, p2, first.size)[upper]
-            term = term + _pairscan._SLACK * np.abs(term) + _pairscan._TINY
-            assert np.all((term >= best) | np.isnan(term)), name
-            with monkeypatch.context() as m:
-                m.setattr(_pairscan, "_specht_bound", lambda *args: np.inf)
-                plain = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
-        binds[name] = np.count_nonzero(bound < plain)
-        if "jump" in name:
-            # the pairs across the jump are not means of cell slopes
-            assert not np.isfinite(term).all() and np.isinf(bound).any()
+        for kind, (first, last) in partitions(grid.size).items():
+            upper = np.triu_indices(first.size)
+            best = block_maxima(grid, p1, p2, first)[upper]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+                assert np.all(bound >= best), (kind, name)
+                # the Specht term alone, with the same final widening, holds too
+                term = specht_term(grid, p1, p2, first)[upper]
+                term = term + _pairscan._SLACK * np.abs(term) + _pairscan._TINY
+                assert np.all((term >= best) | np.isnan(term)), (kind, name)
+                with monkeypatch.context() as m:
+                    m.setattr(_pairscan, "_specht_bound", lambda *args: np.inf)
+                    plain = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+            binds[kind, name] = np.count_nonzero(bound < plain)
+            if "jump" in name:
+                # the pairs across the jump are not means of cell slopes
+                assert not np.isfinite(term).all() and (bound == np.inf).any()
     # where the weight barely varies, the Specht term is the tighter one
-    assert binds["extremal delta-1=0.001"] > 0 and binds["extremal delta-1=1e-06"] > 0
+    for kind in ("graded", "uniform"):
+        assert binds[kind, "extremal delta-1=0.001"] > 0 and binds[kind, "extremal delta-1=1e-06"] > 0
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_scan_emits_no_float_warnings(mode):
-    # inf and NaN are scored inside the scan, under its own errstate
+    # inf and NaN are scored inside the scan, under its own errstate; the
+    # short grids end in one-point blocks: [1] at n = 2, [2] at n = 3 and
+    # [32] at n = 33, and [4] holds the repeated point at n = 5
     even = np.arange(301, dtype=np.float64) / 300.0
-    grids = (np.concatenate([[0.0, 0.0], even]), np.full(130, 0.5), np.array([-1e308, 1e308]))
+    grids = (np.concatenate([[0.0, 0.0], even]), np.full(130, 0.5), np.array([-1e308, 1e308]),
+             np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 1.0, 1.0]),
+             np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 40))
     cases = [(grid, grid, grid) for grid in grids]
+    w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
+    cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu)) for grid in grids[3:]]
     cases += exponential_mode_inputs().values()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -358,16 +377,17 @@ def test_scan_emits_no_float_warnings(mode):
             max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode)
 
 
-# leaves (_best_pair calls) per search for the p = 2 plus extremal weight at
-# (1, delta**2), for aq(10), a_inf and rh_inf, out of 2145 block pairs
-# at depth 12 and 33153 at depth 14.  Tighter bounds may lower them.
+# pairs scored (the summed sizes of the slices _best_pair scores) per
+# search for the p = 2 plus extremal weight at (1, delta**2), for aq(10),
+# a_inf and rh_inf, out of 8,390,656 pairs at depth 12 and 134,225,920 at
+# depth 14.  Tighter bounds may lower them.
 VISITS = {
     (12, 1.0): (0, 0, 0),
-    (12, 1.001): (1706, 330, 66),
-    (12, 2.0): (66, 68, 362),
+    (12, 1.001): (6934819, 1308373, 99661),
+    (12, 2.0): (5424, 122188, 1473238),
     (14, 1.0): (0, 0, 0),
-    (14, 1.001): (4870, 3359, 258),
-    (14, 2.0): (258, 260, 1706),
+    (14, 1.001): (19914403, 13711189, 296269),
+    (14, 2.0): (17712, 318796, 6978262),
 }
 
 
@@ -377,7 +397,8 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
     leaf = _pairscan._best_pair
 
     def counted(*args):
-        calls[0] += 1
+        rows, cols = args[7:9]
+        calls[0] += (rows.stop - rows.start) * (cols.stop - cols.start)
         return leaf(*args)
 
     monkeypatch.setattr(_pairscan, "_best_pair", counted)
@@ -436,9 +457,9 @@ def test_duplicate_grid_points_in_every_block(mode):
 
 
 def leaf_edge_inputs(mode):
-    """Cases (grid, p1, p2, cap, e2) of 150 points, blocks of 64, 64 and a
-    short 22: off-diagonal block pairs holding NaN, +inf, -inf and empty
-    intervals."""
+    """Cases (grid, p1, p2, cap, e2) of 150 points, whose blocks end in
+    [32, 63], [64, 127] and a short [128, 149]: slices off the diagonal
+    holding NaN, +inf, -inf and empty intervals."""
     rng = np.random.default_rng(90 + mode)
     grid = np.arange(150, dtype=np.float64) / 149.0
 
@@ -447,7 +468,8 @@ def leaf_edge_inputs(mode):
         return p1, 1e-3 * p2, rng.uniform(0.1, 2.0, 150)
 
     cases = {}
-    # the maximum at (127, 128), in block pair (1, 2) after its NaN column 140
+    # the maximum at (127, 128), in the slice of blocks [64, 127] x [128, 149]
+    # after its NaN column 140
     p1, p2, cap = base()
     if mode == 2:
         p1[128:] += p1[127] + 1e-3 - p1[128]
@@ -488,28 +510,29 @@ def leaf_edge_inputs(mode):
 @pytest.mark.parametrize("e1", [1.0, 0.7])
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_leaf_skips_are_bit_identical_at_nan_inf_and_repeated_points(monkeypatch, mode, e1):
-    leaves = []
+    slices = []
     leaf = _pairscan._best_pair
 
     def recorded(*args):
-        leaves.append(args[7:9])
+        slices.append(args[7:9])
         return leaf(*args)
 
     monkeypatch.setattr(_pairscan, "_best_pair", recorded)
-    block = _pairscan._BLOCK
+    # one column block a slice in the rows of 32 points and more
+    monkeypatch.setattr(_pairscan, "_SLICE", 32 * _pairscan._BLOCK)
     for name, (grid, p1, p2, cap, e2) in leaf_edge_inputs(mode).items():
         args = (grid, p1, p2, e1, e2, cap, mode)
-        leaves.clear()
+        slices.clear()
         expected = brute_force_scan(*args)
         assert max_pair_ratio(*args) == expected, name
-        # the case reaches an off-diagonal leaf of the kind it is named for
-        off = {(i0, j0): brute_values(*args, slice(i0, i0 + block), slice(j0, j0 + block))
-               for i0, j0 in leaves if i0 != j0}
-        assert any(j0 == 128 for _, j0 in off), name  # the short last block
+        # the case reaches a slice off the diagonal of the kind it is named for
+        off = {(rows.start, cols.start): brute_values(*args, rows, cols)
+               for rows, cols in slices if cols.start >= rows.stop}
+        assert (64, 128) in off, name  # the short last block
         if name == "NaN before the maximum":
             _, i, j = expected
-            vals, _ = off[i - i % block, j - j % block]
-            assert np.isnan(vals.flat[: (i % block) * vals.shape[1] + j % block]).any()
+            vals, _ = off[64, 128]
+            assert np.isnan(vals.flat[: (i - 64) * vals.shape[1] + j - 128]).any()
         elif name == "+inf and -inf":
             assert any((vals == np.inf).any() for vals, _ in off.values())
             assert any((vals == -np.inf).any() for vals, _ in off.values())
@@ -518,6 +541,66 @@ def test_leaf_skips_are_bit_identical_at_nan_inf_and_repeated_points(monkeypatch
             assert np.isfinite(expected[0])
         else:
             assert any((vals[length <= 0.0] > expected[0]).any() for vals, length in off.values())
+
+
+BREAK = 0.7071
+
+
+def scan_grids(n):
+    """Grids of n points on [0, 1]: strictly increasing, with a repeated
+    point (at 31 and 32 where n > 32, across a block boundary), and with
+    the off-grid breakpoint BREAK injected as sup_ratio_search injects it."""
+    coarse = np.arange(n - 1, dtype=np.float64) / max(n - 2, 1)
+    k = min(n - 2, 31)
+    return {
+        "increasing": np.arange(n, dtype=np.float64) / (n - 1),
+        "repeated point": np.insert(coarse, k, coarse[k]),
+        "injected breakpoint": np.insert(coarse, coarse.searchsorted(BREAK), BREAK),
+    }
+
+
+def power_weight_inputs(grid, mode, e1):
+    """(p1, p2, e2, cap) for the weight t**0.5 up to BREAK, p1 the prefix of
+    its power 1/e1: aq(3) or rh_p(1/e1) in mode 0, whose intervals [0, b] tie."""
+    nu = 0.5
+    p1 = _prefix_power(grid, BREAK, nu, 1.0 / e1)
+    if mode == 0 and e1 == 1.0:
+        return p1, _prefix_power(grid, BREAK, nu, -0.5), 2.0, p1
+    if mode == 0:
+        return p1, _prefix_power(grid, BREAK, nu, 1.0), -1.0, p1
+    return p1, _prefix_log(grid, BREAK, nu), 0.0, (np.minimum(grid, BREAK) / BREAK) ** nu
+
+
+@pytest.mark.parametrize("e1", [1.0, 0.7])
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_sliced_rows_are_bit_identical_to_brute_force(monkeypatch, mode, e1):
+    # 128 pairs a slice: two column blocks in the row [0], one in every
+    # other row, so column 16 starts a slice in every row it is scored in
+    monkeypatch.setattr(_pairscan, "_SLICE", 2 * _pairscan._BLOCK)
+    slices = []
+    leaf = _pairscan._best_pair
+
+    def recorded(*args):
+        slices.append(args[7:9])
+        return leaf(*args)
+
+    monkeypatch.setattr(_pairscan, "_best_pair", recorded)
+    for n in (2, 3, 5, 63, 64, 65, 66, 130):
+        for name, grid in scan_grids(n).items():
+            p1, p2, e2, cap = power_weight_inputs(grid, mode, e1)
+            hit = 16 if n > 16 else n - 1
+            for value in (None, np.nan, np.inf, -np.inf):
+                q1 = p1.copy()
+                if value is not None:
+                    q1[hit] = value
+                args = (grid, q1, p2, e1, e2, cap, mode)
+                slices.clear()
+                assert max_pair_ratio(*args) == brute_force_scan(*args), (n, name, value)
+                if n > 16 and value is not None:
+                    # the hit starts a slice, and some row spans several
+                    assert any(cols.start == hit for _, cols in slices), (n, name, value)
+                    starts = [rows.start for rows, _ in slices]
+                    assert max(starts.count(i) for i in starts) > 1, (n, name, value)
 
 
 def test_rejects_mismatched_prefixes():
