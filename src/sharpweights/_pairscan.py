@@ -1,23 +1,26 @@
 """Exact block-pruned scan for the largest pairwise ratio of interval averages.
 
-Every functional of the supremum search reduces to a closed-form ratio
-of the interval averages (P[j] - P[i]) / (g[j] - g[i]) of prefix
-integrals P over a nondecreasing grid g.  With d1, d2 and L the
-increments of p1, p2 and the grid from i to j > i, mode 0 is
-(d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) * exp(-(d2/L)), mode 2 cap[j] /
-(d1/L).  The scan splits the indices into blocks graded toward the
-origin, [0], [1], [2, 3], ..., [_BLOCK/2, _BLOCK - 1], then blocks of
-``_BLOCK``: on a power of t every interval [0, b] ties at the best, and
-that tie stays in the one-point row [0].  It bounds the ratio over every
-block pair (the exponential mode also by Specht's ratio of the cell
-slopes, 1 + O(spread**2) where the weight barely varies), visits block
-rows in decreasing order of their largest bound, and scores each run of
-column blocks whose bound can still reach the incumbent in slices of
-about ``_SLICE`` pairs, in 8 array passes in modes 0 (9 where e1 != 1)
-and 1 and 5 in mode 2.  Only a slice meeting the diagonal, or any on a
-grid with a repeated point, masks empty intervals; only an argmax on a
-NaN is retaken with the NaNs at -inf.  The scan scores inf and NaN under
-one ``np.errstate`` and is bit-identical to evaluating every pair.
+Every functional of the supremum search is a closed-form ratio of the
+averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
+nondecreasing grid g: with d1, d2 and L the increments of p1, p2 and g
+from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
+exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan bounds the ratio over
+pairs of blocks graded toward the origin, scores the row [0], then the
+rows by decreasing bound, and is bit-identical to scoring every pair.
+
+The corner bound.  Where the prefixes are those of a power t**nu up to
+a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
+Phi(r) its value on [r, 1], and Phi is nonincreasing, so a block pair
+[I, J] with last[J] <= ramp peaks at its corner (first[I], last[J]).
+For RH_inf, Phi(r) = (1 + nu)/h(r), and h(r) = (1 - r**(1+nu))/(1 - r),
+the average of (1 + nu) s**nu over [r, 1], grows with r.  For A_q and
+A_inf, with K the cumulant generating function of X = nu log U and U
+uniform on [r, 1], log A_q = K(1) + (q - 1) K(-1/(q - 1)) and log A_inf
+= K(1) - E X are shift invariant and grow with X - E X in the convex
+order; the quantile function log(r + (1 - r) v) of log U has the slope
+1/(r/(1 - r) + v), which falls as r grows, so log U falls in the
+dispersive order, hence X - E X in the convex order (Shaked &
+Shanthikumar, Stochastic Orders, 2007, 3.A and 3.B).
 """
 
 from __future__ import annotations
@@ -27,71 +30,65 @@ import numpy as np
 _BLOCK = 64
 _SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill L2
 
-# Outward rounding of the block bounds.  A bound is computed with other
-# float operations than the pair values it must dominate, so both carry
-# rounding error:
-# - A pair average is fl(fl(dP)/fl(dL)), within 3 ulp of the exact
-#   average of the float inputs.  A bound on the averages of a block
-#   pair is a few products and sums of the same inputs; with |M| and
-#   |s| in place of the chord and the slopes (``size`` below) it bounds
-#   every term, so the error of the bound, and of every pair average,
-#   stays below 20 ulp of ``size`` (the standard gamma_n bound on sums).
-#   Widening by _SLACK * size (about 4e6 ulp) therefore holds every
-#   computed pair average inside [lo, hi], also when a log prefix mixes
-#   signs and the sums cancel.
-# - Past that point the pair value and the bound apply the same
-#   monotone map (pow, exp, a product or a quotient) to points ordered
-#   by the widening, so they differ only by the accuracy of those maps,
-#   a few ulp; the second _SLACK * |bound| covers it.
-# - Subnormal intermediates lose the relative bound but err by at most
-#   a few 2**-1075 each; _TINY / gap covers them, and a final _TINY
-#   covers subnormal results.
-# - Specht term (mode 1).  The exact average of a pair is the
-#   length-weighted mean of the exact slopes s1_k, s2_k of its cells.
-#   With rho_k = s1_k * exp(-s2_k), the pair value A1 * exp(-A2) is
-#   sum(l_k rho_k e**s2_k) / exp(sum(l_k s2_k)) <= rho_max * R, where
-#   R is the weighted arithmetic over geometric mean of e**s2_k, which
-#   lies in [1, S] for Specht's ratio S = r * exp(1/r - 1), with
-#   r = expm1(D)/D and D = max s2 - min s2 (Math. Z. 74, 1960).  So the
-#   value is at most max(rho_max * S, rho_max), the second for
-#   rho_max < 0.  Each computed slope is within 3 ulp of the exact one,
-#   so D errs by a few ulp of max|s2| and each rho_k by a few ulp times
-#   1 + |s2_k|.  Widening rho_max, max s2 and -min s2 by
-#   _SLACK * |x| + _TINY covers both (and keeps D > 0) while exp(-s2)
-#   stays a normal float.  The computed pair value errs by 3 ulp of A1
-#   and a few ulp times |A2| <= max|s2| in exp(-A2), which the final
-#   _SLACK * |bound| covers with the error of S.  Where a cell has
-#   s2 > _EXP_SAFE, exp(-s2) and exp(-A2) may be subnormal, so rho_max
-#   is +inf there.  A zero-length cell (a repeated grid point) has an
-#   inf or NaN slope; it is not a mean of slopes when the prefix jumps
-#   there, and its inf or NaN reaches the bound, which is then +inf.
+# Outward rounding, as a bound and the pair values it dominates round apart:
+# - A pair average is within 3 ulp of the exact average of the float
+#   inputs.  The generic bound on the averages of a block pair, with |M|
+#   and |s| for the chord and the slopes (``size`` below), bounds every
+#   term, so it and each average err by under 20 ulp of ``size`` (the
+#   gamma_n bound on sums); _SLACK * size (4e6 ulp) covers both.  The
+#   value and the bound then apply one monotone map, whose error the
+#   second _SLACK * |bound| covers.  Subnormal intermediates err by a few
+#   2**-1075 each, which _TINY / gap and a final _TINY cover.
+# - The corner bound, with u = 2**-53 and 4 ulp for each pow, exp, log.
+#   A power prefix (a/e)*(g/a)**e errs by (|e| + 12) u, as the rounding
+#   of g/a is raised to e (e = g[ramp]/P[ramp] to a few ulp), a log prefix
+#   by 16 u, the cap (g/a)**nu by (|nu| + 12) u.  An average errs by 3 u
+#   plus that times c = (|P[i]| + |P[j]|) / |P[j] - P[i]|, at most its
+#   value at the innermost pair, (last[I], first[J]) or a diagonal block's
+#   last step, as |P| grows and the grid is uniform up to a.  Mode 0
+#   raises the averages to e1, e2; mode 1 multiplies the log average's
+#   error by its size, below |nu| Lam with Lam = log(a / g[first[I]]); the
+#   leaf adds 20 u: the sum E bounds a value's relative error.  The rounded
+#   exponents fl(theta nu + 1) - 1 drift from consistent ones by u |e1'|
+#   (modes 1, 2) or u (1 + 3 |e2' - 1| + |e1'|/e2) (mode 0, e' the prefix
+#   exponents), moving a value by D = u Lam (|e1'| + e2 (1 + 3 |e2' - 1|)).
+#   So no computed value exceeds the computed corner times (1 + D)**2 (1 +
+#   E)**2 < 1 + 4 (D + E) while 4 (D + E) <= _ENVELOPE; elsewhere, and where
+#   a prefix or cap read is below _FLOOR (1 + its value at a), it is +inf.
 _SLACK = 1e-9
 _TINY = 1e-300
-_EXP_SAFE = 700.0
+_ENVELOPE = 1e-3
+_FLOOR = 1e-280
 
 _LOWEST = np.finfo(np.float64).min
 
 
-def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
-    """(value, i, j): the largest score over the index slices rows x cols, floored at
-    the lowest float, and its first pair.  NaN, and empty intervals if ``mask``, score -inf."""
-    length = grid[None, cols] - grid[rows, None]
-    vals = p1[None, cols] - p1[rows, None]
+def _pair_values(grid, p1, p2, cap, e1, e2, mode, i, j):
+    """The mode's ratio and the interval lengths at the broadcastable indices (i, j)."""
+    length = grid[j] - grid[i]
+    vals = p1[j] - p1[i]
     vals /= length
     if mode == 0:
         if e1 != 1.0:  # x**1.0 == x
             vals **= e1
-        a2 = p2[None, cols] - p2[rows, None]
+        a2 = p2[j] - p2[i]
         a2 /= length
         a2 **= e2
         vals *= a2
     elif mode == 1:
         # rounding is sign-symmetric, so this is exp(-(d2/L)) bit for bit
-        a2 = p2[rows, None] - p2[None, cols]
+        a2 = p2[i] - p2[j]
         a2 /= length
         vals *= np.exp(a2, out=a2)
     else:
-        np.divide(cap[None, cols], vals, out=vals)
+        np.divide(cap[j], vals, out=vals)
+    return vals, length
+
+
+def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
+    """(value, i, j): the largest score over the index slices rows x cols, floored at
+    the lowest float, and its first pair.  NaN, and empty intervals if ``mask``, score -inf."""
+    vals, length = _pair_values(grid, p1, p2, cap, e1, e2, mode, (rows, None), (None, cols))
     if mask:
         vals[length <= 0.0] = -np.inf
     k = int(vals.argmax())
@@ -102,10 +99,11 @@ def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
     return max(vals.item(k), _LOWEST), rows.start + r, cols.start + c
 
 
-def _partition(n):
-    """(first, last) index of each block of n points: [0], [1], [2, 3], ..., then _BLOCKs."""
-    first = np.r_[0, 1 << np.arange(_BLOCK.bit_length() - 1), _BLOCK : n : _BLOCK]
-    first = first[first < n]
+def _partition(n, ramp=None):
+    """(first, last) index of each block of n points: [0], [1], [2, 3], ..., _BLOCKs; one ends at ramp."""
+    split = n if ramp is None else ramp + 1
+    first = np.r_[0, 1 << np.arange(_BLOCK.bit_length() - 1), _BLOCK : n : _BLOCK, split]
+    first = np.unique(first[first < n])
     return first, np.append(first[1:] - 1, n - 1)
 
 
@@ -113,15 +111,13 @@ def _average_bounds(grid, prefix, slopes, first, last):
     """(lo, hi): outward bounds, indexed [I, J] for blocks I <= J, on the
     averages (P[j] - P[i]) / (g[j] - g[i]) with i in I, j in J and i < j.
 
-    For I < J the average splits at i1 = last[I] and j0 = first[J] into the exact
-    chord (P[j0] - P[i1]) / (g[j0] - g[i1]) and two flanks, each an
-    average of adjacent slopes inside one block.  With the flank
-    lengths l and r free in [0, len I] x [0, len J] the average is
-    linear-fractional in (l, r), so its extremes sit at the 4 corners.
+    For I < J the average splits at last[I] and first[J] into the exact
+    chord and two flanks, each an average of adjacent slopes inside one
+    block.  It is linear-fractional in the flank lengths, free in [0, len
+    I] x [0, len J], so its extremes sit at the 4 corners.
     """
-    # slope k joins points k and k+1; the slot at a block's last point
-    # joins two blocks (or lies past the grid) and is masked, to 0 in a
-    # one-point block, which has no flank
+    # slope k joins points k and k+1; the slot at a block's last point joins two
+    # blocks (or lies past the grid) and is masked, to 0 in a one-point block
     fill = np.where(first < last, np.inf, 0.0)
     cells = np.append(slopes, 0.0)
     cells[last] = -fill
@@ -155,50 +151,12 @@ def _average_bounds(grid, prefix, slopes, first, last):
     return lo, hi
 
 
-def _specht_bound(s1, s2, first, last):
-    """Upper bound on the exponential mode's ratio over each block pair
-    [I, J] with I <= J, from Specht's ratio of the cell slopes s1, s2 (see
-    above _SLACK); entries with I > J are meaningless."""
-    # per cell rho_k, s2_k and -s2_k, so that all three statistics are
-    # maxima, and a slot past the last cell
-    cells = np.pad(np.stack([s1 * np.exp(-s2), s2, -s2]), ((0, 0), (0, 1)))
-    # block pair [I, J] spans the cells inside block I and, for each
-    # later block K <= J, the cell joining K - 1 to K (at K = 0 the unread
-    # slot past the last cell) and those inside K
-    incoming = cells[:, first - 1]
-    cells[:, last] = -np.inf
-    inner = np.maximum.reduceat(cells, first, axis=1)
-    np.maximum(incoming, inner, out=incoming)
-    for stats in (inner, incoming):
-        # x + _SLACK*|x| + _TINY is increasing, so widening a maximum
-        # widens every cell under it; a block with no cell keeps -inf
-        np.fmax(stats, stats + _SLACK * np.abs(stats) + _TINY, out=stats)
-        stats[0, stats[1] > _EXP_SAFE] = np.inf
-    # [I, K] holds block I's inner cells at K = I and incoming[K] past
-    # it, so the running maximum along row I at J covers blocks I..J
-    nb = first.size
-    spread = np.where(np.tri(nb, k=-1, dtype=bool), -np.inf, incoming[:, None, :])
-    spread[:, range(nb), range(nb)] = inner
-    rho, top, bottom = np.maximum.accumulate(spread, axis=2, out=spread)
-    term = top + bottom  # the spread D
-    ratio = np.expm1(term)
-    ratio /= term
-    # Specht's ratio S = ratio * exp(1/ratio - 1), times rho
-    np.divide(1.0, ratio, out=term)
-    term -= 1.0
-    np.exp(term, out=term)
-    term *= ratio
-    term *= rho
-    return np.maximum(term, rho, out=term)
-
-
 def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
     """Upper bound on the mode's computed ratio over each block pair [I, J]:
     -inf where it holds no pair i < j, +inf where no bound holds (NaN, or
     averages that may be nonpositive where the mode needs them positive)."""
     length = np.diff(grid)
-    s1 = np.diff(p1) / length
-    lo1, hi1 = _average_bounds(grid, p1, s1, first, last)
+    lo1, hi1 = _average_bounds(grid, p1, np.diff(p1) / length, first, last)
     if mode != 2:
         s2 = np.divide(np.diff(p2), length, out=length)  # lengths not read again
         lo2, hi2 = _average_bounds(grid, p2, s2, first, last)
@@ -208,7 +166,6 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
         bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
     elif mode == 1:
         bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
-        np.minimum(bound, _specht_bound(s1, s2, first, last), out=bound)
     else:
         top = np.maximum.reduceat(cap, first)[None, :]
         bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
@@ -218,7 +175,37 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
     return bound
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
+def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks):
+    """Bounds from their corners (see _SLACK) on the ramp's block pairs (I, J) = ``blocks``."""
+    I, J = blocks
+    i = last[I] - (I == J)  # the innermost pair
+    j = np.maximum(first[J], i + 1)
+
+    def cancellation(prefix):
+        return (np.abs(prefix[i]) + np.abs(prefix[j])) / np.abs(prefix[j] - prefix[i])
+
+    corner, _ = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], last[J])
+    u = 2.0**-53
+    lam = np.log(grid[ramp] / grid[first[I]])
+    x1 = abs(grid[ramp] / p1[ramp])
+    err = (x1 + 12.0) * u * cancellation(p1) + 3.0 * u
+    drift = x1
+    if mode == 0:
+        x2 = abs(grid[ramp] / p2[ramp])
+        err = abs(e1) * err + abs(e2) * ((x2 + 12.0) * u * cancellation(p2) + 3.0 * u)
+        drift += abs(e2) * (1.0 + 3.0 * abs(x2 - 1.0))
+    elif mode == 1:
+        err += (1.0 + x1) * lam * (16.0 * u * cancellation(p2) + 3.0 * u)
+    else:
+        err += (x1 + 13.0) * u
+    err = 4.0 * (err + u * drift * lam + 20.0 * u)
+    ok = (err <= _ENVELOPE) & (corner >= _FLOOR)
+    for x in (p1, cap if mode == 2 else p2):
+        ok &= np.abs(x[first[I]]) >= _FLOOR * (1.0 + abs(x[ramp]))
+    return np.where(ok, corner * (1.0 + err), np.inf)
+
+
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
     """Maximum of the mode's ratio over all index pairs i < j.
 
     Returns (best, i, j); ties resolve to the lexicographically
@@ -226,7 +213,9 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
     scores -inf, so with no value above the lowest float the result is
     (lowest float, 0, 0).  Inputs are equal-length 1-D float arrays
     with a nondecreasing grid; `cap` is only read in mode 2 and
-    `p2`/`e1`/`e2` only where the mode uses them.
+    `p2`/`e1`/`e2` only where the mode uses them.  ``ramp`` is for the
+    A_q (e1 = 1), A_inf and RH_inf prefixes of a power up to g[ramp]
+    alone, as ``weights.sup_ratio_search`` builds them.
     """
     g, q1, q2, cp = (np.asarray(x, dtype=np.float64) for x in (grid, p1, p2, cap))
     n = g.size
@@ -237,16 +226,13 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
     if not np.all(g[1:] >= g[:-1]):
         raise ValueError("grid must be nondecreasing")
     repeated = not np.all(g[1:] > g[:-1])
-    first, last = _partition(n)
+    first, last = _partition(n, ramp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)
-        top = bound.max(axis=1)
         best, bi, bj = _LOWEST, 0, 0
-        # only a strictly smaller bound stops the scan or skips a slice, as an
-        # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing
-        for row in np.argsort(-top, kind="stable"):
-            if top[row] < best:
-                break
+
+        def visit(row):
+            nonlocal best, bi, bj
             rows = slice(int(first[row]), int(last[row]) + 1)
             step = max(_SLICE // (_BLOCK * (rows.stop - rows.start)), 1)  # blocks a slice
             # the column blocks [a, b) of each run still at or above best
@@ -259,4 +245,17 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
                         v, i, j = _best_pair(g, q1, q2, cp, e1, e2, mode, rows, cols, repeated or s == row)
                         if v > best or (v == best and (i, j) < (bi, bj)):
                             best, bi, bj = v, i, j
+
+        visit(0)
+        if ramp is not None:  # the ramp's block pairs that row [0] leaves open
+            blocks = np.nonzero((bound >= best) & (last <= ramp))
+            corner = _corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, blocks)
+            bound[blocks] = np.minimum(bound[blocks], corner)
+        top = bound.max(axis=1)
+        # only a strictly smaller bound stops the scan or skips a slice, as an
+        # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing
+        for row in 1 + np.argsort(-top[1:], kind="stable"):
+            if top[row] < best:
+                break
+            visit(row)
     return best, bi, bj

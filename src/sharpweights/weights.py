@@ -285,7 +285,7 @@ def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
     return nu * out
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
     """The pair scan of ``_pairscan``, imported on the first call.
 
     A plain module attribute, so that callers which wrap or replace
@@ -293,7 +293,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode):
     """
     from ._pairscan import max_pair_ratio as scan
 
-    return scan(grid, p1, p2, e1, e2, cap, mode)
+    return scan(grid, p1, p2, e1, e2, cap, mode, ramp)
 
 
 # The scan's block-bound arrays grow fourfold per level: depth 17 peaks
@@ -305,22 +305,22 @@ def sup_ratio_search(
     w: PowerWeight,
     kind: FunctionalKind,
     depth: int,
-    inject_candidates: bool = True,
 ) -> tuple[float, tuple[float, float]]:
     """Maximum of functional_ratio over intervals with endpoints on the
     dyadic grid of size 2**depth, depth in [1, _MAX_DEPTH], plus the
-    candidates {0, a, 1}.
+    breakpoint a.
 
     Returns (sup, (alpha, beta)).  The search is exact over all pairs:
     prefix integrals make each pair O(1), and blocks of pairs are
     skipped only when a bound proves none of them reaches the maximum.
     All four functionals are invariant under scaling the weight, so the
-    scan normalizes c to 1.
+    scan normalizes c to 1.  On [0, a] the weight is a power, so for
+    every kind but rh_p the scan also bounds the pairs there by their
+    corner values (see ``_pairscan``).
     Intervals touching 0 with a divergent moment make the result +inf
     with the canonical witness (0, min(a, 1)).  A constant weight (nu = 0)
     scores exactly 1 on every interval, so it returns 1 with the first
-    interval, (0, first grid point), without a scan.  ``inject_candidates``
-    exists so tests can measure the pure-grid gap.
+    interval, (0, first grid point), without a scan.
     """
     try:
         depth = operator.index(depth)
@@ -347,20 +347,18 @@ def sup_ratio_search(
     if any(theta * nu <= -1.0 for theta in thetas):
         return INF, (0.0, a)
     if nu == 0.0:
-        step = 2.0**-depth
-        return 1.0, (0.0, min(a, step) if inject_candidates else step)
+        return 1.0, (0.0, min(a, 2.0**-depth))
     import numpy as np
 
     n = (1 << depth) + 1
     grid = np.arange(n, dtype=np.float64) / float(n - 1)
-    if inject_candidates:  # 0 and 1 are grid points, and 0 < a <= 1
-        k = int(grid.searchsorted(a))
-        if grid[k] != a:
-            grid = np.insert(grid, k, a)
+    ramp = int(grid.searchsorted(a))  # 0 and 1 are grid points, and 0 < a <= 1
+    if grid[ramp] != a:
+        grid = np.insert(grid, ramp, a)
     prefixes = [_prefix_power(grid, a, nu, theta) for theta in thetas]
     if mode == 1:
         prefixes.append(_prefix_log(grid, a, nu))
     p1, p2 = prefixes[0], prefixes[-1]
     cap = (np.minimum(grid, a) / a) ** nu if mode == 2 else p1
-    best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode)
+    best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, None if kind.name == "rhp" else ramp)
     return float(best), (float(grid[i]), float(grid[j]))

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -38,8 +39,9 @@ def brute_scores(vals, length):
     return np.nan_to_num(vals, copy=False, nan=-np.inf, posinf=np.inf)
 
 
-def brute_force_scan(grid, p1, p2, e1, e2, cap, mode):
-    """Every pair, _REF_ROWS rows at a time: the bit-identity reference.
+def brute_force_scan(grid, p1, p2, e1, e2, cap, mode, ramp=None):
+    """Every pair, _REF_ROWS rows at a time: the bit-identity reference
+    (the ramp only lets the pruned scan prune more).
 
     Ties resolve to the first (i, j) in row-major order because only a
     strict improvement replaces the incumbent.
@@ -131,13 +133,15 @@ def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
 
 
 @pytest.mark.parametrize("nu_sign", ["positive", "negative"])
-@pytest.mark.parametrize("inject", [True, False])
-def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, inject):
+@pytest.mark.parametrize("corner", [True, False])
+def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, corner):
+    # with the ramp end the scan adds its corner bound, without it the
+    # generic bounds alone prune
     scans = []
 
     def checked(*args):
         expected = brute_force_scan(*args)
-        assert max_pair_ratio(*args) == expected
+        assert max_pair_ratio(*(args if corner else args[:7])) == expected
         scans.append(args[6])
         return expected
 
@@ -151,7 +155,7 @@ def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, 
     if w.nu >= 0.0:
         kinds.append(FunctionalKind.rh_inf())
     for kind in kinds:
-        sup_ratio_search(w, kind, 9, inject_candidates=inject)
+        sup_ratio_search(w, kind, 9)
     assert len(scans) == len(kinds)
 
 
@@ -214,16 +218,14 @@ def test_constant_path_computes_no_bound(monkeypatch, mode):
     monkeypatch.setattr(weights, "max_pair_ratio", refuse)
     depth = 6
     for kind in CONSTANT_KINDS[mode]:
-        for a, inject in ((1.0, True), (0.3, True), (2.0**-9, True), (2.0**-9, False)):
-            got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, depth, inject_candidates=inject)
+        for a in (1.0, 0.3, 2.0**-9):
+            got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, depth)
             grid = np.arange(2**depth + 1, dtype=np.float64) / 2**depth
-            if inject:
-                grid = np.unique(np.concatenate([grid, [0.0, a, 1.0]]))
+            grid = np.unique(np.concatenate([grid, [0.0, a, 1.0]]))
             # every prefix of w**theta is the grid, the log prefix is 0, the cap 1
             p2 = np.zeros_like(grid) if mode == 1 else grid
             best, i, j = brute_force_scan(grid, grid, p2, 2.0, -1.0, np.ones_like(grid), mode)
-            first = min(a, 2.0**-depth) if inject else 2.0**-depth
-            assert got == (best, (grid[i], grid[j])) == (1.0, (0.0, first))
+            assert got == (best, (grid[i], grid[j])) == (1.0, (0.0, min(a, 2.0**-depth)))
         with pytest.raises(ScanCalled):
             sup_ratio_search(PowerWeight(3.0, 0.3, 0.5), kind, depth)
 
@@ -280,82 +282,113 @@ def partitions(n):
     return {"graded": _pairscan._partition(n), "uniform": (uniform, last_indices(uniform, n))}
 
 
-def block_maxima(grid, p1, p2, first):
+def block_maxima(grid, p1, p2, e1, e2, cap, mode, first):
     """The largest computed pair value of each block pair, [I, J], of the
     blocks that start at ``first``, over its pairs i < j; -inf where it
     has none."""
-    vals = brute_scores(*brute_values(grid, p1, p2, 0.0, 0.0, p1, 1, slice(0, grid.size)))
+    vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, grid.size)))
     vals[np.tril_indices(grid.size)] = -np.inf
     return np.maximum.reduceat(np.maximum.reduceat(vals, first, axis=0), first, axis=1)
 
 
-def specht_term(grid, p1, p2, first):
-    """_specht_bound on the cell slopes of the two prefixes, over the
-    blocks that start at ``first``."""
-    length = np.diff(grid)
-    last = last_indices(first, grid.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _pairscan._specht_bound(np.diff(p1) / length, np.diff(p2) / length, first, last)
-
-
-def specht_reference(grid, p1, p2, lo, hi):
-    """The Specht term over cells lo..hi-1, widened as _specht_bound
-    widens it, one cell at a time."""
-    def widen(x):
-        return x + _pairscan._SLACK * abs(x) + _pairscan._TINY
-
-    length = np.diff(grid)[lo:hi]
-    s2 = np.diff(p2)[lo:hi] / length
-    rho = widen(max(np.diff(p1)[lo:hi] / length * np.exp(-s2)))
-    top, bottom = widen(max(s2)), widen(max(-s2))
-    if top > _pairscan._EXP_SAFE:
-        rho = np.inf
-    ratio = np.expm1(top + bottom) / (top + bottom)
-    return max(rho * (ratio * np.exp(1.0 / ratio - 1.0)), rho)
-
-
-def test_specht_term_matches_its_cellwise_definition():
-    rng = np.random.default_rng(12)
-    # n = 3 and 5 (one-point blocks in the graded head) come last, so that
-    # the other sizes keep their draws
-    for n in (2, 64, 65, 66, 300, 3, 5):
-        grid, p1, _, _ = random_inputs(rng, n)
-        walk = np.cumsum(rng.normal(0.0, 0.01, n))
-        for kind, (first, last) in partitions(n).items():
-            # the tilted walk passes _EXP_SAFE in some cells
-            for sign, tilt in ((1.0, 0.0), (-1.0, 0.0), (1.0, 720.0)):
-                p2 = tilt * grid + walk
-                term = specht_term(grid, sign * p1, p2, first)
-                for i, j in zip(*np.triu_indices(first.size)):
-                    # pairs of block pair (i, j) span cells first[i]..last[j]-1
-                    if last[j] > first[i]:
-                        expected = specht_reference(grid, sign * p1, p2, first[i], last[j])
-                        assert term[i, j] == expected, (kind, n, i, j)
-
-
-def test_exponential_bounds_hold_every_pair_value(monkeypatch):
-    binds = {}
+def test_exponential_bounds_hold_every_pair_value():
     for name, (grid, p1, p2) in exponential_mode_inputs().items():
         for kind, (first, last) in partitions(grid.size).items():
             upper = np.triu_indices(first.size)
-            best = block_maxima(grid, p1, p2, first)[upper]
+            best = block_maxima(grid, p1, p2, 0.0, 0.0, p1, 1, first)[upper]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
-                assert np.all(bound >= best), (kind, name)
-                # the Specht term alone, with the same final widening, holds too
-                term = specht_term(grid, p1, p2, first)[upper]
-                term = term + _pairscan._SLACK * np.abs(term) + _pairscan._TINY
-                assert np.all((term >= best) | np.isnan(term)), (kind, name)
-                with monkeypatch.context() as m:
-                    m.setattr(_pairscan, "_specht_bound", lambda *args: np.inf)
-                    plain = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
-            binds[kind, name] = np.count_nonzero(bound < plain)
+            assert np.all(bound >= best), (kind, name)
             if "jump" in name:
-                # the pairs across the jump are not means of cell slopes
-                assert not np.isfinite(term).all() and (bound == np.inf).any()
-    # where the weight barely varies, the Specht term is the tighter one
-    for kind in ("graded", "uniform"):
-        assert binds[kind, "extremal delta-1=0.001"] > 0 and binds[kind, "extremal delta-1=1e-06"] > 0
+                # the pairs across the jump are not averages of cell slopes
+                assert (bound == np.inf).any()
+
+
+def corner_cases():
+    """(label, weight, kind): extremal weights on the upper curve at p = 2,
+    and one at an interior point, whose breakpoint a is below 1."""
+    cases = []
+    for excess in (1e-12, 1e-8, 1e-4, 1.0):
+        delta = 1.0 + excess
+        plus = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+        top = extremal_weight(math.inf, delta, (1.0, delta), "plus")
+        cases += [(f"aq({q}) delta-1={excess}", plus, FunctionalKind.aq(q)) for q in (1.01, 10.0, 1e6, 1e14)]
+        cases += [(f"ainf delta-1={excess}", plus, FunctionalKind.a_inf()),
+                  (f"rhinf delta-1={excess}", top, FunctionalKind.rh_inf())]
+    inner = extremal_weight(2.5, 1.6, (1.0, 1.5), "plus")
+    assert inner.a < 1.0
+    kinds = (FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_inf())
+    return cases + [(f"{kind.name} at an interior point", inner, kind) for kind in kinds]
+
+
+def test_corner_bounds_hold_every_pair_value(monkeypatch):
+    scans = []
+    monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+    binds = 0
+    for label, w, kind in corner_cases():
+        scans.clear()
+        if sup_ratio_search(w, kind, 9)[0] == math.inf:
+            continue  # aq(1.01) diverges at 0 once nu >= 0.01, with no scan
+        grid, p1, p2, e1, e2, cap, mode, ramp = scans[0]
+        first, last = _pairscan._partition(grid.size, ramp)
+        assert grid[ramp] == w.a and ramp in last, label
+        # every block pair of the ramp but row [0], which the scan scores first
+        rows = np.arange(first.size)[:, None]
+        blocks = np.nonzero((rows > 0) & (rows <= rows.T) & (last <= ramp))
+        best = block_maxima(grid, p1, p2, e1, e2, cap, mode, first)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            generic = _pairscan._block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last)[blocks]
+            corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks)
+        assert np.all(corner >= best[blocks]), label
+        assert np.all(np.minimum(generic, corner) >= best[blocks]), label
+        binds += np.count_nonzero(corner < generic)
+    assert binds > 0
+
+
+def corner_phi(kind, nu, r, q=None):
+    """Phi(r): the functional of t**nu on [r, 1], in closed form."""
+    def average(s):  # of t**s over [r, 1]
+        e = s + 1
+        return (-mp.log(r) if e == 0 else (1 - r**e) / e) / (1 - r)
+
+    if kind == "aq":
+        return average(nu) * average(-nu / (q - 1)) ** (q - 1)
+    if kind == "ainf":  # the average of log t over [r, 1] is (r - 1 - r log r)/(1 - r)
+        return average(nu) * mp.exp(-nu * (r - 1 - r * mp.log(r)) / (1 - r))
+    return 1 / average(nu)  # rhinf: sup t**nu = 1 for nu >= 0
+
+
+def test_corner_lemma_phi_is_nonincreasing_at_50_digits():
+    # the lemma behind the corner bound, checked on a corpus of nu, q and r
+    with mp.workdps(50):
+        rs = [mp.mpf(10) ** -k for k in (15, 12, 9, 6, 4, 3, 2)]
+        rs += [mp.mpf(x) / 10 for x in range(1, 10)]
+        rs += [1 - mp.mpf(10) ** -k for k in (2, 4, 6, 8, 11)]
+        nus = [mp.mpf(x) for x in ("-0.99", "-0.5", "-1e-6", "1e-6", "0.3", "1", "4", "25", "100")]
+        cases = [("aq", nu, mp.mpf(q)) for nu in nus for q in ("1.01", "1.5", "2", "10", "1e6")]
+        cases += [("ainf", nu, None) for nu in nus] + [("rhinf", nu, None) for nu in nus if nu > 0]
+        for kind, nu, q in cases:
+            phi = [corner_phi(kind, nu, r, q) for r in rs]
+            assert all(x >= y for x, y in zip(phi, phi[1:])), (kind, nu, q)
+            assert phi[0] > phi[-1], (kind, nu, q)
+
+
+def test_corner_bound_keeps_the_rounding_artifact_at_large_q(monkeypatch):
+    # `verify --p 2 --q 1e14 --delta 2` at depth 12: rounding of A_2**(q-1)
+    # puts the brute-force argmax on (0.9956, 0.9958), far from row [0]
+    found = []
+
+    def checked(*args):
+        expected = brute_force_scan(*args)
+        assert max_pair_ratio(*args) == expected
+        found.append(expected)
+        return expected
+
+    monkeypatch.setattr(weights, "max_pair_ratio", checked)
+    w = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
+    sup, interval = sup_ratio_search(w, FunctionalKind.aq(1e14), 12)
+    assert found[0][0] == sup and sup > 1e19
+    assert interval == (0.99560546875, 0.995849609375)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -371,10 +404,21 @@ def test_scan_emits_no_float_warnings(mode):
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
     cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu)) for grid in grids[3:]]
     cases += exponential_mode_inputs().values()
+    # the corner path: at p = 1.01, delta = 2, nu is 8.9e15 and the prefix
+    # underflows to 0 at all but the last point; aq(1e14) raises averages to
+    # the power 1e14 - 1; a breakpoint between the last two grid points
+    # leaves the plateau the one-point column [n - 1]
+    searches = [extremal_weight(1.01, 2.0, (1.0, 2.0**1.01), "plus"),
+                extremal_weight(2.0, 2.0, (1.0, 4.0), "plus"), PowerWeight(1.0, 1.0 - 2.0**-10, 3.0)]
+    kinds = {0: [FunctionalKind.aq(10.0), FunctionalKind.aq(1e14), FunctionalKind.aq(1e17)],
+             1: [FunctionalKind.a_inf()], 2: [FunctionalKind.rh_inf()]}[mode]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for grid, p1, p2 in cases:
             max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode)
+        for w in searches:
+            for kind in kinds:
+                sup_ratio_search(w, kind, 9)
 
 
 # pairs scored (the summed sizes of the slices _best_pair scores) per
@@ -383,11 +427,11 @@ def test_scan_emits_no_float_warnings(mode):
 # depth 14.  Tighter bounds may lower them.
 VISITS = {
     (12, 1.0): (0, 0, 0),
-    (12, 1.001): (6934819, 1308373, 99661),
-    (12, 2.0): (5424, 122188, 1473238),
+    (12, 1.001): (4927, 4991, 4097),
+    (12, 2.0): (4096, 4096, 4096),
     (14, 1.0): (0, 0, 0),
-    (14, 1.001): (19914403, 13711189, 296269),
-    (14, 2.0): (17712, 318796, 6978262),
+    (14, 1.001): (16895, 17023, 16385),
+    (14, 2.0): (16384, 16384, 16384),
 }
 
 
