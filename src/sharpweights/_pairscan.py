@@ -12,15 +12,13 @@ The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
 Phi(r) its value on [r, 1], and Phi is nonincreasing, so a block pair
 [I, J] with last[J] <= ramp peaks at its corner (first[I], last[J]).
-For RH_inf, Phi(r) = (1 + nu)/h(r), and h(r) = (1 - r**(1+nu))/(1 - r),
-the average of (1 + nu) s**nu over [r, 1], grows with r.  For A_q and
-A_inf, with K the cumulant generating function of X = nu log U and U
-uniform on [r, 1], log A_q = K(1) + (q - 1) K(-1/(q - 1)) and log A_inf
-= K(1) - E X are shift invariant and grow with X - E X in the convex
-order; the quantile function log(r + (1 - r) v) of log U has the slope
-1/(r/(1 - r) + v), which falls as r grows, so log U falls in the
-dispersive order, hence X - E X in the convex order (Shaked &
-Shanthikumar, Stochastic Orders, 2007, 3.A and 3.B).
+With U uniform on [r, 1], Y = nu log U and M_s = log(E exp(s Y)) / s
+(M_0 = E Y, M_inf = max Y), log Phi is M_s - M_1 for RH_s (s > 1 or
+inf) and M_1 - M_s for A_q (s = -1/(q - 1)) and A_inf (s = 0).  With
+U = r + (1 - r) V, V uniform on [0, 1], dY/dr = h(Y) = nu (1/U - 1) /
+(1 - r) falls as Y grows, so dM_s/dr, the mean of h(Y) under the law
+tilted by exp(s Y), falls as s grows (its s-derivative is the tilted
+covariance of Y and h(Y), <= 0 by Chebyshev): d log Phi/dr <= 0.
 """
 
 from __future__ import annotations
@@ -50,8 +48,9 @@ _SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill 
 #   error by its size, below |nu| Lam with Lam = log(a / g[first[I]]); the
 #   leaf adds 20 u: the sum E bounds a value's relative error.  The rounded
 #   exponents fl(theta nu + 1) - 1 drift from consistent ones by u |e1'|
-#   (modes 1, 2) or u (1 + 3 |e2' - 1| + |e1'|/e2) (mode 0, e' the prefix
-#   exponents), moving a value by D = u Lam (|e1'| + e2 (1 + 3 |e2' - 1|)).
+#   (modes 1, 2; e' the prefix exponents) or, in mode 0, u (1 + 3 |eo' -
+#   1| + |eb'|/|eo|), eb' of the prefix of theta = 1 and eo' of the other,
+#   raised to eo, moving a value by D = u Lam (|eb'| + |eo| (1 + 3 |eo' - 1|)).
 #   So no computed value exceeds the computed corner times (1 + D)**2 (1 +
 #   E)**2 < 1 + 4 (D + E) while 4 (D + E) <= _ENVELOPE; elsewhere, and where
 #   a prefix or cap read is below _FLOOR (1 + its value at a), it is +inf.
@@ -193,7 +192,8 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks):
     if mode == 0:
         x2 = abs(grid[ramp] / p2[ramp])
         err = abs(e1) * err + abs(e2) * ((x2 + 12.0) * u * cancellation(p2) + 3.0 * u)
-        drift += abs(e2) * (1.0 + 3.0 * abs(x2 - 1.0))
+        xb, xo, eo = (x1, x2, e2) if e1 == 1.0 else (x2, x1, e1)
+        drift = xb + abs(eo) * (1.0 + 3.0 * abs(xo - 1.0))
     elif mode == 1:
         err += (1.0 + x1) * lam * (16.0 * u * cancellation(p2) + 3.0 * u)
     else:
@@ -214,8 +214,8 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
     (lowest float, 0, 0).  Inputs are equal-length 1-D float arrays
     with a nondecreasing grid; `cap` is only read in mode 2 and
     `p2`/`e1`/`e2` only where the mode uses them.  ``ramp`` is for the
-    A_q (e1 = 1), A_inf and RH_inf prefixes of a power up to g[ramp]
-    alone, as ``weights.sup_ratio_search`` builds them.
+    prefixes of a power up to g[ramp] alone, as
+    ``weights.sup_ratio_search`` builds them (in mode 0, e1 = 1 or e2 = -1).
     """
     g, q1, q2, cp = (np.asarray(x, dtype=np.float64) for x in (grid, p1, p2, cap))
     n = g.size

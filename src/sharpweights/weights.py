@@ -314,9 +314,9 @@ def sup_ratio_search(
     prefix integrals make each pair O(1), and blocks of pairs are
     skipped only when a bound proves none of them reaches the maximum.
     All four functionals are invariant under scaling the weight, so the
-    scan normalizes c to 1.  On [0, a] the weight is a power, so for
-    every kind but rh_p the scan also bounds the pairs there by their
-    corner values (see ``_pairscan``).
+    scan normalizes c to 1.  On [0, a] the weight is a power, so the
+    scan also bounds the pairs there by their corner values (see
+    ``_pairscan``).
     Intervals touching 0 with a divergent moment make the result +inf
     with the canonical witness (0, min(a, 1)).  A constant weight (nu = 0)
     scores exactly 1 on every interval, so it returns 1 with the first
@@ -360,5 +360,5 @@ def sup_ratio_search(
         prefixes.append(_prefix_log(grid, a, nu))
     p1, p2 = prefixes[0], prefixes[-1]
     cap = (np.minimum(grid, a) / a) ** nu if mode == 2 else p1
-    best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, None if kind.name == "rhp" else ramp)
+    best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp)
     return float(best), (float(grid[i]), float(grid[j]))

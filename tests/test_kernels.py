@@ -305,19 +305,22 @@ def test_exponential_bounds_hold_every_pair_value():
 
 
 def corner_cases():
-    """(label, weight, kind): extremal weights on the upper curve at p = 2,
-    and one at an interior point, whose breakpoint a is below 1."""
+    """(label, weight, kind): extremal weights on the upper curve at p = 2
+    (nu > 0 on the plus branch, nu < 0 on the minus branch for rh_p), and
+    one at an interior point, whose breakpoint a is below 1."""
     cases = []
     for excess in (1e-12, 1e-8, 1e-4, 1.0):
         delta = 1.0 + excess
         plus = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
         top = extremal_weight(math.inf, delta, (1.0, delta), "plus")
         cases += [(f"aq({q}) delta-1={excess}", plus, FunctionalKind.aq(q)) for q in (1.01, 10.0, 1e6, 1e14)]
+        minus = extremal_weight(2.0, delta, (1.0, delta**2), "minus")
         cases += [(f"ainf delta-1={excess}", plus, FunctionalKind.a_inf()),
                   (f"rhinf delta-1={excess}", top, FunctionalKind.rh_inf())]
+        cases += [(f"rhp({t}) delta-1={excess}", minus, FunctionalKind.rh_p(t)) for t in (1.01, 1.5, 10.0)]
     inner = extremal_weight(2.5, 1.6, (1.0, 1.5), "plus")
     assert inner.a < 1.0
-    kinds = (FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_inf())
+    kinds = (FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(2.0), FunctionalKind.rh_inf())
     return cases + [(f"{kind.name} at an interior point", inner, kind) for kind in kinds]
 
 
@@ -353,19 +356,23 @@ def corner_phi(kind, nu, r, q=None):
 
     if kind == "aq":
         return average(nu) * average(-nu / (q - 1)) ** (q - 1)
+    if kind == "rhp":  # q is the exponent p of RH_p
+        return average(q * nu) ** (1 / q) / average(nu)
     if kind == "ainf":  # the average of log t over [r, 1] is (r - 1 - r log r)/(1 - r)
         return average(nu) * mp.exp(-nu * (r - 1 - r * mp.log(r)) / (1 - r))
     return 1 / average(nu)  # rhinf: sup t**nu = 1 for nu >= 0
 
 
 def test_corner_lemma_phi_is_nonincreasing_at_50_digits():
-    # the lemma behind the corner bound, checked on a corpus of nu, q and r
+    # the lemma behind the corner bound, checked on a corpus of nu, q (or p) and r
     with mp.workdps(50):
         rs = [mp.mpf(10) ** -k for k in (15, 12, 9, 6, 4, 3, 2)]
         rs += [mp.mpf(x) / 10 for x in range(1, 10)]
         rs += [1 - mp.mpf(10) ** -k for k in (2, 4, 6, 8, 11)]
         nus = [mp.mpf(x) for x in ("-0.99", "-0.5", "-1e-6", "1e-6", "0.3", "1", "4", "25", "100")]
-        cases = [("aq", nu, mp.mpf(q)) for nu in nus for q in ("1.01", "1.5", "2", "10", "1e6")]
+        exponents = [mp.mpf(x) for x in ("1.01", "1.5", "2", "10", "1e6")]
+        cases = [("aq", nu, q) for nu in nus for q in exponents]
+        cases += [("rhp", nu, t) for nu in nus for t in exponents if t * nu > -1]
         cases += [("ainf", nu, None) for nu in nus] + [("rhinf", nu, None) for nu in nus if nu > 0]
         for kind, nu, q in cases:
             phi = [corner_phi(kind, nu, r, q) for r in rs]
@@ -410,7 +417,7 @@ def test_scan_emits_no_float_warnings(mode):
     # leaves the plateau the one-point column [n - 1]
     searches = [extremal_weight(1.01, 2.0, (1.0, 2.0**1.01), "plus"),
                 extremal_weight(2.0, 2.0, (1.0, 4.0), "plus"), PowerWeight(1.0, 1.0 - 2.0**-10, 3.0)]
-    kinds = {0: [FunctionalKind.aq(10.0), FunctionalKind.aq(1e14), FunctionalKind.aq(1e17)],
+    kinds = {0: [FunctionalKind.aq(10.0), FunctionalKind.aq(1e14), FunctionalKind.aq(1e17), FunctionalKind.rh_p(2.0)],
              1: [FunctionalKind.a_inf()], 2: [FunctionalKind.rh_inf()]}[mode]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -423,15 +430,16 @@ def test_scan_emits_no_float_warnings(mode):
 
 # pairs scored (the summed sizes of the slices _best_pair scores) per
 # search for the p = 2 plus extremal weight at (1, delta**2), for aq(10),
-# a_inf and rh_inf, out of 8,390,656 pairs at depth 12 and 134,225,920 at
-# depth 14.  Tighter bounds may lower them.
+# a_inf and rh_inf, and the minus one for rh_p(3), out of 8,390,656 pairs
+# at depth 12 and 134,225,920 at depth 14.  Tighter bounds may lower them.
+# At delta = 2, rh_p(3) diverges at 0 and makes no scan.
 VISITS = {
-    (12, 1.0): (0, 0, 0),
-    (12, 1.001): (4927, 4991, 4097),
-    (12, 2.0): (4096, 4096, 4096),
-    (14, 1.0): (0, 0, 0),
-    (14, 1.001): (16895, 17023, 16385),
-    (14, 2.0): (16384, 16384, 16384),
+    (12, 1.0): (0, 0, 0, 0),
+    (12, 1.001): (4927, 4991, 4097, 4477),
+    (12, 2.0): (4096, 4096, 4096, 0),
+    (14, 1.0): (0, 0, 0, 0),
+    (14, 1.001): (16895, 17023, 16385, 16637),
+    (14, 2.0): (16384, 16384, 16384, 0),
 }
 
 
@@ -446,13 +454,14 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
         return leaf(*args)
 
     monkeypatch.setattr(_pairscan, "_best_pair", counted)
-    w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+    plus, minus = (extremal_weight(2.0, delta, (1.0, delta**2), branch) for branch in ("plus", "minus"))
     visits = []
-    for kind in (FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_inf()):
+    for w, kind in ((plus, FunctionalKind.aq(10.0)), (plus, FunctionalKind.a_inf()),
+                    (plus, FunctionalKind.rh_inf()), (minus, FunctionalKind.rh_p(3.0))):
         calls[0] = 0
         sup_ratio_search(w, kind, depth)
         visits.append(calls[0])
-    assert all(v <= most for v, most in zip(visits, VISITS[depth, delta])), visits
+    assert all(v <= most for v, most in zip(visits, VISITS[depth, delta], strict=True)), visits
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
