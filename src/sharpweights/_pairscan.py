@@ -4,9 +4,10 @@ Every functional of the supremum search is a closed-form ratio of the
 averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
 nondecreasing grid g: with d1, d2 and L the increments of p1, p2 and g
 from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
-exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan bounds the ratio over
-pairs of blocks graded toward the origin, scores the row [0], then the
-rows by decreasing bound, and is bit-identical to scoring every pair.
+exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan bounds and scores the
+row [0] of blocks graded toward the origin, bounds the other block pairs
+by their corner (below), and by chords and slopes where that leaves them
+open, then scores rows by decreasing bound, as every pair bit for bit.
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -27,6 +28,7 @@ import numpy as np
 
 _BLOCK = 64
 _SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill L2
+_CHUNK = 1 << 16  # block pairs a generic-bound call, at about 400 bytes each
 
 # Outward rounding, as a bound and the pair values it dominates round apart:
 # - A pair average is within 3 ulp of the exact average of the float
@@ -106,59 +108,52 @@ def _partition(n, ramp=None):
     return first, np.append(first[1:] - 1, n - 1)
 
 
-def _average_bounds(grid, prefix, slopes, first, last):
-    """(lo, hi): outward bounds, indexed [I, J] for blocks I <= J, on the
-    averages (P[j] - P[i]) / (g[j] - g[i]) with i in I, j in J and i < j.
-
-    For I < J the average splits at last[I] and first[J] into the exact
-    chord and two flanks, each an average of adjacent slopes inside one
-    block.  It is linear-fractional in the flank lengths, free in [0, len
-    I] x [0, len J], so its extremes sit at the 4 corners.
-    """
-    # slope k joins points k and k+1; the slot at a block's last point joins two
-    # blocks (or lies past the grid) and is masked, to 0 in a one-point block
+def _block_slopes(grid, prefixes, first, last):
+    """[min, max, largest magnitude][prefix, block]: the slopes of each row of ``prefixes``
+    between adjacent points of each block, 0 in a one-point block."""
+    # slope k joins points k and k+1; a block's last slot joins two blocks or lies past the grid
     fill = np.where(first < last, np.inf, 0.0)
-    cells = np.append(slopes, 0.0)
-    cells[last] = -fill
-    smax = np.maximum.reduceat(cells, first)
-    cells[last] = fill
-    smin = np.minimum.reduceat(cells, first)
-    smag = np.maximum(np.abs(smax), np.abs(smin))
-    chord = prefix[first][None, :] - prefix[last][:, None]
-    gap = grid[first][None, :] - grid[last][:, None]
+    cells = np.diff(prefixes, append=prefixes[:, -1:]) / np.diff(grid, append=grid[-1])
+    cells[:, last] = -fill
+    smax = np.maximum.reduceat(cells, first, axis=1)
+    cells[:, last] = fill
+    smin = np.minimum.reduceat(cells, first, axis=1)
+    return np.array([smin, smax, np.maximum(np.abs(smax), np.abs(smin))])
+
+
+def _average_bounds(grid, prefixes, slopes, first, last, I, J):
+    """(lo, hi)[prefix, pair]: outward bounds on the averages (P[j] - P[i]) / (g[j] - g[i])
+    of each prefix P, i in I, j in J and i < j, for each block pair (I, J), I <= J.
+
+    For I < J the average splits at last[I] and first[J] into the exact chord and two
+    flanks, each an average of adjacent slopes inside one block.  It is linear-fractional
+    in the flank lengths, free in [0, len I] x [0, len J], so its extremes sit at the 4 corners.
+    """
+    chord = prefixes[:, first[J]] - prefixes[:, last[I]]
+    gap = grid[first[J]] - grid[last[I]]
     span = grid[last] - grid[first]
-    lo = hi = size = None
-    for left in (0.0, span[:, None]):
-        for right in (0.0, span[None, :]):
-            length = gap + left + right
-            up = (chord + smax[:, None] * left + smax[None, :] * right) / length
-            down = (chord + smin[:, None] * left + smin[None, :] * right) / length
-            mag = (np.abs(chord) + smag[:, None] * left + smag[None, :] * right) / length
-            if lo is None:
-                lo, hi, size = down, up, mag
-            else:
-                np.minimum(lo, down, out=lo)
-                np.maximum(hi, up, out=hi)
-                np.maximum(size, mag, out=size)
-    widen = _SLACK * size + _TINY / gap
-    lo -= widen
-    hi += widen
+    c, s, t = np.array([chord, chord, np.abs(chord)]), slopes[..., I], slopes[..., J]
+    sign = np.array([-1.0, 1.0, 1.0])[:, None, None]
+    ext = np.full(s.shape, -np.inf)  # -lo, hi and size (negation is exact)
+    for left in (0.0, span[I]):
+        cl, gl = c + s * left, gap + left
+        for right in (0.0, span[J]):
+            np.maximum(ext, sign * ((cl + t * right) / (gl + right)), out=ext)
+    widen = _SLACK * ext[2] + _TINY / gap
+    lo, hi = -ext[0] - widen, ext[1] + widen
     # inside one block the average is itself an average of the slopes
-    widen = _SLACK * smag + _TINY
-    np.fill_diagonal(lo, smin - widen)
-    np.fill_diagonal(hi, smax + widen)
+    d = np.flatnonzero(I == J)
+    widen = _SLACK * s[2][:, d] + _TINY
+    lo[:, d], hi[:, d] = s[0][:, d] - widen, s[1][:, d] + widen
     return lo, hi
 
 
-def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
-    """Upper bound on the mode's computed ratio over each block pair [I, J]:
-    -inf where it holds no pair i < j, +inf where no bound holds (NaN, or
-    averages that may be nonpositive where the mode needs them positive)."""
-    length = np.diff(grid)
-    lo1, hi1 = _average_bounds(grid, p1, np.diff(p1) / length, first, last)
-    if mode != 2:
-        s2 = np.divide(np.diff(p2), length, out=length)  # lengths not read again
-        lo2, hi2 = _average_bounds(grid, p2, s2, first, last)
+def _block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks):
+    """Upper bound on the mode's computed ratio over each block pair (I, J) = ``blocks``
+    that holds a pair i < j, from the prefixes and their _block_slopes: +inf where no
+    bound holds (NaN, or averages that may be nonpositive where the mode needs them positive)."""
+    lo, hi = _average_bounds(grid, prefixes, slopes, first, last, *blocks)
+    lo1, hi1, lo2, hi2 = lo[0], hi[0], lo[-1], hi[-1]
     if mode == 0:
         f1 = (hi1 if e1 >= 0.0 else lo1) ** e1
         f2 = (hi2 if e2 >= 0.0 else lo2) ** e2
@@ -166,11 +161,10 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last):
     elif mode == 1:
         bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
     else:
-        top = np.maximum.reduceat(cap, first)[None, :]
+        top = np.maximum.reduceat(cap, first)[blocks[1]]
         bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
     bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
-    bound[last[None, :] <= first[:, None]] = -np.inf
     return bound
 
 
@@ -183,7 +177,7 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks):
     def cancellation(prefix):
         return (np.abs(prefix[i]) + np.abs(prefix[j])) / np.abs(prefix[j] - prefix[i])
 
-    corner, _ = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], last[J])
+    corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], last[J])[0]
     u = 2.0**-53
     lam = np.log(grid[ramp] / grid[first[I]])
     x1 = abs(grid[ramp] / p1[ramp])
@@ -228,7 +222,13 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
     repeated = not np.all(g[1:] > g[:-1])
     first, last = _partition(n, ramp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = _block_bounds(g, q1, q2, cp, e1, e2, mode, first, last)
+        prefixes = np.array([q1] if mode == 2 else [q1, q2])
+        slopes = _block_slopes(g, prefixes, first, last)
+        holds = last > first[:, None]  # whether block pair [I, J] holds a pair i < j
+        blocks = np.nonzero(holds[:1])  # row [0], bounded and scored first
+        holds[0] = False
+        bound = np.full(holds.shape, -np.inf)
+        bound[blocks] = _block_bounds(g, prefixes, slopes, cp, e1, e2, mode, first, last, blocks)
         best, bi, bj = _LOWEST, 0, 0
 
         def visit(row):
@@ -247,10 +247,19 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
                             best, bi, bj = v, i, j
 
         visit(0)
-        if ramp is not None:  # the ramp's block pairs that row [0] leaves open
-            blocks = np.nonzero((bound >= best) & (last <= ramp))
-            corner = _corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, blocks)
-            bound[blocks] = np.minimum(bound[blocks], corner)
+        # the other block pairs, the ramp's first (by column): their corner bound, then the
+        # generic one past the ramp and where the corner may reach best (below, both prune alike)
+        J, I = np.nonzero(holds.T)
+        up = np.full(I.size, np.inf)
+        if ramp is not None:
+            k = np.count_nonzero(last[J] <= ramp)
+            up[:k] = _corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, (I[:k], J[:k]))
+        reach = np.flatnonzero(up >= best)
+        for c in range(0, reach.size, _CHUNK):
+            k = reach[c : c + _CHUNK]
+            generic = _block_bounds(g, prefixes, slopes, cp, e1, e2, mode, first, last, (I[k], J[k]))
+            up[k] = np.minimum(up[k], generic)
+        bound[I, J] = up
         top = bound.max(axis=1)
         # only a strictly smaller bound stops the scan or skips a slice, as an
         # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing

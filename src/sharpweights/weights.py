@@ -296,8 +296,9 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
     return scan(grid, p1, p2, e1, e2, cap, mode, ramp)
 
 
-# The scan's block-bound arrays grow fourfold per level: depth 17 peaks
-# near 0.45 GB, and depth 18 would need about 1.7 GB.
+# The scan's arrays over block pairs (the bound matrix, the pair indices and
+# the ramp's corner bounds) grow fourfold per level: a depth-17 search peaks
+# near 0.27 GB, and one at depth 18 near 0.97 GB.
 _MAX_DEPTH = 17
 
 

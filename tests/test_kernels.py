@@ -1,6 +1,7 @@
 """The block-pruned pair scan against brute-force references."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -132,6 +133,16 @@ def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
             assert_bit_identical(grid, p1, p2, float(rng.uniform(0.2, 2.0)), e2, cap, mode)
 
 
+def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
+    # without a ramp every block pair but row [0]'s takes its generic bound in
+    # the chunked loop: 7 block pairs a call, the last chunk short
+    monkeypatch.setattr(_pairscan, "_CHUNK", 7)
+    rng = np.random.default_rng(41)
+    for mode in (0, 1, 2):
+        grid, p1, p2, cap = random_inputs(rng, 300)
+        assert_bit_identical(grid, p1, p2, 0.8, -1.0, cap, mode)
+
+
 @pytest.mark.parametrize("nu_sign", ["positive", "negative"])
 @pytest.mark.parametrize("corner", [True, False])
 def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, corner):
@@ -170,6 +181,22 @@ def test_exponential_scan_with_a_negative_log_prefix():
     walk = np.cumsum(np.random.default_rng(5).standard_normal(grid.size))
     assert walk.min() < 0.0
     assert_bit_identical(grid, p1, walk, 0.0, 0.0, p1, 1)
+
+
+def test_ramp_scan_finds_a_maximum_past_the_ramp_off_row_0():
+    # w = (t/a)**0.1 up to a = g[150], then 1, and 5 on cells 250-269: RH_2 (mode
+    # 0 on the prefixes of w**2 and w) peaks on the plateau, off row [0], where
+    # only the generic bounds hold, so past the ramp they must start at +inf
+    grid = np.linspace(0.0, 1.0, 400)
+    ramp = 150
+    bump = np.clip(grid, grid[250], grid[270]) - grid[250]
+    p1 = _prefix_power(grid, grid[ramp], 0.1, 2.0) + 24.0 * bump
+    p2 = _prefix_power(grid, grid[ramp], 0.1, 1.0) + 4.0 * bump
+    args = (grid, p1, p2, 0.5, -1.0, p1, 0)
+    expected = brute_force_scan(*args)
+    assert expected[1] > ramp
+    assert max_pair_ratio(*args) == expected
+    assert max_pair_ratio(*args, ramp) == expected
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -297,7 +324,9 @@ def test_exponential_bounds_hold_every_pair_value():
             upper = np.triu_indices(first.size)
             best = block_maxima(grid, p1, p2, 0.0, 0.0, p1, 1, first)[upper]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                bound = _pairscan._block_bounds(grid, p1, p2, p1, 0.0, 0.0, 1, first, last)[upper]
+                prefixes = np.array([p1, p2])
+                slopes = _pairscan._block_slopes(grid, prefixes, first, last)
+                bound = _pairscan._block_bounds(grid, prefixes, slopes, p1, 0.0, 0.0, 1, first, last, upper)
             assert np.all(bound >= best), (kind, name)
             if "jump" in name:
                 # the pairs across the jump are not averages of cell slopes
@@ -340,7 +369,9 @@ def test_corner_bounds_hold_every_pair_value(monkeypatch):
         blocks = np.nonzero((rows > 0) & (rows <= rows.T) & (last <= ramp))
         best = block_maxima(grid, p1, p2, e1, e2, cap, mode, first)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            generic = _pairscan._block_bounds(grid, p1, p2, cap, e1, e2, mode, first, last)[blocks]
+            prefixes = np.array([p1, p2])
+            slopes = _pairscan._block_slopes(grid, prefixes, first, last)
+            generic = _pairscan._block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks)
             corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks)
         assert np.all(corner >= best[blocks]), label
         assert np.all(np.minimum(generic, corner) >= best[blocks]), label
@@ -443,25 +474,72 @@ VISITS = {
 }
 
 
-@pytest.mark.parametrize("depth,delta", sorted(VISITS))
-def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta):
+def search_work(monkeypatch, depth, delta, name, size):
+    """size(result, *args) summed over the calls to _pairscan.<name>, per search of
+    the VISITS weights and kinds."""
     calls = [0]
-    leaf = _pairscan._best_pair
+    fn = getattr(_pairscan, name)
 
     def counted(*args):
-        rows, cols = args[7:9]
-        calls[0] += (rows.stop - rows.start) * (cols.stop - cols.start)
-        return leaf(*args)
+        result = fn(*args)
+        calls[0] += size(result, *args)
+        return result
 
-    monkeypatch.setattr(_pairscan, "_best_pair", counted)
+    monkeypatch.setattr(_pairscan, name, counted)
     plus, minus = (extremal_weight(2.0, delta, (1.0, delta**2), branch) for branch in ("plus", "minus"))
-    visits = []
+    work = []
     for w, kind in ((plus, FunctionalKind.aq(10.0)), (plus, FunctionalKind.a_inf()),
                     (plus, FunctionalKind.rh_inf()), (minus, FunctionalKind.rh_p(3.0))):
         calls[0] = 0
         sup_ratio_search(w, kind, depth)
-        visits.append(calls[0])
+        work.append(calls[0])
+    return work
+
+
+@pytest.mark.parametrize("depth,delta", sorted(VISITS))
+def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta):
+    def pairs(result, grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
+        return (rows.stop - rows.start) * (cols.stop - cols.start)
+
+    visits = search_work(monkeypatch, depth, delta, "_best_pair", pairs)
     assert all(v <= most for v, most in zip(visits, VISITS[depth, delta], strict=True)), visits
+
+
+# block pairs given a generic bound per VISITS search: row [0] (70 at depth 12
+# and 262 at 14, one more at delta = 1.001, where a < 1 is a grid point of its
+# own), then at delta = 1.001 the 70 or 262 that reach the one-point block of
+# t = 1 past a, where the corner bound does not hold; it closes every other
+# ramp block pair.  Bounding all pairs of the 71 to 264 blocks generically was
+# 5,041 to 69,696 block pairs a search.
+GENERIC = {
+    (12, 1.0): (0, 0, 0, 0),
+    (12, 1.001): (141, 141, 141, 141),
+    (12, 2.0): (70, 70, 70, 0),
+    (14, 1.0): (0, 0, 0, 0),
+    (14, 1.001): (525, 525, 525, 525),
+    (14, 2.0): (262, 262, 262, 0),
+}
+
+
+@pytest.mark.parametrize("depth,delta", sorted(GENERIC))
+def test_scan_bounds_few_block_pairs_generically(monkeypatch, depth, delta):
+    counts = search_work(monkeypatch, depth, delta, "_block_bounds", lambda bound, *args: bound.size)
+    assert all(c <= most for c, most in zip(counts, GENERIC[depth, delta], strict=True)), counts
+
+
+@pytest.mark.parametrize("delta", [1.001, 2.0])
+def test_search_peak_allocation(delta):
+    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: about
+    # 4.4 MiB, against 7.6 MiB when the generic bounds covered every block pair
+    w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+    sup_ratio_search(w, FunctionalKind.aq(10.0), 14)  # any first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        sup_ratio_search(w, FunctionalKind.aq(10.0), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
