@@ -4,10 +4,11 @@ Every functional of the supremum search is a closed-form ratio of the
 averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
 nondecreasing grid g: with d1, d2 and L the increments of p1, p2 and g
 from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
-exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan bounds and scores the
-row [0] of blocks graded toward the origin, bounds the other block pairs
-by their corner (below), and by chords and slopes where that leaves them
-open, then scores rows by decreasing bound, as every pair bit for bit.
+exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan scores the row [0] of
+blocks graded toward the origin whole, bounds each other row up to the
+ramp by one corner value (below), and where that may reach the best value
+its block pairs by their own, and by chords and slopes where those leave
+them open or past the ramp, then scores rows by decreasing bound, bit for bit.
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -24,11 +25,13 @@ covariance of Y and h(Y), <= 0 by Chebyshev): d log Phi/dr <= 0.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _BLOCK = 64
 _SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill L2
-_CHUNK = 1 << 16  # block pairs a generic-bound call, at about 400 bytes each
+_CHUNK = 8192  # block pairs a bound call, at about 400 bytes each: larger calls spill the cache
 
 # Outward rounding, as a bound and the pair values it dominates round apart:
 # - A pair average is within 3 ulp of the exact average of the float
@@ -53,9 +56,14 @@ _CHUNK = 1 << 16  # block pairs a generic-bound call, at about 400 bytes each
 #   (modes 1, 2; e' the prefix exponents) or, in mode 0, u (1 + 3 |eo' -
 #   1| + |eb'|/|eo|), eb' of the prefix of theta = 1 and eo' of the other,
 #   raised to eo, moving a value by D = u Lam (|eb'| + |eo| (1 + 3 |eo' - 1|)).
-#   So no computed value exceeds the computed corner times (1 + D)**2 (1 +
-#   E)**2 < 1 + 4 (D + E) while 4 (D + E) <= _ENVELOPE; elsewhere, and where
-#   a prefix or cap read is below _FLOOR (1 + its value at a), it is +inf.
+#   A block row I's pairs up to a peak at (first[I], ramp), c is largest at
+#   the innermost pair of [I, I + 1] ([I, I] where I ends at a), and Lam and
+#   D depend on I alone.  Computed corners need not grow with J, so chain
+#   through exact values: a computed value is at most its exact value, and
+#   so the exact corner's, times (1 + D)(1 + E), so at most the computed
+#   corner times (1 + D)**2 (1 + E)**2 < 1 + 4 (D + E) while 4 (D + E) <=
+#   _ENVELOPE, for a block pair or a row; elsewhere, and where a prefix or
+#   cap read is below _FLOOR (1 + its value at a), it is +inf.
 _SLACK = 1e-9
 _TINY = 1e-300
 _ENVELOPE = 1e-3
@@ -168,8 +176,9 @@ def _block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks
     return bound
 
 
-def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks):
-    """Bounds from their corners (see _SLACK) on the ramp's block pairs (I, J) = ``blocks``."""
+def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, end):
+    """Bounds from their corners (see _SLACK) on the pairs of block pairs (I, J) = ``blocks``
+    up to column ``end``: last[J], or the ramp for all of row I (J = I + 1, or I at the ramp)."""
     I, J = blocks
     i = last[I] - (I == J)  # the innermost pair
     j = np.maximum(first[J], i + 1)
@@ -177,7 +186,7 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks):
     def cancellation(prefix):
         return (np.abs(prefix[i]) + np.abs(prefix[j])) / np.abs(prefix[j] - prefix[i])
 
-    corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], last[J])[0]
+    corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], end)[0]
     u = 2.0**-53
     lam = np.log(grid[ramp] / grid[first[I]])
     x1 = abs(grid[ramp] / p1[ramp])
@@ -221,46 +230,57 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
         raise ValueError("grid must be nondecreasing")
     repeated = not np.all(g[1:] > g[:-1])
     first, last = _partition(n, ramp)
+    k = 1 if ramp is None else np.count_nonzero(last <= ramp)  # the ramp's blocks, [0, k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prefixes = np.array([q1] if mode == 2 else [q1, q2])
-        slopes = _block_slopes(g, prefixes, first, last)
-        holds = last > first[:, None]  # whether block pair [I, J] holds a pair i < j
-        blocks = np.nonzero(holds[:1])  # row [0], bounded and scored first
-        holds[0] = False
-        bound = np.full(holds.shape, -np.inf)
-        bound[blocks] = _block_bounds(g, prefixes, slopes, cp, e1, e2, mode, first, last, blocks)
+        slopes = functools.cache(lambda: _block_slopes(g, prefixes, first, last))  # on first use
+        past = np.full((first.size, first.size - k), -np.inf)  # generic bounds past the ramp
+        I, J = np.nonzero(last[k:] > first[1:, None])  # the block pairs that hold a pair i < j
+        for c in range(0, I.size, _CHUNK):
+            i, j = 1 + I[c : c + _CHUNK], J[c : c + _CHUNK]
+            past[i, j] = _block_bounds(g, prefixes, slopes(), cp, e1, e2, mode, first, last, (i, k + j))
+        # row [0], one point, is visited first with no bound, as the lowest float prunes nothing
+        past[0] = np.inf
+        ramps = {0: np.full(k - 1, np.inf)}  # row: the bounds of its block pairs before k
         best, bi, bj = _LOWEST, 0, 0
 
         def visit(row):
             nonlocal best, bi, bj
+            up = ramps.pop(row, np.empty(0))
+            bound = np.concatenate([np.full(k - up.size, -np.inf), up, past[row]])
             rows = slice(int(first[row]), int(last[row]) + 1)
             step = max(_SLICE // (_BLOCK * (rows.stop - rows.start)), 1)  # blocks a slice
             # the column blocks [a, b) of each run still at or above best
-            runs = np.flatnonzero(np.diff(bound[row] >= best, prepend=False, append=False))
+            runs = np.flatnonzero(np.diff(bound >= best, prepend=False, append=False))
             for a, b in runs.reshape(-1, 2):
                 for s in range(a, b, step):
                     t = min(s + step, b)
-                    if bound[row, s:t].max() >= best:
+                    if bound[s:t].max() >= best:
                         cols = slice(int(first[s]), int(last[t - 1]) + 1)
                         v, i, j = _best_pair(g, q1, q2, cp, e1, e2, mode, rows, cols, repeated or s == row)
                         if v > best or (v == best and (i, j) < (bi, bj)):
                             best, bi, bj = v, i, j
 
         visit(0)
-        # the other block pairs, the ramp's first (by column): their corner bound, then the
-        # generic one past the ramp and where the corner may reach best (below, both prune alike)
-        J, I = np.nonzero(holds.T)
-        up = np.full(I.size, np.inf)
+        # each other row's bound up to the ramp, one corner value (see _SLACK).  Where it may
+        # reach best, the row's block pairs take theirs, a few rows a call, and where those
+        # may reach best, the generic bound too (below, both prune alike)
+        top = past.max(axis=1, initial=-np.inf)
         if ramp is not None:
-            k = np.count_nonzero(last[J] <= ramp)
-            up[:k] = _corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, (I[:k], J[:k]))
-        reach = np.flatnonzero(up >= best)
-        for c in range(0, reach.size, _CHUNK):
-            k = reach[c : c + _CHUNK]
-            generic = _block_bounds(g, prefixes, slopes, cp, e1, e2, mode, first, last, (I[k], J[k]))
-            up[k] = np.minimum(up[k], generic)
-        bound[I, J] = up
-        top = bound.max(axis=1)
+            R = 1 + np.flatnonzero(first[1:k] < ramp)
+            rows = (R, np.minimum(R + 1, k - 1))  # innermost: that of [I, I + 1], or [I, I] at a
+            R = R[_corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, rows, ramp) >= best]
+            for c in range(0, R.size, m := max(_CHUNK // k, 1)):  # m rows a call
+                I, J = np.nonzero(last[:k] > first[R[c : c + m], None])
+                I = R[c + I]
+                up = _corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, (I, J), last[J])
+                r = np.flatnonzero(up >= best)
+                if r.size:
+                    other = _block_bounds(g, prefixes, slopes(), cp, e1, e2, mode, first, last, (I[r], J[r]))
+                    up[r] = np.minimum(up[r], other)
+                cuts = np.flatnonzero(np.diff(I, prepend=-1))
+                top[I[cuts]] = np.maximum(top[I[cuts]], np.maximum.reduceat(up, cuts))
+                ramps.update(zip(I[cuts].tolist(), np.split(up, cuts[1:])))
         # only a strictly smaller bound stops the scan or skips a slice, as an
         # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing
         for row in 1 + np.argsort(-top[1:], kind="stable"):

@@ -135,12 +135,19 @@ def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
 
 def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
     # without a ramp every block pair but row [0]'s takes its generic bound in
-    # the chunked loop: 7 block pairs a call, the last chunk short
+    # the chunked loop: 7 block pairs a call, the last chunk short; with one,
+    # the rows that their row bound leaves open (every row where its envelope
+    # is +inf, at q = 1e14, where rounding puts the maximum at (207, 208), and
+    # most rows at delta - 1 = 1e-12) take their block pairs' bounds a row a call
     monkeypatch.setattr(_pairscan, "_CHUNK", 7)
     rng = np.random.default_rng(41)
     for mode in (0, 1, 2):
         grid, p1, p2, cap = random_inputs(rng, 300)
         assert_bit_identical(grid, p1, p2, 0.8, -1.0, cap, mode)
+    monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: assert_bit_identical(*args) or (1.0, 0, 1))
+    for delta, q in ((1.5, 1e14), (1.0 + 1e-12, 10.0)):
+        w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+        sup_ratio_search(w, FunctionalKind.aq(q), 8)
 
 
 @pytest.mark.parametrize("nu_sign", ["positive", "negative"])
@@ -372,11 +379,42 @@ def test_corner_bounds_hold_every_pair_value(monkeypatch):
             prefixes = np.array([p1, p2])
             slopes = _pairscan._block_slopes(grid, prefixes, first, last)
             generic = _pairscan._block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks)
-            corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks)
+            ends = last[blocks[1]]
+            corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, ends)
         assert np.all(corner >= best[blocks]), label
         assert np.all(np.minimum(generic, corner) >= best[blocks]), label
         binds += np.count_nonzero(corner < generic)
     assert binds > 0
+
+
+def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
+    # the scan bounds each block row I >= 1 up to the ramp by one corner value,
+    # (first[I], ramp), widened by the envelope at the row's innermost pair
+    scans, rows = [], []
+    monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+    corner_bounds = _pairscan._corner_bounds
+
+    def recorded(*args):
+        bound = corner_bounds(*args)
+        if np.ndim(args[-1]) == 0:  # a row call: its corner column is the ramp
+            rows.append((args[-2][0], bound))
+        return bound
+
+    monkeypatch.setattr(_pairscan, "_corner_bounds", recorded)
+    for label, w, kind in corner_cases():
+        scans.clear()
+        if sup_ratio_search(w, kind, 9)[0] == math.inf:
+            continue  # aq(1.01) diverges at 0 once nu >= 0.01, with no scan
+        grid, p1, p2, e1, e2, cap, mode, ramp = scans[0]
+        rows.clear()
+        max_pair_ratio(*scans[0])
+        (R, bound), = rows
+        first, last = _pairscan._partition(grid.size, ramp)
+        assert R.size and np.array_equal(R, 1 + np.flatnonzero(first[1:] < ramp)), label
+        vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, ramp + 1), slice(0, ramp + 1)))
+        vals[np.tril_indices(ramp + 1)] = -np.inf
+        top = np.maximum.reduceat(vals.max(axis=1), first[first <= ramp])
+        assert np.all(bound >= top[R]), label
 
 
 def corner_phi(kind, nu, r, q=None):
@@ -442,12 +480,15 @@ def test_scan_emits_no_float_warnings(mode):
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
     cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu)) for grid in grids[3:]]
     cases += exponential_mode_inputs().values()
-    # the corner path: at p = 1.01, delta = 2, nu is 8.9e15 and the prefix
-    # underflows to 0 at all but the last point; aq(1e14) raises averages to
-    # the power 1e14 - 1; a breakpoint between the last two grid points
-    # leaves the plateau the one-point column [n - 1]
+    # the corner path, row bounds and block pairs: at p = 1.01, delta = 2, nu is
+    # 8.9e15 and the prefix underflows to 0 at all but the last point; aq(1e14)
+    # raises averages to the power 1e14 - 1, and its row envelopes are +inf; a
+    # breakpoint between the last two grid points leaves the plateau the one-point
+    # column [n - 1]; breakpoints at g[1], g[2] and g[64] end the ramp in the
+    # one-point row [1], [2] or [64], with no pair up to the ramp
     searches = [extremal_weight(1.01, 2.0, (1.0, 2.0**1.01), "plus"),
                 extremal_weight(2.0, 2.0, (1.0, 4.0), "plus"), PowerWeight(1.0, 1.0 - 2.0**-10, 3.0)]
+    searches += [PowerWeight(1.0, k / 512.0, 3.0) for k in (1, 2, 64)]
     kinds = {0: [FunctionalKind.aq(10.0), FunctionalKind.aq(1e14), FunctionalKind.aq(1e17), FunctionalKind.rh_p(2.0)],
              1: [FunctionalKind.a_inf()], 2: [FunctionalKind.rh_inf()]}[mode]
     with warnings.catch_warnings():
@@ -505,19 +546,19 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
     assert all(v <= most for v, most in zip(visits, VISITS[depth, delta], strict=True)), visits
 
 
-# block pairs given a generic bound per VISITS search: row [0] (70 at depth 12
-# and 262 at 14, one more at delta = 1.001, where a < 1 is a grid point of its
-# own), then at delta = 1.001 the 70 or 262 that reach the one-point block of
-# t = 1 past a, where the corner bound does not hold; it closes every other
-# ramp block pair.  Bounding all pairs of the 71 to 264 blocks generically was
-# 5,041 to 69,696 block pairs a search.
+# block pairs given a generic bound per VISITS search: at delta = 1.001 the 70
+# (depth 12) or 262 (depth 14) that reach the one-point block of t = 1 past a,
+# where the corner bound does not hold; row [0] is scored with no bound, and the
+# row corner bounds close every other ramp row.  Bounding row [0] generically
+# too was 141 and 525 (70 and 262 at delta = 2), and bounding all pairs of the
+# 71 to 264 blocks generically 5,041 to 69,696 block pairs a search.
 GENERIC = {
     (12, 1.0): (0, 0, 0, 0),
-    (12, 1.001): (141, 141, 141, 141),
-    (12, 2.0): (70, 70, 70, 0),
+    (12, 1.001): (70, 70, 70, 70),
+    (12, 2.0): (0, 0, 0, 0),
     (14, 1.0): (0, 0, 0, 0),
-    (14, 1.001): (525, 525, 525, 525),
-    (14, 2.0): (262, 262, 262, 0),
+    (14, 1.001): (262, 262, 262, 262),
+    (14, 2.0): (0, 0, 0, 0),
 }
 
 
@@ -527,19 +568,32 @@ def test_scan_bounds_few_block_pairs_generically(monkeypatch, depth, delta):
     assert all(c <= most for c, most in zip(counts, GENERIC[depth, delta], strict=True)), counts
 
 
-@pytest.mark.parametrize("delta", [1.001, 2.0])
-def test_search_peak_allocation(delta):
-    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: about
-    # 4.4 MiB, against 7.6 MiB when the generic bounds covered every block pair
+def search_peak(delta, depth):
+    """The tracemalloc peak of one aq(10) search of the p = 2 plus extremal weight."""
     w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
-    sup_ratio_search(w, FunctionalKind.aq(10.0), 14)  # any first-call set-up, untraced
+    sup_ratio_search(w, FunctionalKind.aq(10.0), depth)  # any first-call set-up, untraced
     tracemalloc.start()
     try:
-        sup_ratio_search(w, FunctionalKind.aq(10.0), 14)
-        peak = tracemalloc.get_traced_memory()[1]
+        sup_ratio_search(w, FunctionalKind.aq(10.0), depth)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20, peak
+
+
+@pytest.mark.parametrize("delta", [1.001, 2.0])
+def test_search_peak_allocation(delta):
+    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 1.27
+    # MiB at delta = 1.001 and 0.83 at 2, against 4.4 MiB with an array over all
+    # ramp block pairs and 7.6 MiB when the generic bounds covered every one
+    peak = search_peak(delta, 14)
+    assert peak < 1.5 * 2**20, peak
+
+
+def test_search_peak_allocation_grows_linearly():
+    # 4x the points from depth 14 to 16: linear memory gives about 4x the
+    # peak (3.6x here), an array over all block pairs about 16x
+    ratio = search_peak(2.0, 16) / search_peak(2.0, 14)
+    assert ratio <= 5.0, ratio
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
