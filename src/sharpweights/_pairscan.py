@@ -2,7 +2,7 @@
 
 Every functional of the supremum search is a closed-form ratio of the
 averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
-nondecreasing grid g: with d1, d2 and L the increments of p1, p2 and g
+strictly increasing grid g: with d1, d2 and L the increments of p1, p2 and g
 from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
 exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan scores the row [0] of
 blocks graded toward the origin whole, bounds each other row up to the
@@ -53,9 +53,9 @@ _CHUNK = 8192  # block pairs a bound call, at about 400 bytes each: larger calls
 #   error by its size, below |nu| Lam with Lam = log(a / g[first[I]]); the
 #   leaf adds 20 u: the sum E bounds a value's relative error.  The rounded
 #   exponents fl(theta nu + 1) - 1 drift from consistent ones by u |e1'|
-#   (modes 1, 2; e' the prefix exponents) or, in mode 0, u (1 + 3 |eo' -
-#   1| + |eb'|/|eo|), eb' of the prefix of theta = 1 and eo' of the other,
-#   raised to eo, moving a value by D = u Lam (|eb'| + |eo| (1 + 3 |eo' - 1|)).
+#   (modes 1, 2; e' the prefix exponents) or, in mode 0, u (1 + 3 |e2' -
+#   1| + |e1'|/|e2|), e1' of the plain prefix p1 and e2' of p2, raised to
+#   e2, moving a value by D = u Lam (|e1'| + |e2| (1 + 3 |e2' - 1|)).
 #   A block row I's pairs up to a peak at (first[I], ramp), c is largest at
 #   the innermost pair of [I, I + 1] ([I, I] where I ends at a), and Lam and
 #   D depend on I alone.  Computed corners need not grow with J, so chain
@@ -96,7 +96,8 @@ def _pair_values(grid, p1, p2, cap, e1, e2, mode, i, j):
 
 def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
     """(value, i, j): the largest score over the index slices rows x cols, floored at
-    the lowest float, and its first pair.  NaN, and empty intervals if ``mask``, score -inf."""
+    the lowest float, and its first pair.  NaN, and the empty intervals of a diagonal
+    block if ``mask``, score -inf."""
     vals, length = _pair_values(grid, p1, p2, cap, e1, e2, mode, (rows, None), (None, cols))
     if mask:
         vals[length <= 0.0] = -np.inf
@@ -108,10 +109,9 @@ def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
     return max(vals.item(k), _LOWEST), rows.start + r, cols.start + c
 
 
-def _partition(n, ramp=None):
+def _partition(n, ramp=0):
     """(first, last) index of each block of n points: [0], [1], [2, 3], ..., _BLOCKs; one ends at ramp."""
-    split = n if ramp is None else ramp + 1
-    first = np.r_[0, 1 << np.arange(_BLOCK.bit_length() - 1), _BLOCK : n : _BLOCK, split]
+    first = np.r_[0, 1 << np.arange(_BLOCK.bit_length() - 1), _BLOCK : n : _BLOCK, ramp + 1]
     first = np.unique(first[first < n])
     return first, np.append(first[1:] - 1, n - 1)
 
@@ -167,10 +167,10 @@ def _block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks
         f2 = (hi2 if e2 >= 0.0 else lo2) ** e2
         bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
     elif mode == 1:
-        bound = np.where(hi1 >= 0.0, hi1 * np.exp(-lo2), hi1 * np.exp(-hi2))
+        bound = hi1 * np.exp(-lo2)
     else:
         top = np.maximum.reduceat(cap, first)[blocks[1]]
-        bound = np.where(lo1 > 0.0, np.where(top >= 0.0, top / lo1, top / hi1), np.inf)
+        bound = np.where(lo1 > 0.0, top / lo1, np.inf)
     bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
     return bound
@@ -195,8 +195,7 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, e
     if mode == 0:
         x2 = abs(grid[ramp] / p2[ramp])
         err = abs(e1) * err + abs(e2) * ((x2 + 12.0) * u * cancellation(p2) + 3.0 * u)
-        xb, xo, eo = (x1, x2, e2) if e1 == 1.0 else (x2, x1, e1)
-        drift = xb + abs(eo) * (1.0 + 3.0 * abs(xo - 1.0))
+        drift = x1 + abs(e2) * (1.0 + 3.0 * abs(x2 - 1.0))
     elif mode == 1:
         err += (1.0 + x1) * lam * (16.0 * u * cancellation(p2) + 3.0 * u)
     else:
@@ -208,37 +207,29 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, e
     return np.where(ok, corner * (1.0 + err), np.inf)
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
     """Maximum of the mode's ratio over all index pairs i < j.
 
     Returns (best, i, j); ties resolve to the lexicographically
-    smallest (i, j).  Empty intervals score the lowest float and NaN
-    scores -inf, so with no value above the lowest float the result is
-    (lowest float, 0, 0).  Inputs are equal-length 1-D float arrays
-    with a nondecreasing grid; `cap` is only read in mode 2 and
-    `p2`/`e1`/`e2` only where the mode uses them.  ``ramp`` is for the
-    prefixes of a power up to g[ramp] alone, as
-    ``weights.sup_ratio_search`` builds them (in mode 0, e1 = 1 or e2 = -1).
+    smallest (i, j).  NaN scores -inf, so with no value above the
+    lowest float the result is (lowest float, 0, 0).  The inputs, which
+    the scan does not check, are those ``weights.sup_ratio_search``
+    builds: equal-length float64 arrays over a strictly increasing grid,
+    p1 the prefix of the plain average, the averages positive and the
+    cap nonnegative; `cap` is only read in mode 2 and `p2`/`e1`/`e2`
+    only where the mode uses them.  ``ramp`` > 0 marks the prefixes as
+    those of a power up to grid[ramp]; 0 means there is no power ramp.
     """
-    g, q1, q2, cp = (np.asarray(x, dtype=np.float64) for x in (grid, p1, p2, cap))
-    n = g.size
-    if n < 2:
-        raise ValueError("need at least two grid points")
-    if q1.size != n or q2.size != n or cp.size != n:
-        raise ValueError("prefix arrays must match the grid length")
-    if not np.all(g[1:] >= g[:-1]):
-        raise ValueError("grid must be nondecreasing")
-    repeated = not np.all(g[1:] > g[:-1])
-    first, last = _partition(n, ramp)
-    k = 1 if ramp is None else np.count_nonzero(last <= ramp)  # the ramp's blocks, [0, k)
+    first, last = _partition(grid.size, ramp)
+    k = np.count_nonzero(last <= ramp)  # the ramp's blocks, [0, k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prefixes = np.array([q1] if mode == 2 else [q1, q2])
-        slopes = functools.cache(lambda: _block_slopes(g, prefixes, first, last))  # on first use
+        prefixes = np.array([p1] if mode == 2 else [p1, p2])
+        slopes = functools.cache(lambda: _block_slopes(grid, prefixes, first, last))  # on first use
         past = np.full((first.size, first.size - k), -np.inf)  # generic bounds past the ramp
         I, J = np.nonzero(last[k:] > first[1:, None])  # the block pairs that hold a pair i < j
         for c in range(0, I.size, _CHUNK):
             i, j = 1 + I[c : c + _CHUNK], J[c : c + _CHUNK]
-            past[i, j] = _block_bounds(g, prefixes, slopes(), cp, e1, e2, mode, first, last, (i, k + j))
+            past[i, j] = _block_bounds(grid, prefixes, slopes(), cap, e1, e2, mode, first, last, (i, k + j))
         # row [0], one point, is visited first with no bound, as the lowest float prunes nothing
         past[0] = np.inf
         ramps = {0: np.full(k - 1, np.inf)}  # row: the bounds of its block pairs before k
@@ -257,7 +248,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
                     t = min(s + step, b)
                     if bound[s:t].max() >= best:
                         cols = slice(int(first[s]), int(last[t - 1]) + 1)
-                        v, i, j = _best_pair(g, q1, q2, cp, e1, e2, mode, rows, cols, repeated or s == row)
+                        v, i, j = _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, s == row)
                         if v > best or (v == best and (i, j) < (bi, bj)):
                             best, bi, bj = v, i, j
 
@@ -266,17 +257,18 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
         # reach best, the row's block pairs take theirs, a few rows a call, and where those
         # may reach best, the generic bound too (below, both prune alike)
         top = past.max(axis=1, initial=-np.inf)
-        if ramp is not None:
+        if k > 1:
             R = 1 + np.flatnonzero(first[1:k] < ramp)
             rows = (R, np.minimum(R + 1, k - 1))  # innermost: that of [I, I + 1], or [I, I] at a
-            R = R[_corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, rows, ramp) >= best]
+            R = R[_corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, rows, ramp) >= best]
             for c in range(0, R.size, m := max(_CHUNK // k, 1)):  # m rows a call
                 I, J = np.nonzero(last[:k] > first[R[c : c + m], None])
                 I = R[c + I]
-                up = _corner_bounds(g, q1, q2, cp, e1, e2, mode, first, last, ramp, (I, J), last[J])
+                up = _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, (I, J), last[J])
                 r = np.flatnonzero(up >= best)
                 if r.size:
-                    other = _block_bounds(g, prefixes, slopes(), cp, e1, e2, mode, first, last, (I[r], J[r]))
+                    blocks = I[r], J[r]
+                    other = _block_bounds(grid, prefixes, slopes(), cap, e1, e2, mode, first, last, blocks)
                     up[r] = np.minimum(up[r], other)
                 cuts = np.flatnonzero(np.diff(I, prepend=-1))
                 top[I[cuts]] = np.maximum(top[I[cuts]], np.maximum.reduceat(up, cuts))

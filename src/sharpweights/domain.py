@@ -56,7 +56,7 @@ def validate_delta(delta: float) -> None:
         raise DomainError(f"class constant delta must satisfy 1 <= delta < inf, got {delta}")
 
 
-def _power_or_inf(base: float, p: float) -> float:
+def power_or_inf(base: float, p: float) -> float:
     """base**p, +inf where it passes the float range."""
     try:
         return base**p
@@ -71,7 +71,7 @@ def boundary_values(p: float, delta: float, x1: float) -> tuple[float, float]:
     validate_delta(delta)
     if math.isinf(p):
         return x1, delta * x1
-    return _power_or_inf(x1, p), _power_or_inf(delta * x1, p)
+    return power_or_inf(x1, p), power_or_inf(delta * x1, p)
 
 
 def classify_point(p: float, delta: float, x: DomainPoint) -> str:

@@ -25,7 +25,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import roots
-from .domain import INF, DomainPoint, classify_point, require_finite
+from .domain import INF, DomainPoint, classify_point, exp_or_inf, power_or_inf, require_finite
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -107,12 +107,15 @@ def _validate_theta(theta: float) -> None:
 
 
 def moment(w: PowerWeight, theta: float) -> float:
-    """Average of w**theta over [0, 1]; +inf when theta*nu <= -1."""
+    """Average of w**theta over [0, 1]; +inf when theta*nu <= -1 or where
+    the average passes the float range."""
     _validate_theta(theta)
     tn = theta * w.nu
     if tn <= -1.0:
         return INF
-    return w.c**theta * (1.0 + (1.0 - w.a) * tn) / (1.0 + tn)
+    num, den = 1.0 + (1.0 - w.a) * tn, 1.0 + tn
+    value = power_or_inf(w.c, theta) * num / den  # in logs where c**theta or c**theta * num overflows
+    return value if value < INF else exp_or_inf(theta * math.log(w.c) + math.log(num / den))
 
 
 def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> float:
@@ -239,7 +242,9 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
 def functional_ratio(
     w: PowerWeight, kind: FunctionalKind, alpha: float, beta: float
 ) -> float:
-    """The chosen functional on [alpha, beta] via the closed forms."""
+    """The chosen functional on [alpha, beta] via the closed forms, on the
+    weight with c = 1, as each functional is invariant under scaling it."""
+    w = w._replace(c=1.0)
     avg = interval_moment(w, 1.0, alpha, beta)
     if kind.name == "aq":
         q = kind.exponent
@@ -285,7 +290,7 @@ def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
     return nu * out
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=None):
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
     """The pair scan of ``_pairscan``, imported on the first call.
 
     A plain module attribute, so that callers which wrap or replace
@@ -332,14 +337,14 @@ def sup_ratio_search(
         raise DomainError(f"depth must lie in [1, {_MAX_DEPTH}], got depth = {depth}")
     nu = w.nu
     a = w.a
-    # Power-prefix exponents (the plain average first, except for rhp),
-    # the mode's exponents, and the mode.  ainf adds the log prefix; rhinf
+    # Power-prefix exponents (the plain average first), the mode's
+    # exponents, and the mode.  ainf adds the log prefix; rhinf
     # reads only the first prefix and the cap.
     if kind.name == "aq":
         q = kind.exponent
         thetas, e1, e2, mode = (1.0, -1.0 / (q - 1.0)), 1.0, q - 1.0, 0
     elif kind.name == "rhp":
-        thetas, e1, e2, mode = (kind.exponent, 1.0), 1.0 / kind.exponent, -1.0, 0
+        thetas, e1, e2, mode = (1.0, kind.exponent), -1.0, 1.0 / kind.exponent, 0
     elif kind.name == "ainf":
         thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 1
     else:

@@ -204,6 +204,19 @@ def test_extremal_minus_branch(capsys):
         assert abs(float(rec[key])) < 1e-9
 
 
+@pytest.mark.parametrize("p, x1, x2", [
+    # c**50 passes the float range though the moment is x2
+    ("50", "963626.5138306188", "9.799308653125657e+307"),
+    # c**300 is finite, and its product with the ramp term overflows
+    ("300", "10.5", "1e307"),
+])
+def test_extremal_moment_near_the_float_range(p, x1, x2, capsys):
+    code, out, _ = run_cli(["extremal", "--p", p, "--delta", "1.5", "--x1", x1, "--x2", x2], capsys)
+    assert code == 0
+    rec = parse_plain(out)
+    assert abs(float(rec["resid_x2"])) <= 1e-9 * float(x2)
+
+
 def test_extremal_infinite_exponent(capsys):
     # p = inf checks the sup and the RH_inf norm instead of the p-th moment
     code, out, _ = run_cli(

@@ -5,6 +5,7 @@ parameter, and valid inputs give valid values."""
 import math
 import re
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -288,6 +289,49 @@ def test_public_calls_at_huge_p_give_floats_or_refuse(p):
         if not values or any(math.isnan(v) for v in values):
             bad.append(f"{name}: {values}")
     assert not bad, bad
+
+
+# weights of every scale, c = 10**k for k in [-300, 300]
+SCALED_WEIGHTS = st.builds(lambda k, a, nu: PowerWeight(10.0**k, a, nu),
+                           st.floats(-300.0, 300.0), st.floats(0.01, 1.0), st.floats(-0.99, 20.0))
+KINDS = st.one_of(st.floats(2.0, 100.0).map(FunctionalKind.aq), st.just(FunctionalKind.a_inf()),
+                  st.floats(1.01, 10.0).map(FunctionalKind.rh_p), st.just(FunctionalKind.rh_inf()))
+# an interval of the dyadic grid of depth 20
+GRID_INTERVALS = st.lists(st.integers(0, 2**20), min_size=2, max_size=2, unique=True).map(
+    lambda ends: tuple(sorted(k / 2**20 for k in ends)))
+
+
+def value_or_refusal(call, *args):
+    try:
+        return call(*args)
+    except DomainError:
+        return DomainError
+
+
+@CONTRACT
+@given(w=SCALED_WEIGHTS, theta=st.floats(-50.0, 50.0))
+def test_moment_at_every_scale_is_a_float_or_inf(w, theta):
+    value = moment(w, theta)
+    assert isinstance(value, float) and value >= 0.0, value
+    tn = theta * w.nu
+    if tn <= -1.0:
+        assert value == math.inf
+        return
+    with mp.workdps(30):
+        exact = mp.mpf(w.c) ** theta * (1 + (1 - mp.mpf(w.a)) * tn) / (1 + mp.mpf(tn))
+    if exact > 1e-290:  # below, c**theta may be subnormal and carry fewer digits
+        assert value == pytest.approx(float(exact), rel=1e-12), (value, exact)
+
+
+@CONTRACT
+@given(w=SCALED_WEIGHTS, kind=KINDS, interval=GRID_INTERVALS)
+def test_functional_ratio_at_every_scale_is_its_value_at_scale_one(w, kind, interval):
+    # q - 1 >= 1 and a left end at 0 or past 2**-20 keep the moments of the
+    # weight with c = 1 in the float range: where they leave it,
+    # interval_moment raises OverflowError (the FOUND 33 cases of test_findings)
+    value = value_or_refusal(functional_ratio, w, kind, *interval)
+    assert value is DomainError or (isinstance(value, float) and value >= 0.0), value
+    assert value == value_or_refusal(functional_ratio, PowerWeight(1.0, w.a, w.nu), kind, *interval)
 
 
 def test_verify_refuses_an_infinite_self_improvement_exponent(capsys):

@@ -176,6 +176,14 @@ def test_functional_ratio_at_q_near_one():
     assert rel_err(value, 21.99762029945685627922308) <= 1e-13
 
 
+@found("FOUND 33: interval_moment raises OverflowError where its value, "
+       "about 9.3e598, passes the float range; mapping that to +inf in "
+       "interval_moment alone would make the A_q branch of functional_ratio "
+       "silently return inf")
+def test_interval_moment_past_the_float_range_is_inf():
+    assert interval_moment(PowerWeight(1e300, 0.5, 1.0), 2.0, 0.1, 0.2) == math.inf
+
+
 @found("roots._branch_equation forms w = v/p, a subnormal float of about 11 "
        "digits for small v at p above about 1e305: u_plus_from_log(1e307, -1e-10) "
        "is 1.6e-8 off")

@@ -192,14 +192,14 @@ def test_exponential_scan_with_a_negative_log_prefix():
 
 def test_ramp_scan_finds_a_maximum_past_the_ramp_off_row_0():
     # w = (t/a)**0.1 up to a = g[150], then 1, and 5 on cells 250-269: RH_2 (mode
-    # 0 on the prefixes of w**2 and w) peaks on the plateau, off row [0], where
+    # 0 on the prefixes of w and w**2) peaks on the plateau, off row [0], where
     # only the generic bounds hold, so past the ramp they must start at +inf
     grid = np.linspace(0.0, 1.0, 400)
     ramp = 150
     bump = np.clip(grid, grid[250], grid[270]) - grid[250]
-    p1 = _prefix_power(grid, grid[ramp], 0.1, 2.0) + 24.0 * bump
-    p2 = _prefix_power(grid, grid[ramp], 0.1, 1.0) + 4.0 * bump
-    args = (grid, p1, p2, 0.5, -1.0, p1, 0)
+    p1 = _prefix_power(grid, grid[ramp], 0.1, 1.0) + 4.0 * bump
+    p2 = _prefix_power(grid, grid[ramp], 0.1, 2.0) + 24.0 * bump
+    args = (grid, p1, p2, -1.0, 0.5, p1, 0)
     expected = brute_force_scan(*args)
     assert expected[1] > ramp
     assert max_pair_ratio(*args) == expected
@@ -208,17 +208,11 @@ def test_ramp_scan_finds_a_maximum_past_the_ramp_off_row_0():
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_constant_weight_ties_resolve_to_the_first_pair(mode):
-    # every pair of every block ties at exactly 1, and the first
-    # nonempty pair is the first j past a repeated first point; one
-    # repeated point has no nonempty pair at all
-    even = np.arange(301, dtype=np.float64) / 300.0
-    repeated = np.concatenate([[0.0, 0.0], even])
-    flat = np.full(130, 0.5)
-    for grid, expected in ((even, (1.0, 0, 1)), (repeated, (1.0, 0, 3)), (flat, (_LOWEST, 0, 0))):
-        p2 = np.zeros_like(grid) if mode == 1 else grid
-        args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode)
-        assert max_pair_ratio(*args) == expected
-        assert brute_force_scan(*args) == expected
+    # every pair of every block ties at exactly 1
+    grid = np.arange(301, dtype=np.float64) / 300.0
+    p2 = np.zeros_like(grid) if mode == 1 else grid
+    args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode)
+    assert max_pair_ratio(*args) == brute_force_scan(*args) == (1.0, 0, 1)
 
 
 def test_constant_weight_search_reports_the_first_interval():
@@ -289,18 +283,6 @@ def exponential_mode_inputs():
     walk = np.cumsum(rng.standard_normal(grid.size))
     cases["random walk"] = (grid, p1, walk)
     cases["small random walk"] = (grid, p1, 1e-3 * walk)
-    cases["random walks, averages of both signs"] = (grid, 1e-2 * walk[::-1], 1e-3 * walk)
-    cases["negative averages"] = (grid, -p1, 1e-3 * walk)
-    # repeated grid points, one of them under a jump of the prefix
-    repeats = np.sort(np.concatenate([grid, grid[rng.integers(1, grid.size - 1, 30)]]))
-    w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
-    p1 = _prefix_power(repeats, w.a, w.nu, 1.0)
-    p2 = _prefix_log(repeats, w.a, w.nu)
-    cases["repeated points"] = (repeats, p1, p2)
-    jump = int(np.flatnonzero(np.diff(repeats) == 0.0)[5]) + 1
-    p1 = p1.copy()
-    p1[jump:] += 0.5
-    cases["repeated point with a prefix jump"] = (repeats, p1, p2)
     return cases
 
 
@@ -335,9 +317,6 @@ def test_exponential_bounds_hold_every_pair_value():
                 slopes = _pairscan._block_slopes(grid, prefixes, first, last)
                 bound = _pairscan._block_bounds(grid, prefixes, slopes, p1, 0.0, 0.0, 1, first, last, upper)
             assert np.all(bound >= best), (kind, name)
-            if "jump" in name:
-                # the pairs across the jump are not averages of cell slopes
-                assert (bound == np.inf).any()
 
 
 def corner_cases():
@@ -470,15 +449,13 @@ def test_corner_bound_keeps_the_rounding_artifact_at_large_q(monkeypatch):
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_scan_emits_no_float_warnings(mode):
     # inf and NaN are scored inside the scan, under its own errstate; the
-    # short grids end in one-point blocks: [1] at n = 2, [2] at n = 3 and
-    # [32] at n = 33, and [4] holds the repeated point at n = 5
-    even = np.arange(301, dtype=np.float64) / 300.0
-    grids = (np.concatenate([[0.0, 0.0], even]), np.full(130, 0.5), np.array([-1e308, 1e308]),
-             np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 1.0, 1.0]),
+    # short grids end in one-point blocks: [1] at n = 2, [2] at n = 3, [4]
+    # at n = 5 and [32] at n = 33
+    grids = (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 1.0, 5),
              np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 40))
-    cases = [(grid, grid, grid) for grid in grids]
+    cases = [(grid, grid, grid) for grid in (np.array([-1e308, 1e308]), *grids)]
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
-    cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu)) for grid in grids[3:]]
+    cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu)) for grid in grids]
     cases += exponential_mode_inputs().values()
     # the corner path, row bounds and block pairs: at p = 1.01, delta = 2, nu is
     # 8.9e15 and the prefix underflows to 0 at all but the last point; aq(1e14)
@@ -546,6 +523,41 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
     assert all(v <= most for v, most in zip(visits, VISITS[depth, delta], strict=True)), visits
 
 
+# weights with a plateau: a on the grid (0.5), off it (0.1, 0.7071), and at the first step of depth 12
+PLATEAUS = [PowerWeight(1.0, 0.5, 3.0), PowerWeight(2.0, 0.1, -0.5), PowerWeight(1e-3, 0.7071, 0.5),
+            PowerWeight(5.0, 2.0**-12, 7.0)]
+ALL_KINDS = [FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
+
+
+def test_searches_give_the_scan_its_one_input(monkeypatch):
+    # the scan checks none of this itself: equal-length float64 arrays on a
+    # strictly increasing grid, the ramp index of a, the plain-average prefix
+    # first in every mode, and a nonnegative, nondecreasing cap in mode 2
+    scans = []
+    monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+    kinds = set()
+    for depth, delta in sorted(VISITS):
+        extremal = [extremal_weight(2.0, delta, (1.0, delta**2), branch) for branch in ("plus", "minus")]
+        for w in extremal + PLATEAUS:
+            for kind in ALL_KINDS:
+                if w.nu < 0.0 and kind.name == "rhinf":
+                    continue
+                scans.clear()
+                sup_ratio_search(w, kind, depth)
+                for grid, p1, p2, e1, e2, cap, mode, ramp in scans:
+                    n = grid.size
+                    assert all(x.dtype == np.float64 and x.shape == (n,) for x in (grid, p1, p2, cap))
+                    assert np.all(np.diff(grid) > 0.0) and grid[0] == 0.0 and grid[-1] == 1.0
+                    assert isinstance(ramp, int) and 1 <= ramp < n and grid[ramp] == w.a
+                    assert np.array_equal(p1, _prefix_power(grid, w.a, w.nu, 1.0))
+                    assert np.all(np.diff(p1) >= 0.0)
+                    assert mode == {"aq": 0, "rhp": 0, "ainf": 1, "rhinf": 2}[kind.name]
+                    if mode == 2:
+                        assert np.all(cap >= 0.0) and np.all(np.diff(cap) >= 0.0)
+                    kinds.add(kind.name)
+    assert kinds == {"aq", "ainf", "rhp", "rhinf"}
+
+
 # block pairs given a generic bound per VISITS search: at delta = 1.001 the 70
 # (depth 12) or 262 (depth 14) that reach the one-point block of t = 1 past a,
 # where the corner bound does not hold; row [0] is scored with no bound, and the
@@ -608,43 +620,10 @@ def test_tie_resolution_is_lexicographic(name, fn):
     assert (i, j) == (0, 1)
 
 
-@pytest.mark.parametrize("name,fn", SCANS)
-def test_rejects_degenerate_input(name, fn):
-    one = np.array([0.5])
-    with pytest.raises(ValueError):
-        fn(one, one, one, 1.0, 1.0, one, 0)
-
-
-def test_duplicate_grid_points_are_skipped():
-    # repeated endpoints (injected candidates) must never divide by zero
-    grid = np.array([0.0, 0.25, 0.25, 1.0])
-    p1 = np.array([0.0, 1.0, 1.0, 4.0])
-    p2 = p1.copy()
-    cap = np.ones_like(grid)
-    for _, fn in SCANS:
-        best, i, j = fn(grid, p1, p2, 1.0, 1.0, cap, 0)
-        assert math.isfinite(best)
-        assert grid[j] > grid[i]
-
-
-@pytest.mark.parametrize("mode", [0, 1, 2])
-def test_duplicate_grid_points_in_every_block(mode):
-    rng = np.random.default_rng(70 + mode)
-    grid, p1, p2, cap = random_inputs(rng, 300)
-    grid = np.sort(np.concatenate([grid, grid[rng.integers(0, 300, 40)]]))
-    p1 = np.cumsum(rng.uniform(0.01, 1.0, grid.size))
-    p2 = np.cumsum(rng.uniform(0.01, 1.0, grid.size))
-    cap = rng.uniform(0.1, 2.0, grid.size)
-    assert_bit_identical(grid, p1, p2, 1.0, -1.0, cap, mode)
-    # a grid of one repeated point has no interval at all
-    flat = np.full(130, 0.5)
-    assert_bit_identical(flat, p1[:130], p2[:130], 1.0, 1.0, cap[:130], mode)
-
-
 def leaf_edge_inputs(mode):
     """Cases (grid, p1, p2, cap, e2) of 150 points, whose blocks end in
     [32, 63], [64, 127] and a short [128, 149]: slices off the diagonal
-    holding NaN, +inf, -inf and empty intervals."""
+    holding NaN, +inf and -inf."""
     rng = np.random.default_rng(90 + mode)
     grid = np.arange(150, dtype=np.float64) / 149.0
 
@@ -680,15 +659,6 @@ def leaf_edge_inputs(mode):
     p1[129::2] = np.nan if mode == 0 else -np.inf
     cap[129::2] = -np.inf
     cases["NaN or -inf only"] = (grid, p1, p2, cap, -1.0)
-    # (63, 64) and (99, 100) are empty; unmasked they score +inf in mode 0
-    # at e2 = 0.5 and in mode 1 where p2 falls there, and -0.0 in mode 2,
-    # above every other pair where the caps are below 0
-    p1, p2, cap = base()
-    repeated = grid.copy()
-    repeated[64], repeated[100] = repeated[63], repeated[99]
-    if mode == 1:
-        p2[64], p2[100] = p2[63] - 1e-3, p2[99] - 1e-3
-    cases["repeated points"] = (repeated, p1, p2, -cap, 0.5)
     return cases
 
 
@@ -721,25 +691,20 @@ def test_leaf_skips_are_bit_identical_at_nan_inf_and_repeated_points(monkeypatch
         elif name == "+inf and -inf":
             assert any((vals == np.inf).any() for vals, _ in off.values())
             assert any((vals == -np.inf).any() for vals, _ in off.values())
-        elif name == "NaN or -inf only":
+        else:
             assert any((np.isnan(vals) | (vals == -np.inf)).all() for vals, _ in off.values())
             assert np.isfinite(expected[0])
-        else:
-            assert any((vals[length <= 0.0] > expected[0]).any() for vals, length in off.values())
 
 
 BREAK = 0.7071
 
 
 def scan_grids(n):
-    """Grids of n points on [0, 1]: strictly increasing, with a repeated
-    point (at 31 and 32 where n > 32, across a block boundary), and with
-    the off-grid breakpoint BREAK injected as sup_ratio_search injects it."""
+    """Grids of n points on [0, 1]: evenly spaced, and with the off-grid
+    breakpoint BREAK injected as sup_ratio_search injects it."""
     coarse = np.arange(n - 1, dtype=np.float64) / max(n - 2, 1)
-    k = min(n - 2, 31)
     return {
         "increasing": np.arange(n, dtype=np.float64) / (n - 1),
-        "repeated point": np.insert(coarse, k, coarse[k]),
         "injected breakpoint": np.insert(coarse, coarse.searchsorted(BREAK), BREAK),
     }
 
@@ -786,17 +751,3 @@ def test_sliced_rows_are_bit_identical_to_brute_force(monkeypatch, mode, e1):
                     assert any(cols.start == hit for _, cols in slices), (n, name, value)
                     starts = [rows.start for rows, _ in slices]
                     assert max(starts.count(i) for i in starts) > 1, (n, name, value)
-
-
-def test_rejects_mismatched_prefixes():
-    grid = np.linspace(0.0, 1.0, 5)
-    short = np.zeros(4)
-    cap = np.ones(5)
-    with pytest.raises(ValueError, match="match the grid length"):
-        max_pair_ratio(grid, short, grid, 1.0, 1.0, cap, 0)
-
-
-def test_rejects_a_decreasing_grid():
-    grid = np.array([0.0, 0.5, 0.25, 1.0])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        max_pair_ratio(grid, grid, grid, 1.0, 1.0, grid, 0)
