@@ -5,10 +5,11 @@ averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
 strictly increasing grid g: with d1, d2 and L the increments of p1, p2 and g
 from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
 exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan scores the row [0] of
-blocks graded toward the origin whole, bounds each other row up to the
-ramp by one corner value (below), and where that may reach the best value
-its block pairs by their own, and by chords and slopes where those leave
-them open or past the ramp, then scores rows by decreasing bound, bit for bit.
+blocks graded toward the origin whole, then in one pass bounds each other
+row by one corner value (below), and where that may reach the best value
+its block pairs by their own and, where those may reach it, by chords and
+slopes; a corner bound past the ramp is +inf.  It scores rows by
+decreasing bound, bit for bit.
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -178,7 +179,7 @@ def _block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks
 
 def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, end):
     """Bounds from their corners (see _SLACK) on the pairs of block pairs (I, J) = ``blocks``
-    up to column ``end``: last[J], or the ramp for all of row I (J = I + 1, or I at the ramp)."""
+    up to column ``end``: last[J], or n - 1 for row I (J = I + 1, or I last); +inf past the ramp."""
     I, J = blocks
     i = last[I] - (I == J)  # the innermost pair
     j = np.maximum(first[J], i + 1)
@@ -201,7 +202,7 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, e
     else:
         err += (x1 + 13.0) * u
     err = 4.0 * (err + u * drift * lam + 20.0 * u)
-    ok = (err <= _ENVELOPE) & (corner >= _FLOOR)
+    ok = (err <= _ENVELOPE) & (corner >= _FLOOR) & (end <= ramp)
     for x in (p1, cap if mode == 2 else p2):
         ok &= np.abs(x[first[I]]) >= _FLOOR * (1.0 + abs(x[ramp]))
     return np.where(ok, corner * (1.0 + err), np.inf)
@@ -218,65 +219,56 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
     p1 the prefix of the plain average, the averages positive and the
     cap nonnegative; `cap` is only read in mode 2 and `p2`/`e1`/`e2`
     only where the mode uses them.  ``ramp`` > 0 marks the prefixes as
-    those of a power up to grid[ramp]; 0 means there is no power ramp.
+    those of a power up to grid[ramp], the corner bound's domain; 0 means
+    there is no power ramp, and only chords and slopes bound the pairs.
     """
     first, last = _partition(grid.size, ramp)
-    k = np.count_nonzero(last <= ramp)  # the ramp's blocks, [0, k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prefixes = np.array([p1] if mode == 2 else [p1, p2])
         slopes = functools.cache(lambda: _block_slopes(grid, prefixes, first, last))  # on first use
-        past = np.full((first.size, first.size - k), -np.inf)  # generic bounds past the ramp
-        I, J = np.nonzero(last[k:] > first[1:, None])  # the block pairs that hold a pair i < j
-        for c in range(0, I.size, _CHUNK):
-            i, j = 1 + I[c : c + _CHUNK], J[c : c + _CHUNK]
-            past[i, j] = _block_bounds(grid, prefixes, slopes(), cap, e1, e2, mode, first, last, (i, k + j))
-        # row [0], one point, is visited first with no bound, as the lowest float prunes nothing
-        past[0] = np.inf
-        ramps = {0: np.full(k - 1, np.inf)}  # row: the bounds of its block pairs before k
         best, bi, bj = _LOWEST, 0, 0
 
-        def visit(row):
+        def visit(row, bound):  # bound: of the row's block pairs, from its first pair on
             nonlocal best, bi, bj
-            up = ramps.pop(row, np.empty(0))
-            bound = np.concatenate([np.full(k - up.size, -np.inf), up, past[row]])
+            skip = first.size - bound.size  # the column blocks before the row's first pair
             rows = slice(int(first[row]), int(last[row]) + 1)
             step = max(_SLICE // (_BLOCK * (rows.stop - rows.start)), 1)  # blocks a slice
             # the column blocks [a, b) of each run still at or above best
-            runs = np.flatnonzero(np.diff(bound >= best, prepend=False, append=False))
+            runs = skip + np.flatnonzero(np.diff(bound >= best, prepend=False, append=False))
             for a, b in runs.reshape(-1, 2):
                 for s in range(a, b, step):
                     t = min(s + step, b)
-                    if bound[s:t].max() >= best:
+                    if bound[s - skip : t - skip].max() >= best:
                         cols = slice(int(first[s]), int(last[t - 1]) + 1)
                         v, i, j = _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, s == row)
                         if v > best or (v == best and (i, j) < (bi, bj)):
                             best, bi, bj = v, i, j
 
-        visit(0)
-        # each other row's bound up to the ramp, one corner value (see _SLACK).  Where it may
-        # reach best, the row's block pairs take theirs, a few rows a call, and where those
-        # may reach best, the generic bound too (below, both prune alike)
-        top = past.max(axis=1, initial=-np.inf)
-        if k > 1:
-            R = 1 + np.flatnonzero(first[1:k] < ramp)
-            rows = (R, np.minimum(R + 1, k - 1))  # innermost: that of [I, I + 1], or [I, I] at a
-            R = R[_corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, rows, ramp) >= best]
-            for c in range(0, R.size, m := max(_CHUNK // k, 1)):  # m rows a call
-                I, J = np.nonzero(last[:k] > first[R[c : c + m], None])
-                I = R[c + I]
-                up = _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, (I, J), last[J])
-                r = np.flatnonzero(up >= best)
-                if r.size:
-                    blocks = I[r], J[r]
-                    other = _block_bounds(grid, prefixes, slopes(), cap, e1, e2, mode, first, last, blocks)
-                    up[r] = np.minimum(up[r], other)
-                cuts = np.flatnonzero(np.diff(I, prepend=-1))
-                top[I[cuts]] = np.maximum(top[I[cuts]], np.maximum.reduceat(up, cuts))
-                ramps.update(zip(I[cuts].tolist(), np.split(up, cuts[1:])))
+        # row [0], one point, is scored first with no bound, as the lowest float prunes nothing
+        visit(0, np.full(first.size - 1, np.inf))
+        # each other row holding a pair is bounded by its corner (first[I], n - 1), +inf past
+        # the ramp (see _SLACK); where that may reach best, its block pairs by theirs, a few
+        # rows a call, and where those may, by the generic bound too (below, both prune alike)
+        R = 1 + np.flatnonzero(first[1:] < last[-1])
+        inner = (R, np.minimum(R + 1, first.size - 1))  # innermost: that of [I, I + 1], or [I, I] last
+        R = R[_corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, inner, last[-1]) >= best]
+        top, bounds = np.full(first.size, -np.inf), {}  # row: the bounds of its block pairs
+        for c in range(0, R.size, m := max(_CHUNK // first.size, 1)):  # m rows a call
+            I, J = np.nonzero(last > first[R[c : c + m], None])
+            I = R[c + I]
+            up = _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, (I, J), last[J])
+            r = np.flatnonzero(up >= best)
+            if r.size:
+                blocks = I[r], J[r]
+                other = _block_bounds(grid, prefixes, slopes(), cap, e1, e2, mode, first, last, blocks)
+                up[r] = np.minimum(up[r], other)
+            cuts = np.flatnonzero(np.diff(I, prepend=-1))
+            top[I[cuts]] = np.maximum.reduceat(up, cuts)
+            bounds.update(zip(I[cuts].tolist(), np.split(up, cuts[1:])))
         # only a strictly smaller bound stops the scan or skips a slice, as an
         # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing
-        for row in 1 + np.argsort(-top[1:], kind="stable"):
+        for row in np.argsort(-top, kind="stable"):
             if top[row] < best:
                 break
-            visit(row)
+            visit(row, bounds.pop(row))
     return best, bi, bj

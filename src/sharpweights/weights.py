@@ -108,12 +108,17 @@ def _validate_theta(theta: float) -> None:
 
 def moment(w: PowerWeight, theta: float) -> float:
     """Average of w**theta over [0, 1]; +inf when theta*nu <= -1 or where
-    the average passes the float range."""
+    the average passes the float range.  Past 1 + theta*nu = inf it is
+    c**theta*(1 - a), or c**theta/(theta*nu) at a = 1."""
     _validate_theta(theta)
     tn = theta * w.nu
     if tn <= -1.0:
         return INF
     num, den = 1.0 + (1.0 - w.a) * tn, 1.0 + tn
+    if den == INF:
+        if w.a == 1.0:
+            return exp_or_inf(theta * math.log(w.c) - math.log(abs(theta)) - math.log(abs(w.nu)))
+        num, den = 1.0 - w.a, 1.0
     value = power_or_inf(w.c, theta) * num / den  # in logs where c**theta or c**theta * num overflows
     return value if value < INF else exp_or_inf(theta * math.log(w.c) + math.log(num / den))
 
@@ -204,6 +209,8 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     parameter, breakpoint from the point parameter r of the same
     branch; on the lower curve (or at delta = 1) the weight degenerates
     to the constant x1.  p = inf: nu = delta - 1 with x = (<w>, sup w).
+    On the upper curve, as classify_point decides it, r = 0 and a = 1:
+    the weight is the pure power, however (delta*x1)**p rounds.
     `branch` is "plus" (moment regimes above the band) or "minus" (the
     self-improvement regime).
     """
@@ -213,11 +220,10 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     if side == "lower":
         return PowerWeight(c=x1, a=1.0, nu=0.0)
     if math.isinf(p):
-        nu = delta - 1.0
-        a = (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
-        return PowerWeight(c=x2, a=min(a, 1.0), nu=nu)
+        a = 1.0 if side == "upper" else (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
+        return PowerWeight(c=x2, a=min(a, 1.0), nu=delta - 1.0)
     s = roots.class_parameter(p, delta, branch)
-    r = solve(p, roots.point_log_ratio(p, delta, x))
+    r = 0.0 if side == "upper" else solve(p, roots.point_log_ratio(p, delta, x))
     nu = s / (1.0 - p * s)
     a = (s - r) / (s * (1.0 - p * r))
     # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large

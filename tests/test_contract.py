@@ -310,15 +310,18 @@ def value_or_refusal(call, *args):
 
 @CONTRACT
 @given(w=SCALED_WEIGHTS, theta=st.floats(-50.0, 50.0))
+# theta*nu past the float range: the plateau's share, and the pure power's 2**400/4e308
+@example(w=PowerWeight(1.0, 0.5, 1e300), theta=1e10)
+@example(w=PowerWeight(2.0, 1.0, 1e306), theta=400.0)
 def test_moment_at_every_scale_is_a_float_or_inf(w, theta):
     value = moment(w, theta)
     assert isinstance(value, float) and value >= 0.0, value
-    tn = theta * w.nu
-    if tn <= -1.0:
+    if theta * w.nu <= -1.0:
         assert value == math.inf
         return
     with mp.workdps(30):
-        exact = mp.mpf(w.c) ** theta * (1 + (1 - mp.mpf(w.a)) * tn) / (1 + mp.mpf(tn))
+        tn = mp.mpf(theta) * w.nu
+        exact = mp.mpf(w.c) ** theta * (1 + (1 - mp.mpf(w.a)) * tn) / (1 + tn)
     if exact > 1e-290:  # below, c**theta may be subnormal and carry fewer digits
         assert value == pytest.approx(float(exact), rel=1e-12), (value, exact)
 

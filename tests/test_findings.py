@@ -146,10 +146,15 @@ def test_extremal_near_p_one_builds_the_weight(capsys):
 
 
 @found("the A_q scan raises an average to the power q - 1, which multiplies its "
-       "rounding by about q: `verify --q 1e10` and `--q 1e14` report a mismatch")
-@pytest.mark.parametrize("q", ["1e10", "1e14"])
-def test_verify_at_large_q(q, capsys):
-    assert cli.main(["verify", "--p", "2", "--q", q, "--delta", "2"]) == 0
+       "rounding by about q: `verify --q 1e10` and `--q 1e14` report a mismatch, "
+       "and so does `--p 6 --q 1e10 --delta 1.001`")
+@pytest.mark.parametrize("p, q, delta", [
+    pytest.param("2", "1e10", "2", id="1e10"),
+    pytest.param("2", "1e14", "2", id="1e14"),
+    pytest.param("6", "1e10", "1.001", id="p6-1e10-delta1.001"),
+])
+def test_verify_at_large_q(p, q, delta, capsys):
+    assert cli.main(["verify", "--p", p, "--q", q, "--delta", delta]) == 0
 
 
 @found("the noise band of log F near u = 0: u_plus_from_log(2, -1e-20) is off by 1.1e-7")

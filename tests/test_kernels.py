@@ -134,12 +134,12 @@ def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
 
 
 def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
-    # without a ramp every block pair but row [0]'s takes its generic bound in
-    # the chunked loop: 7 block pairs a call, the last chunk short; with one,
-    # the rows that their row bound leaves open (every row where its envelope
-    # is +inf, at q = 1e14, where rounding puts the maximum at (207, 208), and
-    # most rows at delta - 1 = 1e-12) take their block pairs' bounds a row a call
-    monkeypatch.setattr(_pairscan, "_CHUNK", 7)
+    # the rows that their row bound leaves open take their block pairs' bounds
+    # 3 rows a call over the 11 blocks of these grids: without a ramp every row
+    # but [0], 10, so the last chunk is short; with one, all 9 rows that hold a
+    # pair, as the envelope is +inf at q = 1e14 (where rounding puts the maximum
+    # at (207, 208)) and the margin is below the rounding at delta - 1 = 1e-12
+    monkeypatch.setattr(_pairscan, "_CHUNK", 33)
     rng = np.random.default_rng(41)
     for mode in (0, 1, 2):
         grid, p1, p2, cap = random_inputs(rng, 300)
@@ -150,11 +150,19 @@ def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
         sup_ratio_search(w, FunctionalKind.aq(q), 8)
 
 
-@pytest.mark.parametrize("nu_sign", ["positive", "negative"])
+# weights with a plateau: a on the grid (0.5), off it (0.1, 0.7071), and at the first step of depth 12
+PLATEAUS = [PowerWeight(1.0, 0.5, 3.0), PowerWeight(2.0, 0.1, -0.5), PowerWeight(1e-3, 0.7071, 0.5),
+            PowerWeight(5.0, 2.0**-12, 7.0)]
+ALL_KINDS = [FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
+PLATEAU_IDS = {f"plateau a={w.a:.4g}": w for w in PLATEAUS}
+
+
+@pytest.mark.parametrize("weight", ["positive", "negative", *PLATEAU_IDS])
 @pytest.mark.parametrize("corner", [True, False])
-def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, corner):
+def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, weight, corner):
     # with the ramp end the scan adds its corner bound, without it the
-    # generic bounds alone prune
+    # generic bounds alone prune; on a plateau, the only weights whose scans
+    # have block pairs past the ramp, the corner bound is +inf there
     scans = []
 
     def checked(*args):
@@ -164,17 +172,17 @@ def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, nu_sign, 
         return expected
 
     monkeypatch.setattr(weights, "max_pair_ratio", checked)
-    # an interior point, so the weight has both a ramp and a plateau;
-    # q = 5 lies above q_star and t = 2 below t_star at p = 2.5, delta = 1.6
-    branch = "plus" if nu_sign == "positive" else "minus"
-    w = extremal_weight(2.5, 1.6, (1.0, 1.5), branch)
-    assert (w.nu > 0.0) == (nu_sign == "positive") and w.a < 1.0
-    kinds = [FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(2.0)]
-    if w.nu >= 0.0:
-        kinds.append(FunctionalKind.rh_inf())
-    for kind in kinds:
-        sup_ratio_search(w, kind, 9)
-    assert len(scans) == len(kinds)
+    if weight.startswith("plateau"):
+        w, kinds = PLATEAU_IDS[weight], ALL_KINDS
+    else:
+        # an interior point, so the weight has both a ramp and a plateau;
+        # q = 5 lies above q_star and t = 2 below t_star at p = 2.5, delta = 1.6
+        w = extremal_weight(2.5, 1.6, (1.0, 1.5), "plus" if weight == "positive" else "minus")
+        assert (w.nu > 0.0) == (weight == "positive") and w.a < 1.0
+        kinds = [FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(2.0), FunctionalKind.rh_inf()]
+    # rh_inf needs nu >= 0, and rh_p(3) diverges at 0 where 3 nu <= -1, with no scan
+    finite = [sup_ratio_search(w, kind, 9)[0] < math.inf for kind in kinds if w.nu >= 0.0 or kind.name != "rhinf"]
+    assert len(scans) == sum(finite) >= 2
 
 
 def test_exponential_scan_with_a_negative_log_prefix():
@@ -367,33 +375,41 @@ def test_corner_bounds_hold_every_pair_value(monkeypatch):
 
 
 def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
-    # the scan bounds each block row I >= 1 up to the ramp by one corner value,
-    # (first[I], ramp), widened by the envelope at the row's innermost pair
+    # the scan bounds each block row I >= 1 that holds a pair by one corner value,
+    # (first[I], n - 1), widened by the envelope at the row's innermost pair, and
+    # +inf where the row reaches past the ramp, as every row does on a plateau
     scans, rows = [], []
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
     corner_bounds = _pairscan._corner_bounds
 
     def recorded(*args):
         bound = corner_bounds(*args)
-        if np.ndim(args[-1]) == 0:  # a row call: its corner column is the ramp
+        if np.ndim(args[-1]) == 0:  # a row call: its corner column is the last
             rows.append((args[-2][0], bound))
         return bound
 
     monkeypatch.setattr(_pairscan, "_corner_bounds", recorded)
+    closed = 0
     for label, w, kind in corner_cases():
         scans.clear()
         if sup_ratio_search(w, kind, 9)[0] == math.inf:
             continue  # aq(1.01) diverges at 0 once nu >= 0.01, with no scan
         grid, p1, p2, e1, e2, cap, mode, ramp = scans[0]
+        n = grid.size
         rows.clear()
         max_pair_ratio(*scans[0])
         (R, bound), = rows
-        first, last = _pairscan._partition(grid.size, ramp)
-        assert R.size and np.array_equal(R, 1 + np.flatnonzero(first[1:] < ramp)), label
-        vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, ramp + 1), slice(0, ramp + 1)))
-        vals[np.tril_indices(ramp + 1)] = -np.inf
-        top = np.maximum.reduceat(vals.max(axis=1), first[first <= ramp])
+        first, last = _pairscan._partition(n, ramp)
+        assert np.array_equal(R, 1 + np.flatnonzero(first[1:] < n - 1)), label
+        if ramp < n - 1:
+            assert np.all(bound == np.inf), label
+            continue
+        vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, n)))
+        vals[np.tril_indices(n)] = -np.inf
+        top = np.maximum.reduceat(vals.max(axis=1), first)
         assert np.all(bound >= top[R]), label
+        closed += np.count_nonzero(bound < np.inf)
+    assert closed > 0
 
 
 def corner_phi(kind, nu, r, q=None):
@@ -480,14 +496,14 @@ def test_scan_emits_no_float_warnings(mode):
 # pairs scored (the summed sizes of the slices _best_pair scores) per
 # search for the p = 2 plus extremal weight at (1, delta**2), for aq(10),
 # a_inf and rh_inf, and the minus one for rh_p(3), out of 8,390,656 pairs
-# at depth 12 and 134,225,920 at depth 14.  Tighter bounds may lower them.
-# At delta = 2, rh_p(3) diverges at 0 and makes no scan.
+# at depth 12 and 134,225,920 at depth 14: each scores row [0] alone, n - 1
+# pairs.  At delta = 2, rh_p(3) diverges at 0 and makes no scan.
 VISITS = {
     (12, 1.0): (0, 0, 0, 0),
-    (12, 1.001): (4927, 4991, 4097, 4477),
+    (12, 1.001): (4096, 4096, 4096, 4096),
     (12, 2.0): (4096, 4096, 4096, 0),
     (14, 1.0): (0, 0, 0, 0),
-    (14, 1.001): (16895, 17023, 16385, 16637),
+    (14, 1.001): (16384, 16384, 16384, 16384),
     (14, 2.0): (16384, 16384, 16384, 0),
 }
 
@@ -523,12 +539,6 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
     assert all(v <= most for v, most in zip(visits, VISITS[depth, delta], strict=True)), visits
 
 
-# weights with a plateau: a on the grid (0.5), off it (0.1, 0.7071), and at the first step of depth 12
-PLATEAUS = [PowerWeight(1.0, 0.5, 3.0), PowerWeight(2.0, 0.1, -0.5), PowerWeight(1e-3, 0.7071, 0.5),
-            PowerWeight(5.0, 2.0**-12, 7.0)]
-ALL_KINDS = [FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
-
-
 def test_searches_give_the_scan_its_one_input(monkeypatch):
     # the scan checks none of this itself: equal-length float64 arrays on a
     # strictly increasing grid, the ramp index of a, the plain-average prefix
@@ -558,18 +568,16 @@ def test_searches_give_the_scan_its_one_input(monkeypatch):
     assert kinds == {"aq", "ainf", "rhp", "rhinf"}
 
 
-# block pairs given a generic bound per VISITS search: at delta = 1.001 the 70
-# (depth 12) or 262 (depth 14) that reach the one-point block of t = 1 past a,
-# where the corner bound does not hold; row [0] is scored with no bound, and the
-# row corner bounds close every other ramp row.  Bounding row [0] generically
-# too was 141 and 525 (70 and 262 at delta = 2), and bounding all pairs of the
-# 71 to 264 blocks generically 5,041 to 69,696 block pairs a search.
+# block pairs given a generic bound per VISITS search: none, as these weights
+# are pure powers on all of [0, 1], so after row [0] the row corner bounds
+# close every row; bounding all pairs of the 71 to 264 blocks generically
+# would take 5,041 to 69,696 a search
 GENERIC = {
     (12, 1.0): (0, 0, 0, 0),
-    (12, 1.001): (70, 70, 70, 70),
+    (12, 1.001): (0, 0, 0, 0),
     (12, 2.0): (0, 0, 0, 0),
     (14, 1.0): (0, 0, 0, 0),
-    (14, 1.001): (262, 262, 262, 262),
+    (14, 1.001): (0, 0, 0, 0),
     (14, 2.0): (0, 0, 0, 0),
 }
 

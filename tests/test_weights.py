@@ -15,6 +15,7 @@ from sharpweights import (
     PowerWeight,
     bellman_value,
     Parameters,
+    classify_point,
     ess_sup,
     extremal_weight,
     functional_ratio,
@@ -265,6 +266,28 @@ def test_extremal_breakpoint_is_one_on_the_upper_curve(p, delta, x, branch):
     # the point parameter r is 0 on the upper curve, where
     # (s - r)/(s*(1 - p*r)) is exactly 1 for either branch value s
     assert extremal_weight(p, delta, x, branch).a == 1.0
+
+
+def test_every_upper_curve_weight_is_a_pure_power():
+    # x2 = (delta*x1)**p rounds up or down, and x2 = delta*x1 at p = inf too;
+    # either way the point is classified upper and the weight is t**nu on
+    # all of [0, 1], with no plateau of rounding
+    rng = random.Random(25)
+    rounded_down = 0
+    for _ in range(400):
+        p = 1.0 + 10.0 ** rng.uniform(-0.7, 1.0)
+        delta = 1.0 + 10.0 ** rng.uniform(-6.0, 0.5)
+        x1 = 10.0 ** rng.uniform(-2.0, 2.0)
+        x = (x1, (delta * x1) ** p)
+        with mp.workdps(50):
+            rounded_down += mp.mpf(x[1]) < (mp.mpf(delta) * x1) ** p
+        assert classify_point(p, delta, x) == "upper"
+        for branch in ("plus", "minus"):
+            assert extremal_weight(p, delta, x, branch).a == 1.0, (p, delta, x, branch)
+        top = (x1, delta * x1)
+        assert classify_point(math.inf, delta, top) == "upper"
+        assert extremal_weight(math.inf, delta, top, "plus").a == 1.0, (delta, top)
+    assert rounded_down >= 100
 
 
 def test_extremal_interior_point():
