@@ -4,12 +4,13 @@ Every functional of the supremum search is a closed-form ratio of the
 averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
 strictly increasing grid g: with d1, d2 and L the increments of p1, p2 and g
 from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
-exp(-(d2/L)), mode 2 cap[j] / (d1/L).  The scan scores the row [0] of
-blocks graded toward the origin whole, then in one pass bounds each other
-row by one corner value (below), and where that may reach the best value
-its block pairs by their own and, where those may reach it, by chords and
-slopes; a corner bound past the ramp is +inf.  It scores rows by
-decreasing bound, bit for bit.
+exp(-(d2/L)), mode 2 cap[j] / (d1/L).  Each prefix integrates a monotone
+function, so the averages over a block pair lie between those at its two
+extreme corners (see _SLACK).  The scan scores the row [0] of blocks graded
+toward the origin whole; where the weight is a power on all of [0, 1] it
+bounds each other row by one corner value (below), and it bounds the block
+pairs of each row still open by their corner value up to the ramp and by
+their two extreme corners.  It scores rows by decreasing bound, bit for bit.
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -26,30 +27,36 @@ covariance of Y and h(Y), <= 0 by Chebyshev): d log Phi/dr <= 0.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 _BLOCK = 64
 _SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill L2
-_CHUNK = 8192  # block pairs a bound call, at about 400 bytes each: larger calls spill the cache
+_CHUNK = 8192  # block pairs a bound call, at about 200 bytes each: larger calls spill the cache
 
-# Outward rounding, as a bound and the pair values it dominates round apart:
-# - A pair average is within 3 ulp of the exact average of the float
-#   inputs.  The generic bound on the averages of a block pair, with |M|
-#   and |s| for the chord and the slopes (``size`` below), bounds every
-#   term, so it and each average err by under 20 ulp of ``size`` (the
-#   gamma_n bound on sums); _SLACK * size (4e6 ulp) covers both.  The
-#   value and the bound then apply one monotone map, whose error the
-#   second _SLACK * |bound| covers.  Subnormal intermediates err by a few
-#   2**-1075 each, which _TINY / gap and a final _TINY cover.
-# - The corner bound, with u = 2**-53 and 4 ulp for each pow, exp, log.
-#   A power prefix (a/e)*(g/a)**e errs by (|e| + 12) u, as the rounding
-#   of g/a is raised to e (e = g[ramp]/P[ramp] to a few ulp), a log prefix
-#   by 16 u, the cap (g/a)**nu by (|nu| + 12) u.  An average errs by 3 u
-#   plus that times c = (|P[i]| + |P[j]|) / |P[j] - P[i]|, at most its
-#   value at the innermost pair, (last[I], first[J]) or a diagonal block's
-#   last step, as |P| grows and the grid is uniform up to a.  Mode 0
+# Outward rounding, as a bound and the pair values it dominates round apart,
+# with u = 2**-53 and 4 ulp for each pow, exp, log:
+# - A power prefix (a/e)*(g/a)**e errs by eps = (|e| + 12) u, as the rounding
+#   of g/a is raised to e (e = g[ramp]/P[ramp] to a few ulp), a log prefix by
+#   16 u, the cap (g/a)**nu by (|nu| + 12) u.  So a computed average
+#   (P[j] - P[i]) / L is within R = eps (|P[i]| + |P[j]|) / L + 3 u |avg| of
+#   the exact one on the float grid, to first order (_rounding, which adds
+#   _TINY / L for subnormal intermediates, +inf where eps passes _ENVELOPE).
+# - The two-corner bound.  Each integrand f, w**theta, log w or the cap, is
+#   monotone on [0, 1] (w is c (t/a)**nu and then c), and an exact average
+#   moves with each endpoint as f does (d avg/d beta = (f(beta) - avg) /
+#   (beta - alpha), d avg/d alpha = (avg - f(alpha)) / (beta - alpha)), so
+#   over a block pair it lies between its values at (first[I], first[J]) and
+#   (last[I], last[J]), on a diagonal block (first, first + 1) and (last - 1,
+#   last).  |P| grows, as f has one sign, and the grid is uniform but at a,
+#   which ends a block, so R over a block pair is at most its value with the
+#   |P| of (last[I], last[J]), the L of the innermost pair (a diagonal block's
+#   shorter corner) and the larger corner |avg|.  A computed average is then
+#   within 3R/2 of its exact one (R/2 covers the higher orders while eps <=
+#   _ENVELOPE), so within 3R of the computed corners' range; the mode's
+#   monotone map errs by a few ulp, which _SLACK * |bound| covers.
+# - The corner bound.  An average's relative rounding R / |avg| is at most
+#   its value at the innermost pair, (last[I], first[J]) or a diagonal
+#   block's last step, as |P| grows and the grid is uniform up to a.  Mode 0
 #   raises the averages to e1, e2; mode 1 multiplies the log average's
 #   error by its size, below |nu| Lam with Lam = log(a / g[first[I]]); the
 #   leaf adds 20 u: the sum E bounds a value's relative error.  The rounded
@@ -57,7 +64,7 @@ _CHUNK = 8192  # block pairs a bound call, at about 400 bytes each: larger calls
 #   (modes 1, 2; e' the prefix exponents) or, in mode 0, u (1 + 3 |e2' -
 #   1| + |e1'|/|e2|), e1' of the plain prefix p1 and e2' of p2, raised to
 #   e2, moving a value by D = u Lam (|e1'| + |e2| (1 + 3 |e2' - 1|)).
-#   A block row I's pairs up to a peak at (first[I], ramp), c is largest at
+#   A block row I's pairs up to a peak at (first[I], ramp), R / |avg| peaks at
 #   the innermost pair of [I, I + 1] ([I, I] where I ends at a), and Lam and
 #   D depend on I alone.  Computed corners need not grow with J, so chain
 #   through exact values: a computed value is at most its exact value, and
@@ -110,105 +117,94 @@ def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
     return max(vals.item(k), _LOWEST), rows.start + r, cols.start + c
 
 
-def _partition(n, ramp=0):
+def _partition(n, ramp):
     """(first, last) index of each block of n points: [0], [1], [2, 3], ..., _BLOCKs; one ends at ramp."""
     first = np.r_[0, 1 << np.arange(_BLOCK.bit_length() - 1), _BLOCK : n : _BLOCK, ramp + 1]
     first = np.unique(first[first < n])
     return first, np.append(first[1:] - 1, n - 1)
 
 
-def _block_slopes(grid, prefixes, first, last):
-    """[min, max, largest magnitude][prefix, block]: the slopes of each row of ``prefixes``
-    between adjacent points of each block, 0 in a one-point block."""
-    # slope k joins points k and k+1; a block's last slot joins two blocks or lies past the grid
-    fill = np.where(first < last, np.inf, 0.0)
-    cells = np.diff(prefixes, append=prefixes[:, -1:]) / np.diff(grid, append=grid[-1])
-    cells[:, last] = -fill
-    smax = np.maximum.reduceat(cells, first, axis=1)
-    cells[:, last] = fill
-    smin = np.minimum.reduceat(cells, first, axis=1)
-    return np.array([smin, smax, np.maximum(np.abs(smax), np.abs(smin))])
+def _prefix_rounding(grid, p1, p2, mode, ramp):
+    """[eps of p1, of p2] (see _SLACK): a power prefix's, and in mode 1 the log prefix's."""
+    u = 2.0**-53
+    eps = [(abs(grid[ramp] / p[ramp]) + 12.0) * u for p in (p1, p2)]
+    return [eps[0], 16.0 * u] if mode == 1 else eps
 
 
-def _average_bounds(grid, prefixes, slopes, first, last, I, J):
-    """(lo, hi)[prefix, pair]: outward bounds on the averages (P[j] - P[i]) / (g[j] - g[i])
-    of each prefix P, i in I, j in J and i < j, for each block pair (I, J), I <= J.
-
-    For I < J the average splits at last[I] and first[J] into the exact chord and two
-    flanks, each an average of adjacent slopes inside one block.  It is linear-fractional
-    in the flank lengths, free in [0, len I] x [0, len J], so its extremes sit at the 4 corners.
-    """
-    chord = prefixes[:, first[J]] - prefixes[:, last[I]]
-    gap = grid[first[J]] - grid[last[I]]
-    span = grid[last] - grid[first]
-    c, s, t = np.array([chord, chord, np.abs(chord)]), slopes[..., I], slopes[..., J]
-    sign = np.array([-1.0, 1.0, 1.0])[:, None, None]
-    ext = np.full(s.shape, -np.inf)  # -lo, hi and size (negation is exact)
-    for left in (0.0, span[I]):
-        cl, gl = c + s * left, gap + left
-        for right in (0.0, span[J]):
-            np.maximum(ext, sign * ((cl + t * right) / (gl + right)), out=ext)
-    widen = _SLACK * ext[2] + _TINY / gap
-    lo, hi = -ext[0] - widen, ext[1] + widen
-    # inside one block the average is itself an average of the slopes
-    d = np.flatnonzero(I == J)
-    widen = _SLACK * s[2][:, d] + _TINY
-    lo[:, d], hi[:, d] = s[0][:, d] - widen, s[1][:, d] + widen
-    return lo, hi
+def _rounding(prefix, eps, i, j, length, size):
+    """R (see _SLACK): how far a computed average of ``prefix``, which errs by eps, lies from
+    the exact one over an interval at least ``length`` long, with end values at most
+    |prefix[i]| and |prefix[j]| and an average of magnitude at most ``size``."""
+    if eps > _ENVELOPE:
+        return np.inf
+    u = 2.0**-53
+    return (eps * (np.abs(prefix[i]) + np.abs(prefix[j])) + _TINY) / length + 3.0 * u * size
 
 
-def _block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks):
+def _block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks):
     """Upper bound on the mode's computed ratio over each block pair (I, J) = ``blocks``
-    that holds a pair i < j, from the prefixes and their _block_slopes: +inf where no
+    that holds a pair i < j, from its two extreme corners (see _SLACK): +inf where no
     bound holds (NaN, or averages that may be nonpositive where the mode needs them positive)."""
-    lo, hi = _average_bounds(grid, prefixes, slopes, first, last, *blocks)
-    lo1, hi1, lo2, hi2 = lo[0], hi[0], lo[-1], hi[-1]
+    I, J = blocks
+    i0, j1 = first[I], last[J]  # the corners (i0, j0) and (i1, j1)
+    j0, i1 = np.maximum(first[J], i0 + 1), np.minimum(last[I], j1 - 1)
+    l0, l1 = grid[j0] - grid[i0], grid[j1] - grid[i1]
+    short = np.where(I < J, grid[j0] - grid[i1], np.minimum(l0, l1))  # the shortest pair's length
+
+    def averages(prefix, eps):  # (lo, hi): bounds on each block pair's computed averages
+        a0, a1 = (prefix[j0] - prefix[i0]) / l0, (prefix[j1] - prefix[i1]) / l1
+        widen = 3.0 * _rounding(prefix, eps, last[I], j1, short, np.maximum(np.abs(a0), np.abs(a1)))
+        return np.minimum(a0, a1) - widen, np.maximum(a0, a1) + widen
+
+    lo1, hi1 = averages(p1, eps[0])
     if mode == 0:
+        lo2, hi2 = averages(p2, eps[1])
         f1 = (hi1 if e1 >= 0.0 else lo1) ** e1
         f2 = (hi2 if e2 >= 0.0 else lo2) ** e2
         bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
     elif mode == 1:
-        bound = hi1 * np.exp(-lo2)
+        bound = hi1 * np.exp(-averages(p2, eps[1])[0])
     else:
-        top = np.maximum.reduceat(cap, first)[blocks[1]]
-        bound = np.where(lo1 > 0.0, top / lo1, np.inf)
+        bound = np.where(lo1 > 0.0, cap[j1] / lo1, np.inf)  # the cap grows
     bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
     return bound
 
 
-def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, end):
+def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, blocks, end):
     """Bounds from their corners (see _SLACK) on the pairs of block pairs (I, J) = ``blocks``
-    up to column ``end``: last[J], or n - 1 for row I (J = I + 1, or I last); +inf past the ramp."""
+    up to column ``end`` <= ramp: last[J], or n - 1 for row I (J = I + 1, or I last)."""
     I, J = blocks
     i = last[I] - (I == J)  # the innermost pair
     j = np.maximum(first[J], i + 1)
+    length = grid[j] - grid[i]
 
-    def cancellation(prefix):
-        return (np.abs(prefix[i]) + np.abs(prefix[j])) / np.abs(prefix[j] - prefix[i])
+    def rounding(prefix, eps):  # R / |avg| at the innermost pair
+        size = np.abs(prefix[j] - prefix[i]) / length
+        return _rounding(prefix, eps, i, j, length, size) / size
 
     corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], end)[0]
     u = 2.0**-53
     lam = np.log(grid[ramp] / grid[first[I]])
     x1 = abs(grid[ramp] / p1[ramp])
-    err = (x1 + 12.0) * u * cancellation(p1) + 3.0 * u
+    err = rounding(p1, eps[0])
     drift = x1
     if mode == 0:
         x2 = abs(grid[ramp] / p2[ramp])
-        err = abs(e1) * err + abs(e2) * ((x2 + 12.0) * u * cancellation(p2) + 3.0 * u)
+        err = abs(e1) * err + abs(e2) * rounding(p2, eps[1])
         drift = x1 + abs(e2) * (1.0 + 3.0 * abs(x2 - 1.0))
     elif mode == 1:
-        err += (1.0 + x1) * lam * (16.0 * u * cancellation(p2) + 3.0 * u)
+        err += (1.0 + x1) * lam * rounding(p2, eps[1])
     else:
         err += (x1 + 13.0) * u
     err = 4.0 * (err + u * drift * lam + 20.0 * u)
-    ok = (err <= _ENVELOPE) & (corner >= _FLOOR) & (end <= ramp)
+    ok = (err <= _ENVELOPE) & (corner >= _FLOOR)
     for x in (p1, cap if mode == 2 else p2):
         ok &= np.abs(x[first[I]]) >= _FLOOR * (1.0 + abs(x[ramp]))
     return np.where(ok, corner * (1.0 + err), np.inf)
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
     """Maximum of the mode's ratio over all index pairs i < j.
 
     Returns (best, i, j); ties resolve to the lexicographically
@@ -216,16 +212,17 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
     lowest float the result is (lowest float, 0, 0).  The inputs, which
     the scan does not check, are those ``weights.sup_ratio_search``
     builds: equal-length float64 arrays over a strictly increasing grid,
-    p1 the prefix of the plain average, the averages positive and the
-    cap nonnegative; `cap` is only read in mode 2 and `p2`/`e1`/`e2`
-    only where the mode uses them.  ``ramp`` > 0 marks the prefixes as
-    those of a power up to grid[ramp], the corner bound's domain; 0 means
-    there is no power ramp, and only chords and slopes bound the pairs.
+    uniform but at a = grid[ramp], 1 <= ramp < n; prefixes of functions
+    monotone on [0, 1], powers up to a and constant past it, or the log
+    of one, p1 that of the plain average; and in mode 2, the only one that
+    reads it, a nonnegative, nondecreasing cap.  `p2`/`e1`/`e2` are read
+    only where the mode uses them.
     """
-    first, last = _partition(grid.size, ramp)
+    n = grid.size
+    first, last = _partition(n, ramp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prefixes = np.array([p1] if mode == 2 else [p1, p2])
-        slopes = functools.cache(lambda: _block_slopes(grid, prefixes, first, last))  # on first use
+        eps = _prefix_rounding(grid, p1, p2, mode, ramp)
+        common = (grid, p1, p2, cap, e1, e2, mode, eps, first, last)  # the bounds' leading arguments
         best, bi, bj = _LOWEST, 0, 0
 
         def visit(row, bound):  # bound: of the row's block pairs, from its first pair on
@@ -246,22 +243,23 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
 
         # row [0], one point, is scored first with no bound, as the lowest float prunes nothing
         visit(0, np.full(first.size - 1, np.inf))
-        # each other row holding a pair is bounded by its corner (first[I], n - 1), +inf past
-        # the ramp (see _SLACK); where that may reach best, its block pairs by theirs, a few
-        # rows a call, and where those may, by the generic bound too (below, both prune alike)
+        # where the ramp is the last point each other row holding a pair is bounded by its corner
+        # (first[I], n - 1) (see _SLACK); each row that may reach best, a few a call, bounds its
+        # block pairs up to the ramp by their corners and, where those may, by two extreme corners
         R = 1 + np.flatnonzero(first[1:] < last[-1])
-        inner = (R, np.minimum(R + 1, first.size - 1))  # innermost: that of [I, I + 1], or [I, I] last
-        R = R[_corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, inner, last[-1]) >= best]
+        if ramp == n - 1:
+            inner = (R, np.minimum(R + 1, first.size - 1))  # innermost: that of [I, I + 1], or [I, I] last
+            R = R[_corner_bounds(*common, ramp, inner, ramp) >= best]
         top, bounds = np.full(first.size, -np.inf), {}  # row: the bounds of its block pairs
         for c in range(0, R.size, m := max(_CHUNK // first.size, 1)):  # m rows a call
             I, J = np.nonzero(last > first[R[c : c + m], None])
-            I = R[c + I]
-            up = _corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, (I, J), last[J])
-            r = np.flatnonzero(up >= best)
-            if r.size:
-                blocks = I[r], J[r]
-                other = _block_bounds(grid, prefixes, slopes(), cap, e1, e2, mode, first, last, blocks)
-                up[r] = np.minimum(up[r], other)
+            I, up = R[c + I], np.full(J.size, np.inf)
+            k = np.flatnonzero(last[J] <= ramp)
+            if k.size:
+                up[k] = _corner_bounds(*common, ramp, (I[k], J[k]), last[J[k]])
+            k = np.flatnonzero(up >= best)
+            if k.size:
+                up[k] = np.minimum(up[k], _block_bounds(*common, (I[k], J[k])))
             cuts = np.flatnonzero(np.diff(I, prepend=-1))
             top[I[cuts]] = np.maximum.reduceat(up, cuts)
             bounds.update(zip(I[cuts].tolist(), np.split(up, cuts[1:])))

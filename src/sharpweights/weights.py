@@ -296,7 +296,7 @@ def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
     return nu * out
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp=0):
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
     """The pair scan of ``_pairscan``, imported on the first call.
 
     A plain module attribute, so that callers which wrap or replace
@@ -327,9 +327,10 @@ def sup_ratio_search(
     prefix integrals make each pair O(1), and blocks of pairs are
     skipped only when a bound proves none of them reaches the maximum.
     All four functionals are invariant under scaling the weight, so the
-    scan normalizes c to 1.  On [0, a] the weight is a power, so the
-    scan also bounds the pairs there by their corner values (see
-    ``_pairscan``).
+    scan normalizes c to 1.  The weight is monotone, so a block of pairs
+    is bounded by its two extreme corners, and on [0, a], where it is a
+    power, also by its corner value (see ``_pairscan``); a is always a
+    grid point, and its index the ramp the scan takes.
     Intervals touching 0 with a divergent moment make the result +inf
     with the canonical witness (0, min(a, 1)).  A constant weight (nu = 0)
     scores exactly 1 on every interval, so it returns 1 with the first

@@ -97,13 +97,39 @@ def reference_scan(grid, p1, p2, e1, e2, cap, mode):
 SCANS = [("numpy", max_pair_ratio), ("brute", brute_force_scan)]
 
 
-def random_inputs(rng, n):
-    grid = np.sort(rng.random(n))
-    grid[0], grid[-1] = 0.0, 1.0
-    p1 = np.cumsum(rng.uniform(0.01, 1.0, n))
-    p2 = np.cumsum(rng.uniform(0.01, 1.0, n))
-    cap = rng.uniform(0.1, 2.0, n)
-    return grid, p1, p2, cap
+def search_args(w, kind, depth):
+    """The arguments sup_ratio_search gives the scan for w and kind, or None
+    where it returns with no scan."""
+    scans = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+        sup_ratio_search(w, kind, depth)
+    return scans[0] if scans else None
+
+
+def random_kind(rng, mode):
+    """a_inf in mode 1, rh_inf in mode 2, and in mode 0 aq(q) with q - 1 in
+    [0.1, 1e14] or rh_p(t) with t - 1 in [0.1, 30], log-uniform."""
+    if mode == 1:
+        return FunctionalKind.a_inf()
+    if mode == 2:
+        return FunctionalKind.rh_inf()
+    if rng.random() < 0.5:
+        return FunctionalKind.aq(float(1.0 + 10.0 ** rng.uniform(-1.0, 14.0)))
+    return FunctionalKind.rh_p(float(1.0 + 10.0 ** rng.uniform(-1.0, 1.5)))
+
+
+def random_inputs(rng, depth, mode):
+    """The scan's arguments for a random weight c (t/a)**nu and kind of the mode:
+    c in [1e-3, 1e3], a in (0, 1] and mostly off the grid, |nu| in [0.01, 63],
+    of either sign but in mode 2, where the kind needs nu >= 0."""
+    while True:
+        nu = float(10.0 ** rng.uniform(-2.0, 1.8)) * (1.0 if mode == 2 or rng.random() < 0.5 else -1.0)
+        a = float(1.0 - rng.random()) if rng.random() < 0.8 else 1.0
+        w = PowerWeight(float(10.0 ** rng.uniform(-3.0, 3.0)), a, nu)
+        args = search_args(w, random_kind(rng, mode), depth)
+        if args is not None:  # none where the moment diverges at 0
+            return args
 
 
 def assert_bit_identical(*args):
@@ -115,35 +141,42 @@ def assert_bit_identical(*args):
 def test_backend_matches_reference(name, fn, mode):
     rng = np.random.default_rng(20240814 + mode)
     for trial in range(5):
-        grid, p1, p2, cap = random_inputs(rng, 48)
-        e1 = float(rng.uniform(0.2, 2.0))
-        e2 = float(rng.uniform(-1.5, 1.5))
-        expected = reference_scan(grid, p1, p2, e1, e2, cap, mode)
-        got = fn(grid, p1, p2, e1, e2, cap, mode)
+        args = random_inputs(rng, 5, mode)
+        expected = reference_scan(*args[:7])
+        got = fn(*args)
         assert got[1] == expected[1] and got[2] == expected[2]
         assert got[0] == pytest.approx(expected[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
+    # the prefixes of random power weights, as the search builds them
     rng = np.random.default_rng(31 + mode)
-    for e2 in (-1.0, -0.7, 0.4, 1.0, 2.5):
-        for n in (65, 300):
-            grid, p1, p2, cap = random_inputs(rng, n)
-            assert_bit_identical(grid, p1, p2, float(rng.uniform(0.2, 2.0)), e2, cap, mode)
+    for depth in (6, 6, 6, 8, 8):
+        assert_bit_identical(*random_inputs(rng, depth, mode))
+
+
+def test_random_power_weights_are_bit_identical():
+    # 1,000 searches' inputs, a third of them in each mode: random c, a mostly
+    # off the grid, nu of both signs, every kind, q up to 1e14, depths 6 to 9
+    rng = np.random.default_rng(26)
+    for k in range(1000):
+        assert_bit_identical(*random_inputs(rng, int(rng.choice([6, 6, 7, 7, 8, 9])), k % 3))
 
 
 def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
     # the rows that their row bound leaves open take their block pairs' bounds
-    # 3 rows a call over the 11 blocks of these grids: without a ramp every row
-    # but [0], 10, so the last chunk is short; with one, all 9 rows that hold a
+    # 2 rows a call over the 12 blocks of a plateau weight's depth-8 grids: every
+    # row but [0], 11, so the last chunk is short, as a plateau leaves no row
+    # bound; with no plateau 3 rows a call over 11 blocks, all 9 rows that hold a
     # pair, as the envelope is +inf at q = 1e14 (where rounding puts the maximum
     # at (207, 208)) and the margin is below the rounding at delta - 1 = 1e-12
     monkeypatch.setattr(_pairscan, "_CHUNK", 33)
-    rng = np.random.default_rng(41)
-    for mode in (0, 1, 2):
-        grid, p1, p2, cap = random_inputs(rng, 300)
-        assert_bit_identical(grid, p1, p2, 0.8, -1.0, cap, mode)
+    plateau = PowerWeight(1.0, 0.3, 2.0)
+    for kind in ALL_KINDS:
+        args = search_args(plateau, kind, 8)
+        assert _pairscan._partition(args[0].size, args[7])[0].size == 12
+        assert_bit_identical(*args)
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: assert_bit_identical(*args) or (1.0, 0, 1))
     for delta, q in ((1.5, 1e14), (1.0 + 1e-12, 10.0)):
         w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
@@ -160,18 +193,19 @@ PLATEAU_IDS = {f"plateau a={w.a:.4g}": w for w in PLATEAUS}
 @pytest.mark.parametrize("weight", ["positive", "negative", *PLATEAU_IDS])
 @pytest.mark.parametrize("corner", [True, False])
 def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, weight, corner):
-    # with the ramp end the scan adds its corner bound, without it the
-    # generic bounds alone prune; on a plateau, the only weights whose scans
-    # have block pairs past the ramp, the corner bound is +inf there
+    # with the corner bound, and with the two-corner bound alone, as where the
+    # corner bound is +inf: past the ramp, which only a plateau has
     scans = []
 
     def checked(*args):
         expected = brute_force_scan(*args)
-        assert max_pair_ratio(*(args if corner else args[:7])) == expected
+        assert max_pair_ratio(*args) == expected
         scans.append(args[6])
         return expected
 
     monkeypatch.setattr(weights, "max_pair_ratio", checked)
+    if not corner:
+        monkeypatch.setattr(_pairscan, "_corner_bounds", lambda *args: np.full(np.shape(args[-2][0]), np.inf))
     if weight.startswith("plateau"):
         w, kinds = PLATEAU_IDS[weight], ALL_KINDS
     else:
@@ -186,32 +220,29 @@ def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, weight, c
 
 
 def test_exponential_scan_with_a_negative_log_prefix():
-    # the log prefix of a ramp weight dips below zero before it rises
+    # the log prefix of a weight with nu > 0 falls below zero, that of one with
+    # nu < 0 rises above it, with a breakpoint at 1 or off the grid
     w = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
     grid = np.arange(513, dtype=np.float64) / 512.0
     p1 = _prefix_power(grid, w.a, w.nu, 1.0)
     p2 = _prefix_log(grid, w.a, w.nu)
     assert p2.min() < 0.0
-    assert_bit_identical(grid, p1, p2, 0.0, 0.0, p1, 1)
-    walk = np.cumsum(np.random.default_rng(5).standard_normal(grid.size))
-    assert walk.min() < 0.0
-    assert_bit_identical(grid, p1, walk, 0.0, 0.0, p1, 1)
+    assert_bit_identical(grid, p1, p2, 0.0, 0.0, p1, 1, 512)
+    for nu in (-0.5, 0.5):
+        args = search_args(PowerWeight(1.0, 0.3, nu), FunctionalKind.a_inf(), 9)
+        assert np.sign(args[2][-1]) == -np.sign(nu)
+        assert_bit_identical(*args)
 
 
 def test_ramp_scan_finds_a_maximum_past_the_ramp_off_row_0():
-    # w = (t/a)**0.1 up to a = g[150], then 1, and 5 on cells 250-269: RH_2 (mode
-    # 0 on the prefixes of w and w**2) peaks on the plateau, off row [0], where
-    # only the generic bounds hold, so past the ramp they must start at +inf
-    grid = np.linspace(0.0, 1.0, 400)
-    ramp = 150
-    bump = np.clip(grid, grid[250], grid[270]) - grid[250]
-    p1 = _prefix_power(grid, grid[ramp], 0.1, 1.0) + 4.0 * bump
-    p2 = _prefix_power(grid, grid[ramp], 0.1, 2.0) + 24.0 * bump
-    args = (grid, p1, p2, -1.0, 0.5, p1, 0)
+    # A_q of w = (t/0.5)**0.1 and then 1 at q = 1e12: every exact average on the
+    # plateau is 1, but the rounding of the dual average, raised to q - 1, puts
+    # the computed maximum on the plateau, at (511, 512), where only the
+    # two-corner bound holds
+    args = search_args(PowerWeight(1.0, 0.5, 0.1), FunctionalKind.aq(1e12), 9)
     expected = brute_force_scan(*args)
-    assert expected[1] > ramp
+    assert expected[1:] == (511, 512) and args[7] == 256
     assert max_pair_ratio(*args) == expected
-    assert max_pair_ratio(*args, ramp) == expected
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -219,7 +250,7 @@ def test_constant_weight_ties_resolve_to_the_first_pair(mode):
     # every pair of every block ties at exactly 1
     grid = np.arange(301, dtype=np.float64) / 300.0
     p2 = np.zeros_like(grid) if mode == 1 else grid
-    args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode)
+    args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode, 300)
     assert max_pair_ratio(*args) == brute_force_scan(*args) == (1.0, 0, 1)
 
 
@@ -269,41 +300,31 @@ def test_constant_path_computes_no_bound(monkeypatch, mode):
 def test_constant_path_needs_a_finite_span():
     # 1e308 - (-1e308) overflows, and inf / inf is NaN, not 1
     grid = np.array([-1e308, 1e308])
-    args = (grid, grid, grid, 1.0, 1.0, np.ones(2), 0)
+    args = (grid, grid, grid, 1.0, 1.0, np.ones(2), 0, 1)
     with np.errstate(over="ignore"):
         assert max_pair_ratio(*args) == brute_force_scan(*args) == (_LOWEST, 0, 0)
 
 
 def exponential_mode_inputs():
-    """(grid, p1, p2) cases for the soundness of the exponential bounds."""
-    grid = np.arange(1025, dtype=np.float64) / 1024.0
+    """The scan's arguments in the exponential mode, for the soundness of its bounds."""
     cases = {}
     for excess in (1e-12, 1e-6, 1e-3, 1.0):
         delta = 1.0 + excess
         w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
-        cases[f"extremal delta-1={excess}"] = (grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu))
-    # nu = 50 puts the average of log w near the origin at about -360
-    for nu in (-0.9, 12.0, 50.0):
-        w = PowerWeight(1.0, 0.5, nu)
-        cases[f"ramp nu={nu}"] = (grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu))
-    rng = np.random.default_rng(11)
-    p1 = _prefix_power(grid, 0.5, 2.0, 1.0)
-    walk = np.cumsum(rng.standard_normal(grid.size))
-    cases["random walk"] = (grid, p1, walk)
-    cases["small random walk"] = (grid, p1, 1e-3 * walk)
+        cases[f"extremal delta-1={excess}"] = search_args(w, FunctionalKind.a_inf(), 10)
+    # nu = 50 puts the average of log w near the origin at about -360; a breakpoint
+    # off the grid, where the log prefix stops falling or rising
+    for a, nu in ((0.5, -0.9), (0.5, 12.0), (0.5, 50.0), (0.3, -0.5), (0.3, 2.0)):
+        cases[f"ramp a={a} nu={nu}"] = search_args(PowerWeight(1.0, a, nu), FunctionalKind.a_inf(), 10)
     return cases
 
 
-def last_indices(first, n):
-    """The last index of each block of n points that starts at ``first``."""
-    return np.append(first[1:] - 1, n - 1)
-
-
-def partitions(n):
-    """The scan's graded blocks and uniform blocks of _BLOCK, each as
-    the (first, last) index of every block."""
-    uniform = np.arange(0, n, _pairscan._BLOCK)
-    return {"graded": _pairscan._partition(n), "uniform": (uniform, last_indices(uniform, n))}
+def partitions(n, ramp):
+    """The scan's graded blocks and uniform blocks of _BLOCK, both split after
+    the ramp, each as the (first, last) index of every block."""
+    uniform = np.unique(np.r_[np.arange(0, n, _pairscan._BLOCK), ramp + 1])
+    uniform = uniform[uniform < n]
+    return {"graded": _pairscan._partition(n, ramp), "uniform": (uniform, np.append(uniform[1:] - 1, n - 1))}
 
 
 def block_maxima(grid, p1, p2, e1, e2, cap, mode, first):
@@ -315,16 +336,24 @@ def block_maxima(grid, p1, p2, e1, e2, cap, mode, first):
     return np.maximum.reduceat(np.maximum.reduceat(vals, first, axis=0), first, axis=1)
 
 
+def holding_a_pair(first, last):
+    """(I, J): the block pairs I <= J that hold a pair i < j."""
+    return np.nonzero(np.triu(last > first[:, None]))
+
+
+def two_corner_bounds(grid, p1, p2, e1, e2, cap, mode, ramp, first, last, blocks):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        eps = _pairscan._prefix_rounding(grid, p1, p2, mode, ramp)
+        return _pairscan._block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks)
+
+
 def test_exponential_bounds_hold_every_pair_value():
-    for name, (grid, p1, p2) in exponential_mode_inputs().items():
-        for kind, (first, last) in partitions(grid.size).items():
-            upper = np.triu_indices(first.size)
-            best = block_maxima(grid, p1, p2, 0.0, 0.0, p1, 1, first)[upper]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                prefixes = np.array([p1, p2])
-                slopes = _pairscan._block_slopes(grid, prefixes, first, last)
-                bound = _pairscan._block_bounds(grid, prefixes, slopes, p1, 0.0, 0.0, 1, first, last, upper)
-            assert np.all(bound >= best), (kind, name)
+    for name, args in exponential_mode_inputs().items():
+        grid, ramp = args[0], args[7]
+        for kind, (first, last) in partitions(grid.size, ramp).items():
+            blocks = holding_a_pair(first, last)
+            best = block_maxima(*args[:7], first)[blocks]
+            assert np.all(two_corner_bounds(*args, first, last, blocks) >= best), (kind, name)
 
 
 def corner_cases():
@@ -351,33 +380,36 @@ def test_corner_bounds_hold_every_pair_value(monkeypatch):
     scans = []
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
     binds = 0
-    for label, w, kind in corner_cases():
+    plateaus = [(f"{kind.name} on {w}", w, kind) for w in PLATEAUS for kind in ALL_KINDS]
+    for label, w, kind in corner_cases() + plateaus:
         scans.clear()
-        if sup_ratio_search(w, kind, 9)[0] == math.inf:
+        if w.nu < 0.0 and kind.name == "rhinf" or sup_ratio_search(w, kind, 9)[0] == math.inf:
             continue  # aq(1.01) diverges at 0 once nu >= 0.01, with no scan
         grid, p1, p2, e1, e2, cap, mode, ramp = scans[0]
         first, last = _pairscan._partition(grid.size, ramp)
         assert grid[ramp] == w.a and ramp in last, label
-        # every block pair of the ramp but row [0], which the scan scores first
-        rows = np.arange(first.size)[:, None]
-        blocks = np.nonzero((rows > 0) & (rows <= rows.T) & (last <= ramp))
         best = block_maxima(grid, p1, p2, e1, e2, cap, mode, first)
+        # the two-corner bound alone holds every block pair, past the ramp too
+        blocks = holding_a_pair(first, last)
+        two = two_corner_bounds(*scans[0], first, last, blocks)
+        assert np.all(two >= best[blocks]), label
+        # the corner bound every block pair of the ramp but row [0], which the scan scores first
+        ramp_pairs = (blocks[0] > 0) & (last[blocks[1]] <= ramp)
+        blocks = blocks[0][ramp_pairs], blocks[1][ramp_pairs]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            prefixes = np.array([p1, p2])
-            slopes = _pairscan._block_slopes(grid, prefixes, first, last)
-            generic = _pairscan._block_bounds(grid, prefixes, slopes, cap, e1, e2, mode, first, last, blocks)
-            ends = last[blocks[1]]
-            corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, first, last, ramp, blocks, ends)
+            eps = _pairscan._prefix_rounding(grid, p1, p2, mode, ramp)
+            corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, blocks,
+                                              last[blocks[1]])
         assert np.all(corner >= best[blocks]), label
-        assert np.all(np.minimum(generic, corner) >= best[blocks]), label
-        binds += np.count_nonzero(corner < generic)
+        binds += np.count_nonzero(corner < two[ramp_pairs])
     assert binds > 0
 
 
 def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
-    # the scan bounds each block row I >= 1 that holds a pair by one corner value,
-    # (first[I], n - 1), widened by the envelope at the row's innermost pair, and
-    # +inf where the row reaches past the ramp, as every row does on a plateau
+    # where the ramp ends at the last point, the scan bounds each block row I >= 1
+    # that holds a pair by one corner value, (first[I], n - 1), widened by the
+    # envelope at the row's innermost pair; on a plateau every row reaches past
+    # the ramp, and the scan takes no row bound
     scans, rows = [], []
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
     corner_bounds = _pairscan._corner_bounds
@@ -398,12 +430,12 @@ def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
         n = grid.size
         rows.clear()
         max_pair_ratio(*scans[0])
+        if ramp < n - 1:
+            assert rows == [], label
+            continue
         (R, bound), = rows
         first, last = _pairscan._partition(n, ramp)
         assert np.array_equal(R, 1 + np.flatnonzero(first[1:] < n - 1)), label
-        if ramp < n - 1:
-            assert np.all(bound == np.inf), label
-            continue
         vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, n)))
         vals[np.tril_indices(n)] = -np.inf
         top = np.maximum.reduceat(vals.max(axis=1), first)
@@ -469,10 +501,10 @@ def test_scan_emits_no_float_warnings(mode):
     # at n = 5 and [32] at n = 33
     grids = (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 1.0, 5),
              np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 40))
-    cases = [(grid, grid, grid) for grid in (np.array([-1e308, 1e308]), *grids)]
+    cases = [(grid, grid, grid, grid.size - 1) for grid in (np.array([-1e308, 1e308]), *grids)]
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
-    cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu)) for grid in grids]
-    cases += exponential_mode_inputs().values()
+    cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu), grid.size - 1) for grid in grids]
+    cases += [(*args[:3], args[7]) for args in exponential_mode_inputs().values()]
     # the corner path, row bounds and block pairs: at p = 1.01, delta = 2, nu is
     # 8.9e15 and the prefix underflows to 0 at all but the last point; aq(1e14)
     # raises averages to the power 1e14 - 1, and its row envelopes are +inf; a
@@ -486,8 +518,8 @@ def test_scan_emits_no_float_warnings(mode):
              1: [FunctionalKind.a_inf()], 2: [FunctionalKind.rh_inf()]}[mode]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for grid, p1, p2 in cases:
-            max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode)
+        for grid, p1, p2, ramp in cases:
+            max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode, ramp)
         for w in searches:
             for kind in kinds:
                 sup_ratio_search(w, kind, 9)
@@ -508,9 +540,16 @@ VISITS = {
 }
 
 
-def search_work(monkeypatch, depth, delta, name, size):
-    """size(result, *args) summed over the calls to _pairscan.<name>, per search of
-    the VISITS weights and kinds."""
+def visits_searches(delta):
+    """(weight, kind) of each VISITS search."""
+    plus, minus = (extremal_weight(2.0, delta, (1.0, delta**2), branch) for branch in ("plus", "minus"))
+    return [(plus, FunctionalKind.aq(10.0)), (plus, FunctionalKind.a_inf()), (plus, FunctionalKind.rh_inf()),
+            (minus, FunctionalKind.rh_p(3.0))]
+
+
+def search_work(monkeypatch, searches, depth, name, size):
+    """size(result, *args) summed over the calls to _pairscan.<name>, per search
+    of the (weight, kind) pairs at the depth."""
     calls = [0]
     fn = getattr(_pairscan, name)
 
@@ -520,23 +559,61 @@ def search_work(monkeypatch, depth, delta, name, size):
         return result
 
     monkeypatch.setattr(_pairscan, name, counted)
-    plus, minus = (extremal_weight(2.0, delta, (1.0, delta**2), branch) for branch in ("plus", "minus"))
     work = []
-    for w, kind in ((plus, FunctionalKind.aq(10.0)), (plus, FunctionalKind.a_inf()),
-                    (plus, FunctionalKind.rh_inf()), (minus, FunctionalKind.rh_p(3.0))):
+    for w, kind in searches:
         calls[0] = 0
         sup_ratio_search(w, kind, depth)
         work.append(calls[0])
     return work
 
 
+def pairs_scored(result, grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
+    return (rows.stop - rows.start) * (cols.stop - cols.start)
+
+
 @pytest.mark.parametrize("depth,delta", sorted(VISITS))
 def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta):
-    def pairs(result, grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
-        return (rows.stop - rows.start) * (cols.stop - cols.start)
-
-    visits = search_work(monkeypatch, depth, delta, "_best_pair", pairs)
+    visits = search_work(monkeypatch, visits_searches(delta), depth, "_best_pair", pairs_scored)
     assert all(v <= most for v, most in zip(visits, VISITS[depth, delta], strict=True)), visits
+
+
+# pairs scored by heavier searches at depth 12 (n = 4,097 points): at p = 2 and
+# delta = 2, aq(1e10) and aq(1e14), whose corner envelopes are +inf and whose
+# maxima rounding puts off row [0] at q = 1e14; at p = 6 and delta = 1.001,
+# aq(1e10); at p = 2 and delta - 1 = 1e-12, where margins are rounding, aq(10)
+# and a_inf; and two plateau weights.  The chord-and-slope bounds scored
+# 1,294,784, 8,522,409, 1,707,320, 536,704, 944,775, 10,817 and 40,531.
+HEAVY = {
+    "aq(1e10)": 6_784,
+    "aq(1e14)": 589_440,
+    "p6 aq(1e10)": 544_832,
+    "delta-1=1e-12 aq(10)": 536_704,
+    "delta-1=1e-12 a_inf": 944_775,
+    "plateau a=0.1 a_inf": 4_353,
+    "plateau a=0.7071 aq(10)": 18_515,
+}
+
+
+def heavy_searches():
+    """(weight, kind) of each HEAVY search."""
+    two = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
+    six = extremal_weight(6.0, 1.001, (1.0, 1.001**6), "plus")
+    near = extremal_weight(2.0, 1.0 + 1e-12, (1.0, (1.0 + 1e-12) ** 2), "plus")
+    return {
+        "aq(1e10)": (two, FunctionalKind.aq(1e10)),
+        "aq(1e14)": (two, FunctionalKind.aq(1e14)),
+        "p6 aq(1e10)": (six, FunctionalKind.aq(1e10)),
+        "delta-1=1e-12 aq(10)": (near, FunctionalKind.aq(10.0)),
+        "delta-1=1e-12 a_inf": (near, FunctionalKind.a_inf()),
+        "plateau a=0.1 a_inf": (PLATEAUS[1], FunctionalKind.a_inf()),
+        "plateau a=0.7071 aq(10)": (PLATEAUS[2], FunctionalKind.aq(10.0)),
+    }
+
+
+@pytest.mark.parametrize("label", list(HEAVY))
+def test_heavy_searches_score_no_more_pairs_than_recorded(monkeypatch, label):
+    pairs, = search_work(monkeypatch, [heavy_searches()[label]], 12, "_best_pair", pairs_scored)
+    assert pairs <= HEAVY[label], pairs
 
 
 def test_searches_give_the_scan_its_one_input(monkeypatch):
@@ -568,10 +645,10 @@ def test_searches_give_the_scan_its_one_input(monkeypatch):
     assert kinds == {"aq", "ainf", "rhp", "rhinf"}
 
 
-# block pairs given a generic bound per VISITS search: none, as these weights
-# are pure powers on all of [0, 1], so after row [0] the row corner bounds
-# close every row; bounding all pairs of the 71 to 264 blocks generically
-# would take 5,041 to 69,696 a search
+# block pairs given a two-corner bound per VISITS search: none, as these
+# weights are pure powers on all of [0, 1], so after row [0] the row corner
+# bounds close every row; bounding all pairs of the 71 to 264 blocks so would
+# take 5,041 to 69,696 a search
 GENERIC = {
     (12, 1.0): (0, 0, 0, 0),
     (12, 1.001): (0, 0, 0, 0),
@@ -584,36 +661,49 @@ GENERIC = {
 
 @pytest.mark.parametrize("depth,delta", sorted(GENERIC))
 def test_scan_bounds_few_block_pairs_generically(monkeypatch, depth, delta):
-    counts = search_work(monkeypatch, depth, delta, "_block_bounds", lambda bound, *args: bound.size)
+    counts = search_work(monkeypatch, visits_searches(delta), depth, "_block_bounds", lambda bound, *args: bound.size)
     assert all(c <= most for c, most in zip(counts, GENERIC[depth, delta], strict=True)), counts
 
 
-def search_peak(delta, depth):
-    """The tracemalloc peak of one aq(10) search of the p = 2 plus extremal weight."""
-    w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
-    sup_ratio_search(w, FunctionalKind.aq(10.0), depth)  # any first-call set-up, untraced
+def search_peak(w, kind, depth):
+    """The tracemalloc peak of one search."""
+    sup_ratio_search(w, kind, depth)  # any first-call set-up, untraced
     tracemalloc.start()
     try:
-        sup_ratio_search(w, FunctionalKind.aq(10.0), depth)
+        sup_ratio_search(w, kind, depth)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def extremal_peak(delta, depth):
+    """The tracemalloc peak of one aq(10) search of the p = 2 plus extremal weight."""
+    return search_peak(extremal_weight(2.0, delta, (1.0, delta**2), "plus"), FunctionalKind.aq(10.0), depth)
+
+
 @pytest.mark.parametrize("delta", [1.001, 2.0])
 def test_search_peak_allocation(delta):
-    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 1.27
-    # MiB at delta = 1.001 and 0.83 at 2, against 4.4 MiB with an array over all
-    # ramp block pairs and 7.6 MiB when the generic bounds covered every one
-    peak = search_peak(delta, 14)
+    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 0.75
+    # MiB at either delta (0.82 with a copy of the prefixes for the chord-and-slope
+    # bounds), against 4.4 MiB with an array over all ramp block pairs and 7.6 MiB
+    # when the chord-and-slope bounds covered every one
+    peak = extremal_peak(delta, 14)
     assert peak < 1.5 * 2**20, peak
 
 
 def test_search_peak_allocation_grows_linearly():
     # 4x the points from depth 14 to 16: linear memory gives about 4x the
-    # peak (3.6x here), an array over all block pairs about 16x
-    ratio = search_peak(2.0, 16) / search_peak(2.0, 14)
+    # peak (4.0x here), an array over all block pairs about 16x
+    ratio = extremal_peak(2.0, 16) / extremal_peak(2.0, 14)
     assert ratio <= 5.0, ratio
+
+
+def test_plateau_search_peak_allocation():
+    # on a plateau every row stays open and keeps its block pairs' bounds, 8
+    # bytes each: 1.72 MiB at depth 14, against 3.81 MiB with the chord-and-slope
+    # bounds and their per-block slopes
+    peak = search_peak(PowerWeight(1.0, 0.1, 3.0), FunctionalKind.a_inf(), 14)
+    assert peak < 2.0 * 2**20, peak
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
@@ -623,50 +713,44 @@ def test_tie_resolution_is_lexicographic(name, fn):
     p1 = grid.copy()
     p2 = grid.copy()
     cap = np.ones_like(grid)
-    best, i, j = fn(grid, p1, p2, 1.0, 1.0, cap, 0)
+    best, i, j = fn(grid, p1, p2, 1.0, 1.0, cap, 0, 8)
     assert best == 1.0
     assert (i, j) == (0, 1)
 
 
-def leaf_edge_inputs(mode):
-    """Cases (grid, p1, p2, cap, e2) of 150 points, whose blocks end in
-    [32, 63], [64, 127] and a short [128, 149]: slices off the diagonal
-    holding NaN, +inf and -inf."""
-    rng = np.random.default_rng(90 + mode)
-    grid = np.arange(150, dtype=np.float64) / 149.0
-
-    def base():
-        p1, p2 = np.cumsum(rng.uniform(0.01, 1.0, (2, 150)), axis=1)
-        return p1, 1e-3 * p2, rng.uniform(0.1, 2.0, 150)
-
+def leaf_edge_inputs(mode, e1):
+    """Cases (the scan's arguments) on the power_weight_inputs weight over the
+    130 points of scan_grids(130), whose blocks end in [32, 63], [64, 91] (at
+    BREAK), [92, 127] and a short [128, 129]: slices off the diagonal holding
+    NaN, +inf and -inf."""
+    grid = scan_grids(130)["injected breakpoint"]
     cases = {}
-    # the maximum at (127, 128), in the slice of blocks [64, 127] x [128, 149]
-    # after its NaN column 140
-    p1, p2, cap = base()
+    # the maximum, +inf, at (65, 128), in the slice of blocks [64, 91] x [128, 129]
+    # after the NaN of row 64
+    p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
+    p1[:65] = np.nan
     if mode == 2:
-        p1[128:] += p1[127] + 1e-3 - p1[128]
-        cap[128] = 1e3
+        cap[128] = np.inf
     else:
-        p1[128:] += 1e4
-    p1[140] = np.nan
-    cases["NaN before the maximum"] = (grid, p1, p2, cap, -1.0)
-    # +inf in column 130 and -inf in column 135; in mode 0 from
-    # d2 = -0.0 - 0.0 = -0.0 at (10, 135), as (-0.0)**-1 is -inf
-    p1, p2, cap = base()
+        p1[128] = np.inf
+    cases["NaN before the maximum"] = (grid, p1, p2, e1, e2, cap, mode, ramp)
+    # -inf in column 128 and +inf in column 129; in mode 0 at e1 = 0.7 from
+    # d2 = -0.0 - 0.0 = -0.0 at (0, 128), as (-0.0)**-1 is -inf
+    p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
     if mode == 2:
-        cap[130], cap[135] = np.inf, -np.inf
+        cap[128], cap[129] = -np.inf, np.inf
+    elif mode == 0 and e1 != 1.0:
+        p1[129], p2[128] = np.inf, -0.0
     else:
-        p1[130] = np.inf
-    if mode == 1:
-        p1[135] = -np.inf
-    p2[10], p2[135] = 0.0, -0.0
-    cases["+inf and -inf"] = (grid, p1, p2, cap, -1.0)
-    # columns 128 on score NaN, or NaN and -inf, for every row before them
-    p1, p2, cap = base()
-    p1[128::2] = np.nan
-    p1[129::2] = np.nan if mode == 0 else -np.inf
-    cap[129::2] = -np.inf
-    cases["NaN or -inf only"] = (grid, p1, p2, cap, -1.0)
+        p1[128], p1[129] = -np.inf, np.inf
+    cases["+inf and -inf"] = (grid, p1, p2, e1, e2, cap, mode, ramp)
+    # columns 128 and 129 score NaN, or NaN and -inf, for every row before them
+    p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
+    p1[128] = np.nan
+    p1[129] = np.nan if mode == 0 else -np.inf
+    if mode == 2:
+        cap[129] = -np.inf
+    cases["NaN or -inf only"] = (grid, p1, p2, e1, e2, cap, mode, ramp)
     return cases
 
 
@@ -681,15 +765,14 @@ def test_leaf_skips_are_bit_identical_at_nan_inf_and_repeated_points(monkeypatch
         return leaf(*args)
 
     monkeypatch.setattr(_pairscan, "_best_pair", recorded)
-    # one column block a slice in the rows of 32 points and more
+    # one column block a slice in the rows of more than 16 points
     monkeypatch.setattr(_pairscan, "_SLICE", 32 * _pairscan._BLOCK)
-    for name, (grid, p1, p2, cap, e2) in leaf_edge_inputs(mode).items():
-        args = (grid, p1, p2, e1, e2, cap, mode)
+    for name, args in leaf_edge_inputs(mode, e1).items():
         slices.clear()
         expected = brute_force_scan(*args)
         assert max_pair_ratio(*args) == expected, name
         # the case reaches a slice off the diagonal of the kind it is named for
-        off = {(rows.start, cols.start): brute_values(*args, rows, cols)
+        off = {(rows.start, cols.start): brute_values(*args[:7], rows, cols)
                for rows, cols in slices if cols.start >= rows.stop}
         assert (64, 128) in off, name  # the short last block
         if name == "NaN before the maximum":
@@ -718,15 +801,17 @@ def scan_grids(n):
 
 
 def power_weight_inputs(grid, mode, e1):
-    """(p1, p2, e2, cap) for the weight t**0.5 up to BREAK, p1 the prefix of
-    its power 1/e1: aq(3) or rh_p(1/e1) in mode 0, whose intervals [0, b] tie."""
+    """(p1, p2, e2, cap, ramp) for the weight t**0.5 up to BREAK, ramp the last
+    grid point up to it: in mode 0 aq(3), or rh_p(1/e1) with p1 the prefix of
+    the power 1/e1, whose intervals [0, b] tie."""
     nu = 0.5
-    p1 = _prefix_power(grid, BREAK, nu, 1.0 / e1)
+    ramp = int(grid.searchsorted(BREAK, "right")) - 1
+    p1 = _prefix_power(grid, BREAK, nu, 1.0 / e1 if mode == 0 else 1.0)
     if mode == 0 and e1 == 1.0:
-        return p1, _prefix_power(grid, BREAK, nu, -0.5), 2.0, p1
+        return p1, _prefix_power(grid, BREAK, nu, -0.5), 2.0, p1, ramp
     if mode == 0:
-        return p1, _prefix_power(grid, BREAK, nu, 1.0), -1.0, p1
-    return p1, _prefix_log(grid, BREAK, nu), 0.0, (np.minimum(grid, BREAK) / BREAK) ** nu
+        return p1, _prefix_power(grid, BREAK, nu, 1.0), -1.0, p1, ramp
+    return p1, _prefix_log(grid, BREAK, nu), 0.0, (np.minimum(grid, BREAK) / BREAK) ** nu, ramp
 
 
 @pytest.mark.parametrize("e1", [1.0, 0.7])
@@ -745,13 +830,13 @@ def test_sliced_rows_are_bit_identical_to_brute_force(monkeypatch, mode, e1):
     monkeypatch.setattr(_pairscan, "_best_pair", recorded)
     for n in (2, 3, 5, 63, 64, 65, 66, 130):
         for name, grid in scan_grids(n).items():
-            p1, p2, e2, cap = power_weight_inputs(grid, mode, e1)
+            p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
             hit = 16 if n > 16 else n - 1
             for value in (None, np.nan, np.inf, -np.inf):
                 q1 = p1.copy()
                 if value is not None:
                     q1[hit] = value
-                args = (grid, q1, p2, e1, e2, cap, mode)
+                args = (grid, q1, p2, e1, e2, cap, mode, ramp)
                 slices.clear()
                 assert max_pair_ratio(*args) == brute_force_scan(*args), (n, name, value)
                 if n > 16 and value is not None:
