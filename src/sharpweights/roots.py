@@ -30,10 +30,17 @@ large p or large |v|.  Past v = 15/16 the right branch is solved for
 the gap 1 - v instead, whose digits the rounding of v loses;
 ``u_plus_gap_from_log`` decides the side before it solves, and every
 right-branch root comes from it.
+
+``q_star``, ``u_plus_gap_from_log`` and ``u_minus_from_log`` are the
+three entry points that every root passes through, and each keeps its
+last few solves (``functools.lru_cache``, typed keys), so a repeated
+call returns the same float or tuple without solving again; an error is
+not kept and is raised again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -50,6 +57,12 @@ _SMALL_STEP = 2.0**-26
 
 # Past v = p*u = 15/16 the right branch forms u from the gap 1 - p*u.
 _GAP_FROM_V = 0.9375
+
+# Solves each root entry point keeps.  The calls at one (p, delta, x) need
+# two keys each (the class and the point, or two class norms), while a
+# draw of the constants_table benchmark recurs only after 180 or more
+# keys, so no benchmark operation is served another's solves.
+_RECENT_SOLVES = 4
 
 # An equation hands back its value and its slope at x.
 Equation = Callable[[float], tuple[float, float]]
@@ -172,6 +185,7 @@ def _gap_equation(p: float, c: float, c_far: float) -> Equation:
     return f
 
 
+@functools.lru_cache(maxsize=_RECENT_SOLVES, typed=True)
 def u_plus_gap_from_log(p: float, log_t: float) -> tuple[float, float | None]:
     """(u, log(p*(1 - p*u))) on the right branch, or (u, None) where
     v = p*u <= 15/16 and 1 - p*u keeps its digits.
@@ -227,6 +241,7 @@ def u_plus_gap_from_log(p: float, log_t: float) -> tuple[float, float | None]:
     return (u if p * u < 1.0 else math.nextafter(u, 0.0)), z
 
 
+@functools.lru_cache(maxsize=_RECENT_SOLVES, typed=True)
 def u_minus_from_log(p: float, log_t: float) -> float:
     """Left inverse branch with t passed as log(t); -inf where v = p*u
     passes the float range, so that 1 - p*u is finite whenever u is."""
@@ -338,6 +353,7 @@ def _near_one(p: float, log_delta: float) -> float:
     return math.sqrt(2.0 * log_delta) / math.sqrt(p - 1.0)
 
 
+@functools.lru_cache(maxsize=_RECENT_SOLVES, typed=True)
 def q_star(p: float, delta: float) -> float:
     """Finiteness threshold above 1; equals delta in the p = inf limit,
     and +inf when the root passes the float range (p near 1)."""

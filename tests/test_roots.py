@@ -6,12 +6,18 @@ import random
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sharpweights import (
     DomainError,
+    Parameters,
     ainf_constant,
     aq_constant,
+    bellman_infinity_value,
+    bellman_value,
+    bellman_value_gamma_form,
+    extremal_weight,
     q_star,
     q_sub,
     r_pair,
@@ -21,7 +27,7 @@ from sharpweights import (
     u_minus,
     u_plus,
 )
-from sharpweights import ndim, roots
+from sharpweights import cli, ndim, roots
 
 SQRT3 = math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
@@ -394,6 +400,16 @@ LARGE_P_CORNERS = [
 ]
 
 
+def _cold():
+    """Empty the three root memos, so that the next call solves its roots."""
+    for memo in (roots.q_star, roots.u_plus_gap_from_log, roots.u_minus_from_log):
+        memo.cache_clear()
+
+
+def _left_root_past_the_float_range(p, delta):
+    return math.isinf(2.0 * p * roots.u_minus_from_log(p, -p * math.log(delta)))
+
+
 def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
     counts = []
 
@@ -417,20 +433,141 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
         if name == "q_star":
             corner.append((1.0000015511551374, None, 1.0009595280371821))
         for p, dm, delta in [*_grid(name), *corner]:
+            _cold()
             counts.append(0)
             _case(name, p, delta)[0]()
             worst[name] = max(worst.get(name, 0), counts[-1])
+            # a memo hit would pass as a solve of no evaluations; only the
+            # left branch returns a root past the float range without one
+            left = name in ("q_sub", "t_star", "u_minus")
+            assert counts[-1] >= 1 or left and _left_root_past_the_float_range(p, delta), (
+                name, p, delta)
     # the right branch's pair (u, gap) as the Bellman functions take it:
-    # one solve, of the gap past v = 15/16
+    # one solve, of the gap past v = 15/16, on the keys the u_plus loop solved
     for p, dm, delta in [*_grid("u_plus"), (300.0, 9.0, 10.0), *LARGE_P_CORNERS]:
+        _cold()
         counts.append(0)
         roots.u_plus_gap_from_log(p, -p * math.log(delta))
         worst["u_plus_gap"] = max(worst.get("u_plus_gap", 0), counts[-1])
+        assert counts[-1] >= 1, (p, delta)
     assert max(worst.values()) <= 16, worst
     # a root within rounding of v = 1 near p = 1 once bisected 54 times
+    _cold()
     counts.append(0)
     roots.class_parameter(1.1068881383566298, 50.0, "plus")
-    assert counts[-1] <= 10
+    assert 1 <= counts[-1] <= 10
+
+
+# -- the memo of recent solves --------------------------------------------------
+
+
+def _bits(root):
+    """The type and exact bits of a root, or of each part of a tuple."""
+    if isinstance(root, tuple):
+        return tuple(_bits(part) for part in root)
+    return type(root), None if root is None else float(root).hex()
+
+
+def _memo_cases():
+    """(entry point, arguments that are equal as numbers) on the roots grid,
+    at log t = +-0.0 and with int and np.float64 arguments."""
+    branches = (roots.u_plus_gap_from_log, roots.u_minus_from_log)
+    for p in GRID_P:
+        for dm in GRID_DELTA_M1:
+            delta = 1.0 + dm
+            log_t = -p * math.log(delta)
+            yield roots.q_star, [(np.float64(p), np.float64(delta)), (p, delta)]
+            for branch in branches:
+                yield branch, [(np.float64(p), np.float64(log_t)), (p, log_t)]
+                yield branch, [(p, 0.0), (p, -0.0)]
+    yield roots.q_star, [(2, 2), (2.0, 2.0)]
+    yield roots.q_star, [(3, 1), (3.0, 1.0)]
+    for branch in branches:
+        yield branch, [(2, -1), (2.0, -1.0)]
+
+
+def test_the_memo_returns_what_a_cold_solve_returns():
+    for entry, group in _memo_cases():
+        cold = []
+        for args in group:
+            _cold()
+            cold.append(_bits(entry(*args)))
+        _cold()
+        for args in group:
+            entry(*args)
+        hits = entry.cache_info().hits
+        warm = [_bits(entry(*args)) for args in group]
+        assert entry.cache_info().hits == hits + len(group), (entry.__name__, group)
+        assert warm == cold, (entry.__name__, group)
+
+
+@pytest.mark.parametrize(
+    "entry, args, name",
+    [
+        (q_star, (2.0, 0.5), "delta"),
+        (q_star, (1.0, 2.0), "p"),
+        (q_star, (2.0, math.nan), "delta"),
+        (s_pair, (math.inf, 2.0), "p"),
+        (roots.class_parameter, (2.0, 0.5, "plus"), "delta"),
+    ],
+)
+def test_the_memo_keeps_no_error(entry, args, name):
+    for _ in range(2):
+        with pytest.raises(DomainError, match=rf"\b{name}\b"):
+            entry(*args)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The bisect_root calls made after the fixture starts, from cold memos."""
+    calls = []
+    solve = roots.bisect_root
+
+    def counted(f, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return solve(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(roots, "bisect_root", counted)
+    _cold()
+    return calls
+
+
+def test_a_table_row_solves_each_root_once(solves):
+    # every scalar entry point at one draw: q_star at delta and at the
+    # n-dimensional epsilon, each branch at the class and at the point, and
+    # the n-dimensional ratio; 22 solves without the memo
+    p, delta, x, q, q_low, t = 3.0, 1.5, (1.2, 3.0), 6.0, 0.68, 3.2
+    upper, lower = Parameters(p, q, delta), Parameters(p, q_low, delta)
+    extremal_weight(p, delta, x, "plus")
+    extremal_weight(p, delta, x, "minus")
+    ndim.ndim_aq_bound(p, 6.0, 2, 1.05)
+    q_star(p, delta), q_sub(p, delta), t_star(p, delta)
+    aq_constant(p, q, delta), ainf_constant(p, delta), rht_constant(p, t, delta)
+    bellman_value(upper, x), bellman_value_gamma_form(upper, x)
+    bellman_value(lower, x), bellman_value_gamma_form(lower, x)
+    bellman_infinity_value(p, delta, x)
+    r_pair(p, delta, x)
+    assert len(solves) == 7, solves
+
+
+def test_a_certificate_row_solves_each_root_once(solves):
+    # the constants and extremal weights of a certificate: q_star and the
+    # two class parameters, as the upper point has r = 0 on both branches;
+    # 5 solves without the memo
+    p, delta = 3.0, 1.5
+    x = (1.0, delta**p)
+    extremal_weight(p, delta, x, "plus")
+    extremal_weight(p, delta, x, "minus")
+    extremal_weight(math.inf, delta, (1.0, delta), "plus")
+    aq_constant(p, 6.0, delta), ainf_constant(p, delta), rht_constant(p, 3.2, delta)
+    assert len(solves) == 3, solves
+
+
+def test_the_constants_command_solves_q_star_once(solves, capsys):
+    # aq_constant and ainf_constant both take q_star; 2 solves without the memo
+    assert cli.main(["constants", "--p", "3", "--q", "6", "--delta", "1.5"]) == 0
+    assert "q_star" in capsys.readouterr().out
+    assert len(solves) == 1, solves
 
 
 # -- the branches at large p and on the whole p range -------------------------
