@@ -7,10 +7,13 @@ from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
 exp(-(d2/L)), mode 2 cap[j] / (d1/L).  Each prefix integrates a monotone
 function, so the averages over a block pair lie between those at its two
 extreme corners (see _SLACK).  The scan scores the row [0] of blocks graded
-toward the origin whole; where the weight is a power on all of [0, 1] it
-bounds each other row by one corner value (below), and it bounds the block
-pairs of each row still open by their corner value up to the ramp and by
-their two extreme corners.  It scores rows by decreasing bound, bit for bit.
+toward the origin whole up to the ramp, and past it the slices whose two
+extreme corners may reach the best value; where the weight is a power on all
+of [0, 1] it bounds each other row by one corner value (below), and it bounds
+the block pairs of each row still open by their corner value up to the ramp
+and by their two extreme corners.  It scores rows by decreasing bound, bit
+for bit.  The index arrays that depend on (n, ramp) alone are built once per
+key (_layout).
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -26,6 +29,8 @@ covariance of Y and h(Y), <= 0 by Chebyshev): d log Phi/dr <= 0.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -124,6 +129,28 @@ def _partition(n, ramp):
     return first, np.append(first[1:] - 1, n - 1)
 
 
+# The searches of a certificate, and of a `verify`, share one (n, ramp), so two
+# entries of seven index arrays of at most n / _BLOCK each (0.1 MB at depth 17) suffice.
+_LAYOUTS = 2
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(n, ramp):
+    """The weight-independent index arrays of a scan, read-only: the blocks' (first, last);
+    the rows I >= 1 that hold a pair, and their innermost block pairs (I, J) (see
+    _corner_bounds); row [0]'s bound before its scores, +inf for the column blocks up to the
+    ramp and -inf past it; and the block pairs (0, J) of row [0] past the ramp."""
+    first, last = _partition(n, ramp)
+    rows = 1 + np.flatnonzero(first[1:] < last[-1])
+    inner = np.minimum(rows + 1, first.size - 1)  # that of [I, I + 1], or [I, I] last
+    head = np.where(last[1:] <= ramp, np.inf, -np.inf)
+    past = np.flatnonzero(first > ramp)
+    row0 = np.zeros_like(past)
+    for x in (first, last, rows, inner, head, past, row0):
+        x.flags.writeable = False
+    return first, last, rows, (rows, inner), head, (row0, past)
+
+
 def _prefix_rounding(grid, p1, p2, mode, ramp):
     """[eps of p1, of p2] (see _SLACK): a power prefix's, and in mode 1 the log prefix's."""
     u = 2.0**-53
@@ -219,7 +246,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
     only where the mode uses them.
     """
     n = grid.size
-    first, last = _partition(n, ramp)
+    first, last, R, inner, head, past = _layout(n, ramp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eps = _prefix_rounding(grid, p1, p2, mode, ramp)
         common = (grid, p1, p2, cap, e1, e2, mode, eps, first, last)  # the bounds' leading arguments
@@ -230,8 +257,11 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
             skip = first.size - bound.size  # the column blocks before the row's first pair
             rows = slice(int(first[row]), int(last[row]) + 1)
             step = max(_SLICE // (_BLOCK * (rows.stop - rows.start)), 1)  # blocks a slice
-            # the column blocks [a, b) of each run still at or above best
-            runs = skip + np.flatnonzero(np.diff(bound >= best, prepend=False, append=False))
+            # the column blocks [a, b) of each run still at or above best, from the edges of
+            # the blocks that reach it, padded with one that does not at each end
+            reach = np.zeros(bound.size + 2, dtype=bool)
+            np.greater_equal(bound, best, out=reach[1:-1])
+            runs = skip + np.flatnonzero(reach[1:] != reach[:-1])
             for a, b in runs.reshape(-1, 2):
                 for s in range(a, b, step):
                     t = min(s + step, b)
@@ -241,14 +271,15 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
                         if v > best or (v == best and (i, j) < (bi, bj)):
                             best, bi, bj = v, i, j
 
-        # row [0], one point, is scored first with no bound, as the lowest float prunes nothing
-        visit(0, np.full(first.size - 1, np.inf))
+        # row [0], one point, is scored first up to the ramp with no bound, as the lowest float
+        # prunes nothing, and then past it where its two-corner bounds may reach best
+        visit(0, head)
+        if past[1].size:
+            visit(0, _block_bounds(*common, past))
         # where the ramp is the last point each other row holding a pair is bounded by its corner
         # (first[I], n - 1) (see _SLACK); each row that may reach best, a few a call, bounds its
         # block pairs up to the ramp by their corners and, where those may, by two extreme corners
-        R = 1 + np.flatnonzero(first[1:] < last[-1])
         if ramp == n - 1:
-            inner = (R, np.minimum(R + 1, first.size - 1))  # innermost: that of [I, I + 1], or [I, I] last
             R = R[_corner_bounds(*common, ramp, inner, ramp) >= best]
         top, bounds = np.full(first.size, -np.inf), {}  # row: the bounds of its block pairs
         for c in range(0, R.size, m := max(_CHUNK // first.size, 1)):  # m rows a call

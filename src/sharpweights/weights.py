@@ -19,6 +19,7 @@ other than ``verify`` never load NumPy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -273,27 +274,52 @@ def functional_ratio(
     return ess_sup(w, alpha, beta) / avg
 
 
-def _prefix_power(grid: np.ndarray, a: float, nu: float, theta: float) -> np.ndarray:
-    """Integral of (w/c)**theta from 0 to each grid point; needs
-    theta*nu + 1 > 0."""
+def _grid_parts(grid: np.ndarray, a: float) -> tuple:
+    """The weight-independent arrays of a search on ``grid``, strictly
+    increasing with a point at or above a: (grid, ramp, ratio, tail, log).
+    The grid holds a, inserted where it is not a point of it, at index ramp;
+    ratio is m/a and log m (log(m/a) - 1), the log prefix's integrand (0
+    where m <= 0), with m = min(g, a); tail is g - a past the ramp."""
     import numpy as np
 
-    e = theta * nu + 1.0
+    ramp = int(grid.searchsorted(a))
+    if grid[ramp] != a:
+        grid = np.insert(grid, ramp, a)
     m = np.minimum(grid, a)
-    out = (a / e) * (m / a) ** e
-    out += np.maximum(grid - a, 0.0)
-    return out
-
-
-def _prefix_log(grid: np.ndarray, a: float, nu: float) -> np.ndarray:
-    """Integral of log(w/c) from 0 to each grid point."""
-    import numpy as np
-
-    m = np.minimum(grid, a)
-    out = np.zeros_like(grid)
+    log = np.zeros_like(grid)
     mask = m > 0.0
-    out[mask] = m[mask] * (np.log(m[mask] / a) - 1.0)
-    return nu * out
+    log[mask] = m[mask] * (np.log(m[mask] / a) - 1.0)
+    return grid, ramp, m / a, grid[ramp + 1 :] - a, log
+
+
+# The searches of a certificate, and of a `verify`, share one (depth, a), so two
+# entries suffice: three arrays of n floats each (3 MB at depth 17), and the
+# tail past a.
+_GRIDS = 2
+
+
+@functools.lru_cache(maxsize=_GRIDS)
+def _dyadic_parts(depth: int, a: float) -> tuple:
+    """_grid_parts of the dyadic grid of 2**depth + 1 points, its arrays read-only."""
+    import numpy as np
+
+    n = (1 << depth) + 1
+    parts = _grid_parts(np.arange(n, dtype=np.float64) / float(n - 1), a)
+    for x in parts:
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return parts
+
+
+def _prefix_power(parts: tuple, a: float, nu: float, theta: float) -> np.ndarray:
+    """Integral of (w/c)**theta from 0 to each point of the grid of ``parts``
+    (those of a); needs theta*nu + 1 > 0."""
+    _, ramp, ratio, tail, _ = parts
+    e = theta * nu + 1.0
+    out = ratio**e
+    out *= a / e
+    out[ramp + 1 :] += tail
+    return out
 
 
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
@@ -309,8 +335,9 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
 
 # On the extremal weights the scan's memory grows with the points, not with the
 # block pairs: a process making one depth-17 aq(10) search of the p = 2 weight
-# peaks at 38-42 MB RSS, interpreter and NumPy included, and at depth 18 at 46-54
-# MB.  The cap stays at 17, as no check of the constants needs a finer grid.
+# peaks at 36 MB RSS, interpreter, NumPy and the cached grid arrays included, and
+# at depth 18 at 41 MB.  The cap stays at 17, as no check of the constants needs
+# a finer grid.
 _MAX_DEPTH = 17
 
 
@@ -331,6 +358,11 @@ def sup_ratio_search(
     is bounded by its two extreme corners, and on [0, a], where it is a
     power, also by its corner value (see ``_pairscan``); a is always a
     grid point, and its index the ramp the scan takes.
+    The arrays that do not depend on nu (the grid with a, the ramp, min(g, a)/a,
+    g - a past a and the log prefix's integrand) are built once per (depth, a)
+    and kept read-only (``_dyadic_parts``), so a search takes one pow of the
+    kept ratio per power prefix, a multiply for the log prefix and a pow for
+    the cap.
     Intervals touching 0 with a divergent moment make the result +inf
     with the canonical witness (0, min(a, 1)).  A constant weight (nu = 0)
     scores exactly 1 on every interval, so it returns 1 with the first
@@ -362,17 +394,12 @@ def sup_ratio_search(
         return INF, (0.0, a)
     if nu == 0.0:
         return 1.0, (0.0, min(a, 2.0**-depth))
-    import numpy as np
-
-    n = (1 << depth) + 1
-    grid = np.arange(n, dtype=np.float64) / float(n - 1)
-    ramp = int(grid.searchsorted(a))  # 0 and 1 are grid points, and 0 < a <= 1
-    if grid[ramp] != a:
-        grid = np.insert(grid, ramp, a)
-    prefixes = [_prefix_power(grid, a, nu, theta) for theta in thetas]
+    parts = _dyadic_parts(depth, a)
+    grid, ramp, ratio, _, log = parts
+    prefixes = [_prefix_power(parts, a, nu, theta) for theta in thetas]
     if mode == 1:
-        prefixes.append(_prefix_log(grid, a, nu))
+        prefixes.append(nu * log)
     p1, p2 = prefixes[0], prefixes[-1]
-    cap = (np.minimum(grid, a) / a) ** nu if mode == 2 else p1
+    cap = ratio**nu if mode == 2 else p1
     best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp)
     return float(best), (float(grid[i]), float(grid[j]))

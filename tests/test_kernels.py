@@ -11,7 +11,6 @@ import pytest
 from sharpweights import FunctionalKind, PowerWeight, extremal_weight, sup_ratio_search
 from sharpweights import _pairscan, weights
 from sharpweights._pairscan import _LOWEST, max_pair_ratio
-from sharpweights.weights import _prefix_log, _prefix_power
 
 _REF_ROWS = 256
 
@@ -97,12 +96,15 @@ def reference_scan(grid, p1, p2, e1, e2, cap, mode):
 SCANS = [("numpy", max_pair_ratio), ("brute", brute_force_scan)]
 
 
-def search_args(w, kind, depth):
+def search_args(w, kind, depth, grid=None):
     """The arguments sup_ratio_search gives the scan for w and kind, or None
-    where it returns with no scan."""
+    where it returns with no scan; on ``grid``, with w.a inserted as the search
+    inserts it, in place of the dyadic grid of the depth if one is given."""
     scans = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+        if grid is not None:
+            patch.setattr(weights, "_dyadic_parts", lambda depth, a: weights._grid_parts(grid, a))
         sup_ratio_search(w, kind, depth)
     return scans[0] if scans else None
 
@@ -222,12 +224,9 @@ def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, weight, c
 def test_exponential_scan_with_a_negative_log_prefix():
     # the log prefix of a weight with nu > 0 falls below zero, that of one with
     # nu < 0 rises above it, with a breakpoint at 1 or off the grid
-    w = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
-    grid = np.arange(513, dtype=np.float64) / 512.0
-    p1 = _prefix_power(grid, w.a, w.nu, 1.0)
-    p2 = _prefix_log(grid, w.a, w.nu)
-    assert p2.min() < 0.0
-    assert_bit_identical(grid, p1, p2, 0.0, 0.0, p1, 1, 512)
+    args = search_args(extremal_weight(2.0, 2.0, (1.0, 4.0), "plus"), FunctionalKind.a_inf(), 9)
+    assert args[2].min() < 0.0 and args[7] == 512
+    assert_bit_identical(*args)
     for nu in (-0.5, 0.5):
         args = search_args(PowerWeight(1.0, 0.3, nu), FunctionalKind.a_inf(), 9)
         assert np.sign(args[2][-1]) == -np.sign(nu)
@@ -503,7 +502,7 @@ def test_scan_emits_no_float_warnings(mode):
              np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 40))
     cases = [(grid, grid, grid, grid.size - 1) for grid in (np.array([-1e308, 1e308]), *grids)]
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
-    cases += [(grid, _prefix_power(grid, w.a, w.nu, 1.0), _prefix_log(grid, w.a, w.nu), grid.size - 1) for grid in grids]
+    cases += [(*args[:3], args[7]) for args in (search_args(w, FunctionalKind.a_inf(), 1, grid) for grid in grids)]
     cases += [(*args[:3], args[7]) for args in exponential_mode_inputs().values()]
     # the corner path, row bounds and block pairs: at p = 1.01, delta = 2, nu is
     # 8.9e15 and the prefix underflows to 0 at all but the last point; aq(1e14)
@@ -581,16 +580,18 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
 # delta = 2, aq(1e10) and aq(1e14), whose corner envelopes are +inf and whose
 # maxima rounding puts off row [0] at q = 1e14; at p = 6 and delta = 1.001,
 # aq(1e10); at p = 2 and delta - 1 = 1e-12, where margins are rounding, aq(10)
-# and a_inf; and two plateau weights.  The chord-and-slope bounds scored
-# 1,294,784, 8,522,409, 1,707,320, 536,704, 944,775, 10,817 and 40,531.
+# and a_inf; and two plateau weights, whose row [0] past the ramp takes
+# two-corner bounds (it was scored whole, 4,353 and 18,515 pairs).  The
+# chord-and-slope bounds scored 1,294,784, 8,522,409, 1,707,320, 536,704,
+# 944,775, 10,817 and 40,531.
 HEAVY = {
     "aq(1e10)": 6_784,
     "aq(1e14)": 589_440,
     "p6 aq(1e10)": 544_832,
     "delta-1=1e-12 aq(10)": 536_704,
     "delta-1=1e-12 a_inf": 944_775,
-    "plateau a=0.1 a_inf": 4_353,
-    "plateau a=0.7071 aq(10)": 18_515,
+    "plateau a=0.1 a_inf": 959,
+    "plateau a=0.7071 aq(10)": 18_129,
 }
 
 
@@ -636,7 +637,7 @@ def test_searches_give_the_scan_its_one_input(monkeypatch):
                     assert all(x.dtype == np.float64 and x.shape == (n,) for x in (grid, p1, p2, cap))
                     assert np.all(np.diff(grid) > 0.0) and grid[0] == 0.0 and grid[-1] == 1.0
                     assert isinstance(ramp, int) and 1 <= ramp < n and grid[ramp] == w.a
-                    assert np.array_equal(p1, _prefix_power(grid, w.a, w.nu, 1.0))
+                    assert np.array_equal(p1, weights._prefix_power(weights._grid_parts(grid, w.a), w.a, w.nu, 1.0))
                     assert np.all(np.diff(p1) >= 0.0)
                     assert mode == {"aq": 0, "rhp": 0, "ainf": 1, "rhinf": 2}[kind.name]
                     if mode == 2:
@@ -666,8 +667,8 @@ def test_scan_bounds_few_block_pairs_generically(monkeypatch, depth, delta):
 
 
 def search_peak(w, kind, depth):
-    """The tracemalloc peak of one search."""
-    sup_ratio_search(w, kind, depth)  # any first-call set-up, untraced
+    """The tracemalloc peak of one search, from the caches of its grid arrays."""
+    sup_ratio_search(w, kind, depth)  # any first-call set-up, and the caches, untraced
     tracemalloc.start()
     try:
         sup_ratio_search(w, kind, depth)
@@ -683,27 +684,69 @@ def extremal_peak(delta, depth):
 
 @pytest.mark.parametrize("delta", [1.001, 2.0])
 def test_search_peak_allocation(delta):
-    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 0.75
-    # MiB at either delta (0.82 with a copy of the prefixes for the chord-and-slope
-    # bounds), against 4.4 MiB with an array over all ramp block pairs and 7.6 MiB
-    # when the chord-and-slope bounds covered every one
+    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 0.44
+    # MiB at either delta (0.83 with the caches emptied before the traced search,
+    # 0.75 when each search built its grid arrays, 0.82 with a copy of the prefixes
+    # for the chord-and-slope bounds), against 4.4 MiB with an array over all ramp
+    # block pairs and 7.6 MiB when the chord-and-slope bounds covered every one
     peak = extremal_peak(delta, 14)
     assert peak < 1.5 * 2**20, peak
 
 
 def test_search_peak_allocation_grows_linearly():
-    # 4x the points from depth 14 to 16: linear memory gives about 4x the
-    # peak (4.0x here), an array over all block pairs about 16x
+    # 4x the points from depth 14 to 16: linear memory gives at most about 4x
+    # the peak (2.7x here, 4.0x when each search built its grid arrays), an
+    # array over all block pairs about 16x
     ratio = extremal_peak(2.0, 16) / extremal_peak(2.0, 14)
     assert ratio <= 5.0, ratio
 
 
 def test_plateau_search_peak_allocation():
     # on a plateau every row stays open and keeps its block pairs' bounds, 8
-    # bytes each: 1.72 MiB at depth 14, against 3.81 MiB with the chord-and-slope
-    # bounds and their per-block slopes
+    # bytes each: 1.59 MiB at depth 14 (2.09 with the caches emptied before the
+    # traced search, 1.72 when each search built its grid arrays), against 3.81
+    # MiB with the chord-and-slope bounds and their per-block slopes
     peak = search_peak(PowerWeight(1.0, 0.1, 3.0), FunctionalKind.a_inf(), 14)
     assert peak < 2.0 * 2**20, peak
+
+
+def cached_arrays(entry):
+    """The arrays of a cache entry, its nested tuples flattened."""
+    if isinstance(entry, tuple):
+        return [x for part in entry for x in cached_arrays(part)]
+    return [entry] if isinstance(entry, np.ndarray) else []
+
+
+@pytest.mark.parametrize("depth", [5, 9, 12, 14])
+def test_warm_caches_change_no_search(depth):
+    # every kind on the p = 2 extremal weights of the upper curve and the p = inf
+    # one, the PLATEAUS and the extremal weights of an interior point: a search
+    # with both caches empty, and again from them, gives the same repr
+    upper = [extremal_weight(2.0, 1.001, (1.0, 1.001**2), branch) for branch in ("plus", "minus")]
+    upper.append(extremal_weight(math.inf, 1.001, (1.0, 1.001), "plus"))
+    interior = [extremal_weight(2.5, 1.6, (1.0, 1.5), branch) for branch in ("plus", "minus")]
+    searched = 0
+    for w in upper + PLATEAUS + interior:
+        for kind in ALL_KINDS:
+            if w.nu < 0.0 and kind.name == "rhinf":
+                continue
+            weights._dyadic_parts.cache_clear()
+            _pairscan._layout.cache_clear()
+            cold = repr(sup_ratio_search(w, kind, depth))
+            if not weights._dyadic_parts.cache_info().currsize:
+                continue  # rh_p(3) diverges at 0 where 3 nu <= -1, with no scan
+            hits = weights._dyadic_parts.cache_info().hits, _pairscan._layout.cache_info().hits
+            assert repr(sup_ratio_search(w, kind, depth)) == cold, (w, kind)
+            assert (weights._dyadic_parts.cache_info().hits, _pairscan._layout.cache_info().hits) == (
+                hits[0] + 1, hits[1] + 1)
+            parts = weights._dyadic_parts(depth, w.a)
+            entries = cached_arrays(parts) + cached_arrays(_pairscan._layout(parts[0].size, parts[1]))
+            assert len(entries) == 12
+            for x in entries:
+                with pytest.raises(ValueError):
+                    x[...] = 0.0
+            searched += 1
+    assert searched == 31
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
@@ -726,31 +769,37 @@ def leaf_edge_inputs(mode, e1):
     grid = scan_grids(130)["injected breakpoint"]
     cases = {}
     # the maximum, +inf, at (65, 128), in the slice of blocks [64, 91] x [128, 129]
-    # after the NaN of row 64
-    p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
+    # after the NaN of row 64; for rh_p from p2, raised to 1/p, as p1's average
+    # is raised to -1
+    args = power_weight_inputs(grid, mode, e1)
+    _, p1, p2, _, _, cap, _, _ = args
     p1[:65] = np.nan
     if mode == 2:
         cap[128] = np.inf
+    elif mode == 0 and e1 != 1.0:
+        p2[128] = np.inf
     else:
         p1[128] = np.inf
-    cases["NaN before the maximum"] = (grid, p1, p2, e1, e2, cap, mode, ramp)
-    # -inf in column 128 and +inf in column 129; in mode 0 at e1 = 0.7 from
-    # d2 = -0.0 - 0.0 = -0.0 at (0, 128), as (-0.0)**-1 is -inf
-    p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
+    cases["NaN before the maximum"] = args
+    # -inf in column 128 and +inf in column 129; for rh_p from
+    # d1 = -0.0 - 0.0 = -0.0 at (0, 128), as (-0.0)**-1 is -inf
+    args = power_weight_inputs(grid, mode, e1)
+    _, p1, p2, _, _, cap, _, _ = args
     if mode == 2:
         cap[128], cap[129] = -np.inf, np.inf
     elif mode == 0 and e1 != 1.0:
-        p1[129], p2[128] = np.inf, -0.0
+        p2[129], p1[128] = np.inf, -0.0
     else:
         p1[128], p1[129] = -np.inf, np.inf
-    cases["+inf and -inf"] = (grid, p1, p2, e1, e2, cap, mode, ramp)
+    cases["+inf and -inf"] = args
     # columns 128 and 129 score NaN, or NaN and -inf, for every row before them
-    p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
+    args = power_weight_inputs(grid, mode, e1)
+    _, p1, p2, _, _, cap, _, _ = args
     p1[128] = np.nan
     p1[129] = np.nan if mode == 0 else -np.inf
     if mode == 2:
         cap[129] = -np.inf
-    cases["NaN or -inf only"] = (grid, p1, p2, e1, e2, cap, mode, ramp)
+    cases["NaN or -inf only"] = args
     return cases
 
 
@@ -791,8 +840,8 @@ BREAK = 0.7071
 
 
 def scan_grids(n):
-    """Grids of n points on [0, 1]: evenly spaced, and with the off-grid
-    breakpoint BREAK injected as sup_ratio_search injects it."""
+    """Grids of n points on [0, 1]: evenly spaced, to which the search adds the
+    off-grid breakpoint BREAK, and n - 1 evenly spaced with BREAK injected."""
     coarse = np.arange(n - 1, dtype=np.float64) / max(n - 2, 1)
     return {
         "increasing": np.arange(n, dtype=np.float64) / (n - 1),
@@ -801,17 +850,15 @@ def scan_grids(n):
 
 
 def power_weight_inputs(grid, mode, e1):
-    """(p1, p2, e2, cap, ramp) for the weight t**0.5 up to BREAK, ramp the last
-    grid point up to it: in mode 0 aq(3), or rh_p(1/e1) with p1 the prefix of
-    the power 1/e1, whose intervals [0, b] tie."""
-    nu = 0.5
-    ramp = int(grid.searchsorted(BREAK, "right")) - 1
-    p1 = _prefix_power(grid, BREAK, nu, 1.0 / e1 if mode == 0 else 1.0)
-    if mode == 0 and e1 == 1.0:
-        return p1, _prefix_power(grid, BREAK, nu, -0.5), 2.0, p1, ramp
-    if mode == 0:
-        return p1, _prefix_power(grid, BREAK, nu, 1.0), -1.0, p1, ramp
-    return p1, _prefix_log(grid, BREAK, nu), 0.0, (np.minimum(grid, BREAK) / BREAK) ** nu, ramp
+    """The scan's arguments, as sup_ratio_search builds them on ``grid`` with
+    BREAK inserted, for the weight (t/BREAK)**0.5 and then 1: in mode 0 aq(3) at
+    e1 = 1, or else rh_p(1/e1), whose intervals [0, b] tie, a_inf in mode 1 and
+    rh_inf in mode 2, where e1 is not read."""
+    kind = {1: FunctionalKind.a_inf(), 2: FunctionalKind.rh_inf()}.get(mode)
+    kind = kind or (FunctionalKind.aq(3.0) if e1 == 1.0 else FunctionalKind.rh_p(1.0 / e1))
+    args = search_args(PowerWeight(1.0, BREAK, 0.5), kind, 1, grid)
+    assert args[0][args[7]] == BREAK and args[6] == mode
+    return args
 
 
 @pytest.mark.parametrize("e1", [1.0, 0.7])
@@ -830,13 +877,13 @@ def test_sliced_rows_are_bit_identical_to_brute_force(monkeypatch, mode, e1):
     monkeypatch.setattr(_pairscan, "_best_pair", recorded)
     for n in (2, 3, 5, 63, 64, 65, 66, 130):
         for name, grid in scan_grids(n).items():
-            p1, p2, e2, cap, ramp = power_weight_inputs(grid, mode, e1)
+            grid, p1, *rest = power_weight_inputs(grid, mode, e1)
             hit = 16 if n > 16 else n - 1
             for value in (None, np.nan, np.inf, -np.inf):
                 q1 = p1.copy()
                 if value is not None:
                     q1[hit] = value
-                args = (grid, q1, p2, e1, e2, cap, mode, ramp)
+                args = (grid, q1, *rest)
                 slices.clear()
                 assert max_pair_ratio(*args) == brute_force_scan(*args), (n, name, value)
                 if n > 16 and value is not None:
