@@ -1,19 +1,21 @@
 """Exact block-pruned scan for the largest pairwise ratio of interval averages.
 
 Every functional of the supremum search is a closed-form ratio of the
-averages (P[j] - P[i]) / (g[j] - g[i]) of prefix integrals P over a
-strictly increasing grid g: with d1, d2 and L the increments of p1, p2 and g
-from i to j > i, mode 0 is (d1/L)**e1 * (d2/L)**e2, mode 1 (d1/L) *
-exp(-(d2/L)), mode 2 cap[j] / (d1/L).  Each prefix integrates a monotone
-function, so the averages over a block pair lie between those at its two
-extreme corners (see _SLACK).  The scan scores the row [0] of blocks graded
-toward the origin whole up to the ramp, and past it the slices whose two
-extreme corners may reach the best value; where the weight is a power on all
-of [0, 1] it bounds each other row by one corner value (below), and it bounds
-the block pairs of each row still open by their corner value up to the ramp
-and by their two extreme corners.  It scores rows by decreasing bound, bit
-for bit.  The index arrays that depend on (n, ramp) alone are built once per
-key (_layout).
+averages A and B of prefix integrals p1 and p2 over a strictly increasing
+grid g, (P[j] - P[i]) / (g[j] - g[i]) for i < j: mode 2 is cap[j] / A, and
+modes 0 and 1 are one Box-Cox formula, A exp(-G), or exp(G) / A where lam =
+e2 > 0: G = log(e1 + B) / lam with p2 the prefix of w**lam - e1, e1 = 1 (the
+Box-Cox prefix, lam times that of (w**lam - 1) / lam) or 0, and G = B with p2
+the prefix of log w, the limit of the transform, at lam = 0.  Each prefix
+integrates a monotone function, so the averages over a block pair lie between
+those at its two extreme corners (see _SLACK).  The scan scores the row [0]
+of blocks graded toward the origin whole up to the ramp, and past it the
+slices whose two extreme corners may reach the best value; where the weight
+is a power on all of [0, 1] it bounds each other row by one corner value
+(below), and the block pairs of each row still open by their corner value up
+to the ramp and by their two extreme corners.  It scores rows by decreasing
+bound, bit for bit.  The index arrays that depend on (n, ramp) alone are
+built once per key (_layout).
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -39,50 +41,62 @@ _SLICE = 8192  # pairs: smaller slices pay per-call overhead, larger ones spill 
 _CHUNK = 8192  # block pairs a bound call, at about 200 bytes each: larger calls spill the cache
 
 # Outward rounding, as a bound and the pair values it dominates round apart,
-# with u = 2**-53 and 4 ulp for each pow, exp, log:
-# - A power prefix (a/e)*(g/a)**e errs by eps = (|e| + 12) u, as the rounding
-#   of g/a is raised to e (e = g[ramp]/P[ramp] to a few ulp), a log prefix by
-#   16 u, the cap (g/a)**nu by (|nu| + 12) u.  So a computed average
-#   (P[j] - P[i]) / L is within R = eps (|P[i]| + |P[j]|) / L + 3 u |avg| of
-#   the exact one on the float grid, to first order (_rounding, which adds
-#   _TINY / L for subnormal intermediates, +inf where eps passes _ENVELOPE).
-# - The two-corner bound.  Each integrand f, w**theta, log w or the cap, is
-#   monotone on [0, 1] (w is c (t/a)**nu and then c), and an exact average
-#   moves with each endpoint as f does (d avg/d beta = (f(beta) - avg) /
-#   (beta - alpha), d avg/d alpha = (avg - f(alpha)) / (beta - alpha)), so
-#   over a block pair it lies between its values at (first[I], first[J]) and
-#   (last[I], last[J]), on a diagonal block (first, first + 1) and (last - 1,
-#   last).  |P| grows, as f has one sign, and the grid is uniform but at a,
-#   which ends a block, so R over a block pair is at most its value with the
-#   |P| of (last[I], last[J]), the L of the innermost pair (a diagonal block's
-#   shorter corner) and the larger corner |avg|.  A computed average is then
-#   within 3R/2 of its exact one (R/2 covers the higher orders while eps <=
-#   _ENVELOPE), so within 3R of the computed corners' range; the mode's
-#   monotone map errs by a few ulp, which _SLACK * |bound| covers.
-# - The corner bound.  An average's relative rounding R / |avg| is at most
-#   its value at the innermost pair, (last[I], first[J]) or a diagonal
-#   block's last step, as |P| grows and the grid is uniform up to a.  Mode 0
-#   raises the averages to e1, e2; mode 1 multiplies the log average's
-#   error by its size, below |nu| Lam with Lam = log(a / g[first[I]]); the
-#   leaf adds 20 u: the sum E bounds a value's relative error.  The rounded
-#   exponents fl(theta nu + 1) - 1 drift from consistent ones by u |e1'|
-#   (modes 1, 2; e' the prefix exponents) or, in mode 0, u (1 + 3 |e2' -
-#   1| + |e1'|/|e2|), e1' of the plain prefix p1 and e2' of p2, raised to
-#   e2, moving a value by D = u Lam (|e1'| + |e2| (1 + 3 |e2' - 1|)).
-#   A block row I's pairs up to a peak at (first[I], ramp), R / |avg| peaks at
-#   the innermost pair of [I, I + 1] ([I, I] where I ends at a), and Lam and
-#   D depend on I alone.  Computed corners need not grow with J, so chain
-#   through exact values: a computed value is at most its exact value, and
-#   so the exact corner's, times (1 + D)(1 + E), so at most the computed
-#   corner times (1 + D)**2 (1 + E)**2 < 1 + 4 (D + E) while 4 (D + E) <=
-#   _ENVELOPE, for a block pair or a row; elsewhere, and where a prefix or
-#   cap read is below _FLOOR (1 + its value at a), it is +inf.
+# with u = 2**-53 (U) and 8 u for each pow, exp, expm1, log and log1p:
+# - A power prefix (a/e)*(g/a)**e errs by eps = (|e| + 12) u, as the rounding of
+#   g/a is raised to e (e = g[ramp]/P[ramp] to a few ulp), the cap (g/a)**nu by
+#   (|nu| + 12) u, the Box-Cox prefix a x (expm1(k log x) - k) / (1 + k), k =
+#   lam nu <= 0 (a nu x (log x - 1) at k = 0), by (20 + 9 |k| log(a / g[1])) u,
+#   as its sum cancels nothing and x**k k log x / (x**k - 1 - k) <= 1 + |k log
+#   x|.  So a computed average (P[j] - P[i]) / L is within R = eps (|P[i]| +
+#   |P[j]|) / L + 3 u |avg| of the exact one on the float grid, to first order
+#   (_rounding, which adds _TINY / L for subnormals, +inf where eps passes
+#   _ENVELOPE).
+# - The two-corner bound.  Each integrand (w, w**lam - e1, log w, the cap) is
+#   monotone and of one sign, so an exact average over a block pair lies
+#   between its values at (first[I], first[J]) and (last[I], last[J]) (on a
+#   diagonal block (first, first + 1) and (last - 1, last)), and |P| grows.
+#   The grid is uniform but at a, which ends a block, so R is at most its value
+#   with the |P| of (last[I], last[J]), the L of the innermost pair and the
+#   larger corner |avg|, and a computed average lies within 3R/2 of its exact
+#   one (R/2 covers the higher orders while eps <= _ENVELOPE), so within 3R of
+#   the computed corners' range.  A value rises with B (with -B at lam = 0)
+#   and with A where lam <= 0 (falls where lam > 0), and each float step of
+#   _box_cox_value is monotone; _SLACK * |bound| covers a few ulp of libm.
+# - The corner bound.  R / |avg| at the innermost pair of a block pair, or of
+#   [I, I + 1] for a row I ([I, I] where I ends at a), bounds its pairs'.  With
+#   Lam = log(a / g[first[I]]), G errs by dB / (|lam| (1 + B)) <= |dB / B| beta
+#   at e1 = 1 (1 + B = <w**lam> >= 1, and |B / lam| and |G| are at most beta =
+#   |nu| expm1(|k| Lam) / |k|, or |nu| Lam at k = 0), and by |dB / B| / |lam|
+#   at e1 = 0: a value's relative error E is R_A / |A| plus R_B / |B| times
+#   beta or 1 / |lam|, 20 u in the leaf, and (12 + 1 / (2 (1 + k))) u beta for
+#   log1p, exp and the rounding of lam nu and 1 + k, which scales p2, or 9 u
+#   |nu| Lam for log(B).  Rounded exponents drift from consistent ones, fl(nu
+#   + 1) - 1 by u |e1'| / 2 (e' the prefix exponents) and fl(lam nu) by u |lam
+#   nu| / 2, moving a value by D = u Lam (|e1'| + |nu|); a prefix of w**lam,
+#   raised to 1/|lam|, by u Lam (|e1'| + (1 + 3 |e2' - 1|) / |lam|), the one
+#   budget that grows with q - 1; the cap by u Lam |e1'|.  Computed corners
+#   need not grow with J, so chain through exact values: a computed value is at
+#   most the exact corner's times (1 + D)(1 + E), so at most the computed corner
+#   times (1 + D)**2 (1 + E)**2 < 1 + 4 (D + E) while that is within _ENVELOPE;
+#   elsewhere, and where a prefix or cap read is below _FLOOR (1 + its value at
+#   a), it is +inf.
 _SLACK = 1e-9
 _TINY = 1e-300
 _ENVELOPE = 1e-3
 _FLOOR = 1e-280
+U = 2.0**-53
 
 _LOWEST = np.finfo(np.float64).min
+
+
+def _box_cox_value(avg, x, e1, e2):
+    """A exp(-G), or exp(G) / A where lam = e2 > 0, in place of A = ``avg`` from the
+    average x of p2: +-G = log(e1 + x) / |lam|, and -G = x = -B at lam = 0."""
+    if e2:
+        (np.log1p if e1 else np.log)(x, out=x)
+        x *= 1.0 / abs(e2)
+    np.exp(x, out=x)
+    return np.divide(x, avg, out=avg) if e2 > 0.0 else np.multiply(avg, x, out=avg)
 
 
 def _pair_values(grid, p1, p2, cap, e1, e2, mode, i, j):
@@ -90,21 +104,11 @@ def _pair_values(grid, p1, p2, cap, e1, e2, mode, i, j):
     length = grid[j] - grid[i]
     vals = p1[j] - p1[i]
     vals /= length
-    if mode == 0:
-        if e1 != 1.0:  # x**1.0 == x
-            vals **= e1
-        a2 = p2[j] - p2[i]
-        a2 /= length
-        a2 **= e2
-        vals *= a2
-    elif mode == 1:
-        # rounding is sign-symmetric, so this is exp(-(d2/L)) bit for bit
-        a2 = p2[i] - p2[j]
-        a2 /= length
-        vals *= np.exp(a2, out=a2)
-    else:
-        np.divide(cap[j], vals, out=vals)
-    return vals, length
+    if mode == 2:
+        return np.divide(cap[j], vals, out=vals), length
+    x = p2[j] - p2[i] if e2 else p2[i] - p2[j]  # -B at lam = 0: sign-symmetric, bit for bit
+    x /= length
+    return _box_cox_value(vals, x, e1, e2), length
 
 
 def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
@@ -151,27 +155,25 @@ def _layout(n, ramp):
     return first, last, rows, (rows, inner), head, (row0, past)
 
 
-def _prefix_rounding(grid, p1, p2, mode, ramp):
-    """[eps of p1, of p2] (see _SLACK): a power prefix's, and in mode 1 the log prefix's."""
-    u = 2.0**-53
-    eps = [(abs(grid[ramp] / p[ramp]) + 12.0) * u for p in (p1, p2)]
-    return [eps[0], 16.0 * u] if mode == 1 else eps
+def _prefix_rounding(grid, p1, p2, e1, e2, ramp):
+    """[eps of p1, of p2] (see _SLACK): a power prefix's, or the Box-Cox prefix's (e1 = 1)."""
+    x1, x2 = (abs(grid[ramp] / p[ramp]) for p in (p1, p2))  # the prefix exponents e'
+    box_cox = (20.0 + 9.0 * abs(e2 * (x1 - 1.0)) * np.log(grid[ramp] / grid[1])) * U  # nu = e1' - 1
+    return [(x1 + 12.0) * U, box_cox if e1 else (x2 + 12.0) * U]
 
 
 def _rounding(prefix, eps, i, j, length, size):
-    """R (see _SLACK): how far a computed average of ``prefix``, which errs by eps, lies from
-    the exact one over an interval at least ``length`` long, with end values at most
-    |prefix[i]| and |prefix[j]| and an average of magnitude at most ``size``."""
+    """R (see _SLACK) of an average of ``prefix``, which errs by eps, over an interval at least
+    ``length`` long, with end values at most |prefix[i]|, |prefix[j]| and size at most ``size``."""
     if eps > _ENVELOPE:
         return np.inf
-    u = 2.0**-53
-    return (eps * (np.abs(prefix[i]) + np.abs(prefix[j])) + _TINY) / length + 3.0 * u * size
+    return (eps * (np.abs(prefix[i]) + np.abs(prefix[j])) + _TINY) / length + 3.0 * U * size
 
 
 def _block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks):
     """Upper bound on the mode's computed ratio over each block pair (I, J) = ``blocks``
     that holds a pair i < j, from its two extreme corners (see _SLACK): +inf where no
-    bound holds (NaN, or averages that may be nonpositive where the mode needs them positive)."""
+    bound holds (NaN, or plain averages that may be nonpositive where it divides by them)."""
     I, J = blocks
     i0, j1 = first[I], last[J]  # the corners (i0, j0) and (i1, j1)
     j0, i1 = np.maximum(first[J], i0 + 1), np.minimum(last[I], j1 - 1)
@@ -184,15 +186,13 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks):
         return np.minimum(a0, a1) - widen, np.maximum(a0, a1) + widen
 
     lo1, hi1 = averages(p1, eps[0])
-    if mode == 0:
-        lo2, hi2 = averages(p2, eps[1])
-        f1 = (hi1 if e1 >= 0.0 else lo1) ** e1
-        f2 = (hi2 if e2 >= 0.0 else lo2) ** e2
-        bound = np.where((lo1 > 0.0) & (lo2 > 0.0), f1 * f2, np.inf)
-    elif mode == 1:
-        bound = hi1 * np.exp(-averages(p2, eps[1])[0])
+    divides = (mode == 2 or e2 > 0.0) & ~(lo1 > 0.0)  # by a plain average that may be <= 0
+    if mode == 2:
+        bound = cap[j1] / lo1  # the cap grows
     else:
-        bound = np.where(lo1 > 0.0, cap[j1] / lo1, np.inf)  # the cap grows
+        lo2, hi2 = averages(p2, eps[1])
+        bound = _box_cox_value(lo1 if e2 > 0.0 else hi1, hi2 if e2 else -lo2, e1, e2)
+    bound[divides] = np.inf
     bound = bound + _SLACK * np.abs(bound) + _TINY
     bound[np.isnan(bound)] = np.inf
     return bound
@@ -211,20 +211,20 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, bloc
         return _rounding(prefix, eps, i, j, length, size) / size
 
     corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], end)[0]
-    u = 2.0**-53
     lam = np.log(grid[ramp] / grid[first[I]])
-    x1 = abs(grid[ramp] / p1[ramp])
-    err = rounding(p1, eps[0])
-    drift = x1
-    if mode == 0:
-        x2 = abs(grid[ramp] / p2[ramp])
-        err = abs(e1) * err + abs(e2) * rounding(p2, eps[1])
-        drift = x1 + abs(e2) * (1.0 + 3.0 * abs(x2 - 1.0))
-    elif mode == 1:
-        err += (1.0 + x1) * lam * rounding(p2, eps[1])
-    else:
-        err += (x1 + 13.0) * u
-    err = 4.0 * (err + u * drift * lam + 20.0 * u)
+    x1, x2 = abs(grid[ramp] / p1[ramp]), abs(grid[ramp] / p2[ramp])  # the prefix exponents e'
+    nu, k = abs(x1 - 1.0), abs(e2 * (x1 - 1.0))
+    err, drift = rounding(p1, eps[0]), x1
+    if mode == 2:
+        err += (x1 + 13.0) * U
+    elif e1:  # the Box-Cox prefix
+        beta = nu * (np.expm1(k * lam) / k if k else lam)
+        err += beta * (rounding(p2, eps[1]) + (12.0 + 0.5 / np.maximum(1.0 - k, 0.0)) * U)
+        drift += nu
+    else:  # the prefix of w**lam
+        err += rounding(p2, eps[1]) / abs(e2)
+        drift += (1.0 + 3.0 * abs(x2 - 1.0)) / abs(e2) + 9.0 * nu
+    err = 4.0 * (err + U * drift * lam + 20.0 * U)
     ok = (err <= _ENVELOPE) & (corner >= _FLOOR)
     for x in (p1, cap if mode == 2 else p2):
         ok &= np.abs(x[first[I]]) >= _FLOOR * (1.0 + abs(x[ramp]))
@@ -232,23 +232,18 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, bloc
 
 
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
-    """Maximum of the mode's ratio over all index pairs i < j.
-
-    Returns (best, i, j); ties resolve to the lexicographically
-    smallest (i, j).  NaN scores -inf, so with no value above the
-    lowest float the result is (lowest float, 0, 0).  The inputs, which
-    the scan does not check, are those ``weights.sup_ratio_search``
-    builds: equal-length float64 arrays over a strictly increasing grid,
-    uniform but at a = grid[ramp], 1 <= ramp < n; prefixes of functions
-    monotone on [0, 1], powers up to a and constant past it, or the log
-    of one, p1 that of the plain average; and in mode 2, the only one that
-    reads it, a nonnegative, nondecreasing cap.  `p2`/`e1`/`e2` are read
-    only where the mode uses them.
-    """
+    """Maximum of the mode's ratio over all index pairs i < j: (best, i, j), ties to the
+    lexicographically smallest (i, j).  NaN scores -inf, so with no value above the lowest
+    float the result is (lowest float, 0, 0).  The inputs, which the scan does not check,
+    are those ``weights.sup_ratio_search`` builds: equal-length float64 arrays over a
+    strictly increasing grid, uniform but at a = grid[ramp], 1 <= ramp < n; prefixes of
+    monotone functions of one sign, constant past a, p1 that of w and p2 that of w**e2 - e1,
+    or of log w at e2 = 0; in mode 2, which reads none of p2, e1, e2, a nonnegative,
+    nondecreasing cap."""
     n = grid.size
     first, last, R, inner, head, past = _layout(n, ramp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eps = _prefix_rounding(grid, p1, p2, mode, ramp)
+        eps = _prefix_rounding(grid, p1, p2, e1, e2, ramp)
         common = (grid, p1, p2, cap, e1, e2, mode, eps, first, last)  # the bounds' leading arguments
         best, bi, bj = _LOWEST, 0, 0
 

@@ -1,20 +1,14 @@
 """The ramp-plateau power weight family and its exact functionals.
 
 A weight here is w(t) = c*(t/a)**nu on [0, a) and w(t) = c on [a, 1].
-Every moment, subinterval average, and class norm it needs has a closed
-form, which makes two things possible: exact extremal-weight
-construction from a domain point (the weight whose averages hit the
-point and whose class norm is exactly delta), and an exact supremum
-oracle over all dyadic subintervals, O(1) per pair via prefix
-integrals, that skips the blocks of pairs a bound rules out.
-
-The supremum oracle is the numeric court of appeal for every sharpness
-claim: the closed-form constants must be attained by these weights, and
-``sup_ratio_search`` checks exactly that.
-
-Only the oracle needs arrays, so NumPy and the pair scan are imported
-inside the functions that use them: the scalar API and the CLI commands
-other than ``verify`` never load NumPy.
+Every moment, subinterval average and class norm it needs has a closed
+form, which gives exact extremal weights (the weight whose averages hit a
+domain point with class norm exactly delta) and an exact supremum oracle
+over all dyadic subintervals, ``sup_ratio_search``: the numeric court of
+appeal for every sharpness claim, as the closed-form constants must be
+attained by these weights.  Only the oracle needs arrays, so NumPy and the
+pair scan are imported inside the functions that use them: the scalar API
+and the CLI commands other than ``verify`` never load NumPy.
 """
 
 from __future__ import annotations
@@ -61,12 +55,8 @@ class PowerWeight(namedtuple("PowerWeight", "c a nu")):
 
 
 class FunctionalKind(namedtuple("FunctionalKind", "name exponent")):
-    """Which subinterval functional to evaluate.
-
-    Construct through the classmethods; `exponent` carries q for the
-    moment functional and p for the power-ratio functional, and is None
-    for the two limiting kinds.
-    """
+    """Which subinterval functional to evaluate, built through the classmethods:
+    `exponent` is q for A_q, p for RH_p, and None for the two limiting kinds."""
 
     __slots__ = ()
 
@@ -125,16 +115,11 @@ def moment(w: PowerWeight, theta: float) -> float:
 
 
 def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> float:
-    """Average of w**theta over [alpha, beta], in closed form.
-
-    +inf exactly when the interval touches 0 and theta*nu <= -1.  The
-    ramp term (ramp_hi**e - alpha**e)/(e*a**(theta*nu)), with e =
-    theta*nu + 1, is formed as a*(larger/a)**e times
-    -expm1(-|e|*log(ramp_hi/alpha))/|e|, with larger the endpoint of the
-    larger power: this cancels neither for small |e| nor on short
-    intervals, and underflows only where the value does.  e = 0 is its
-    log limit.
-    """
+    """Average of w**theta over [alpha, beta], +inf exactly where the interval touches 0
+    and theta*nu <= -1 or where the average passes the float range.  The ramp term, with
+    e = theta*nu + 1, is a*(larger/a)**e * -expm1(-|e|*log(ramp_hi/alpha))/|e|, larger the
+    endpoint of the larger power, which cancels neither for small |e| nor on short
+    intervals (e = 0 is its log limit); in logs (_log_average) where it overflows."""
     _validate_interval(alpha, beta)
     _validate_theta(theta)
     tn = theta * w.nu
@@ -150,29 +135,65 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
             total += a * log_ratio
         else:
             larger = ramp_hi if e > 0.0 else alpha
-            total += a * (larger / a) ** e * -math.expm1(-abs(e) * log_ratio) / abs(e)
+            total += a * power_or_inf(larger / a, e) * -math.expm1(-abs(e) * log_ratio) / abs(e)
     if beta > a:
         total += beta - max(alpha, a)
-    return w.c**theta * total / (beta - alpha)
+    value = power_or_inf(w.c, theta) * total / (beta - alpha)
+    return value if value < INF else exp_or_inf(theta * math.log(w.c) + _log_average(w, theta, alpha, beta))
+
+
+def _log_average(w: PowerWeight, theta: float, alpha: float, beta: float) -> float:
+    """log of the average of (w/c)**theta over [alpha, beta]: interval_moment's
+    terms in logs, which pass no float range; +inf where it diverges at 0."""
+    e, a = theta * w.nu + 1.0, w.a
+    logs = [math.log(beta - max(alpha, a))] if beta > a else []
+    if alpha < a:
+        if alpha == 0.0 and e <= 0.0:
+            return INF
+        ramp_hi = min(beta, a)
+        ell = math.log1p((ramp_hi - alpha) / alpha) if alpha > 0.0 else INF
+        larger = ramp_hi if e > 0.0 else alpha
+        logs.append(math.log(a * ell) if e == 0.0 else math.log(a) + e * math.log(larger / a)
+                    + math.log(-math.expm1(-abs(e) * ell) / abs(e)))
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs)) - math.log(beta - alpha)
+
+
+def _box_cox_mean(w: PowerWeight, lam: float, alpha: float, beta: float) -> float:
+    """G = log <(w/c)**lam> / lam over [alpha, beta], and <log(w/c)> at lam = 0.
+
+    From the Box-Cox average B = <((w/c)**lam - 1)/lam> as log1p(lam B)/lam
+    where lam B lies in [-1/2, 1], which keeps G's digits however small lam
+    is, and in logs (_log_average) where B cancels or overflows.  The plateau
+    adds 0 to B, the ramp part nu (bc(y) - 1 + (ramp_hi/a)**k T)/(1 + k), with
+    k = lam nu, y = log(ramp_hi/a), bc(y) = expm1(k y)/k, r = (ramp_hi -
+    alpha)/alpha and T = -expm1(-k log1p(r))/(k r) (y and log1p(r)/r at k = 0,
+    T = 0 at alpha = 0): no two antiderivatives are subtracted.
+    """
+    k, ramp_hi, b = lam * w.nu, min(beta, w.a), 0.0
+    if alpha == 0.0 and k <= -1.0:  # <(w/c)**lam> diverges at 0
+        return INF / lam
+    if alpha < ramp_hi:
+        y, r = math.log(ramp_hi / w.a), (ramp_hi - alpha) / alpha if alpha > 0.0 else INF
+        try:
+            if k == 0.0:
+                ramp = y - 1.0 + (math.log1p(r) / r if r < INF else 0.0)
+            else:
+                inner = math.exp(k * y) * -math.expm1(-k * math.log1p(r)) / (k * r) if r < INF else 0.0
+                ramp = (math.expm1(k * y) / k - 1.0 + inner) / (1.0 + k)
+        except OverflowError:
+            ramp = INF
+        b = w.nu * ramp * ((ramp_hi - alpha) / (beta - alpha))
+    if lam == 0.0 or -0.5 <= lam * b <= 1.0:
+        return math.log1p(lam * b) / lam if lam else b
+    return _log_average(w, lam, alpha, beta) / lam
 
 
 def log_moment(w: PowerWeight, alpha: float, beta: float) -> float:
-    """Average of log w over [alpha, beta]; always finite.
-
-    The average of log(t/a) over the ramp part [alpha, ramp_hi] is
-    log(ramp_hi/a) - 1 + log1p(r)/r with r = (ramp_hi - alpha)/alpha,
-    which subtracts no two nearly equal antiderivatives on short
-    intervals.  The last term is 0 at alpha = 0, and below 1e-305 where
-    r passes the float range.
-    """
+    """Average of log w over [alpha, beta]; always finite: log c plus the
+    lam = 0 Box-Cox mean."""
     _validate_interval(alpha, beta)
-    total = math.log(w.c)
-    ramp_hi = min(beta, w.a)
-    if alpha < ramp_hi:
-        r = (ramp_hi - alpha) / alpha if alpha > 0.0 else INF
-        ramp = math.log(ramp_hi / w.a) - 1.0 + (math.log1p(r) / r if r < INF else 0.0)
-        total += w.nu * ramp * ((ramp_hi - alpha) / (beta - alpha))
-    return total
+    return math.log(w.c) + _box_cox_mean(w, 0.0, alpha, beta)
 
 
 def ess_sup(w: PowerWeight, alpha: float, beta: float) -> float:
@@ -186,10 +207,8 @@ def ess_sup(w: PowerWeight, alpha: float, beta: float) -> float:
 
 
 def rhp_norm_closed(w: PowerWeight, p: float) -> float:
-    """Class norm sup over J of <w**p>_J**(1/p) / <w>_J, in closed form.
-
-    Depends only on nu: (1 + nu)/(1 + p*nu)**(1/p).
-    """
+    """Class norm sup over J of <w**p>_J**(1/p) / <w>_J, in closed form:
+    it depends only on nu, (1 + nu)/(1 + p*nu)**(1/p)."""
     require_finite(p, "the RH_p norm (rhinf_norm_closed covers p = inf)")
     if not w.nu > -1.0 / p:
         raise DomainError(f"nu must exceed -1/p = {-1.0 / p}, got {w.nu}")
@@ -207,13 +226,14 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     """The weight whose averages realize x with class norm exactly delta.
 
     Finite p: nu = s/(1 - p*s) with s the branch value of the class
-    parameter, breakpoint from the point parameter r of the same
-    branch; on the lower curve (or at delta = 1) the weight degenerates
-    to the constant x1.  p = inf: nu = delta - 1 with x = (<w>, sup w).
-    On the upper curve, as classify_point decides it, r = 0 and a = 1:
-    the weight is the pure power, however (delta*x1)**p rounds.
-    `branch` is "plus" (moment regimes above the band) or "minus" (the
-    self-improvement regime).
+    parameter, breakpoint from the point parameter r of the same branch;
+    on the lower curve (or at delta = 1) the constant x1.  p = inf: nu =
+    delta - 1 with x = (<w>, sup w).  On the upper curve, as classify_point
+    decides it, r = 0, a = 1, and the weight is x1*(1 + nu)*t**nu with nu
+    from a critical exponent, as 1 - p*s = s/(q_star - 1): q_star - 1 on the
+    plus branch (a DomainError where q_star is +inf), -1/t_star on the minus
+    one.  `branch` is "plus" (moment regimes above the band) or "minus"
+    (the self-improvement regime).
     """
     solve = roots.branch_solver(branch)  # refuses an unknown name before any shortcut
     side = classify_point(p, delta, x)
@@ -223,8 +243,15 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     if math.isinf(p):
         a = 1.0 if side == "upper" else (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
         return PowerWeight(c=x2, a=min(a, 1.0), nu=delta - 1.0)
+    if side == "upper":
+        # s/(1 - p*s) would lose about nu ulp to the rounding of 1 - p*s
+        nu = roots.q_star(p, delta) - 1.0 if branch == "plus" else -1.0 / roots.t_star(p, delta)
+        if not -1.0 / p < nu < INF:
+            raise DomainError(f"the {branch} branch at p = {p}, delta = {delta} gives the ramp "
+                              f"exponent {nu}, outside -1/p < nu < inf")
+        return PowerWeight(c=x1 * (1.0 + nu), a=1.0, nu=nu)
     s = roots.class_parameter(p, delta, branch)
-    r = 0.0 if side == "upper" else solve(p, roots.point_log_ratio(p, delta, x))
+    r = solve(p, roots.point_log_ratio(p, delta, x))
     nu = s / (1.0 - p * s)
     a = (s - r) / (s * (1.0 - p * r))
     # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
@@ -237,64 +264,50 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
             f"the {branch} branch at p = {p}, delta = {delta} gives s = {s}, r = {r}: "
             f"ramp exponent {nu} and breakpoint {a}, outside nu > -1/p, a > 0"
         )
-    c = (
-        x1
-        * (1.0 - p * r)
-        * (1.0 - (p - 1.0) * s)
-        / ((1.0 - (p - 1.0) * r) * (1.0 - p * s))
-    )
+    c = x1 * (1.0 - p * r) * (1.0 - (p - 1.0) * s) / ((1.0 - (p - 1.0) * r) * (1.0 - p * s))
     return PowerWeight(c=c, a=min(a, 1.0), nu=nu)
 
 
-def functional_ratio(
-    w: PowerWeight, kind: FunctionalKind, alpha: float, beta: float
-) -> float:
+def _box_cox_exponent(kind: FunctionalKind) -> float:
+    """lam of A_q, A_inf and RH_t: -1/(q - 1), 0 and t (0 for RH_inf)."""
+    return -1.0 / (kind.exponent - 1.0) if kind.name == "aq" else kind.exponent or 0.0
+
+
+def functional_ratio(w: PowerWeight, kind: FunctionalKind, alpha: float, beta: float) -> float:
     """The chosen functional on [alpha, beta] via the closed forms, on the
-    weight with c = 1, as each functional is invariant under scaling it."""
+    weight with c = 1, as each functional is invariant under scaling it:
+    exp(+-(G_1 - G)), with G_1 = log <w> and G the Box-Cox mean
+    (_box_cox_mean) at lam = -1/(q - 1), 0 and t, or log ess sup w."""
     w = w._replace(c=1.0)
-    avg = interval_moment(w, 1.0, alpha, beta)
-    if kind.name == "aq":
-        q = kind.exponent
-        dual = interval_moment(w, -1.0 / (q - 1.0), alpha, beta)
-        if math.isinf(avg) or math.isinf(dual):
-            return INF
-        return avg * dual ** (q - 1.0)
-    if kind.name == "ainf":
-        if math.isinf(avg):
-            return INF
-        return avg * math.exp(-log_moment(w, alpha, beta))
-    if kind.name == "rhp":
-        t = kind.exponent
-        if math.isinf(avg):
-            raise DomainError(f"the plain average is infinite on [{alpha}, {beta}]")
-        power = interval_moment(w, t, alpha, beta)
-        if math.isinf(power):
-            return INF
-        return power ** (1.0 / t) / avg
-    return ess_sup(w, alpha, beta) / avg
+    _validate_interval(alpha, beta)
+    log_avg = _box_cox_mean(w, 1.0, alpha, beta)
+    if kind.name == "rhinf":
+        ess_sup(w, alpha, beta)  # refuses nu < 0
+        lam, g = INF, w.nu * math.log(min(beta, w.a) / w.a)
+    else:
+        g = _box_cox_mean(w, lam := _box_cox_exponent(kind), alpha, beta)
+    if lam > 0.0 and log_avg == INF:
+        raise DomainError(f"the plain average is infinite on [{alpha}, {beta}]")
+    return exp_or_inf(log_avg - g if lam <= 0.0 else g - log_avg)
 
 
 def _grid_parts(grid: np.ndarray, a: float) -> tuple:
-    """The weight-independent arrays of a search on ``grid``, strictly
-    increasing with a point at or above a: (grid, ramp, ratio, tail, log).
-    The grid holds a, inserted where it is not a point of it, at index ramp;
-    ratio is m/a and log m (log(m/a) - 1), the log prefix's integrand (0
-    where m <= 0), with m = min(g, a); tail is g - a past the ramp."""
+    """The weight-independent arrays of a search on ``grid``, strictly increasing from 0
+    with a point at or above a: (grid with a, inserted if need be, at index ramp, ramp,
+    x = min(g, a)/a, g - a past the ramp, log x)."""
     import numpy as np
 
     ramp = int(grid.searchsorted(a))
     if grid[ramp] != a:
         grid = np.insert(grid, ramp, a)
-    m = np.minimum(grid, a)
-    log = np.zeros_like(grid)
-    mask = m > 0.0
-    log[mask] = m[mask] * (np.log(m[mask] / a) - 1.0)
-    return grid, ramp, m / a, grid[ramp + 1 :] - a, log
+    x = np.minimum(grid, a)
+    x /= a
+    with np.errstate(divide="ignore"):
+        return grid, ramp, x, grid[ramp + 1 :] - a, np.log(x)
 
 
-# The searches of a certificate, and of a `verify`, share one (depth, a), so two
-# entries suffice: three arrays of n floats each (3 MB at depth 17), and the
-# tail past a.
+# The searches of a certificate, and of a `verify`, share one (depth, a), so two entries
+# suffice: three arrays of n floats each (3 MB at depth 17), and the tail past a.
 _GRIDS = 2
 
 
@@ -305,29 +318,39 @@ def _dyadic_parts(depth: int, a: float) -> tuple:
 
     n = (1 << depth) + 1
     parts = _grid_parts(np.arange(n, dtype=np.float64) / float(n - 1), a)
-    for x in parts:
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
+    for x in (parts[0], *parts[2:]):
+        x.flags.writeable = False
     return parts
 
 
 def _prefix_power(parts: tuple, a: float, nu: float, theta: float) -> np.ndarray:
-    """Integral of (w/c)**theta from 0 to each point of the grid of ``parts``
-    (those of a); needs theta*nu + 1 > 0."""
-    _, ramp, ratio, tail, _ = parts
+    """Integral of (w/c)**theta from 0 to each point of the grid of ``parts``; needs theta nu > -1."""
+    _, ramp, x, tail, _ = parts
     e = theta * nu + 1.0
-    out = ratio**e
+    out = x**e
     out *= a / e
     out[ramp + 1 :] += tail
     return out
 
 
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
-    """The pair scan of ``_pairscan``, imported on the first call.
+def _prefix_box_cox(parts: tuple, a: float, nu: float, lam: float) -> np.ndarray:
+    """Integral of (w/c)**lam - 1, lam times the Box-Cox transform (log(w/c) at lam = 0),
+    from 0 to each point of the grid of ``parts``: a x (expm1(k log x) - k)/(1 + k) with
+    k = lam nu, a nu x (log x - 1) at lam = 0, constant past a, where x = 1."""
+    import numpy as np
 
-    A plain module attribute, so that callers which wrap or replace
-    ``weights.max_pair_ratio`` see every scan ``sup_ratio_search`` makes.
-    """
+    k = lam * nu
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.expm1(k * parts[4]) - k if k else parts[4] - 1.0
+        out *= parts[2]
+    out *= a * (1.0 if k else nu) / (1.0 + k)
+    out[0] = 0.0  # the integral from 0 to g[0] = 0
+    return out
+
+
+def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
+    """The pair scan of ``_pairscan``, imported on the first call; a module attribute,
+    so that callers which wrap or replace it see every scan ``sup_ratio_search`` makes."""
     from ._pairscan import max_pair_ratio as scan
 
     return scan(grid, p1, p2, e1, e2, cap, mode, ramp)
@@ -341,32 +364,23 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
 _MAX_DEPTH = 17
 
 
-def sup_ratio_search(
-    w: PowerWeight,
-    kind: FunctionalKind,
-    depth: int,
-) -> tuple[float, tuple[float, float]]:
+def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[float, tuple[float, float]]:
     """Maximum of functional_ratio over intervals with endpoints on the
     dyadic grid of size 2**depth, depth in [1, _MAX_DEPTH], plus the
-    breakpoint a.
+    breakpoint a: (sup, (alpha, beta)).
 
-    Returns (sup, (alpha, beta)).  The search is exact over all pairs:
-    prefix integrals make each pair O(1), and blocks of pairs are
-    skipped only when a bound proves none of them reaches the maximum.
-    All four functionals are invariant under scaling the weight, so the
-    scan normalizes c to 1.  The weight is monotone, so a block of pairs
-    is bounded by its two extreme corners, and on [0, a], where it is a
-    power, also by its corner value (see ``_pairscan``); a is always a
-    grid point, and its index the ramp the scan takes.
-    The arrays that do not depend on nu (the grid with a, the ramp, min(g, a)/a,
-    g - a past a and the log prefix's integrand) are built once per (depth, a)
-    and kept read-only (``_dyadic_parts``), so a search takes one pow of the
-    kept ratio per power prefix, a multiply for the log prefix and a pow for
-    the cap.
-    Intervals touching 0 with a divergent moment make the result +inf
-    with the canonical witness (0, min(a, 1)).  A constant weight (nu = 0)
-    scores exactly 1 on every interval, so it returns 1 with the first
-    interval, (0, first grid point), without a scan.
+    The search is exact over all pairs: prefix integrals make each pair
+    O(1), and blocks of pairs are skipped only when a bound proves none of
+    them reaches the maximum (see ``_pairscan``).  Each functional is
+    invariant under scaling the weight, so the scan takes c = 1: A_q, A_inf
+    and RH_t are <w> exp(-G) or its reciprocal, G the Box-Cox mean at lam =
+    -1/(q - 1), 0 and t, from the prefixes of w and of w**lam - 1 where lam
+    nu <= 0 (log w at lam = 0), else of w**lam.  The arrays that do not
+    depend on nu (the grid with a, its index, x = min(g, a)/a, log x and
+    g - a past a) are kept per (depth, a) (``_dyadic_parts``).  Intervals touching 0 with
+    a divergent moment make the result +inf with the witness (0, min(a, 1)).
+    A constant weight (nu = 0) scores exactly 1 on every interval, so it
+    returns 1 with the first interval, (0, first grid point), without a scan.
     """
     try:
         depth = operator.index(depth)
@@ -374,32 +388,21 @@ def sup_ratio_search(
         raise DomainError(f"depth must be an integer, got depth = {depth}") from None
     if not 1 <= depth <= _MAX_DEPTH:
         raise DomainError(f"depth must lie in [1, {_MAX_DEPTH}], got depth = {depth}")
-    nu = w.nu
-    a = w.a
-    # Power-prefix exponents (the plain average first), the mode's
-    # exponents, and the mode.  ainf adds the log prefix; rhinf
-    # reads only the first prefix and the cap.
-    if kind.name == "aq":
-        q = kind.exponent
-        thetas, e1, e2, mode = (1.0, -1.0 / (q - 1.0)), 1.0, q - 1.0, 0
-    elif kind.name == "rhp":
-        thetas, e1, e2, mode = (1.0, kind.exponent), -1.0, 1.0 / kind.exponent, 0
-    elif kind.name == "ainf":
-        thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 1
-    else:
-        if nu < 0.0:
-            raise DomainError(f"the sup-over-average search needs nu >= 0, got nu = {nu}")
-        thetas, e1, e2, mode = (1.0,), 0.0, 0.0, 2
-    if any(theta * nu <= -1.0 for theta in thetas):
+    nu, a = w.nu, w.a
+    if kind.name == "rhinf" and nu < 0.0:
+        raise DomainError(f"the sup-over-average search needs nu >= 0, got nu = {nu}")
+    lam, mode = _box_cox_exponent(kind), {"aq": 0, "rhp": 0, "ainf": 1, "rhinf": 2}[kind.name]
+    if nu <= -1.0 or lam * nu <= -1.0:
         return INF, (0.0, a)
     if nu == 0.0:
         return 1.0, (0.0, min(a, 2.0**-depth))
     parts = _dyadic_parts(depth, a)
-    grid, ramp, ratio, _, log = parts
-    prefixes = [_prefix_power(parts, a, nu, theta) for theta in thetas]
-    if mode == 1:
-        prefixes.append(nu * log)
-    p1, p2 = prefixes[0], prefixes[-1]
-    cap = ratio**nu if mode == 2 else p1
-    best, i, j = max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp)
+    grid, ramp, x = parts[:3]
+    p1 = _prefix_power(parts, a, nu, 1.0)
+    if mode == 2:  # the scan reads only the plain prefix and the cap
+        best, i, j = max_pair_ratio(grid, p1, p1, 0.0, 0.0, x**nu, mode, ramp)
+    else:
+        center = lam * nu <= 0.0
+        p2 = _prefix_box_cox(parts, a, nu, lam) if center else _prefix_power(parts, a, nu, lam)
+        best, i, j = max_pair_ratio(grid, p1, p2, float(center), lam, p1, mode, ramp)
     return float(best), (float(grid[i]), float(grid[j]))

@@ -294,7 +294,7 @@ def test_public_calls_at_huge_p_give_floats_or_refuse(p):
 # weights of every scale, c = 10**k for k in [-300, 300]
 SCALED_WEIGHTS = st.builds(lambda k, a, nu: PowerWeight(10.0**k, a, nu),
                            st.floats(-300.0, 300.0), st.floats(0.01, 1.0), st.floats(-0.99, 20.0))
-KINDS = st.one_of(st.floats(2.0, 100.0).map(FunctionalKind.aq), st.just(FunctionalKind.a_inf()),
+KINDS = st.one_of(st.floats(1.01, 100.0).map(FunctionalKind.aq), st.just(FunctionalKind.a_inf()),
                   st.floats(1.01, 10.0).map(FunctionalKind.rh_p), st.just(FunctionalKind.rh_inf()))
 # an interval of the dyadic grid of depth 20
 GRID_INTERVALS = st.lists(st.integers(0, 2**20), min_size=2, max_size=2, unique=True).map(
@@ -327,11 +327,34 @@ def test_moment_at_every_scale_is_a_float_or_inf(w, theta):
 
 
 @CONTRACT
+@given(w=SCALED_WEIGHTS, theta=st.floats(-50.0, 50.0), interval=GRID_INTERVALS)
+# FOUND 33: about 5.3e448, where (0.1/0.5)**-645 overflowed
+@example(w=PowerWeight(1.0, 0.5, 6.46), theta=-100.0, interval=(0.1, 0.2))
+@example(w=PowerWeight(1e300, 0.5, 1.0), theta=2.0, interval=(0.1, 0.2))
+def test_interval_moment_at_every_scale_is_a_float_or_inf(w, theta, interval):
+    alpha, beta = interval
+    value = interval_moment(w, theta, alpha, beta)
+    assert isinstance(value, float) and value >= 0.0, value
+    if alpha == 0.0 and theta * w.nu <= -1.0:
+        assert value == math.inf
+        return
+    with mp.workdps(30):
+        tn, a = mp.mpf(theta) * w.nu, mp.mpf(w.a)
+        lo, hi = mp.mpf(alpha), min(mp.mpf(beta), a)
+        e = tn + 1
+        ramp = (mp.log(hi / lo) if e == 0 else (hi**e - lo**e) / e) / a**tn if lo < hi else 0
+        exact = mp.mpf(w.c) ** theta * (ramp + max(mp.mpf(beta) - max(lo, a), 0)) / (mp.mpf(beta) - lo)
+    if exact > 1.7976931348623157e308:
+        assert value == math.inf
+    elif exact > 1e-290:  # below, c**theta may be subnormal and carry fewer digits
+        assert value == pytest.approx(float(exact), rel=1e-12), (value, exact)
+
+
+@CONTRACT
 @given(w=SCALED_WEIGHTS, kind=KINDS, interval=GRID_INTERVALS)
 def test_functional_ratio_at_every_scale_is_its_value_at_scale_one(w, kind, interval):
-    # q - 1 >= 1 and a left end at 0 or past 2**-20 keep the moments of the
-    # weight with c = 1 in the float range: where they leave it,
-    # interval_moment raises OverflowError (the FOUND 33 cases of test_findings)
+    # functional_ratio takes the Box-Cox mean in logs where the moments of the
+    # weight with c = 1 leave the float range, as at q = 1.01 (test_findings)
     value = value_or_refusal(functional_ratio, w, kind, *interval)
     assert value is DomainError or (isinstance(value, float) and value >= 0.0), value
     assert value == value_or_refusal(functional_ratio, PowerWeight(1.0, w.a, w.nu), kind, *interval)

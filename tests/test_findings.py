@@ -130,6 +130,30 @@ def test_point_past_the_float_range_of_p_log_delta_is_refused(call):
         call()
 
 
+# the A_q scan raised an average to the power q - 1, which multiplied its
+# rounding by about q (FOUND 43): the Box-Cox leaf A exp(-G) does not
+@pytest.mark.parametrize("p, q, delta", [
+    pytest.param("2", "1e10", "2", id="1e10"),
+    pytest.param("2", "1e14", "2", id="1e14"),
+    pytest.param("6", "1e10", "1.001", id="p6-1e10-delta1.001"),
+])
+def test_verify_at_large_q(p, q, delta, capsys):
+    assert cli.main(["verify", "--p", p, "--q", q, "--delta", delta]) == 0
+
+
+def test_functional_ratio_at_q_near_one():
+    # the dual moment, about 5.3e448, was raised to the power q - 1 = 0.01 and
+    # raised OverflowError; the Box-Cox mean is taken in logs there
+    value = functional_ratio(PowerWeight(1.0, 0.5, 6.46), FunctionalKind.aq(1.01), 0.1, 0.2)
+    assert rel_err(value, 21.99762029945685627922308) <= 1e-13
+
+
+def test_interval_moment_past_the_float_range_is_inf():
+    # FOUND 33: about 9.3e598 raised OverflowError; functional_ratio no longer
+    # takes its dual moment from interval_moment, so +inf is safe here
+    assert interval_moment(PowerWeight(1e300, 0.5, 1.0), 2.0, 0.1, 0.2) == math.inf
+
+
 # -- open ---------------------------------------------------------------------
 
 
@@ -145,16 +169,13 @@ def test_extremal_near_p_one_builds_the_weight(capsys):
     assert cli.main(argv) == 0
 
 
-@found("the A_q scan raises an average to the power q - 1, which multiplies its "
-       "rounding by about q: `verify --q 1e10` and `--q 1e14` report a mismatch, "
-       "and so does `--p 6 --q 1e10 --delta 1.001`")
-@pytest.mark.parametrize("p, q, delta", [
-    pytest.param("2", "1e10", "2", id="1e10"),
-    pytest.param("2", "1e14", "2", id="1e14"),
-    pytest.param("6", "1e10", "1.001", id="p6-1e10-delta1.001"),
-])
-def test_verify_at_large_q(p, q, delta, capsys):
-    assert cli.main(["verify", "--p", p, "--q", q, "--delta", delta]) == 0
+@found("row [0] of `verify --p 3 --q 1000 --delta 30`: from pair (0, 304) on, whose "
+       "plain prefix is subnormal, exp(-G) overflows where <w> exp(-G) is finite, so "
+       "the scan reports sup = inf against the constant 1.65e142")
+def test_verify_at_a_subnormal_plain_average(capsys):
+    assert cli.main(["verify", "--p", "3", "--q", "1000", "--delta", "30"]) == 0
+    rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+    assert rel_err(float(rec["sup"]), float(rec["constant"])) <= 1e-13
 
 
 @found("the noise band of log F near u = 0: u_plus_from_log(2, -1e-20) is off by 1.1e-7")
@@ -172,21 +193,6 @@ def test_right_branch_deep_in_the_noise_band():
 ])
 def test_t_star_at_delta_near_one(p, reference):
     assert rel_err(t_star(p, 1.0 + 1e-12), reference) <= 1e-14
-
-
-@found("functional_ratio raises the dual moment, about 5.3e448, to the power "
-       "q - 1 = 0.01 and raises OverflowError at q = 1.01")
-def test_functional_ratio_at_q_near_one():
-    value = functional_ratio(PowerWeight(1.0, 0.5, 6.46), FunctionalKind.aq(1.01), 0.1, 0.2)
-    assert rel_err(value, 21.99762029945685627922308) <= 1e-13
-
-
-@found("FOUND 33: interval_moment raises OverflowError where its value, "
-       "about 9.3e598, passes the float range; mapping that to +inf in "
-       "interval_moment alone would make the A_q branch of functional_ratio "
-       "silently return inf")
-def test_interval_moment_past_the_float_range_is_inf():
-    assert interval_moment(PowerWeight(1e300, 0.5, 1.0), 2.0, 0.1, 0.2) == math.inf
 
 
 @found("roots._branch_equation forms w = v/p, a subnormal float of about 11 "

@@ -8,28 +8,35 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sharpweights import FunctionalKind, PowerWeight, extremal_weight, sup_ratio_search
+from sharpweights import FunctionalKind, PowerWeight, extremal_weight, functional_ratio, sup_ratio_search
 from sharpweights import _pairscan, weights
 from sharpweights._pairscan import _LOWEST, max_pair_ratio
 
 _REF_ROWS = 256
 
 
+def box_cox_value(a1, b, e1, e2):
+    """A_q, A_inf or RH_t from the plain average A = a1 and the average b of
+    the second prefix, that of w**lam - e1 (of log w at lam = 0): A exp(-G),
+    or exp(G)/A where lam = e2 > 0, with G = log(e1 + b)/lam, and b at lam = 0."""
+    if e2 == 0.0:
+        return a1 * np.exp(-b)
+    g = (np.log1p(b) if e1 else np.log(b)) * (1.0 / abs(e2))
+    return np.exp(g) / a1 if e2 > 0.0 else a1 * np.exp(g)
+
+
 def brute_values(grid, p1, p2, e1, e2, cap, mode, rows, cols=slice(None)):
     """The mode's ratio on rows x cols, and the interval lengths.
 
-    Modes: 0 -> (d1/L)**e1 * (d2/L)**e2, 1 -> (d1/L) * exp(-(d2/L)),
-    2 -> cap[j] / (d1/L).
+    Modes 0 and 1 -> box_cox_value(d1/L, d2/L, e1, e2), 2 -> cap[j] / (d1/L).
     """
     length = grid[None, cols] - grid[rows, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a1 = (p1[None, cols] - p1[rows, None]) / length
-        if mode == 0:
-            vals = a1**e1 * ((p2[None, cols] - p2[rows, None]) / length) ** e2
-        elif mode == 1:
-            vals = a1 * np.exp(-(p2[None, cols] - p2[rows, None]) / length)
-        else:
+        if mode == 2:
             vals = cap[None, cols] / a1
+        else:
+            vals = box_cox_value(a1, (p2[None, cols] - p2[rows, None]) / length, e1, e2)
     return vals, length
 
 
@@ -77,14 +84,19 @@ def reference_scan(grid, p1, p2, e1, e2, cap, mode):
             if length <= 0.0:
                 continue
             a1 = (p1[j] - p1[i]) / length
-            if mode == 0:
-                a2 = (p2[j] - p2[i]) / length
-                v = a1**e1 * a2**e2
-            elif mode == 1:
-                a2 = (p2[j] - p2[i]) / length
-                v = a1 * math.exp(-a2)
-            else:
-                v = cap[j] / a1
+            b = (p2[j] - p2[i]) / length
+            try:
+                if mode == 2:
+                    v = cap[j] / a1
+                elif e2 == 0.0:
+                    v = a1 * math.exp(-b)
+                else:
+                    g = (math.log1p(b) if e1 else math.log(b)) / abs(e2)
+                    v = math.exp(g) / a1 if e2 > 0.0 else a1 * math.exp(g)
+            except (ValueError, ZeroDivisionError):
+                continue
+            except OverflowError:  # of exp, on positive averages
+                v = math.inf
             if math.isnan(v):
                 continue
             if v > best:
@@ -171,8 +183,10 @@ def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
     # 2 rows a call over the 12 blocks of a plateau weight's depth-8 grids: every
     # row but [0], 11, so the last chunk is short, as a plateau leaves no row
     # bound; with no plateau 3 rows a call over 11 blocks, all 9 rows that hold a
-    # pair, as the envelope is +inf at q = 1e14 (where rounding puts the maximum
-    # at (207, 208)) and the margin is below the rounding at delta - 1 = 1e-12
+    # pair, where the envelope is +inf: the minus weight's aq(1e14), as lam nu > 0
+    # leaves p2 the prefix of w**lam, whose rounding log(B)/lam multiplies by
+    # q - 1 (it puts the maximum at (140, 141)); and where the margin is below
+    # the rounding, at delta - 1 = 1e-12
     monkeypatch.setattr(_pairscan, "_CHUNK", 33)
     plateau = PowerWeight(1.0, 0.3, 2.0)
     for kind in ALL_KINDS:
@@ -180,8 +194,8 @@ def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
         assert _pairscan._partition(args[0].size, args[7])[0].size == 12
         assert_bit_identical(*args)
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: assert_bit_identical(*args) or (1.0, 0, 1))
-    for delta, q in ((1.5, 1e14), (1.0 + 1e-12, 10.0)):
-        w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
+    for delta, q, branch in ((1.5, 1e14, "minus"), (1.0 + 1e-12, 10.0, "plus")):
+        w = extremal_weight(2.0, delta, (1.0, delta**2), branch)
         sup_ratio_search(w, FunctionalKind.aq(q), 8)
 
 
@@ -234,13 +248,13 @@ def test_exponential_scan_with_a_negative_log_prefix():
 
 
 def test_ramp_scan_finds_a_maximum_past_the_ramp_off_row_0():
-    # A_q of w = (t/0.5)**0.1 and then 1 at q = 1e12: every exact average on the
-    # plateau is 1, but the rounding of the dual average, raised to q - 1, puts
-    # the computed maximum on the plateau, at (511, 512), where only the
-    # two-corner bound holds
-    args = search_args(PowerWeight(1.0, 0.5, 0.1), FunctionalKind.aq(1e12), 9)
+    # A_q of w = (t/0.3)**-0.01 and then 1 at q = 1e10: lam nu > 0, so p2 is the
+    # prefix of w**lam, whose rounding log(B)/lam multiplies by q - 1; every exact
+    # average on the plateau is 1, but that rounding puts the computed maximum on
+    # the plateau, at (257, 258), where only the two-corner bound holds
+    args = search_args(PowerWeight(1.0, 0.3, -0.01), FunctionalKind.aq(1e10), 9)
     expected = brute_force_scan(*args)
-    assert expected[1:] == (511, 512) and args[7] == 256
+    assert expected[1:] == (257, 258) and args[7] == 154 and args[3] == 0.0
     assert max_pair_ratio(*args) == expected
 
 
@@ -248,8 +262,8 @@ def test_ramp_scan_finds_a_maximum_past_the_ramp_off_row_0():
 def test_constant_weight_ties_resolve_to_the_first_pair(mode):
     # every pair of every block ties at exactly 1
     grid = np.arange(301, dtype=np.float64) / 300.0
-    p2 = np.zeros_like(grid) if mode == 1 else grid
-    args = (grid, grid, p2, 1.0, 1.0, np.ones_like(grid), mode, 300)
+    # w = 1 has the Box-Cox prefix 0, at lam = 0 (a_inf) and at lam = 2 (rh_p(2))
+    args = (grid, grid, np.zeros_like(grid), 1.0, 0.0 if mode == 1 else 2.0, np.ones_like(grid), mode, 300)
     assert max_pair_ratio(*args) == brute_force_scan(*args) == (1.0, 0, 1)
 
 
@@ -288,9 +302,10 @@ def test_constant_path_computes_no_bound(monkeypatch, mode):
             got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, depth)
             grid = np.arange(2**depth + 1, dtype=np.float64) / 2**depth
             grid = np.unique(np.concatenate([grid, [0.0, a, 1.0]]))
-            # every prefix of w**theta is the grid, the log prefix is 0, the cap 1
-            p2 = np.zeros_like(grid) if mode == 1 else grid
-            best, i, j = brute_force_scan(grid, grid, p2, 2.0, -1.0, np.ones_like(grid), mode)
+            # the plain prefix is the grid, the Box-Cox prefix 0 (at lam = -1/3 for aq(4),
+            # and 0 in mode 1), the cap 1
+            lam = 0.0 if mode == 1 else -1.0 / 3.0
+            best, i, j = brute_force_scan(grid, grid, np.zeros_like(grid), 1.0, lam, np.ones_like(grid), mode)
             assert got == (best, (grid[i], grid[j])) == (1.0, (0.0, min(a, 2.0**-depth)))
         with pytest.raises(ScanCalled):
             sup_ratio_search(PowerWeight(3.0, 0.3, 0.5), kind, depth)
@@ -342,7 +357,7 @@ def holding_a_pair(first, last):
 
 def two_corner_bounds(grid, p1, p2, e1, e2, cap, mode, ramp, first, last, blocks):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eps = _pairscan._prefix_rounding(grid, p1, p2, mode, ramp)
+        eps = _pairscan._prefix_rounding(grid, p1, p2, e1, e2, ramp)
         return _pairscan._block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks)
 
 
@@ -396,7 +411,7 @@ def test_corner_bounds_hold_every_pair_value(monkeypatch):
         ramp_pairs = (blocks[0] > 0) & (last[blocks[1]] <= ramp)
         blocks = blocks[0][ramp_pairs], blocks[1][ramp_pairs]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            eps = _pairscan._prefix_rounding(grid, p1, p2, mode, ramp)
+            eps = _pairscan._prefix_rounding(grid, p1, p2, e1, e2, ramp)
             corner = _pairscan._corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, blocks,
                                               last[blocks[1]])
         assert np.all(corner >= best[blocks]), label
@@ -444,7 +459,7 @@ def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
 
 
 def corner_phi(kind, nu, r, q=None):
-    """Phi(r): the functional of t**nu on [r, 1], in closed form."""
+    """Phi(r): the functional of t**nu on [r, 1], in closed form, r = 0 included."""
     def average(s):  # of t**s over [r, 1]
         e = s + 1
         return (-mp.log(r) if e == 0 else (1 - r**e) / e) / (1 - r)
@@ -454,7 +469,7 @@ def corner_phi(kind, nu, r, q=None):
     if kind == "rhp":  # q is the exponent p of RH_p
         return average(q * nu) ** (1 / q) / average(nu)
     if kind == "ainf":  # the average of log t over [r, 1] is (r - 1 - r log r)/(1 - r)
-        return average(nu) * mp.exp(-nu * (r - 1 - r * mp.log(r)) / (1 - r))
+        return average(nu) * mp.exp(-nu * (r - 1 - (r * mp.log(r) if r else 0)) / (1 - r))
     return 1 / average(nu)  # rhinf: sup t**nu = 1 for nu >= 0
 
 
@@ -475,22 +490,34 @@ def test_corner_lemma_phi_is_nonincreasing_at_50_digits():
             assert phi[0] > phi[-1], (kind, nu, q)
 
 
-def test_corner_bound_keeps_the_rounding_artifact_at_large_q(monkeypatch):
-    # `verify --p 2 --q 1e14 --delta 2` at depth 12: rounding of A_2**(q-1)
-    # puts the brute-force argmax on (0.9956, 0.9958), far from row [0]
-    found = []
+def phi_zero_searches():
+    """(label, weight, kind) of the upper-curve extremal weights at p = delta = 2
+    and at p = 6, delta = 1.001: aq at q from 10 to 1e14 and a_inf on the plus
+    weight, rh_p on the minus one."""
+    cases = []
+    for p, delta, t in ((2.0, 2.0, 2.0), (6.0, 1.001, 3.0)):
+        plus, minus = (extremal_weight(p, delta, (1.0, delta**p), branch) for branch in ("plus", "minus"))
+        cases += [(f"p={p} aq({q})", plus, FunctionalKind.aq(q)) for q in (10.0, 1e6, 1e10, 1e14)]
+        cases += [(f"p={p} a_inf", plus, FunctionalKind.a_inf()), (f"p={p} rh_p({t})", minus, FunctionalKind.rh_p(t))]
+    return cases
 
-    def checked(*args):
-        expected = brute_force_scan(*args)
-        assert max_pair_ratio(*args) == expected
-        found.append(expected)
-        return expected
 
-    monkeypatch.setattr(weights, "max_pair_ratio", checked)
-    w = extremal_weight(2.0, 2.0, (1.0, 4.0), "plus")
-    sup, interval = sup_ratio_search(w, FunctionalKind.aq(1e14), 12)
-    assert found[0][0] == sup and sup > 1e19
-    assert interval == (0.99560546875, 0.995849609375)
+@pytest.mark.parametrize("depth", [10, 12])
+def test_scan_supremum_is_the_50_digit_phi_zero(monkeypatch, depth):
+    # on a pure power the exact grid supremum is Phi(0) (the corner lemma); the
+    # Box-Cox leaf adds no rounding that grows with q - 1: 1.8e-14 at most, where
+    # the power form erred by 3.4e-10 at q = 1e6, 3.8e-6 at 1e10 and 6.4e17 at 1e14
+    # (functional_ratio on [0, 1] by up to 9.7e-7 at 1e10 and 2.6e-3 at 1e14)
+    if depth == 10:  # and the scan is the brute-force scan bit for bit
+        monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: assert_bit_identical(*args) or max_pair_ratio(*args))
+    for label, w, kind in phi_zero_searches():
+        sup = sup_ratio_search(w, kind, depth)[0]
+        with mp.workdps(50):
+            phi = corner_phi(kind.name, mp.mpf(w.nu), mp.mpf(0), kind.exponent and mp.mpf(kind.exponent))
+            assert float(abs(sup - phi) / phi) <= 3e-14, (label, sup, phi)
+            # and so is the closed form on [0, 1]
+            closed = functional_ratio(w, kind, 0.0, 1.0)
+            assert float(abs(closed - phi) / phi) <= 3e-14, (label, closed, phi)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -505,8 +532,8 @@ def test_scan_emits_no_float_warnings(mode):
     cases += [(*args[:3], args[7]) for args in (search_args(w, FunctionalKind.a_inf(), 1, grid) for grid in grids)]
     cases += [(*args[:3], args[7]) for args in exponential_mode_inputs().values()]
     # the corner path, row bounds and block pairs: at p = 1.01, delta = 2, nu is
-    # 8.9e15 and the prefix underflows to 0 at all but the last point; aq(1e14)
-    # raises averages to the power 1e14 - 1, and its row envelopes are +inf; a
+    # q_star - 1 = 6.9e30 and the prefix underflows to 0 at all but the last point;
+    # aq(1e14) and aq(1e17) take lam = -1e-14 and -1e-17 into log1p; a
     # breakpoint between the last two grid points leaves the plateau the one-point
     # column [n - 1]; breakpoints at g[1], g[2] and g[64] end the ramp in the
     # one-point row [1], [2] or [64], with no pair up to the ramp
@@ -577,19 +604,20 @@ def test_scan_visits_no_more_block_pairs_than_recorded(monkeypatch, depth, delta
 
 
 # pairs scored by heavier searches at depth 12 (n = 4,097 points): at p = 2 and
-# delta = 2, aq(1e10) and aq(1e14), whose corner envelopes are +inf and whose
-# maxima rounding puts off row [0] at q = 1e14; at p = 6 and delta = 1.001,
-# aq(1e10); at p = 2 and delta - 1 = 1e-12, where margins are rounding, aq(10)
-# and a_inf; and two plateau weights, whose row [0] past the ramp takes
+# delta = 2, aq(1e10) and aq(1e14), and at p = 6 and delta = 1.001, aq(1e10),
+# whose corner envelopes grew with q - 1 under the power form and now close every
+# row; at p = 2 and delta - 1 = 1e-12, where margins are rounding,
+# aq(10) and a_inf; and two plateau weights, whose row [0] past the ramp takes
 # two-corner bounds (it was scored whole, 4,353 and 18,515 pairs).  The
 # chord-and-slope bounds scored 1,294,784, 8,522,409, 1,707,320, 536,704,
-# 944,775, 10,817 and 40,531.
+# 944,775, 10,817 and 40,531, and the two-corner bounds on the power form
+# 6,784, 589,440, 544,832, 536,704, 944,775, 959 and 18,129.
 HEAVY = {
-    "aq(1e10)": 6_784,
-    "aq(1e14)": 589_440,
-    "p6 aq(1e10)": 544_832,
-    "delta-1=1e-12 aq(10)": 536_704,
-    "delta-1=1e-12 a_inf": 944_775,
+    "aq(1e10)": 4_096,
+    "aq(1e14)": 4_096,
+    "p6 aq(1e10)": 4_096,
+    "delta-1=1e-12 aq(10)": 516_417,
+    "delta-1=1e-12 a_inf": 516_929,
     "plateau a=0.1 a_inf": 959,
     "plateau a=0.7071 aq(10)": 18_129,
 }
@@ -642,8 +670,33 @@ def test_searches_give_the_scan_its_one_input(monkeypatch):
                     assert mode == {"aq": 0, "rhp": 0, "ainf": 1, "rhinf": 2}[kind.name]
                     if mode == 2:
                         assert np.all(cap >= 0.0) and np.all(np.diff(cap) >= 0.0)
+                    else:
+                        # e2 is lam, e1 says whether p2 is the Box-Cox prefix (lam nu <= 0)
+                        # or that of w**lam; each integrates a function of one sign
+                        assert e2 == weights._box_cox_exponent(kind) and e1 == float(e2 * w.nu <= 0.0)
+                        steps = np.diff(p2)
+                        assert np.all(steps >= 0.0) or np.all(steps <= 0.0)
                     kinds.add(kind.name)
     assert kinds == {"aq", "ainf", "rhp", "rhinf"}
+
+
+def test_scan_interface_that_the_benchmark_tracer_reads(monkeypatch):
+    # perfbench/tracing.py wraps weights.max_pair_ratio and reads its positional
+    # arguments: the grid first, for the pair count, and the mode seventh, which
+    # it labels 0 "moment" (aq and rh_p), 1 "exponential" (a_inf) and 2 "sup" (rh_inf)
+    calls = []
+    monkeypatch.setattr(weights, "max_pair_ratio", lambda *args, **kwargs: calls.append((args, kwargs)) or (1.0, 0, 1))
+    plus, minus = (extremal_weight(2.0, 1.5, (1.0, 2.25), branch) for branch in ("plus", "minus"))
+    searches = {0: [(plus, FunctionalKind.aq(10.0)), (minus, FunctionalKind.rh_p(2.0))],
+                1: [(plus, FunctionalKind.a_inf())], 2: [(plus, FunctionalKind.rh_inf())]}
+    for mode, pairs in searches.items():
+        for w, kind in pairs:
+            calls.clear()
+            sup_ratio_search(w, kind, 6)
+            (args, kwargs), = calls
+            assert len(args) == 8 and kwargs == {}
+            assert np.array_equal(args[0], np.arange(65) / 64.0)
+            assert args[6] == mode
 
 
 # block pairs given a two-corner bound per VISITS search: none, as these
@@ -754,9 +807,9 @@ def test_tie_resolution_is_lexicographic(name, fn):
     # a constant ratio field must report the first pair
     grid = np.linspace(0.0, 1.0, 9)
     p1 = grid.copy()
-    p2 = grid.copy()
+    p2 = np.zeros_like(grid)  # the Box-Cox prefix of w = 1
     cap = np.ones_like(grid)
-    best, i, j = fn(grid, p1, p2, 1.0, 1.0, cap, 0, 8)
+    best, i, j = fn(grid, p1, p2, 1.0, -0.5, cap, 0, 8)
     assert best == 1.0
     assert (i, j) == (0, 1)
 
@@ -769,8 +822,8 @@ def leaf_edge_inputs(mode, e1):
     grid = scan_grids(130)["injected breakpoint"]
     cases = {}
     # the maximum, +inf, at (65, 128), in the slice of blocks [64, 91] x [128, 129]
-    # after the NaN of row 64; for rh_p from p2, raised to 1/p, as p1's average
-    # is raised to -1
+    # after the NaN of row 64; for rh_p from p2, whose exp(G) the scan divides by
+    # p1's average
     args = power_weight_inputs(grid, mode, e1)
     _, p1, p2, _, _, cap, _, _ = args
     p1[:65] = np.nan
@@ -782,7 +835,7 @@ def leaf_edge_inputs(mode, e1):
         p1[128] = np.inf
     cases["NaN before the maximum"] = args
     # -inf in column 128 and +inf in column 129; for rh_p from
-    # d1 = -0.0 - 0.0 = -0.0 at (0, 128), as (-0.0)**-1 is -inf
+    # d1 = -0.0 - 0.0 = -0.0 at (0, 128), as exp(G) / -0.0 is -inf
     args = power_weight_inputs(grid, mode, e1)
     _, p1, p2, _, _, cap, _, _ = args
     if mode == 2:
@@ -853,7 +906,7 @@ def power_weight_inputs(grid, mode, e1):
     """The scan's arguments, as sup_ratio_search builds them on ``grid`` with
     BREAK inserted, for the weight (t/BREAK)**0.5 and then 1: in mode 0 aq(3) at
     e1 = 1, or else rh_p(1/e1), whose intervals [0, b] tie, a_inf in mode 1 and
-    rh_inf in mode 2, where e1 is not read."""
+    rh_inf in mode 2, where e1 picks nothing."""
     kind = {1: FunctionalKind.a_inf(), 2: FunctionalKind.rh_inf()}.get(mode)
     kind = kind or (FunctionalKind.aq(3.0) if e1 == 1.0 else FunctionalKind.rh_p(1.0 / e1))
     args = search_args(PowerWeight(1.0, BREAK, 0.5), kind, 1, grid)

@@ -22,6 +22,7 @@ from sharpweights import (
     interval_moment,
     log_moment,
     moment,
+    q_star,
     rhinf_norm_closed,
     rhp_norm_closed,
     sup_ratio_search,
@@ -288,6 +289,31 @@ def test_every_upper_curve_weight_is_a_pure_power():
         assert classify_point(math.inf, delta, top) == "upper"
         assert extremal_weight(math.inf, delta, top, "plus").a == 1.0, (delta, top)
     assert rounded_down >= 100
+
+
+def test_plus_weights_on_the_upper_curve_have_class_norm_delta():
+    # 20,000 draws, p - 1 = 10**U(-4, 3) and delta - 1 = 10**U(-6, 3), x = (1,
+    # delta**p), 19,354 with a finite x2: nu = q_star - 1 puts every class norm
+    # within 3.6e-14 of delta, where nu = s/(1 - p*s) missed by more than 1e-12
+    # in 4,980 draws (p = 1.01, delta = 1.5: nu was 8.9e15, not 1.65e18, and the
+    # norm 1.424); the 1,755 draws whose q_star is +inf are refused
+    rng = np.random.default_rng(7)
+    finite = refused = 0
+    for _ in range(20_000):
+        p, delta = 1.0 + 10.0 ** rng.uniform(-4.0, 3.0), 1.0 + 10.0 ** rng.uniform(-6.0, 3.0)
+        try:
+            x = (1.0, delta**p)
+        except OverflowError:
+            continue
+        finite += 1
+        if math.isinf(q_star(p, delta)):
+            with pytest.raises(DomainError, match=rf"p = {p}, delta = {delta}"):
+                extremal_weight(p, delta, x, "plus")
+            refused += 1
+            continue
+        w = extremal_weight(p, delta, x, "plus")
+        assert abs(rhp_norm_closed(w, p) - delta) <= 1e-12 * delta, (p, delta, w)
+    assert (finite, refused) == (19_354, 1_755)
 
 
 def test_extremal_interior_point():
