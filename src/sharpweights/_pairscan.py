@@ -9,13 +9,16 @@ Box-Cox prefix, lam times that of (w**lam - 1) / lam) or 0, and G = B with p2
 the prefix of log w, the limit of the transform, at lam = 0.  Each prefix
 integrates a monotone function, so the averages over a block pair lie between
 those at its two extreme corners (see _SLACK).  The scan scores the row [0]
-of blocks graded toward the origin whole up to the ramp, and past it the
-slices whose two extreme corners may reach the best value; where the weight
-is a power on all of [0, 1] it bounds each other row by one corner value
-(below), and the block pairs of each row still open by their corner value up
-to the ramp and by their two extreme corners.  It scores rows by decreasing
-bound, bit for bit.  The index arrays that depend on (n, ramp) alone are
-built once per key (_layout).
+of blocks graded toward the origin whole up to the ramp, in column slices
+fixed by (n, ramp), and past it the slices whose two extreme corners may
+reach the best value.  Where the weight is a power on all of [0, 1] one
+corner value, (1, n - 1), bounds every pair off row [0] (below), and the
+scan ends there when that bound is below the best value; else it bounds
+each other row by its own corner value, and the block pairs of each row
+still open by their corner value up to the ramp and by their two extreme
+corners.  It scores rows by decreasing bound, bit for bit.  The indices
+that depend on (n, ramp) alone, and _SLICE, are built once per key
+(_layout).
 
 The corner bound.  Where the prefixes are those of a power t**nu up to
 a = g[ramp], a functional on [alpha, beta] in [0, a] is Phi(alpha/beta),
@@ -33,6 +36,7 @@ covariance of Y and h(Y), <= 0 by Chebyshev): d log Phi/dr <= 0.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -63,7 +67,8 @@ _CHUNK = 8192  # block pairs a bound call, at about 200 bytes each: larger calls
 #   and with A where lam <= 0 (falls where lam > 0), and each float step of
 #   _box_cox_value is monotone; _SLACK * |bound| covers a few ulp of libm.
 # - The corner bound.  R / |avg| at the innermost pair of a block pair, or of
-#   [I, I + 1] for a row I ([I, I] where I ends at a), bounds its pairs'.  With
+#   [I, I + 1] for a row I ([I, I] where I ends at a), bounds its pairs': (eps
+#   (|P[i]| + |P[j]|) + _TINY) / |P[j] - P[i]| + 3 u (_envelope).  With
 #   Lam = log(a / g[first[I]]), G errs by dB / (|lam| (1 + B)) <= |dB / B| beta
 #   at e1 = 1 (1 + B = <w**lam> >= 1, and |B / lam| and |G| are at most beta =
 #   |nu| expm1(|k| Lam) / |k|, or |nu| Lam at k = 0), and by |dB / B| / |lam|
@@ -80,6 +85,20 @@ _CHUNK = 8192  # block pairs a bound call, at about 200 bytes each: larger calls
 #   times (1 + D)**2 (1 + E)**2 < 1 + 4 (D + E) while that is within _ENVELOPE;
 #   elsewhere, and where a prefix or cap read is below _FLOOR (1 + its value at
 #   a), it is +inf.
+# - The one corner bound, where the ramp is the last point.  A pair off row [0]
+#   has alpha >= g[1] and beta <= a, so its exact value is at most Phi(g[1] / a),
+#   the exact value at the corner (1, n - 1), and its computed value at most that
+#   times (1 + D)(1 + E) with the D and E of its row (above).  The corner lies in
+#   row [1], so the computed corner times 1 + 4 (D + E), with the largest D + E
+#   of the rows, bounds every pair off row [0]: one corner value and the rows'
+#   envelopes replace the rows' corner values.  Each row keeps its own pairing
+#   of R / |avg| and Lam: maxima taken apart (the largest R / |avg| with Lam =
+#   log(a / g[1])) fail where an integrand vanishes at a (w**lam - 1) or at 0 (w,
+#   nu > 0), as R / |avg| peaks at one end and beta at the other.  The _FLOOR
+#   reads are smallest at g[1], as |P| grows.  The corner is taken in Python
+#   floats by the leaf's steps (libm's rounding is within the leaf's 20 u); a zero
+#   divisor, an overflow or the log of x <= 0 makes the bound +inf, as NaN does,
+#   so it closes nothing.
 _SLACK = 1e-9
 _TINY = 1e-300
 _ENVELOPE = 1e-3
@@ -134,25 +153,28 @@ def _partition(n, ramp):
 
 
 # The searches of a certificate, and of a `verify`, share one (n, ramp), so two
-# entries of seven index arrays of at most n / _BLOCK each (0.1 MB at depth 17) suffice.
+# entries of nine index arrays of at most n / _BLOCK each (0.1 MB at depth 17) suffice.
 _LAYOUTS = 2
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
-def _layout(n, ramp):
-    """The weight-independent index arrays of a scan, read-only: the blocks' (first, last);
-    the rows I >= 1 that hold a pair, and their innermost block pairs (I, J) (see
-    _corner_bounds); row [0]'s bound before its scores, +inf for the column blocks up to the
-    ramp and -inf past it; and the block pairs (0, J) of row [0] past the ramp."""
+def _layout(n, ramp, slice_pairs):
+    """The weight-independent indices of a scan, read-only: the blocks' (first, last); the
+    rows I >= 1 that hold a pair, their innermost block pairs (I, J), and their first points
+    and innermost pairs (f, i, j) (see _corner_bounds); the column slices of row [0] up to
+    the ramp, of at most ``slice_pairs`` pairs each; and the block pairs (0, J) past it."""
     first, last = _partition(n, ramp)
     rows = 1 + np.flatnonzero(first[1:] < last[-1])
     inner = np.minimum(rows + 1, first.size - 1)  # that of [I, I + 1], or [I, I] last
-    head = np.where(last[1:] <= ramp, np.inf, -np.inf)
+    f, i = first[rows], last[rows] - (rows == inner)
+    j = np.maximum(first[inner], i + 1)
+    step, end = max(slice_pairs // _BLOCK, 1), np.searchsorted(last, ramp) + 1
+    head = tuple(slice(int(first[s]), int(last[min(s + step, end) - 1]) + 1) for s in range(1, end, step))
     past = np.flatnonzero(first > ramp)
     row0 = np.zeros_like(past)
-    for x in (first, last, rows, inner, head, past, row0):
+    for x in (first, last, rows, inner, f, i, j, past, row0):
         x.flags.writeable = False
-    return first, last, rows, (rows, inner), head, (row0, past)
+    return first, last, rows, (rows, inner), (f, i, j), head, (row0, past)
 
 
 def _prefix_rounding(grid, p1, p2, e1, e2, ramp):
@@ -198,20 +220,16 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks):
     return bound
 
 
-def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, blocks, end):
-    """Bounds from their corners (see _SLACK) on the pairs of block pairs (I, J) = ``blocks``
-    up to column ``end`` <= ramp: last[J], or n - 1 for row I (J = I + 1, or I last)."""
-    I, J = blocks
-    i = last[I] - (I == J)  # the innermost pair
-    j = np.maximum(first[J], i + 1)
-    length = grid[j] - grid[i]
+def _envelope(grid, p1, p2, e1, e2, mode, eps, ramp, lam, i, j):
+    """4 (D + E) (see _SLACK) at Lam = ``lam`` for the rows, or block pairs, whose innermost
+    pairs are (i, j)."""
 
     def rounding(prefix, eps):  # R / |avg| at the innermost pair
-        size = np.abs(prefix[j] - prefix[i]) / length
-        return _rounding(prefix, eps, i, j, length, size) / size
+        if eps > _ENVELOPE:
+            return np.inf
+        step = np.abs(prefix[j] - prefix[i])
+        return (eps * (np.abs(prefix[i]) + np.abs(prefix[j])) + _TINY) / step + 3.0 * U
 
-    corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], end)[0]
-    lam = np.log(grid[ramp] / grid[first[I]])
     x1, x2 = abs(grid[ramp] / p1[ramp]), abs(grid[ramp] / p2[ramp])  # the prefix exponents e'
     nu, k = abs(x1 - 1.0), abs(e2 * (x1 - 1.0))
     err, drift = rounding(p1, eps[0]), x1
@@ -224,11 +242,45 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, bloc
     else:  # the prefix of w**lam
         err += rounding(p2, eps[1]) / abs(e2)
         drift += (1.0 + 3.0 * abs(x2 - 1.0)) / abs(e2) + 9.0 * nu
-    err = 4.0 * (err + U * drift * lam + 20.0 * U)
+    return 4.0 * (err + U * drift * lam + 20.0 * U)
+
+
+def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, blocks, end):
+    """Bounds from their corners (see _SLACK) on the pairs of block pairs (I, J) = ``blocks``
+    up to column ``end`` <= ramp: last[J], or n - 1 for row I (J = I + 1, or I last)."""
+    I, J = blocks
+    i = last[I] - (I == J)  # the innermost pair
+    j = np.maximum(first[J], i + 1)
+    corner = _pair_values(grid, p1, p2, cap, e1, e2, mode, first[I], end)[0]
+    err = _envelope(grid, p1, p2, e1, e2, mode, eps, ramp, np.log(grid[ramp] / grid[first[I]]), i, j)
     ok = (err <= _ENVELOPE) & (corner >= _FLOOR)
     for x in (p1, cap if mode == 2 else p2):
         ok &= np.abs(x[first[I]]) >= _FLOOR * (1.0 + abs(x[ramp]))
     return np.where(ok, corner * (1.0 + err), np.inf)
+
+
+def _power_bound(grid, p1, p2, cap, e1, e2, mode, eps, rows):
+    """One bound (see _SLACK) on every pair off row [0] where the ramp is the last point: the
+    corner value (1, n - 1), in Python floats by the leaf's steps, widened by the largest
+    envelope of the rows, from their first points and innermost pairs (f, i, j) = ``rows``;
+    +inf where it does not hold, -inf where no pair is off row [0]."""
+    f, i, j = rows
+    if not f.size:
+        return -math.inf
+    g1, a, u1, v1, u2, v2 = (x.item(k) for x in (grid, p1, cap if mode == 2 else p2) for k in (1, -1))
+    try:
+        avg = (v1 - u1) / (a - g1)
+        if mode == 2:
+            corner = v2 / avg
+        else:
+            b = (v2 - u2 if e2 else u2 - v2) / (a - g1)
+            b = math.exp((math.log1p(b) if e1 else math.log(b)) * (1.0 / abs(e2)) if e2 else b)
+            corner = b / avg if e2 > 0.0 else avg * b
+    except (ArithmeticError, ValueError):  # a zero divisor, an overflow, or the log of x <= 0
+        return math.inf
+    err = _envelope(grid, p1, p2, e1, e2, mode, eps, grid.size - 1, np.log(a / grid[f]), i, j).max()
+    ok = err <= _ENVELOPE and corner >= _FLOOR and abs(u1) >= _FLOOR * (1.0 + abs(v1))
+    return corner * (1.0 + err) if ok and abs(u2) >= _FLOOR * (1.0 + abs(v2)) else math.inf
 
 
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
@@ -241,14 +293,19 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
     or of log w at e2 = 0; in mode 2, which reads none of p2, e1, e2, a nonnegative,
     nondecreasing cap."""
     n = grid.size
-    first, last, R, inner, head, past = _layout(n, ramp)
+    first, last, R, inner, innermost, head, past = _layout(n, ramp, _SLICE)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eps = _prefix_rounding(grid, p1, p2, e1, e2, ramp)
         common = (grid, p1, p2, cap, e1, e2, mode, eps, first, last)  # the bounds' leading arguments
         best, bi, bj = _LOWEST, 0, 0
 
-        def visit(row, bound):  # bound: of the row's block pairs, from its first pair on
+        def score(rows, cols, mask):
             nonlocal best, bi, bj
+            v, i, j = _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask)
+            if v > best or (v == best and (i, j) < (bi, bj)):
+                best, bi, bj = v, i, j
+
+        def visit(row, bound):  # bound: of the row's block pairs, from its first pair on
             skip = first.size - bound.size  # the column blocks before the row's first pair
             rows = slice(int(first[row]), int(last[row]) + 1)
             step = max(_SLICE // (_BLOCK * (rows.stop - rows.start)), 1)  # blocks a slice
@@ -261,20 +318,23 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
                 for s in range(a, b, step):
                     t = min(s + step, b)
                     if bound[s - skip : t - skip].max() >= best:
-                        cols = slice(int(first[s]), int(last[t - 1]) + 1)
-                        v, i, j = _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, s == row)
-                        if v > best or (v == best and (i, j) < (bi, bj)):
-                            best, bi, bj = v, i, j
+                        score(rows, slice(int(first[s]), int(last[t - 1]) + 1), s == row)
 
         # row [0], one point, is scored first up to the ramp with no bound, as the lowest float
-        # prunes nothing, and then past it where its two-corner bounds may reach best
-        visit(0, head)
+        # prunes nothing, in the layout's column slices, and then past it where its two-corner
+        # bounds may reach best
+        for cols in head:
+            score(slice(0, 1), cols, False)
         if past[1].size:
             visit(0, _block_bounds(*common, past))
-        # where the ramp is the last point each other row holding a pair is bounded by its corner
-        # (first[I], n - 1) (see _SLACK); each row that may reach best, a few a call, bounds its
-        # block pairs up to the ramp by their corners and, where those may, by two extreme corners
+        # where the ramp is the last point one corner value bounds every pair off row [0] (see
+        # _SLACK), and the scan ends if it is below best; else each row holding a pair is
+        # bounded by its corner (first[I], n - 1).  Each row that may reach best, a few a call,
+        # bounds its block pairs up to the ramp by their corners and, where those may, by two
+        # extreme corners
         if ramp == n - 1:
+            if _power_bound(*common[:8], innermost) < best:
+                return best, bi, bj
             R = R[_corner_bounds(*common, ramp, inner, ramp) >= best]
         top, bounds = np.full(first.size, -np.inf), {}  # row: the bounds of its block pairs
         for c in range(0, R.size, m := max(_CHUNK // first.size, 1)):  # m rows a call
@@ -289,9 +349,10 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
             cuts = np.flatnonzero(np.diff(I, prepend=-1))
             top[I[cuts]] = np.maximum.reduceat(up, cuts)
             bounds.update(zip(I[cuts].tolist(), np.split(up, cuts[1:])))
-        # only a strictly smaller bound stops the scan or skips a slice, as an
-        # equal one may tie at a smaller (i, j); a best of _LOWEST changes nothing
-        for row in np.argsort(-top, kind="stable"):
+        # the rows still open, by decreasing bound: only a strictly smaller bound stops the scan
+        # or skips a slice, as an equal one may tie at a smaller (i, j)
+        rows = np.flatnonzero(top >= best)
+        for row in rows[np.argsort(-top[rows], kind="stable")] if rows.size else ():
             if top[row] < best:
                 break
             visit(row, bounds.pop(row))

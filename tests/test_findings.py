@@ -21,10 +21,12 @@ from sharpweights import (
     bellman_limit_check,
     bellman_value,
     bellman_value_gamma_form,
+    extremal_weight,
     functional_ratio,
     hessian_form,
     interval_moment,
     q_star,
+    sup_ratio_search,
     t_star,
 )
 from sharpweights import cli
@@ -176,6 +178,17 @@ def test_verify_at_a_subnormal_plain_average(capsys):
     assert cli.main(["verify", "--p", "3", "--q", "1000", "--delta", "30"]) == 0
     rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
     assert rel_err(float(rec["sup"]), float(rec["constant"])) <= 1e-13
+
+
+@found("A_q of a weight with nu < 0 at large q: lam nu > 0, so p2 is the prefix of "
+       "w**lam and its rounding, raised to 1/|lam|, grows with q - 1; the one corner "
+       "bound does not close the scan, which returns 7.25e19 (ROADMAP item 18)")
+def test_minus_weight_aq_at_large_q_is_phi_zero():
+    # FOUND 147: Phi(0), which functional_ratio on [0, 1] gives, is the supremum of
+    # the pure power t**nu, nu = -0.427 (corner lemma)
+    w = extremal_weight(2.0, 1.5, (1.0, 2.25), "minus")
+    sup = sup_ratio_search(w, FunctionalKind.aq(1e14), 12)[0]
+    assert rel_err(sup, 1.1387231136261406) <= 1e-13
 
 
 @found("the noise band of log F near u = 0: u_plus_from_log(2, -1e-20) is off by 1.1e-7")

@@ -420,12 +420,14 @@ def test_corner_bounds_hold_every_pair_value(monkeypatch):
 
 
 def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
-    # where the ramp ends at the last point, the scan bounds each block row I >= 1
-    # that holds a pair by one corner value, (first[I], n - 1), widened by the
-    # envelope at the row's innermost pair; on a plateau every row reaches past
-    # the ramp, and the scan takes no row bound
+    # where the ramp ends at the last point and the one corner bound below does not
+    # close the scan (here it never does), the scan bounds each block row I >= 1 that
+    # holds a pair by one corner value, (first[I], n - 1), widened by the envelope at
+    # the row's innermost pair; on a plateau every row reaches past the ramp, and the
+    # scan takes no row bound
     scans, rows = [], []
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+    monkeypatch.setattr(_pairscan, "_power_bound", lambda *args: math.inf)
     corner_bounds = _pairscan._corner_bounds
 
     def recorded(*args):
@@ -456,6 +458,40 @@ def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
         assert np.all(bound >= top[R]), label
         closed += np.count_nonzero(bound < np.inf)
     assert closed > 0
+
+
+def test_one_corner_bound_holds_every_pair_off_row_0(monkeypatch):
+    # where the ramp ends at the last point, one corner value, (1, n - 1), widened by
+    # the largest envelope of the rows, bounds every pair off row [0], or is +inf.  It
+    # closes the scans of the corner cases after row [0] but at delta - 1 = 1e-12,
+    # where every value is rounding (there it closes aq(1.01) alone); on the minus
+    # weight, where p2 is the prefix of w**lam, its envelope grows with q - 1 until
+    # the bound is +inf at aq(1e10)
+    scans = []
+    monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
+    minus = extremal_weight(2.0, 1.5, (1.0, 2.25), "minus")
+    cases = corner_cases() + [(f"minus aq({q})", minus, FunctionalKind.aq(q)) for q in (1e3, 1e8, 1e10)]
+    closes, stays_open, infinite = [], [], []
+    for label, w, kind in cases:
+        scans.clear()
+        if sup_ratio_search(w, kind, 9)[0] == math.inf:
+            continue  # aq(1.01) diverges at 0 once nu >= 0.01, with no scan
+        grid, p1, p2, e1, e2, cap, mode, ramp = scans[0]
+        n = grid.size
+        if ramp < n - 1:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            eps = _pairscan._prefix_rounding(grid, p1, p2, e1, e2, ramp)
+            rows = _pairscan._layout(n, ramp, _pairscan._SLICE)[4]
+            bound = _pairscan._power_bound(grid, p1, p2, cap, e1, e2, mode, eps, rows)
+        vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(1, n)))
+        assert bound == math.inf or bound >= vals.max(), label
+        (closes if bound < max_pair_ratio(*scans[0])[0] else stays_open).append(label)
+        if bound == math.inf:
+            infinite.append(label)
+    assert "aq(100000000000000.0) delta-1=1.0" in closes and "minus aq(100000000.0)" in closes
+    assert infinite == ["minus aq(10000000000.0)"] and len(closes) == 27
+    assert all("delta-1=1e-12" in label for label in stays_open if label not in infinite), stays_open
 
 
 def corner_phi(kind, nu, r, q=None):
@@ -528,6 +564,14 @@ def test_scan_emits_no_float_warnings(mode):
     grids = (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 1.0, 5),
              np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 40))
     cases = [(grid, grid, grid, grid.size - 1) for grid in (np.array([-1e308, 1e308]), *grids)]
+    # constant, subnormal and overflowing prefixes on the closing path: the Box-Cox
+    # prefix 0 of w = 1, whose increments the one corner bound divides by, and the
+    # plain prefix 0, its plain average and prefix exponent's divisor; prefixes of
+    # 1e-310 t and -1e-315 t; and of 1e308 t and 1e308 (2 t - 1), whose sums and
+    # differences overflow
+    even = np.linspace(0.0, 1.0, 65)
+    cases += [(even, even, np.zeros_like(even), 64), (even, np.zeros_like(even), -even, 64),
+              (even, 1e-310 * even, -1e-315 * even, 64), (even, 1e308 * even, 1e308 * (2.0 * even - 1.0), 64)]
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
     cases += [(*args[:3], args[7]) for args in (search_args(w, FunctionalKind.a_inf(), 1, grid) for grid in grids)]
     cases += [(*args[:3], args[7]) for args in exponential_mode_inputs().values()]
@@ -719,6 +763,25 @@ def test_scan_bounds_few_block_pairs_generically(monkeypatch, depth, delta):
     assert all(c <= most for c, most in zip(counts, GENERIC[depth, delta], strict=True)), counts
 
 
+# _corner_bounds calls per VISITS search: none, as each weight is a pure power and
+# the one corner bound closes its scan after row [0] (at delta = 1 the weight is
+# constant, with no scan)
+ROW_CALLS = {
+    (12, 1.0): (0, 0, 0, 0),
+    (12, 1.001): (0, 0, 0, 0),
+    (12, 2.0): (0, 0, 0, 0),
+    (14, 1.0): (0, 0, 0, 0),
+    (14, 1.001): (0, 0, 0, 0),
+    (14, 2.0): (0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("depth,delta", sorted(ROW_CALLS))
+def test_pure_power_scans_make_no_row_call(monkeypatch, depth, delta):
+    calls = search_work(monkeypatch, visits_searches(delta), depth, "_corner_bounds", lambda bound, *args: 1)
+    assert all(c <= most for c, most in zip(calls, ROW_CALLS[depth, delta], strict=True)), calls
+
+
 def search_peak(w, kind, depth):
     """The tracemalloc peak of one search, from the caches of its grid arrays."""
     sup_ratio_search(w, kind, depth)  # any first-call set-up, and the caches, untraced
@@ -793,8 +856,9 @@ def test_warm_caches_change_no_search(depth):
             assert (weights._dyadic_parts.cache_info().hits, _pairscan._layout.cache_info().hits) == (
                 hits[0] + 1, hits[1] + 1)
             parts = weights._dyadic_parts(depth, w.a)
-            entries = cached_arrays(parts) + cached_arrays(_pairscan._layout(parts[0].size, parts[1]))
-            assert len(entries) == 12
+            layout = _pairscan._layout(parts[0].size, parts[1], _pairscan._SLICE)
+            entries = cached_arrays(parts) + cached_arrays(layout)
+            assert len(entries) == 14
             for x in entries:
                 with pytest.raises(ValueError):
                     x[...] = 0.0
