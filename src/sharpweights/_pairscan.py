@@ -91,10 +91,21 @@ _CHUNK = 8192  # block pairs a bound call, at about 200 bytes each: larger calls
 #   times (1 + D)(1 + E) with the D and E of its row (above).  The corner lies in
 #   row [1], so the computed corner times 1 + 4 (D + E), with the largest D + E
 #   of the rows, bounds every pair off row [0]: one corner value and the rows'
-#   envelopes replace the rows' corner values.  Each row keeps its own pairing
-#   of R / |avg| and Lam: maxima taken apart (the largest R / |avg| with Lam =
-#   log(a / g[1])) fail where an integrand vanishes at a (w**lam - 1) or at 0 (w,
-#   nu > 0), as R / |avg| peaks at one end and beta at the other.  The _FLOOR
+#   envelopes replace the rows' corner values.  The rows' maxima are first taken
+#   apart, in Python floats (_power_envelope): a row's innermost pair is a unit
+#   cell [k, k + 1], 1 <= k <= n - 2; |P[k]| + |P[k + 1]| <= |P[n - 2]| + |P[n -
+#   1]|, as |P| grows; on the uniform grid the exact cell integrals of a monotone
+#   integrand are monotone in k, so a computed |dP| is at least the smaller of
+#   those of [1, 2] and [n - 2, n - 1] less the two cells' rounding, 4 eps |P[n -
+#   1]|; and beta and Lam are largest at g[1].  Each term of 4 (D + E) grows with
+#   each of these, and each float step is monotone, so that scalar is at least
+#   every row's envelope.  Where it does not bring the bound below best each row
+#   keeps its own pairing of R / |avg| and Lam (_envelope): maxima taken apart
+#   fail where an integrand vanishes at a (w**lam - 1) or at 0 (w, nu > 0), as
+#   R / |avg| peaks at one end and beta at the other.  No envelope is below
+#   _LEAST = 4 (3 u + 20 u), as every other term is >= 0, so where the corner
+#   times 1 + _LEAST is not below best (on near-constant powers every value is
+#   within a few u of 1) the bound is +inf with no envelope taken.  The _FLOOR
 #   reads are smallest at g[1], as |P| grows.  The corner is taken in Python
 #   floats by the leaf's steps (libm's rounding is within the leaf's 20 u); a zero
 #   divisor, an overflow or the log of x <= 0 makes the bound +inf, as NaN does,
@@ -104,6 +115,7 @@ _TINY = 1e-300
 _ENVELOPE = 1e-3
 _FLOOR = 1e-280
 U = 2.0**-53
+_LEAST = 92.0 * U
 
 _LOWEST = np.finfo(np.float64).min
 
@@ -119,22 +131,35 @@ def _box_cox_value(avg, x, e1, e2):
 
 
 def _pair_values(grid, p1, p2, cap, e1, e2, mode, i, j):
-    """The mode's ratio and the interval lengths at the broadcastable indices (i, j)."""
-    length = grid[j] - grid[i]
-    vals = p1[j] - p1[i]
-    vals /= length
+    """The mode's ratio and the interval lengths at the broadcastable indices (i, j), or at
+    i = None from the origin, where grid, p1 and p2 are +0.0 and x[j] - x[0] is x[j] bit for bit."""
+    if i is None:
+        length = grid[j]
+        vals = p1[j] / length
+    else:
+        length = grid[j] - grid[i]
+        vals = p1[j] - p1[i]
+        vals /= length
     if mode == 2:
         return np.divide(cap[j], vals, out=vals), length
-    x = p2[j] - p2[i] if e2 else p2[i] - p2[j]  # -B at lam = 0: sign-symmetric, bit for bit
-    x /= length
+    if i is None:
+        x = p2[j] / length
+        if not e2:  # -B: where B is +0.0, -0.0 (0.0 - B gives +0.0), and exp maps both to 1
+            np.negative(x, out=x)
+    else:
+        x = p2[j] - p2[i] if e2 else p2[i] - p2[j]  # -B at lam = 0: sign-symmetric, bit for bit
+        x /= length
     return _box_cox_value(vals, x, e1, e2), length
 
 
 def _best_pair(grid, p1, p2, cap, e1, e2, mode, rows, cols, mask):
     """(value, i, j): the largest score over the index slices rows x cols, floored at
     the lowest float, and its first pair.  NaN, and the empty intervals of a diagonal
-    block if ``mask``, score -inf."""
-    vals, length = _pair_values(grid, p1, p2, cap, e1, e2, mode, (rows, None), (None, cols))
+    block if ``mask``, score -inf.  Row [0] is read from the origin where grid, p1 and p2
+    are +0.0 there, all eight bytes zero: x - +0.0 is x bit for bit, but -0.0 - -0.0 is +0.0."""
+    origin = rows.stop == 1 and grid[:1].tobytes() == p1[:1].tobytes() == p2[:1].tobytes() == bytes(8)
+    i = None if origin else (rows, None)
+    vals, length = _pair_values(grid, p1, p2, cap, e1, e2, mode, i, (None, cols))
     if mask:
         vals[length <= 0.0] = -np.inf
     k = int(vals.argmax())
@@ -220,6 +245,23 @@ def _block_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, blocks):
     return bound
 
 
+def _budget(x1, x2, e1, e2, mode, r1, r2, lam, expm1):
+    """4 (D + E) (see _SLACK) at Lam = ``lam`` from the prefix exponents e' = (x1, x2) and R / |avg|
+    of p1 and p2, r1 and r2 (None in mode 2): on arrays, or Python floats with ``math.expm1``."""
+    nu, k = abs(x1 - 1.0), abs(e2 * (x1 - 1.0))
+    err, drift = r1, x1
+    if mode == 2:
+        err += (x1 + 13.0) * U
+    elif e1:  # the Box-Cox prefix, where k < 1 as the moment converges
+        beta = nu * (expm1(k * lam) / k if k else lam)
+        err += beta * (r2 + (12.0 + 0.5 / (1.0 - k)) * U) if k < 1.0 else math.inf
+        drift += nu
+    else:  # the prefix of w**lam
+        err += r2 / abs(e2)
+        drift += (1.0 + 3.0 * abs(x2 - 1.0)) / abs(e2) + 9.0 * nu
+    return 4.0 * (err + U * drift * lam + 20.0 * U)
+
+
 def _envelope(grid, p1, p2, e1, e2, mode, eps, ramp, lam, i, j):
     """4 (D + E) (see _SLACK) at Lam = ``lam`` for the rows, or block pairs, whose innermost
     pairs are (i, j)."""
@@ -231,18 +273,29 @@ def _envelope(grid, p1, p2, e1, e2, mode, eps, ramp, lam, i, j):
         return (eps * (np.abs(prefix[i]) + np.abs(prefix[j])) + _TINY) / step + 3.0 * U
 
     x1, x2 = abs(grid[ramp] / p1[ramp]), abs(grid[ramp] / p2[ramp])  # the prefix exponents e'
-    nu, k = abs(x1 - 1.0), abs(e2 * (x1 - 1.0))
-    err, drift = rounding(p1, eps[0]), x1
-    if mode == 2:
-        err += (x1 + 13.0) * U
-    elif e1:  # the Box-Cox prefix
-        beta = nu * (np.expm1(k * lam) / k if k else lam)
-        err += beta * (rounding(p2, eps[1]) + (12.0 + 0.5 / np.maximum(1.0 - k, 0.0)) * U)
-        drift += nu
-    else:  # the prefix of w**lam
-        err += rounding(p2, eps[1]) / abs(e2)
-        drift += (1.0 + 3.0 * abs(x2 - 1.0)) / abs(e2) + 9.0 * nu
-    return 4.0 * (err + U * drift * lam + 20.0 * U)
+    r2 = None if mode == 2 else rounding(p2, eps[1])
+    return _budget(x1, x2, e1, e2, mode, rounding(p1, eps[0]), r2, lam, np.expm1)
+
+
+def _power_envelope(grid, p1, p2, e1, e2, mode, eps):
+    """A Python float at least every row's envelope (_envelope) where the ramp is the last
+    point, from maxima taken apart (see _SLACK); +inf where a step is undefined."""
+
+    def rounding(prefix, eps):  # R / |avg| at least that of every unit cell [k, k + 1], 1 <= k <= n - 2
+        if eps > _ENVELOPE:
+            return math.inf
+        b, c = prefix[1:3].tolist()
+        y, z = prefix[-2:].tolist()
+        step = min(abs(c - b), abs(z - y)) - 4.0 * eps * abs(z)
+        return (eps * (abs(y) + abs(z)) + _TINY) / step + 3.0 * U if step > 0.0 else math.inf
+
+    a = grid.item(-1)
+    try:
+        x1, x2 = abs(a / p1.item(-1)), abs(a / p2.item(-1))
+        r2, lam = None if mode == 2 else rounding(p2, float(eps[1])), math.log(a / grid.item(1))
+        return _budget(x1, x2, e1, e2, mode, rounding(p1, float(eps[0])), r2, lam, math.expm1)
+    except (ArithmeticError, ValueError):  # a zero divisor, an overflow, or the log of x <= 0
+        return math.inf
 
 
 def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, blocks, end):
@@ -259,11 +312,13 @@ def _corner_bounds(grid, p1, p2, cap, e1, e2, mode, eps, first, last, ramp, bloc
     return np.where(ok, corner * (1.0 + err), np.inf)
 
 
-def _power_bound(grid, p1, p2, cap, e1, e2, mode, eps, rows):
+def _power_bound(grid, p1, p2, cap, e1, e2, mode, eps, rows, best):
     """One bound (see _SLACK) on every pair off row [0] where the ramp is the last point: the
-    corner value (1, n - 1), in Python floats by the leaf's steps, widened by the largest
-    envelope of the rows, from their first points and innermost pairs (f, i, j) = ``rows``;
-    +inf where it does not hold, -inf where no pair is off row [0]."""
+    corner value (1, n - 1), in Python floats by the leaf's steps, widened by _power_envelope
+    where that brings it below ``best``, else by the largest envelope of the rows, from their
+    first points and innermost pairs (f, i, j) = ``rows``; +inf where it does not hold or no
+    envelope can bring it below best (the corner times 1 + _LEAST is not below), -inf where no
+    pair is off row [0]."""
     f, i, j = rows
     if not f.size:
         return -math.inf
@@ -278,9 +333,13 @@ def _power_bound(grid, p1, p2, cap, e1, e2, mode, eps, rows):
             corner = b / avg if e2 > 0.0 else avg * b
     except (ArithmeticError, ValueError):  # a zero divisor, an overflow, or the log of x <= 0
         return math.inf
-    err = _envelope(grid, p1, p2, e1, e2, mode, eps, grid.size - 1, np.log(a / grid[f]), i, j).max()
-    ok = err <= _ENVELOPE and corner >= _FLOOR and abs(u1) >= _FLOOR * (1.0 + abs(v1))
-    return corner * (1.0 + err) if ok and abs(u2) >= _FLOOR * (1.0 + abs(v2)) else math.inf
+    floors = corner >= _FLOOR and abs(u1) >= _FLOOR * (1.0 + abs(v1))
+    if not (floors and abs(u2) >= _FLOOR * (1.0 + abs(v2)) and corner * (1.0 + _LEAST) < best):
+        return math.inf  # a read below _FLOOR, or no envelope can bring the bound below best
+    err = _power_envelope(grid, p1, p2, e1, e2, mode, eps)
+    if not (err <= _ENVELOPE and corner * (1.0 + err) < best):
+        err = _envelope(grid, p1, p2, e1, e2, mode, eps, grid.size - 1, np.log(a / grid[f]), i, j).max()
+    return corner * (1.0 + err) if err <= _ENVELOPE else math.inf
 
 
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
@@ -333,7 +392,7 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
         # bounds its block pairs up to the ramp by their corners and, where those may, by two
         # extreme corners
         if ramp == n - 1:
-            if _power_bound(*common[:8], innermost) < best:
+            if _power_bound(*common[:8], innermost, best) < best:
                 return best, bi, bj
             R = R[_corner_bounds(*common, ramp, inner, ramp) >= best]
         top, bounds = np.full(first.size, -np.inf), {}  # row: the bounds of its block pairs

@@ -1,8 +1,10 @@
 """The block-pruned pair scan against brute-force references."""
 
+import importlib.util
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,7 @@ from sharpweights import FunctionalKind, PowerWeight, extremal_weight, functiona
 from sharpweights import _pairscan, weights
 from sharpweights._pairscan import _LOWEST, max_pair_ratio
 
+ROOT = Path(__file__).resolve().parent.parent
 _REF_ROWS = 256
 
 
@@ -170,12 +173,17 @@ def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
         assert_bit_identical(*random_inputs(rng, depth, mode))
 
 
-def test_random_power_weights_are_bit_identical():
-    # 1,000 searches' inputs, a third of them in each mode: random c, a mostly
-    # off the grid, nu of both signs, every kind, q up to 1e14, depths 6 to 9
+def random_power_weights():
+    """1,000 searches' inputs, a third of them in each mode: random c, a mostly
+    off the grid, nu of both signs, every kind, q up to 1e14, depths 6 to 9."""
     rng = np.random.default_rng(26)
     for k in range(1000):
-        assert_bit_identical(*random_inputs(rng, int(rng.choice([6, 6, 7, 7, 8, 9])), k % 3))
+        yield random_inputs(rng, int(rng.choice([6, 6, 7, 7, 8, 9])), k % 3)
+
+
+def test_random_power_weights_are_bit_identical():
+    for args in random_power_weights():
+        assert_bit_identical(*args)
 
 
 def test_generic_bounds_in_chunks_are_bit_identical(monkeypatch):
@@ -462,11 +470,13 @@ def test_row_corner_bounds_hold_every_pair_value(monkeypatch):
 
 def test_one_corner_bound_holds_every_pair_off_row_0(monkeypatch):
     # where the ramp ends at the last point, one corner value, (1, n - 1), widened by
-    # the largest envelope of the rows, bounds every pair off row [0], or is +inf.  It
-    # closes the scans of the corner cases after row [0] but at delta - 1 = 1e-12,
-    # where every value is rounding (there it closes aq(1.01) alone); on the minus
-    # weight, where p2 is the prefix of w**lam, its envelope grows with q - 1 until
-    # the bound is +inf at aq(1e10)
+    # the scalar envelope, or by the largest envelope of the rows, bounds every pair
+    # off row [0], or is +inf.  It closes the scans of the corner cases after row [0]
+    # but at delta - 1 = 1e-12, where every value is rounding (there it closes
+    # aq(1.01) alone); on the minus weight, where p2 is the prefix of w**lam, its
+    # envelope grows with q - 1 until the bound is +inf at aq(1e10).  With no best
+    # to beat (+inf) the bound is widened by the scalar envelope wherever that is
+    # within _ENVELOPE, and by the rows' envelope where the scalar one is +inf
     scans = []
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
     minus = extremal_weight(2.0, 1.5, (1.0, 2.25), "minus")
@@ -480,18 +490,178 @@ def test_one_corner_bound_holds_every_pair_off_row_0(monkeypatch):
         n = grid.size
         if ramp < n - 1:
             continue
+        vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(1, n)))
+        row0 = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, 1))).max()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eps = _pairscan._prefix_rounding(grid, p1, p2, e1, e2, ramp)
             rows = _pairscan._layout(n, ramp, _pairscan._SLICE)[4]
-            bound = _pairscan._power_bound(grid, p1, p2, cap, e1, e2, mode, eps, rows)
-        vals = brute_scores(*brute_values(grid, p1, p2, e1, e2, cap, mode, slice(1, n)))
-        assert bound == math.inf or bound >= vals.max(), label
-        (closes if bound < max_pair_ratio(*scans[0])[0] else stays_open).append(label)
-        if bound == math.inf:
+            args = (grid, p1, p2, cap, e1, e2, mode, eps, rows)
+            (closes if _pairscan._power_bound(*args, row0) < row0 else stays_open).append(label)
+            bounds = [_pairscan._power_bound(*args, math.inf)]
+            with monkeypatch.context() as patch:
+                patch.setattr(_pairscan, "_power_envelope", lambda *args: math.inf)
+                bounds.append(_pairscan._power_bound(*args, math.inf))
+        assert all(bound == math.inf or bound >= vals.max() for bound in bounds), label
+        assert bounds[0] >= bounds[1], label
+        if bounds[1] == math.inf:
             infinite.append(label)
     assert "aq(100000000000000.0) delta-1=1.0" in closes and "minus aq(100000000.0)" in closes
     assert infinite == ["minus aq(10000000000.0)"] and len(closes) == 27
     assert all("delta-1=1e-12" in label for label in stays_open if label not in infinite), stays_open
+
+
+def pure_power_scans(source):
+    """(label, scan arguments) of the scans whose ramp is the last point: of the
+    corner_cases() at depth 9 and the minus weight's aq(1e3), aq(1e8) and aq(1e10),
+    or of the 1,000 random power weights."""
+    if source == "random":
+        cases = [(f"random {k}", args) for k, args in enumerate(random_power_weights())]
+    else:
+        minus = extremal_weight(2.0, 1.5, (1.0, 2.25), "minus")
+        searches = corner_cases() + [(f"minus aq({q})", minus, FunctionalKind.aq(q)) for q in (1e3, 1e8, 1e10)]
+        cases = [(label, search_args(w, kind, 9)) for label, w, kind in searches]
+    return [(label, args) for label, args in cases if args is not None and args[7] == args[0].size - 1]
+
+
+def power_envelopes(grid, p1, p2, e1, e2, cap, mode, ramp):
+    """(the scalar envelope, the rows' envelopes) of a scan whose ramp is the last point."""
+    f, i, j = _pairscan._layout(grid.size, ramp, _pairscan._SLICE)[4]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        eps = _pairscan._prefix_rounding(grid, p1, p2, e1, e2, ramp)
+        rows = _pairscan._envelope(grid, p1, p2, e1, e2, mode, eps, ramp, np.log(grid[ramp] / grid[f]), i, j)
+        return _pairscan._power_envelope(grid, p1, p2, e1, e2, mode, eps), rows
+
+
+# (scans, those whose scalar envelope is within _ENVELOPE) of each pure_power_scans source
+SCALAR_FINITE = {"corner cases": (36, 31), "random": (195, 148)}
+
+
+@pytest.mark.parametrize("source", sorted(SCALAR_FINITE))
+def test_scalar_envelope_is_at_least_every_row_envelope(monkeypatch, source):
+    # _power_envelope takes the rows' maxima apart: the smallest |dP| of the unit cells
+    # at [1, 2] or [n - 2, n - 1], less 4 eps |P[n - 1]|, |P| at most |P[n - 1]|, and
+    # beta and Lam at g[1].  It is at least every row's envelope, which is at least
+    # _LEAST; and with either envelope +inf, so that the other decides alone, the scan
+    # stays bit-identical to brute force
+    scans = pure_power_scans(source)
+    finite = 0
+    for label, args in scans:
+        scalar, rows = power_envelopes(*args)
+        assert np.all(rows >= _pairscan._LEAST) and scalar >= rows.max(), (label, scalar, rows.max())
+        finite += scalar <= _pairscan._ENVELOPE
+    assert (len(scans), finite) == SCALAR_FINITE[source]
+    expected = [brute_force_scan(*args) for _, args in scans]
+    for name, inf in (("_power_envelope", lambda *args: math.inf), ("_envelope", lambda *args: np.float64(np.inf))):
+        with monkeypatch.context() as patch:
+            patch.setattr(_pairscan, name, inf)
+            for (label, args), result in zip(scans, expected):
+                assert max_pair_ratio(*args) == result, (name, label)
+
+
+def certificate_searches(seeds):
+    """(weight, kind) of the four grid searches of each verify_certificate draw of the
+    benchmark's seeds, as perfbench/workloads.py builds them."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    searches = []
+    for seed in seeds:
+        for d in inputs.certificate_inputs(seed):
+            plus, minus = (extremal_weight(d.p, d.delta, (1.0, d.delta**d.p), branch) for branch in ("plus", "minus"))
+            top = extremal_weight(math.inf, d.delta, (1.0, d.delta), "plus")
+            searches += [(plus, FunctionalKind.aq(d.q)), (plus, FunctionalKind.a_inf()),
+                         (minus, FunctionalKind.rh_p(d.t)), (top, FunctionalKind.rh_inf())]
+    return searches
+
+
+# of the 420 depth-12 scans of the verify_certificate draws of seeds 1-3 (at delta = 1
+# no search scans), those the scalar envelope closes; the rows' envelopes close the
+# other 64 (51 rh_p, 8 aq and 5 a_inf), where R_B / |B| peaks at the last cell and
+# beta at g[1]
+SCALAR_CLOSES = 356
+
+
+def test_scalar_envelope_closes_most_certificate_scans(monkeypatch):
+    power_bound, envelope = _pairscan._power_bound, _pairscan._envelope
+    bounds, rows = [], []
+    monkeypatch.setattr(_pairscan, "_power_bound", lambda *args: bounds.append(args) or power_bound(*args))
+    monkeypatch.setattr(_pairscan, "_envelope", lambda *args: rows.append(args) or envelope(*args))
+    scans = closes = 0
+    for w, kind in certificate_searches((1, 2, 3)):
+        bounds.clear()
+        rows.clear()
+        sup_ratio_search(w, kind, 12)
+        if not bounds:
+            continue  # delta = 1: the weight is constant, with no scan
+        (args,) = bounds
+        best = args[-1]
+        with monkeypatch.context() as patch:  # the scalar envelope alone
+            patch.setattr(_pairscan, "_envelope", lambda *args: np.float64(np.inf))
+            scalar = power_bound(*args)
+        if scalar < best:
+            assert rows == [], (w, kind)
+            closes += 1
+        scans += 1
+    assert scans == 420 and closes >= SCALAR_CLOSES, closes
+
+
+def test_near_constant_powers_take_no_envelope(monkeypatch):
+    # no envelope is below _LEAST, so where the corner times 1 + _LEAST is not below
+    # best the one corner bound is +inf with no envelope taken: on powers within 1e-7
+    # of constant every value is within a few u of 1, and the corner within 4 u of best
+    power_bound = _pairscan._power_bound
+    taken, bounds = [], []
+
+    def bound(*args):
+        with monkeypatch.context() as patch:
+            for name in ("_power_envelope", "_envelope"):
+                patch.setattr(_pairscan, name, lambda *args, name=name: taken.append(name))
+            bounds.append(power_bound(*args))
+        return bounds[-1]
+
+    def checked(*args):
+        result = max_pair_ratio(*args)
+        assert result == brute_force_scan(*args)
+        return result
+
+    monkeypatch.setattr(_pairscan, "_power_bound", bound)
+    monkeypatch.setattr(weights, "max_pair_ratio", checked)
+    for nu in (1e-13, 1e-9, 1e-7, -1e-9, -1e-7):
+        for kind in (FunctionalKind.aq(10.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(2.0)):
+            sup_ratio_search(PowerWeight(1.0, 1.0, nu), kind, 9)
+    assert taken == [] and bounds == [math.inf] * 15
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_row_0_from_the_origin_is_bit_identical(monkeypatch, mode):
+    # row [0] is read from the origin, with no subtraction, where grid[0], p1[0] and
+    # p2[0] are +0.0, as every search builds them, and from the generic leaf where one
+    # of them is 5e-324 or -0.0 (x - -0.0 turns x = -0.0 into +0.0, and cap / +0.0 is
+    # +inf where cap / -0.0 is -inf).  At e2 == 0 the origin path scores exp(-0.0)
+    # where the generic one scores exp(+0.0), both 1: the constant weight's log prefix
+    origins = []
+    leaf = _pairscan._pair_values
+    monkeypatch.setattr(_pairscan, "_pair_values", lambda *args: origins.append(args[7] is None) or leaf(*args))
+    kinds = {0: [FunctionalKind.aq(10.0), FunctionalKind.rh_p(3.0)], 1: [FunctionalKind.a_inf()],
+             2: [FunctionalKind.rh_inf()]}[mode]
+    pure = [extremal_weight(2.0, 1.5, (1.0, 2.25), branch) for branch in ("plus", "minus")]
+    cases = [search_args(w, kind, 7) for w in pure + PLATEAUS[:2] for kind in kinds if w.nu > 0.0 or mode < 2]
+    grid = np.linspace(0.0, 1.0, 129)  # the constant weight: p1 the grid, p2 0, the cap 1
+    lam = 0.0 if mode == 1 else -0.5
+    cases.append((grid, grid.copy(), np.zeros_like(grid), 1.0, lam, np.ones_like(grid), mode, 128))
+    for args in filter(None, cases):
+        origins.clear()
+        assert max_pair_ratio(*args) == brute_force_scan(*args)
+        assert any(origins)
+        for k in (0, 1, 2):
+            heads = [[5e-324], [-0.0], [-0.0, -0.0]] if k else [[5e-324], [-0.0]]  # the grid must increase
+            for head in heads:
+                changed = list(args)
+                changed[k] = changed[k].copy()
+                changed[k][: len(head)] = head
+                origins.clear()
+                assert max_pair_ratio(*changed) == brute_force_scan(*changed), (k, head)
+                assert not any(origins), (k, head)
 
 
 def corner_phi(kind, nu, r, q=None):
