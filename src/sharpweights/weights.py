@@ -3,12 +3,35 @@
 A weight here is w(t) = c*(t/a)**nu on [0, a) and w(t) = c on [a, 1].
 Every moment, subinterval average and class norm it needs has a closed
 form, which gives exact extremal weights (the weight whose averages hit a
-domain point with class norm exactly delta) and an exact supremum oracle
-over all dyadic subintervals, ``sup_ratio_search``: the numeric court of
-appeal for every sharpness claim, as the closed-form constants must be
-attained by these weights.  Only the oracle needs arrays, so NumPy and the
-pair scan are imported inside the functions that use them: the scalar API
-and the CLI commands other than ``verify`` never load NumPy.
+domain point with class norm exactly delta) and a supremum oracle over all
+dyadic subintervals, ``sup_ratio_search``: the numeric court of appeal for
+every sharpness claim, as the closed-form constants must be attained by
+these weights.  Only the oracle needs arrays, so NumPy is imported inside
+the functions that use them: the scalar API and the CLI commands other
+than ``verify`` never load NumPy.
+
+The corner lemma.  Let F(alpha, beta) be A_q, A_inf, RH_t or RH_inf of w
+on [alpha, beta].  Then F is nonincreasing in alpha for each beta, and
+F(0, beta) is constant for beta <= a and nonincreasing for beta >= a.  So
+the supremum over every subinterval of [0, 1], and over the pairs of every
+grid that holds 0 and a, is F(0, a) = Phi(0), the functional of t**nu on
+[0, 1], which depends only on nu and the kind.  Proof: take U = alpha +
+(beta - alpha) V, V uniform on [0, 1], Y = nu log(min(U, a)/a) and the log
+power mean M_s = log(E exp(s Y))/s (M_0 = E Y, M_inf = max Y).  log F is
+M_1 - M_s for A_q (s = -1/(q - 1)) and A_inf (s = 0), and M_s - M_1 for
+RH_t (s = t > 1) and RH_inf (s = inf).  dY/dalpha = h(Y) = nu (beta - U)/
+(U (beta - alpha)) on the ramp and 0 on the plateau, and h is nonincreasing
+in Y for either sign of nu: on the ramp (beta - U)/U falls as U grows, and
+the plateau, where h = 0, is where Y is at its top for nu > 0 (h > 0 on the
+ramp) and at its bottom for nu < 0 (h < 0).  dM_s/dalpha is the mean of
+h(Y) under the law tilted by exp(s Y), whose s-derivative is the tilted
+covariance of Y and h(Y), <= 0 by Chebyshev's integral inequality (Hardy,
+Littlewood and Polya, Inequalities, 1934), so it falls as s grows and
+d log F/dalpha <= 0.  At alpha = 0, dY/dbeta is nu/beta on the ramp and 0
+on the plateau, also nonincreasing in Y, so the same step gives d log
+F/dbeta <= 0, with equality for beta <= a, where h is constant.  The lemma
+needs the ramp-plateau form: on the monotone weight 1 on [0, 1/2] and 4
+past it, A_inf is 1.25 on [0.4, 0.6] and 1.19 on [0, 0.6].
 """
 
 from __future__ import annotations
@@ -349,18 +372,45 @@ def _prefix_box_cox(parts: tuple, a: float, nu: float, lam: float) -> np.ndarray
 
 
 def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
-    """The pair scan of ``_pairscan``, imported on the first call; a module attribute,
-    so that callers which wrap or replace it see every scan ``sup_ratio_search`` makes."""
-    from ._pairscan import max_pair_ratio as scan
+    """The largest value on row [0] up to the ramp, the pairs (0, j) with 1 <= j <= ramp:
+    (best, 0, j), ties to the smallest j, NaN scored -inf (so (-inf, 0, 1) where no pair
+    has a value).  By the corner lemma (see the
+    module docstring) that is the supremum over all pairs of the grid.  grid, p1 and p2
+    are 0 at the origin, so each average is P[j] / g[j].  Mode 2 scores cap[j] / A, modes
+    0 and 1 A exp(-G), or exp(G) / A where lam = e2 > 0: +-G = log(e1 + B) / |lam|, B the
+    average of p2, the prefix of w**lam - e1, and -G = -B at lam = 0, p2 that of log w.
+    It takes the whole arrays as a module attribute, so that callers which wrap it see
+    every search's inputs."""
+    import numpy as np
 
-    return scan(grid, p1, p2, e1, e2, cap, mode, ramp)
+    cols = slice(1, ramp + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = p1[cols] / grid[cols]
+        if mode == 2:
+            np.divide(cap[cols], vals, out=vals)
+        else:
+            x = p2[cols] / grid[cols]
+            if e2:
+                (np.log1p if e1 else np.log)(x, out=x)
+                x *= 1.0 / abs(e2)
+            else:
+                np.negative(x, out=x)
+            np.exp(x, out=x)
+            if e2 > 0.0:
+                np.divide(x, vals, out=vals)
+            else:
+                vals *= x
+    j = int(vals.argmax())
+    if vals.item(j) != vals.item(j):  # a NaN: argmax stops at the first one
+        vals[np.isnan(vals)] = -np.inf
+        j = int(vals.argmax())
+    return vals.item(j), 0, j + 1
 
 
-# On the extremal weights the scan's memory grows with the points, not with the
-# block pairs: a process making one depth-17 aq(10) search of the p = 2 weight
-# peaks at 36 MB RSS, interpreter, NumPy and the cached grid arrays included, and
-# at depth 18 at 41 MB.  The cap stays at 17, as no check of the constants needs
-# a finer grid.
+# The oracle's memory grows with the points: a process making one depth-17 aq(10)
+# search of the p = 2 extremal weight peaks at 35 MB RSS, interpreter, NumPy and the
+# cached grid arrays included, and at depth 18 at 42 MB.  The cap stays at 17, as no
+# check of the constants needs a finer grid.
 _MAX_DEPTH = 17
 
 
@@ -369,18 +419,20 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     dyadic grid of size 2**depth, depth in [1, _MAX_DEPTH], plus the
     breakpoint a: (sup, (alpha, beta)).
 
-    The search is exact over all pairs: prefix integrals make each pair
-    O(1), and blocks of pairs are skipped only when a bound proves none of
-    them reaches the maximum (see ``_pairscan``).  Each functional is
-    invariant under scaling the weight, so the scan takes c = 1: A_q, A_inf
-    and RH_t are <w> exp(-G) or its reciprocal, G the Box-Cox mean at lam =
-    -1/(q - 1), 0 and t, from the prefixes of w and of w**lam - 1 where lam
-    nu <= 0 (log w at lam = 0), else of w**lam.  The arrays that do not
-    depend on nu (the grid with a, its index, x = min(g, a)/a, log x and
-    g - a past a) are kept per (depth, a) (``_dyadic_parts``).  Intervals touching 0 with
-    a divergent moment make the result +inf with the witness (0, min(a, 1)).
-    A constant weight (nu = 0) scores exactly 1 on every interval, so it
-    returns 1 with the first interval, (0, first grid point), without a scan.
+    By the corner lemma (see the module docstring) the maximum over all
+    pairs is on row [0] up to a, so ``max_pair_ratio`` scores only the
+    intervals [0, g] with g <= a, each O(1) from prefix integrals; the
+    result is the largest rounding of their common exact value, Phi(0).
+    Each functional is invariant under scaling the weight, so the search
+    takes c = 1: A_q, A_inf and RH_t are <w> exp(-G) or its reciprocal, G
+    the Box-Cox mean at lam = -1/(q - 1), 0 and t, from the prefixes of w
+    and of w**lam - 1 where lam nu <= 0 (log w at lam = 0), else of
+    w**lam.  The arrays that do not depend on nu (the grid with a, its
+    index, x = min(g, a)/a, log x and g - a past a) are kept per (depth, a)
+    (``_dyadic_parts``).  Intervals touching 0 with a divergent moment make
+    the result +inf with the witness (0, a).  A constant weight (nu = 0)
+    scores exactly 1 on every interval, so it returns 1 with the first
+    interval, (0, first grid point), without building a grid.
     """
     try:
         depth = operator.index(depth)
@@ -399,7 +451,7 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     parts = _dyadic_parts(depth, a)
     grid, ramp, x = parts[:3]
     p1 = _prefix_power(parts, a, nu, 1.0)
-    if mode == 2:  # the scan reads only the plain prefix and the cap
+    if mode == 2:  # the oracle reads only the plain prefix and the cap
         best, i, j = max_pair_ratio(grid, p1, p1, 0.0, 0.0, x**nu, mode, ramp)
     else:
         center = lam * nu <= 0.0

@@ -181,8 +181,8 @@ def test_verify_at_a_subnormal_plain_average(capsys):
 
 
 @found("A_q of a weight with nu < 0 at large q: lam nu > 0, so p2 is the prefix of "
-       "w**lam and its rounding, raised to 1/|lam|, grows with q - 1; the one corner "
-       "bound does not close the scan, which returns 7.25e19 (ROADMAP item 18)")
+       "w**lam and its rounding, raised to 1/|lam|, grows with q - 1; row [0]'s own "
+       "averages of w**lam give 1.197 at depth 12, where Phi(0) is 1.1387 (ROADMAP item 18)")
 def test_minus_weight_aq_at_large_q_is_phi_zero():
     # FOUND 147: Phi(0), which functional_ratio on [0, 1] gives, is the supremum of
     # the pure power t**nu, nu = -0.427 (corner lemma)

@@ -1,4 +1,4 @@
-"""NumPy and the pair scan load only when a supremum search runs.
+"""NumPy loads only when a supremum search runs.
 
 The scalar API and every CLI command but ``verify`` stay free of NumPy,
 which is most of a cold ``import sharpweights``.  Nor do they load
@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sharpweights import FunctionalKind, PowerWeight, _pairscan, weights
+from sharpweights import FunctionalKind, PowerWeight, weights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,7 +49,7 @@ import sharpweights
 from sharpweights import cli, weights
 
 def loaded():
-    return [m for m in ("numpy", "sharpweights._pairscan") if m in sys.modules]
+    return ["numpy"] if "numpy" in sys.modules else []
 
 steps = [("import", loaded(), "max_pair_ratio" in vars(weights))]
 for argv in json.loads(sys.argv[1]):
@@ -70,12 +70,12 @@ def run_fresh(commands):
 
 def test_scalar_commands_never_load_numpy_and_verify_does():
     printed, steps = run_fresh(SCALAR_COMMANDS + [VERIFY])
-    # the scan's module attribute exists before NumPy does, so a tracer
+    # the oracle's module attribute exists before NumPy does, so a tracer
     # that looks in vars(weights) can wrap it without loading NumPy
     assert steps[0] == ["import", [], True]
     for argv, (name, code, mods) in zip(SCALAR_COMMANDS, steps[1:-1]):
         assert (name, code, mods) == (argv[0], 0, []), argv
-    assert steps[-1] == ["verify", 0, ["numpy", "sharpweights._pairscan"]]
+    assert steps[-1] == ["verify", 0, ["numpy"]]
     assert printed[-1] == VERIFY_RECORD
 
 
@@ -88,30 +88,24 @@ def test_verify_at_delta_one_loads_no_numpy():
 def test_a_wrapped_scan_attribute_sees_every_scan(monkeypatch):
     # the wrapping rule of perfbench/tracing.py: replace every reference
     # to the attribute's function in the package's loaded modules
-    seen, made = [], []
+    seen = []
     orig = weights.max_pair_ratio
-    scan = _pairscan.max_pair_ratio
 
     def wrapped(*args):
         seen.append(args[6])
         return orig(*args)
-
-    def counted(*args):
-        made.append(args[6])
-        return scan(*args)
 
     for name, mod in list(sys.modules.items()):
         if mod is not None and name.startswith("sharpweights"):
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, wrapped)
-    monkeypatch.setattr(_pairscan, "max_pair_ratio", counted)
     w = PowerWeight(1.0, 0.4, 0.8)
     kinds = [FunctionalKind.aq(5.0), FunctionalKind.a_inf(),
              FunctionalKind.rh_p(2.0), FunctionalKind.rh_inf()]
     for kind in kinds:
         weights.sup_ratio_search(w, kind, 6)
-    assert seen == made == [0, 1, 0, 2]
+    assert seen == [0, 1, 0, 2]
 
 
 # captures the modules of interpreter start before anything else loads

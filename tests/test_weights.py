@@ -548,7 +548,7 @@ def test_sup_search_validation():
     w = PowerWeight(1.0, 0.5, 1.0)
     with pytest.raises(DomainError):
         sup_ratio_search(w, FunctionalKind.aq(5.0), 0)
-    # the scan's memory grows fourfold per level: depth 18 would need GBs
+    # the cap: no check of the constants needs a grid finer than depth 17
     with pytest.raises(DomainError, match=r"depth must lie in \[1, 17\], got depth = 18"):
         sup_ratio_search(w, FunctionalKind.aq(5.0), 18)
     with pytest.raises(DomainError):
