@@ -65,15 +65,13 @@ class PowerWeight(namedtuple("PowerWeight", "c a nu")):
         return super().__new__(cls, c, a, nu)
 
     def __call__(self, t: float) -> float:
-        """Pointwise value; the origin maps per the sign of nu."""
+        """Pointwise value on [0, 1]; the origin maps per the sign of nu."""
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"the point t must lie in [0, 1], got t = {t}")
         if t >= self.a:
             return self.c
         if t == 0.0:
-            if self.nu > 0.0:
-                return 0.0
-            if self.nu == 0.0:
-                return self.c
-            return INF
+            return 0.0 if self.nu > 0.0 else self.c if self.nu == 0.0 else INF
         return self.c * (t / self.a) ** self.nu
 
 
@@ -115,26 +113,9 @@ def _validate_interval(alpha: float, beta: float) -> None:
         raise DomainError(f"need 0 <= alpha < beta <= 1, got [{alpha}, {beta}]")
 
 
-def _validate_theta(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise DomainError(f"the power theta must be a finite real, got theta = {theta}")
-
-
 def moment(w: PowerWeight, theta: float) -> float:
-    """Average of w**theta over [0, 1]; +inf when theta*nu <= -1 or where
-    the average passes the float range.  Past 1 + theta*nu = inf it is
-    c**theta*(1 - a), or c**theta/(theta*nu) at a = 1."""
-    _validate_theta(theta)
-    tn = theta * w.nu
-    if tn <= -1.0:
-        return INF
-    num, den = 1.0 + (1.0 - w.a) * tn, 1.0 + tn
-    if den == INF:
-        if w.a == 1.0:
-            return exp_or_inf(theta * math.log(w.c) - math.log(abs(theta)) - math.log(abs(w.nu)))
-        num, den = 1.0 - w.a, 1.0
-    value = power_or_inf(w.c, theta) * num / den  # in logs where c**theta or c**theta * num overflows
-    return value if value < INF else exp_or_inf(theta * math.log(w.c) + math.log(num / den))
+    """Average of w**theta over [0, 1]: interval_moment on [0, 1]."""
+    return interval_moment(w, theta, 0.0, 1.0)
 
 
 def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> float:
@@ -142,9 +123,11 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
     and theta*nu <= -1 or where the average passes the float range.  The ramp term, with
     e = theta*nu + 1, is a*(larger/a)**e * -expm1(-|e|*log(ramp_hi/alpha))/|e|, larger the
     endpoint of the larger power, which cancels neither for small |e| nor on short
-    intervals (e = 0 is its log limit); in logs (_log_average) where it overflows."""
+    intervals (e = 0 is its log limit); m**theta <(w/m)**theta> in logs where the sum is
+    not finite and nonzero."""
     _validate_interval(alpha, beta)
-    _validate_theta(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"the power theta must be a finite real, got theta = {theta}")
     tn = theta * w.nu
     a = w.a
     total = 0.0
@@ -162,61 +145,61 @@ def interval_moment(w: PowerWeight, theta: float, alpha: float, beta: float) -> 
     if beta > a:
         total += beta - max(alpha, a)
     value = power_or_inf(w.c, theta) * total / (beta - alpha)
-    return value if value < INF else exp_or_inf(theta * math.log(w.c) + _log_average(w, theta, alpha, beta))
+    if 0.0 < value < INF:
+        return value
+    return exp_or_inf(theta * (_log_top(w, beta) + _log_mean(w, theta, alpha, beta)))
 
 
-def _log_average(w: PowerWeight, theta: float, alpha: float, beta: float) -> float:
-    """log of the average of (w/c)**theta over [alpha, beta]: interval_moment's
-    terms in logs, which pass no float range; +inf where it diverges at 0."""
-    e, a = theta * w.nu + 1.0, w.a
-    logs = [math.log(beta - max(alpha, a))] if beta > a else []
-    if alpha < a:
-        if alpha == 0.0 and e <= 0.0:
-            return INF
-        ramp_hi = min(beta, a)
-        ell = math.log1p((ramp_hi - alpha) / alpha) if alpha > 0.0 else INF
-        larger = ramp_hi if e > 0.0 else alpha
-        logs.append(math.log(a * ell) if e == 0.0 else math.log(a) + e * math.log(larger / a)
-                    + math.log(-math.expm1(-abs(e) * ell) / abs(e)))
-    top = max(logs)
-    return top + math.log(sum(math.exp(x - top) for x in logs)) - math.log(beta - alpha)
+def _log_top(w: PowerWeight, beta: float) -> float:
+    """log m, m = w(min(beta, a)): the top of the ramp of an interval that ends at beta."""
+    return math.log(w.c) + (w.nu * math.log(beta / w.a) if beta < w.a else 0.0)
 
 
-def _box_cox_mean(w: PowerWeight, lam: float, alpha: float, beta: float) -> float:
-    """G = log <(w/c)**lam> / lam over [alpha, beta], and <log(w/c)> at lam = 0.
+def _log_mean(w: PowerWeight, lam: float, alpha: float, beta: float) -> float:
+    """G = log <(w/m)**lam>/lam over [alpha, beta], the log lam power mean of w/m with m =
+    w(min(beta, a)), and <log(w/m)> at lam = 0; +-inf where <(w/m)**lam> diverges at 0.
 
-    From the Box-Cox average B = <((w/c)**lam - 1)/lam> as log1p(lam B)/lam
-    where lam B lies in [-1/2, 1], which keeps G's digits however small lam
-    is, and in logs (_log_average) where B cancels or overflows.  The plateau
-    adds 0 to B, the ramp part nu (bc(y) - 1 + (ramp_hi/a)**k T)/(1 + k), with
-    k = lam nu, y = log(ramp_hi/a), bc(y) = expm1(k y)/k, r = (ramp_hi -
-    alpha)/alpha and T = -expm1(-k log1p(r))/(k r) (y and log1p(r)/r at k = 0,
-    T = 0 at alpha = 0): no two antiderivatives are subtracted.
-    """
-    k, ramp_hi, b = lam * w.nu, min(beta, w.a), 0.0
-    if alpha == 0.0 and k <= -1.0:  # <(w/c)**lam> diverges at 0
+    w/m is 1 on the plateau and (t/h)**k on the ramp [alpha, h], h = min(beta, a), k = lam
+    nu.  With share = (h - alpha)/(beta - alpha), r = (h - alpha)/alpha, L = log1p(r) and
+    T = -expm1(-k L)/(k r) (0 at alpha = 0), G = log1p(lam B)/lam, lam B = <(w/m)**lam - 1>
+    = share (T - 1)/(1 + 1/k), keeps its digits however small k is where k > -1/2 and lam B
+    lies in [-1/2, 1].  Elsewhere G = log(share M + 1 - share)/lam, log M = log1p(1/r) +
+    log(-expm1(-|e| L)/|e|) + max(-e L, 0), e = k + 1 (log L for the middle term at e = 0),
+    the last term over lam, big = -(nu + 1/lam) L, added apart: two means whose bigs round
+    alike differ by the rest.  Only here may k pass the float range: |e| is then |lam nu| in
+    logs.  At |k| <= 1e-20 G is the log mean nu share (L/r - 1) to the last bit.  G has the
+    sign of -nu, so log m + G is never inf - inf."""
+    nu, h = w.nu, min(beta, w.a)
+    if alpha >= h:
+        return 0.0  # on the plateau, where w = m
+    share, r = (h - alpha) / (beta - alpha), (h - alpha) / alpha if alpha > 0.0 else INF
+    ell, k = math.log1p(r), lam * nu
+    if abs(k) <= 1e-20:
+        return nu * share * ((ell / r if r < INF else 0.0) - 1.0)
+    if alpha == 0.0 and k <= -1.0:
         return INF / lam
-    if alpha < ramp_hi:
-        y, r = math.log(ramp_hi / w.a), (ramp_hi - alpha) / alpha if alpha > 0.0 else INF
-        try:
-            if k == 0.0:
-                ramp = y - 1.0 + (math.log1p(r) / r if r < INF else 0.0)
-            else:
-                inner = math.exp(k * y) * -math.expm1(-k * math.log1p(r)) / (k * r) if r < INF else 0.0
-                ramp = (math.expm1(k * y) / k - 1.0 + inner) / (1.0 + k)
-        except OverflowError:
-            ramp = INF
-        b = w.nu * ramp * ((ramp_hi - alpha) / (beta - alpha))
-    if lam == 0.0 or -0.5 <= lam * b <= 1.0:
-        return math.log1p(lam * b) / lam if lam else b
-    return _log_average(w, lam, alpha, beta) / lam
+    if k > -0.5:
+        t = -math.expm1(-k * ell) / (k * r) if r < INF else 0.0
+        lam_b = share * (t - 1.0) / (1.0 + 1.0 / k)
+        if -0.5 <= lam_b <= 1.0:
+            return math.log1p(lam_b) / lam
+    e = k + 1.0
+    y = abs(e) * ell
+    log_e = math.log(abs(lam)) + math.log(abs(nu)) if math.isinf(e) else math.log(abs(e) or 1.0)
+    log_m = (math.log(-math.expm1(-y)) if e else math.log(ell)) - log_e
+    log_m += math.log1p(1.0 / r) + math.log(share)  # log(share M) less lam big
+    big, y = (-(nu + 1.0 / lam) * ell, y) if e < 0.0 else (0.0, 0.0)
+    log_p = math.log((beta - w.a) / (beta - alpha)) if beta > w.a else -INF  # the plateau's share
+    x = log_p - log_m - y
+    if x <= 0.0:
+        return big + (log_m + math.log1p(math.exp(x))) / lam
+    return (log_p + math.log1p(math.exp(-x))) / lam
 
 
 def log_moment(w: PowerWeight, alpha: float, beta: float) -> float:
-    """Average of log w over [alpha, beta]; always finite: log c plus the
-    lam = 0 Box-Cox mean."""
+    """Average of log w over [alpha, beta]; always finite: log m + <log(w/m)>."""
     _validate_interval(alpha, beta)
-    return math.log(w.c) + _box_cox_mean(w, 0.0, alpha, beta)
+    return _log_top(w, beta) + _log_mean(w, 0.0, alpha, beta)
 
 
 def ess_sup(w: PowerWeight, alpha: float, beta: float) -> float:
@@ -235,6 +218,8 @@ def rhp_norm_closed(w: PowerWeight, p: float) -> float:
     require_finite(p, "the RH_p norm (rhinf_norm_closed covers p = inf)")
     if not w.nu > -1.0 / p:
         raise DomainError(f"nu must exceed -1/p = {-1.0 / p}, got {w.nu}")
+    if p * w.nu == INF:  # 1 + p nu = p nu to the last bit, taken apart
+        return (1.0 + w.nu) / (p ** (1.0 / p) * w.nu ** (1.0 / p))
     return (1.0 + w.nu) / (1.0 + p * w.nu) ** (1.0 / p)
 
 
@@ -297,21 +282,19 @@ def _box_cox_exponent(kind: FunctionalKind) -> float:
 
 
 def functional_ratio(w: PowerWeight, kind: FunctionalKind, alpha: float, beta: float) -> float:
-    """The chosen functional on [alpha, beta] via the closed forms, on the
-    weight with c = 1, as each functional is invariant under scaling it:
-    exp(+-(G_1 - G)), with G_1 = log <w> and G the Box-Cox mean
-    (_box_cox_mean) at lam = -1/(q - 1), 0 and t, or log ess sup w."""
-    w = w._replace(c=1.0)
+    """The chosen functional on [alpha, beta] via the closed forms: exp(+-(G_1 - G)), G_1
+    and G the log power means of w/m (_log_mean) at lam = 1 and at lam = -1/(q - 1), 0 and
+    t, and G = 0 for RH_inf (ess sup w = m); m cancels, and so any c gives the same value."""
     _validate_interval(alpha, beta)
-    log_avg = _box_cox_mean(w, 1.0, alpha, beta)
+    g1 = _log_mean(w, 1.0, alpha, beta)
     if kind.name == "rhinf":
         ess_sup(w, alpha, beta)  # refuses nu < 0
-        lam, g = INF, w.nu * math.log(min(beta, w.a) / w.a)
-    else:
-        g = _box_cox_mean(w, lam := _box_cox_exponent(kind), alpha, beta)
-    if lam > 0.0 and log_avg == INF:
+        return exp_or_inf(-g1)
+    lam = _box_cox_exponent(kind)
+    if lam > 0.0 and g1 == INF:
         raise DomainError(f"the plain average is infinite on [{alpha}, {beta}]")
-    return exp_or_inf(log_avg - g if lam <= 0.0 else g - log_avg)
+    g = _log_mean(w, lam, alpha, beta)
+    return exp_or_inf(g1 - g if lam <= 0.0 else g - g1)
 
 
 def _grid_parts(grid: np.ndarray, a: float) -> tuple:

@@ -26,6 +26,7 @@ from sharpweights import (
     hessian_form,
     interval_moment,
     q_star,
+    rhp_norm_closed,
     sup_ratio_search,
     t_star,
 )
@@ -156,6 +157,30 @@ def test_interval_moment_past_the_float_range_is_inf():
     assert interval_moment(PowerWeight(1e300, 0.5, 1.0), 2.0, 0.1, 0.2) == math.inf
 
 
+def test_interval_moment_where_c_to_the_theta_underflows():
+    # c**theta = 1e-340 rounded to 0.0, and the linear sum returned 0.0 for a normal
+    # average; a sum of 0.0 now takes the log route as well
+    value = interval_moment(PowerWeight(1e-170, 1.0, -100.0), 2.0, 0.1, 0.2)
+    assert rel_err(value, 5.025125628140647560104281e-143) <= 1e-13
+
+
+def test_rh_t_on_a_ramp_interval_at_large_nu():
+    # the Box-Cox mean relative to c carried exp(k log(h/a)) and expm1(k log(h/a))/k,
+    # which at k = 2e17 rounded the functional to 1.0; relative to m = w(h) they vanish.
+    # The reference is t**1e16 on [0.1, 1]
+    value = functional_ratio(PowerWeight(1.0, 0.5, 1e16), FunctionalKind.rh_p(20.0), 1e-10, 1e-9)
+    assert rel_err(value, 1234465292820473.493894181) <= 1e-14
+
+
+@pytest.mark.parametrize("nu, p, reference", [
+    (1e300, 1e10, 9.999999286198647172513218e299),
+    (1e200, 1e200, 9.999999999999999697331222e199),
+])
+def test_rhp_norm_past_the_float_range_of_p_nu(nu, p, reference):
+    # (1 + p*nu)**(1/p) was inf**(1/p) = inf, and the norm 0.0
+    assert rel_err(rhp_norm_closed(PowerWeight(1.0, 1.0, nu), p), reference) <= 1e-15
+
+
 # -- open ---------------------------------------------------------------------
 
 
@@ -225,3 +250,21 @@ def test_interval_moment_within_a_few_ulp_at_large_theta_nu():
                             8.869306756698956, 0.00967857630942603, 0.10743877943918628)
     reference = 2.777401484350744432457098e-133
     assert abs(value - reference) <= 4 * math.ulp(reference)
+
+
+@found("the log means carry an absolute error of about |nu| ulp, from log1p(r)/r - 1 "
+       "and T - 1 at small r = (beta - alpha)/alpha, while A_inf - 1 is of order "
+       "(nu r)**2: A_inf reads 0.9999999995 on an interval 5.3e-14 long at nu = -1.3e7")
+def test_a_inf_on_a_short_interval_at_large_nu():
+    w = PowerWeight(1.0, 0.9305481318898121, -12793325.799190374)
+    value = functional_ratio(w, FunctionalKind.a_inf(), 0.7563901927638643, 0.7563901927639175)
+    assert rel_err(value, 1.000000000000033709738702) <= 1e-15
+
+
+@found("for nu < -1 both log means of RH_t are near |nu| log(min(beta, a)/alpha), as m = "
+       "w(min(beta, a)) is the bottom of w: RH_t of PowerWeight(1, 0.5, -1e200) at t = 1e200 "
+       "on [0.25, 1] reads 1.0 where it is 3(nu + 1)")
+def test_rh_t_of_a_steep_falling_ramp():
+    # log RH = log M_t - log M_1 = 2 log 2 + log(|nu| - 1) + log(3/4) + O(1/t), |nu| the float 1e200
+    value = functional_ratio(PowerWeight(1.0, 0.5, -1e200), FunctionalKind.rh_p(1e200), 0.25, 1.0)
+    assert rel_err(value, 2.999999999999999909199367e200) <= 1e-14

@@ -3,6 +3,7 @@ norms, extremal construction, and the supremum oracle."""
 
 import math
 import random
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -85,11 +86,68 @@ def test_interval_moment_examples():
     w = PowerWeight(1.0, 0.5, 1.0)
     assert interval_moment(w, 1.0, 0.5, 1.0) == pytest.approx(1.0, rel=1e-14)
     assert interval_moment(w, 1.0, 0.25, 0.5) == pytest.approx(0.75, rel=1e-14)
-    # consistency with the full-interval moment
+    # moment is interval_moment on [0, 1]
     for theta in (-0.5, 1.0, 2.0, 3.5):
-        assert interval_moment(w, theta, 0.0, 1.0) == pytest.approx(
-            moment(w, theta), rel=1e-13
-        )
+        assert interval_moment(w, theta, 0.0, 1.0) == moment(w, theta)
+
+
+def _moment_corpus(seed=22, n=3000):
+    """(c, a, nu, theta, alpha, beta): theta = +-2**j, so theta*nu is exact, with theta*nu
+    within 1e-12 of -1 or up to 1e3 in size, c**theta anywhere from 1e-290 to 1e290, c
+    subnormal for some theta <= 1/2, a on and off 1, and [0, 1] in a third of the draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        theta = rng.choice((-1.0, 1.0)) * 2.0 ** rng.randint(-6, 6)
+        span = min(307.0, 290.0 / abs(theta))
+        subnormal = abs(theta) <= 0.5 and rng.random() < 0.15
+        c = 10.0 ** (rng.uniform(-323.0, -308.0) if subnormal else rng.uniform(-span, span))
+        a = 1.0 if rng.random() < 0.4 else rng.uniform(0.01, 1.0)
+        if rng.random() < 0.3:
+            tn = -1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -0.3)
+        else:
+            tn = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.35:
+            alpha, beta = 0.0, 1.0
+        else:
+            alpha = 0.0 if rng.random() < 0.2 else rng.random() ** 3
+            beta = alpha + (1.0 - alpha) * rng.random()
+        if alpha < beta:
+            out.append((c, a, tn / theta, theta, alpha, beta))
+    return out
+
+
+def _errors_in_u(call, cases):
+    """|value/exact - 1| in units of 2**-53 over the cases whose exact average is a
+    normal float."""
+    errs = []
+    for c, a, nu, theta, alpha, beta in cases:
+        with mp.workdps(50):
+            lo, hi, b = mp.mpf(alpha), min(mp.mpf(beta), mp.mpf(a)), mp.mpf(beta)
+            if lo == 0 and theta * mp.mpf(nu) <= -1:
+                continue
+            exact = mp.mpf(c) ** theta * (_ramp_integral_50(PowerWeight(c, a, nu), theta, alpha, beta)
+                                          + max(b - max(lo, mp.mpf(a)), 0)) / (b - lo)
+            if 2.2250738585072014e-308 <= exact <= 1.7976931348623157e308:
+                got = call(PowerWeight(c, a, nu), theta, alpha, beta)
+                errs.append(float(abs(got / exact - 1)) * 2.0**53)
+    return errs
+
+
+@pytest.mark.parametrize("name, call, on_unit, max_u, median_u", [
+    # 708 cases: 2.62u and 0.53085u (38.83u and 0.53172u before moment was
+    # interval_moment on [0, 1])
+    ("moment", lambda w, theta, alpha, beta: moment(w, theta), True, 3.0, 0.5317),
+    # 2,484 cases: 935.6u and 0.71332u (1,385.5u before the one log-mean kernel); the
+    # ramp term raises larger/a to the power e and loses about |e| ulp (test_findings)
+    ("interval_moment", interval_moment, False, 1000.0, 0.71332),
+], ids=["moment", "interval_moment"])
+def test_moments_on_a_seeded_corpus_at_50_digits(name, call, on_unit, max_u, median_u):
+    cases = [x for x in _moment_corpus() if not on_unit or x[4:] == (0.0, 1.0)]
+    errs = _errors_in_u(call, cases)
+    assert len(errs) >= 600
+    assert max(errs) <= max_u and statistics.median(errs) <= median_u, (
+        max(errs), statistics.median(errs))
 
 
 def test_interval_moment_divergence_and_errors():
@@ -188,6 +246,45 @@ def test_log_moment_keeps_its_digits_on_short_intervals(w):
                 # error exp(-log_moment) inherits, the error allowed above
                 ratio = functional_ratio(w, FunctionalKind.a_inf(), alpha, beta)
                 assert ratio >= 1.0 - 1e-14 * max(1.0, abs(got)), (alpha, beta, ratio)
+
+
+def _functional_of_a_pure_power_50(nu, kind, x0):
+    """The functional of t**nu on [x0, 1] at 50 digits, from <t**(lam nu)> = (1 -
+    x0**e)/(e (1 - x0)), e = lam nu + 1: x0**e is tiny or huge for large |e|, never
+    near 1, so nothing cancels."""
+    nu, x0 = mp.mpf(nu), mp.mpf(x0)
+
+    def mean(lam):
+        e = lam * nu + 1
+        return (1 - x0**e) / (e * (1 - x0)) if e else -mp.log(x0) / (1 - x0)
+
+    if kind.name == "rhinf":
+        return 1 / mean(1)  # ess sup is 1 at t = 1
+    if kind.name == "ainf":
+        return mean(1) / mp.exp(-nu * (1 + x0 * mp.log(x0) / (1 - x0)))
+    s = -1 / (mp.mpf(kind.exponent) - 1) if kind.name == "aq" else mp.mpf(kind.exponent)
+    ratio = mp.power(mean(s), 1 / s) / mean(1)
+    return 1 / ratio if kind.name == "aq" else ratio
+
+
+@pytest.mark.parametrize("nu", [1e2, 1e6, 1e10, 1e14, 1e16, -0.9, -0.25])
+@pytest.mark.parametrize("kind", [FunctionalKind.rh_p(20.0), FunctionalKind.rh_p(1.5),
+                                  FunctionalKind.rh_inf(), FunctionalKind.aq(1e20),
+                                  FunctionalKind.a_inf()], ids=["rh20", "rh1.5", "rhinf", "aq", "ainf"])
+@pytest.mark.parametrize("alpha, beta", [(1e-10, 1e-9), (0.1, 0.3), (0.2, 0.4)])
+def test_functionals_on_ramp_intervals_at_large_nu(nu, kind, alpha, beta):
+    # on [alpha, beta] inside [0, a] every functional is that of t**nu on [alpha/beta, 1];
+    # RH_t(20) on [1e-10, 1e-9] was 1.2e-9 off at nu = 1e6 and 1.0 at nu = 1e16 (test_findings)
+    w = PowerWeight(3.0, 0.5, nu)
+    if kind.name == "rhinf" and nu < 0.0:
+        return
+    got = functional_ratio(w, kind, alpha, beta)
+    with mp.workdps(50):
+        ref = _functional_of_a_pure_power_50(nu, kind, mp.mpf(alpha) / mp.mpf(beta))
+    if ref > 1.7976931348623157e308:
+        assert got == math.inf
+    else:
+        assert float(abs(got / ref - 1)) <= 1e-13, (got, ref)
 
 
 def test_a_inf_functional_on_a_short_interval():
