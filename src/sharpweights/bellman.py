@@ -95,27 +95,6 @@ class Parameters(namedtuple("Parameters", "p q delta")):
         return "lower" if self.gamma * self.s_minus < 1.0 else "band"
 
 
-def _point(p: float, delta: float, x: DomainPoint, upper: bool) -> tuple[float, ...]:
-    """(r, 1 - p*r, 1 - (p-1)*r, shift + the logs of the last two, shift)
-    at x on the right branch if ``upper``, else the left.  Past v = p*r =
-    15/16 the factors come from the gap 1 - p*r, solved on its own, and
-    the logs are of p times them (shift = log(p)), which are of size 1 at
-    large p: the value form's coefficients sum to 0, so the shift cancels."""
-    log_t = roots.point_log_ratio(p, delta, x)
-    if log_t == -INF:
-        raise DomainError(f"p*log(delta) passes the float range, got p = {p}, delta = {delta}")
-    log_m = None
-    if upper:
-        r, log_m = roots.u_plus_gap_from_log(p, log_t)
-    else:
-        r = roots.u_minus_from_log(p, log_t)
-    if log_m is None:
-        a, b = math.log1p(-p * r), math.log1p(-(p - 1.0) * r)
-        return r, 1.0 - p * r, 1.0 - (p - 1.0) * r, a, b, 0.0
-    m, v = math.exp(log_m), p * r  # m = p*(1 - p*r)
-    return r, m / p, (m + v) / p, log_m, math.log(m + v), math.log(p)
-
-
 def _log_product(
     params: Parameters, x: DomainPoint, gamma_form: bool = False
 ) -> tuple[float, float, float, float]:
@@ -125,7 +104,7 @@ def _log_product(
     lies in the band for this point (a few ulp above a float q_star)."""
     p, qc, g = params.p, params.q_conj, params.gamma
     upper = params.regime == "upper"
-    r, eps, mr, a, b, shift = _point(p, params.delta, x, upper)
+    r, eps, mr, a, b, shift = roots.point_factors(p, params.delta, x, "plus" if upper else "minus")
     if shift:  # 1 - gamma*r = (1 - p*r) - r/(q - 1), and c is shifted too
         cg = eps - r / (params.q - 1.0)
         c = math.log(p * cg) if cg > 0.0 else INF
@@ -214,7 +193,7 @@ def bellman_infinity_value(p: float, delta: float, x: DomainPoint) -> float:
     qs = roots.q_star(p, delta)
     if math.isinf(qs):
         return INF
-    r, eps, _, a, b, _ = _point(p, delta, x, upper=True)
+    r, eps, _, a, b, _ = roots.point_factors(p, delta, x, "plus")
     # (s - r)/((1 - p*s)*(1 - p*r)) = (q_star - 1) - r/(1 - p*r)
     ratio = r / eps if eps else INF
     return exp_or_inf(-math.log(x1) + b - a - ratio + (qs - 1.0 - math.log(qs)))
@@ -274,33 +253,16 @@ class TangentSegment(NamedTuple):
     branch: str = "plus"
 
 
-def tangent_segment(
-    p: float, delta: float, b: float, branch: str = "plus"
-) -> TangentSegment:
-    """Linearity segment anchored at the upper-curve point with x1 = b.
-
-    Its straight-line extension meets the lower curve at the point whose
-    first coordinate is b*(1-(p-1)*s)/(1-p*s); both endpoints satisfy
-    delta**p * p * x1 - b**(1-p) * x2 = delta**p * b * (p-1).
-    """
+def tangent_segment(p: float, delta: float, b: float, branch: str = "plus") -> TangentSegment:
+    """Linearity segment anchored at the upper-curve point with x1 = b, which meets the lower
+    curve at x1 = b*(1 + nu), nu the ramp exponent of the branch: b*q_star on the plus branch
+    and b*q_sub on the minus one.  Both endpoints satisfy
+    delta**p * p * x1 - b**(1-p) * x2 = delta**p * b * (p-1)."""
     require_finite(p, "a tangent segment")
     if delta == 1.0:
         raise DomainError("delta = 1 degenerates the segment to a point")
     if not b > 0.0 or math.isinf(b) or math.isnan(b):
         raise DomainError(f"the anchor b must be a positive real, got b = {b}")
-    s = roots.class_parameter(p, delta, branch)
-    if math.isinf(s):
-        raise DomainError(
-            f"the minus branch at p = {p}, delta = {delta} passes the float range"
-        )
-    x1_lower = b * (1.0 - (p - 1.0) * s) / (1.0 - p * s)
-    # (delta*b)**p/(1 - p*s), formed as the upper-curve value over
-    # b/(1 - p*s)**(1/p): +inf exactly past the float range, and a few
-    # times more accurate at large p than exp of the summed logarithms.
-    x2_lower = boundary_values(p, delta, b * (1.0 - p * s) ** (-1.0 / p))[1]
-    return TangentSegment(
-        b=b,
-        endpoint_gamma_delta=(b, boundary_values(p, delta, b)[1]),
-        endpoint_gamma_one=(x1_lower, x2_lower),
-        branch=branch,
-    )
+    x1_lower = b * roots.ramp_exponents(p, delta, branch)[1]
+    upper, lower = boundary_values(p, delta, b)[1], boundary_values(p, delta, x1_lower)[0]
+    return TangentSegment(b, (b, upper), (x1_lower, lower), branch)

@@ -315,6 +315,22 @@ def r_pair(p: float, delta: float, x: DomainPoint) -> tuple[float, float]:
     return (u_minus_from_log(p, log_t), u_plus_from_log(p, log_t))
 
 
+def point_factors(p: float, delta: float, x: DomainPoint, branch: str) -> tuple[float, ...]:
+    """(r, 1 - p*r, 1 - (p-1)*r, shift + the logs of the last two, shift) at x on one branch.
+    Past v = p*r = 15/16 the factors come from the gap 1 - p*r, solved on its own, and the
+    logs are of p times them (shift = log(p)), of size 1 at large p."""
+    log_t = point_log_ratio(p, delta, x)
+    if log_t == -INF:
+        raise DomainError(f"p*log(delta) passes the float range, got p = {p}, delta = {delta}")
+    r, log_m = (u_plus_gap_from_log(p, log_t) if branch == "plus"
+                else (u_minus_from_log(p, log_t), None))
+    if log_m is None:
+        a, b = math.log1p(-p * r), math.log1p(-(p - 1.0) * r)
+        return r, 1.0 - p * r, 1.0 - (p - 1.0) * r, a, b, 0.0
+    m, v = math.exp(log_m), p * r  # m = p*(1 - p*r)
+    return r, m / p, (m + v) / p, log_m, math.log(m + v), math.log(p)
+
+
 def branch_solver(branch: str) -> Callable[[float, float], float]:
     """The log-t solver of one branch: "plus" (the right branch, q above
     q_star) or "minus" (the left branch); any other name is refused."""
@@ -394,6 +410,23 @@ def gehring_gap(p: float, delta: float) -> float:
     if delta == 1.0:
         return INF
     return -1.0 / class_parameter(p, delta, "minus")
+
+
+def ramp_exponents(p: float, delta: float, branch: str) -> tuple[float, float, float]:
+    """(nu, 1 + nu, 1 + p*nu) of the extremal ramp t**nu: q_star - 1 on the plus branch,
+    -1/t_star = -1/(p + w) on the minus one, so that 1 - p*s = 1/(1 + p*nu) of the class
+    parameter s is never formed.  A DomainError where q_star is +inf or w is 0."""
+    branch_solver(branch)
+    if branch == "plus":
+        qs = q_star(p, delta)
+        if qs < INF:
+            return qs - 1.0, qs, 1.0 + p * (qs - 1.0)
+    else:
+        w = gehring_gap(p, delta)
+        t = p + w
+        if w > 0.0:
+            return (-1.0 / t, (p - 1.0 + w) / t, w / t) if w < INF else (0.0, 1.0, 1.0)
+    raise DomainError(f"the {branch} branch at p = {p}, delta = {delta} passes the float range")
 
 
 def q_sub(p: float, delta: float) -> float:

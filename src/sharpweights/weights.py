@@ -50,6 +50,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# The relative move of x, from the rounding of a and nu, past which extremal_weight refuses.
+_WEIGHT_RTOL = 1e-10
+
+
 class PowerWeight(namedtuple("PowerWeight", "c a nu")):
     """Ramp exponent nu on [0, a), constant plateau c on [a, 1]."""
 
@@ -233,17 +237,15 @@ def rhinf_norm_closed(w: PowerWeight) -> float:
 def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> PowerWeight:
     """The weight whose averages realize x with class norm exactly delta.
 
-    Finite p: nu = s/(1 - p*s) with s the branch value of the class
-    parameter, breakpoint from the point parameter r of the same branch;
-    on the lower curve (or at delta = 1) the constant x1.  p = inf: nu =
-    delta - 1 with x = (<w>, sup w).  On the upper curve, as classify_point
-    decides it, r = 0, a = 1, and the weight is x1*(1 + nu)*t**nu with nu
-    from a critical exponent, as 1 - p*s = s/(q_star - 1): q_star - 1 on the
-    plus branch (a DomainError where q_star is +inf), -1/t_star on the minus
-    one.  `branch` is "plus" (moment regimes above the band) or "minus"
-    (the self-improvement regime).
+    Finite p: nu is the ramp exponent of the branch, q_star - 1 (plus) or -1/t_star (minus),
+    and with the point parameter r of that branch a = 1 - r/(nu*(1 - p*r)) and c = x1*(1 +
+    nu)*(1 - p*r)/(1 - (p-1)*r).  On the upper curve, as classify_point decides it, r = 0, so
+    a = 1; on the lower curve (or at delta = 1) the constant x1.  p = inf: nu = delta - 1 with
+    x = (<w>, sup w).  `branch` is "plus" (moment regimes above the band) or "minus" (the
+    self-improvement regime).  A DomainError naming p, delta and x where the rounding of the
+    float a or nu would move x by more than _WEIGHT_RTOL.
     """
-    solve = roots.branch_solver(branch)  # refuses an unknown name before any shortcut
+    roots.branch_solver(branch)  # refuses an unknown name before any shortcut
     side = classify_point(p, delta, x)
     x1, x2 = x
     if side == "lower":
@@ -251,29 +253,21 @@ def extremal_weight(p: float, delta: float, x: DomainPoint, branch: str) -> Powe
     if math.isinf(p):
         a = 1.0 if side == "upper" else (1.0 - x1 / x2) / (1.0 - 1.0 / delta)
         return PowerWeight(c=x2, a=min(a, 1.0), nu=delta - 1.0)
-    if side == "upper":
-        # s/(1 - p*s) would lose about nu ulp to the rounding of 1 - p*s
-        nu = roots.q_star(p, delta) - 1.0 if branch == "plus" else -1.0 / roots.t_star(p, delta)
-        if not -1.0 / p < nu < INF:
-            raise DomainError(f"the {branch} branch at p = {p}, delta = {delta} gives the ramp "
-                              f"exponent {nu}, outside -1/p < nu < inf")
-        return PowerWeight(c=x1 * (1.0 + nu), a=1.0, nu=nu)
-    s = roots.class_parameter(p, delta, branch)
-    r = solve(p, roots.point_log_ratio(p, delta, x))
-    nu = s / (1.0 - p * s)
-    a = (s - r) / (s * (1.0 - p * r))
-    # s <= 0 pins nu into (-1/p, 0] in exact arithmetic, but for large
-    # p*log(delta) the rounded nu can reach -1/p, where w**p stops being
-    # integrable, and past the float range s is -inf and nu is nan.  On
-    # the plus branch near p = 1, s and r can round to one float next to
-    # 1/p, which collapses the ramp to a = 0.
-    if not (nu > -1.0 / p and a > 0.0):
-        raise DomainError(
-            f"the {branch} branch at p = {p}, delta = {delta} gives s = {s}, r = {r}: "
-            f"ramp exponent {nu} and breakpoint {a}, outside nu > -1/p, a > 0"
-        )
-    c = x1 * (1.0 - p * r) * (1.0 - (p - 1.0) * s) / ((1.0 - (p - 1.0) * r) * (1.0 - p * s))
-    return PowerWeight(c=c, a=min(a, 1.0), nu=nu)
+    nu, one_nu, one_pnu = roots.ramp_exponents(p, delta, branch)
+    r, eps, mr = ((0.0, 1.0, 1.0) if side == "upper"
+                  else roots.point_factors(p, delta, x, branch)[:3])
+    # near a = 0, 1 - r/(nu*(1 - p*r)) loses about 1/a ulp and (1 - r*(1 + p*nu)/nu)/(1 - p*r)
+    # 1/(a*(1 - p*r)): the first on the plus branch, where 1 - p*r <= 1, the second on the minus
+    a = 1.0 - r / (nu * eps) if branch == "plus" else (1.0 - r * one_pnu / nu) / eps
+    # a is off by min(u, 1 - a) and nu by u relative, which move x2 by p*nu*(1 - p*r) and
+    # p*nu/(1 + p*nu) times that (x1 and the norm by less): too short a plateau (p near 1)
+    # or nu too near -1/p (large p*log(delta)) is refused
+    u = 2.0**-53
+    moved = p * (min(abs(nu) * eps * u, abs(r)) + (abs(nu) * u / one_pnu if one_pnu > 0.0 else INF))
+    if not (a > 0.0 and moved <= _WEIGHT_RTOL):
+        raise DomainError(f"the {branch} branch at p = {p}, delta = {delta}, x = {x} gives "
+                          f"nu = {nu} and a = {a}, which move x by more than {_WEIGHT_RTOL}")
+    return PowerWeight(c=x1 * (one_nu * eps / mr), a=a, nu=nu)
 
 
 def _box_cox_exponent(kind: FunctionalKind) -> float:

@@ -167,6 +167,8 @@ def test_criterion_04_critical_exponent_asymptotics():
 
 
 def test_criterion_05_extremal_weights_attain_the_supremum():
+    # largest gaps measured on these points: 4.4e-16 in x1, 2.1e-15 in x2 and
+    # 1.9e-15 in the value (bounds were 1e-10, 1e-10 and 1e-9)
     failures = []
     p, delta = 2.0, 2.0
     upper = Parameters(p, 10.0, delta)
@@ -174,18 +176,19 @@ def test_criterion_05_extremal_weights_attain_the_supremum():
     for x in interior_points(p, delta, 50, seed=55):
         for params, branch in ((upper, "plus"), (gehring, "minus")):
             w = extremal_weight(p, delta, x, branch)
-            if rel_gap(moment(w, 1.0), x[0]) > 1e-10:
+            if rel_gap(moment(w, 1.0), x[0]) > 1e-13:
                 failures.append(f"{branch} x1 at {x}")
-            if rel_gap(moment(w, p), x[1]) > 1e-10:
+            if rel_gap(moment(w, p), x[1]) > 1e-12:
                 failures.append(f"{branch} x2 at {x}")
             theta = 1.0 - params.q_conj
-            if rel_gap(moment(w, theta), bellman_value(params, x)) > 1e-9:
+            if rel_gap(moment(w, theta), bellman_value(params, x)) > 1e-12:
                 failures.append(f"{branch} supremum at {x}")
         # q = 3 sits in the critical band, so the moment diverges
         w = extremal_weight(p, delta, x, "plus")
         if moment(w, 1.0 - 1.5) != INF:
             failures.append(f"band moment finite at {x}")
-    report(5, "extremal weights reproduce averages and value", failures)
+    report(5, "extremal weights reproduce x1 within 1e-13, x2 and the value within 1e-12",
+           failures)
 
 
 def test_criterion_06_numeric_sharpness_oracle():
@@ -311,6 +314,8 @@ def test_criterion_09_large_moment_exponent_limit():
 
 
 def test_criterion_10_exponential_class_sharpness():
+    # the measured gap is 0 at all three p (the bound was 1e-9): the bound is
+    # 4 rounding units, as no multiple of 0 leaves room for a libm's rounding
     failures = []
     delta = 2.0
     for p in (2.0, 3.0, INF):
@@ -318,9 +323,10 @@ def test_criterion_10_exponential_class_sharpness():
         w = extremal_weight(p, delta, x, "plus")
         got = functional_ratio(w, FunctionalKind.a_inf(), 0.0, 1.0)
         want = ainf_constant(p, delta).constant
-        if rel_gap(got, want) > 1e-9:
+        if rel_gap(got, want) > 2.0**-51:
             failures.append(f"p={p}: {got} vs {want}")
-    report(10, "extremal weight attains the exponential constant", failures)
+    report(10, "extremal weight attains the exponential constant within 4 rounding units",
+           failures)
 
 
 def test_criterion_11_dyadic_cube_bounds():

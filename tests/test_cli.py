@@ -178,17 +178,15 @@ def test_extremal_residuals_vanish(capsys):
 
 
 def test_extremal_next_to_the_right_branch_endpoint(capsys):
-    # s_plus and r_plus both round next to 1/p: the command reports the
-    # collapsed ramp as a domain error instead of crashing in log1p
-    code, out, err = run_cli(
-        ["extremal", "--p", "1.1068881383566298", "--delta", "79.2479422471094",
-         "--x1", "1", "--x2", "2"],
-        capsys,
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith(
-        "error: the plus branch at p = 1.1068881383566298, delta = 79.2479422471094"
-    )
+    # the command reports a weight it cannot carry as a domain error naming
+    # p and delta, instead of printing a wrong one with exit 0: q_star passes
+    # the float range at (1.001, 10), and at (1.01, 1000) nu = q_star - 1 =
+    # 2.7e303 leaves a plateau 1 - a far below an ulp of 1
+    for p, delta in (("1.001", "10"), ("1.01", "1000")):
+        argv = ["extremal", "--p", p, "--delta", delta, "--x1", "1", "--x2", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the plus branch at p = {float(p)}, delta = {float(delta)}")
 
 
 def test_extremal_minus_branch(capsys):
@@ -199,7 +197,7 @@ def test_extremal_minus_branch(capsys):
     )
     assert code == 0
     rec = parse_plain(out)
-    assert float(rec["nu"]) == pytest.approx(-0.23366402246522455604, rel=1e-9)
+    assert float(rec["nu"]) == pytest.approx(-0.23366402246522462993, rel=1e-9)
     for key in ("resid_x1", "resid_x2", "resid_delta"):
         assert abs(float(rec[key])) < 1e-9
 

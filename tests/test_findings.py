@@ -181,19 +181,23 @@ def test_rhp_norm_past_the_float_range_of_p_nu(nu, p, reference):
     assert rel_err(rhp_norm_closed(PowerWeight(1.0, 1.0, nu), p), reference) <= 1e-15
 
 
+def test_extremal_near_p_one_builds_the_weight(capsys):
+    # s_plus and r_plus rounded to one float next to 1/p, which collapsed the
+    # ramp to a = 0 and the command exited 2; nu = q_star - 1 = 1.2e20 and a
+    # from nu and the gap 1 - p*r build it
+    argv = ["extremal", "--p", "1.1068881383566298", "--delta", "79.2479422471094",
+            "--x1", "1", "--x2", "2"]
+    assert cli.main(argv) == 0
+    rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+    for key, scale in (("resid_x1", 1.0), ("resid_x2", 2.0), ("resid_delta", 79.2479422471094)):
+        assert abs(float(rec[key])) <= 1e-14 * scale, (key, rec[key])
+
+
 # -- open ---------------------------------------------------------------------
 
 
 def found(text):
     return pytest.mark.xfail(reason=text)
-
-
-@found("the plus branch near p = 1: s_plus and r_plus round to one float and "
-       "`sharp-weights extremal` refuses the weight (exit 2)")
-def test_extremal_near_p_one_builds_the_weight(capsys):
-    argv = ["extremal", "--p", "1.1068881383566298", "--delta", "79.2479422471094",
-            "--x1", "1", "--x2", "2"]
-    assert cli.main(argv) == 0
 
 
 @found("row [0] of `verify --p 3 --q 1000 --delta 30`: from pair (0, 304) on, whose "

@@ -130,8 +130,8 @@ JSON_LINES = [
     '{"p": 2.0, "q": 5.0, "delta": 2.0, "q_star": 7.464101615137755, "c_q": "inf", '
     '"c_inf": 85.96984005009588}',
     '{"p": 2.0, "delta": 2.0, "x1": 1.0, "x2": 2.0, "branch": "minus", '
-    '"c": 0.9148357668252575, "a": 0.10749381415070441, "nu": -0.4641016151377546, '
-    '"resid_x1": 0.0, "resid_x2": 8.881784197001252e-16, '
+    '"c": 0.9148357668252574, "a": 0.10749381415070441, "nu": -0.4641016151377546, '
+    '"resid_x1": -1.1102230246251565e-16, "resid_x2": 4.440892098500626e-16, '
     '"resid_delta": 4.440892098500626e-16}',
 ]
 JSON_COMMANDS = [

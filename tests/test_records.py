@@ -50,7 +50,7 @@ RECORDS = {
         lambda: tangent_segment(2.0, 2.0, 1.0, "minus"),
         tangent_segment(2.0, 2.0, 1.0),
         "TangentSegment(b=1.0, endpoint_gamma_delta=(1.0, 4.0), "
-        "endpoint_gamma_one=(0.5358983848622454, 0.2871870788979634), branch='minus')",
+        "endpoint_gamma_one=(0.5358983848622454, 0.2871870788979633), branch='minus')",
     ),
     "EmbeddingResult": (
         lambda: aq_constant(2.0, 10.0, 2.0),

@@ -28,6 +28,7 @@ from sharpweights import (
     rhp_norm_closed,
     sup_ratio_search,
 )
+from sharpweights import roots
 
 SQRT3 = math.sqrt(3.0)
 
@@ -362,7 +363,7 @@ def test_extremal_on_upper_curve():
 @pytest.mark.parametrize("p, delta, x", [(2.0, 2.0, (1.0, 4.0)), (3.0, 1.5, (1.0, 3.375))])
 def test_extremal_breakpoint_is_one_on_the_upper_curve(p, delta, x, branch):
     # the point parameter r is 0 on the upper curve, where
-    # (s - r)/(s*(1 - p*r)) is exactly 1 for either branch value s
+    # a = 1 - r/(nu*(1 - p*r)) is exactly 1 for either branch exponent nu
     assert extremal_weight(p, delta, x, branch).a == 1.0
 
 
@@ -413,6 +414,39 @@ def test_plus_weights_on_the_upper_curve_have_class_norm_delta():
     assert (finite, refused) == (19_354, 1_755)
 
 
+def interior_corpus():
+    """(p, delta, x) of 4,000 draws from default_rng(7): p - 1 = 10**U(-1.5, 2),
+    delta - 1 = 10**U(-4, 2) and x = (1, delta**(p*U(0, 1))), interior only."""
+    rng = np.random.default_rng(7)
+    for _ in range(4000):
+        p, delta = 1.0 + 10.0 ** rng.uniform(-1.5, 2.0), 1.0 + 10.0 ** rng.uniform(-4.0, 2.0)
+        x = (1.0, delta ** (p * rng.uniform(0.0, 1.0)))
+        if classify_point(p, delta, x) == "interior":
+            yield p, delta, x
+
+
+def test_extremal_weights_at_interior_points_meet_x_and_delta():
+    # nu from q_star and t_star, a and c from nu and the point's gap 1 - p*r.
+    # nu = s/(1 - p*s) from the class parameter missed the class norm by more
+    # than 1e-12 in 334 plus weights here (0.945 at worst) and x1 by more than
+    # 1e-9 in 239, and refused 50 plus and 272 minus weights.  A weight whose
+    # float a or nu cannot carry its plateau or 1 + p*nu is refused
+    refused = {"plus": 0, "minus": 0}
+    for p, delta, x in interior_corpus():
+        for branch in refused:
+            try:
+                w = extremal_weight(p, delta, x, branch)
+            except DomainError as err:
+                assert f"p = {p}, delta = {delta}" in str(err), str(err)
+                refused[branch] += 1
+                continue
+            if branch == "plus":
+                assert abs(rhp_norm_closed(w, p) - delta) <= 1e-12 * delta, (p, delta, x)
+            assert abs(moment(w, 1.0) - x[0]) <= 1e-9 * x[0], (p, delta, x, branch)
+            assert abs(moment(w, p) - x[1]) <= 1e-9 * x[1], (p, delta, x, branch)
+    assert refused == {"plus": 151, "minus": 594}
+
+
 def test_extremal_interior_point():
     w = extremal_weight(2.0, 2.0, (1.0, 2.0), "plus")
     assert w.nu == pytest.approx(EXT_NU, rel=1e-11)
@@ -424,9 +458,9 @@ def test_extremal_interior_point():
 
 def test_extremal_minus_branch():
     w = extremal_weight(2.0, 1.05, (1.0, 1.05), "minus")
-    assert w.nu == pytest.approx(-0.23366402246522455604, rel=1e-10)
-    assert w.a == pytest.approx(0.23339167554367020642, rel=1e-9)
-    assert w.c == pytest.approx(0.93356419776435099515, rel=1e-10)
+    assert w.nu == pytest.approx(-0.23366402246522462993, rel=1e-10)
+    assert w.a == pytest.approx(0.23339167554367018267, rel=1e-9)
+    assert w.c == pytest.approx(0.93356419776435097587, rel=1e-10)
     assert -0.5 < w.nu <= 0.0
     assert moment(w, 1.0) == pytest.approx(1.0, abs=1e-10)
     assert moment(w, 2.0) == pytest.approx(1.05, abs=1e-10)
@@ -441,14 +475,16 @@ def test_extremal_reproduces_bellman_value():
 
 
 def test_extremal_minus_branch_outside_integrable_range():
-    # for large p*log(delta), nu = s/(1 - p*s) rounds to -1/p: at delta =
-    # 55 the exact nu is -1/20 + 2.8e-37, whose nearest float is -1/20.  A
-    # weight at -1/p itself is refused, never asserted
-    for delta in (50.0, 55.0):
+    # for large p*log(delta), nu = -1/t_star lies within rounding of -1/p: at
+    # delta = 55 the exact nu is -1/20 + 2.8e-37, whose nearest float is -1/20,
+    # and at delta = 5 it lies about 27 ulp above -1/20, too close for a float
+    # nu to carry 1 + p*nu (the weight built from it missed x2 by 2.6% and the
+    # class norm by 6.4e-3).  Each weight is refused, never asserted
+    for delta, x2 in ((5.0, 5.0**20), (50.0, 1e16), (55.0, 1e16)):
         with pytest.raises(DomainError, match=rf"minus branch at p = 20.0, delta = {delta}"):
-            extremal_weight(20.0, delta, (1.0, 1e16), "minus")
-    # nu at delta = 5 lies about 27 ulp above -1/20, clear of that rounding
-    nu = extremal_weight(20.0, 5.0, (1.0, 5.0**20), "minus").nu
+            extremal_weight(20.0, delta, (1.0, x2), "minus")
+    # the exponent itself is right to a few ulp
+    nu = roots.ramp_exponents(20.0, 5.0, "minus")[0]
     assert nu > -1.0 / 20.0
     with mp.workdps(50):
         log_t = -20 * mp.log(5)
