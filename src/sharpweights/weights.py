@@ -294,20 +294,19 @@ def functional_ratio(w: PowerWeight, kind: FunctionalKind, alpha: float, beta: f
 def _grid_parts(grid: np.ndarray, a: float) -> tuple:
     """The weight-independent arrays of a search on ``grid``, strictly increasing from 0
     with a point at or above a: (grid with a, inserted if need be, at index ramp, ramp,
-    x = min(g, a)/a, g - a past the ramp, log x)."""
+    x = g/a and log x over g[1..ramp], the ramp's points past 0)."""
     import numpy as np
 
     ramp = int(grid.searchsorted(a))
     if grid[ramp] != a:
         grid = np.insert(grid, ramp, a)
-    x = np.minimum(grid, a)
-    x /= a
-    with np.errstate(divide="ignore"):
-        return grid, ramp, x, grid[ramp + 1 :] - a, np.log(x)
+    x = grid[1 : ramp + 1] / a
+    return grid, ramp, x, np.log(x)
 
 
 # The searches of a certificate, and of a `verify`, share one (depth, a), so two entries
-# suffice: three arrays of n floats each (3 MB at depth 17), and the tail past a.
+# suffice: the grid and two arrays over its ramp, at most three arrays of n floats each
+# (3 MB at depth 17).
 _GRIDS = 2
 
 
@@ -323,60 +322,32 @@ def _dyadic_parts(depth: int, a: float) -> tuple:
     return parts
 
 
-def _prefix_power(parts: tuple, a: float, nu: float, theta: float) -> np.ndarray:
-    """Integral of (w/c)**theta from 0 to each point of the grid of ``parts``; needs theta nu > -1."""
-    _, ramp, x, tail, _ = parts
-    e = theta * nu + 1.0
-    out = x**e
-    out *= a / e
-    out[ramp + 1 :] += tail
-    return out
-
-
-def _prefix_box_cox(parts: tuple, a: float, nu: float, lam: float) -> np.ndarray:
-    """Integral of (w/c)**lam - 1, lam times the Box-Cox transform (log(w/c) at lam = 0),
-    from 0 to each point of the grid of ``parts``: a x (expm1(k log x) - k)/(1 + k) with
-    k = lam nu, a nu x (log x - 1) at lam = 0, constant past a, where x = 1."""
-    import numpy as np
-
-    k = lam * nu
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.expm1(k * parts[4]) - k if k else parts[4] - 1.0
-        out *= parts[2]
-    out *= a * (1.0 if k else nu) / (1.0 + k)
-    out[0] = 0.0  # the integral from 0 to g[0] = 0
-    return out
-
-
-def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
+def max_pair_ratio(grid, avg, box_cox, center, lam, cap, mode, ramp):
     """The largest value on row [0] up to the ramp, the pairs (0, j) with 1 <= j <= ramp:
     (best, 0, j), ties to the smallest j, NaN scored -inf (so (-inf, 0, 1) where no pair
-    has a value).  By the corner lemma (see the
-    module docstring) that is the supremum over all pairs of the grid.  grid, p1 and p2
-    are 0 at the origin, so each average is P[j] / g[j].  Mode 2 scores cap[j] / A, modes
-    0 and 1 A exp(-G), or exp(G) / A where lam = e2 > 0: +-G = log(e1 + B) / |lam|, B the
-    average of p2, the prefix of w**lam - e1, and -G = -B at lam = 0, p2 that of log w.
-    It takes the whole arrays as a module attribute, so that callers which wrap it see
-    every search's inputs."""
+    has a value).  By the corner lemma (see the module docstring) that is the supremum
+    over all pairs of the grid.  avg, box_cox and cap hold at index j - 1 the averages
+    over [0, g[j]] of w, of w**lam - center (of log w at lam = 0) and ess sup w.  Mode 2
+    scores cap / A, modes 0 and 1 A exp(-G), or exp(G) / A where lam > 0: +-G =
+    log(center + B) / |lam|, B = box_cox, and -G = -B at lam = 0.  It reads neither the
+    grid nor the ramp, which it takes so that callers which wrap it see every search's
+    grid as a module attribute."""
     import numpy as np
 
-    cols = slice(1, ramp + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = p1[cols] / grid[cols]
         if mode == 2:
-            np.divide(cap[cols], vals, out=vals)
+            vals = cap / avg
         else:
-            x = p2[cols] / grid[cols]
-            if e2:
-                (np.log1p if e1 else np.log)(x, out=x)
-                x *= 1.0 / abs(e2)
+            if lam:
+                vals = (np.log1p if center else np.log)(box_cox)
+                vals *= 1.0 / abs(lam)
             else:
-                np.negative(x, out=x)
-            np.exp(x, out=x)
-            if e2 > 0.0:
-                np.divide(x, vals, out=vals)
+                vals = np.negative(box_cox)
+            np.exp(vals, out=vals)
+            if lam > 0.0:
+                np.divide(vals, avg, out=vals)
             else:
-                vals *= x
+                vals *= avg
     j = int(vals.argmax())
     if vals.item(j) != vals.item(j):  # a NaN: argmax stops at the first one
         vals[np.isnan(vals)] = -np.inf
@@ -385,8 +356,8 @@ def max_pair_ratio(grid, p1, p2, e1, e2, cap, mode, ramp):
 
 
 # The oracle's memory grows with the points: a process making one depth-17 aq(10)
-# search of the p = 2 extremal weight peaks at 35 MB RSS, interpreter, NumPy and the
-# cached grid arrays included, and at depth 18 at 42 MB.  The cap stays at 17, as no
+# search of the p = 2 extremal weight peaks at 33 MB RSS, interpreter, NumPy and the
+# cached grid arrays included, and at depth 18 at 38 MB.  The cap stays at 17, as no
 # check of the constants needs a finer grid.
 _MAX_DEPTH = 17
 
@@ -398,14 +369,17 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
 
     By the corner lemma (see the module docstring) the maximum over all
     pairs is on row [0] up to a, so ``max_pair_ratio`` scores only the
-    intervals [0, g] with g <= a, each O(1) from prefix integrals; the
-    result is the largest rounding of their common exact value, Phi(0).
-    Each functional is invariant under scaling the weight, so the search
-    takes c = 1: A_q, A_inf and RH_t are <w> exp(-G) or its reciprocal, G
-    the Box-Cox mean at lam = -1/(q - 1), 0 and t, from the prefixes of w
-    and of w**lam - 1 where lam nu <= 0 (log w at lam = 0), else of
-    w**lam.  The arrays that do not depend on nu (the grid with a, its
-    index, x = min(g, a)/a, log x and g - a past a) are kept per (depth, a)
+    intervals [0, g] with g <= a; the result is the largest rounding of
+    their common exact value, Phi(0).  Each functional is invariant under
+    scaling the weight, so the search takes c = 1, and with x = g/a and k =
+    lam nu every average over [0, g] is closed, formed point by point: <w>
+    = x**nu/(1 + nu), the cap x**nu, <log w> = nu (log x - 1), and B =
+    <w**lam - 1> = (expm1(k log x) - k)/(1 + k) where 1 + B >= 1/2 on the
+    whole row (always where k <= 0), so that log1p(B)/lam keeps its digits
+    however small lam is, else 1 + B = <w**lam> = x**k/(1 + k).  A_q,
+    A_inf and RH_t are <w> exp(-G) or its reciprocal, G the Box-Cox mean
+    at lam = -1/(q - 1), 0 and t.  The grid with a, its index, and x and
+    log x over the ramp do not depend on nu and are kept per (depth, a)
     (``_dyadic_parts``).  Intervals touching 0 with a divergent moment make
     the result +inf with the witness (0, a).  A constant weight (nu = 0)
     scores exactly 1 on every interval, so it returns 1 with the first
@@ -421,17 +395,23 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     if kind.name == "rhinf" and nu < 0.0:
         raise DomainError(f"the sup-over-average search needs nu >= 0, got nu = {nu}")
     lam, mode = _box_cox_exponent(kind), {"aq": 0, "rhp": 0, "ainf": 1, "rhinf": 2}[kind.name]
-    if nu <= -1.0 or lam * nu <= -1.0:
+    k = lam * nu
+    if nu <= -1.0 or k <= -1.0:
         return INF, (0.0, a)
     if nu == 0.0:
         return 1.0, (0.0, min(a, 2.0**-depth))
-    parts = _dyadic_parts(depth, a)
-    grid, ramp, x = parts[:3]
-    p1 = _prefix_power(parts, a, nu, 1.0)
-    if mode == 2:  # the oracle reads only the plain prefix and the cap
-        best, i, j = max_pair_ratio(grid, p1, p1, 0.0, 0.0, x**nu, mode, ramp)
-    else:
-        center = lam * nu <= 0.0
-        p2 = _prefix_box_cox(parts, a, nu, lam) if center else _prefix_power(parts, a, nu, lam)
-        best, i, j = max_pair_ratio(grid, p1, p2, float(center), lam, p1, mode, ramp)
+    import numpy as np
+
+    grid, ramp, x, log_x = _dyadic_parts(depth, a)
+    cap = x**nu  # which modes 0 and 1 do not read, so <w> takes its place there
+    avg = cap / (1.0 + nu) if mode == 2 else np.divide(cap, 1.0 + nu, out=cap)
+    center = x.item(0) ** k >= 0.5 * (1.0 + k)  # 1 + B = x**k/(1 + k), least at g[1] if k > 0
+    if mode == 2:  # the oracle reads only the average and the cap
+        box_cox = avg
+    elif not lam:
+        box_cox = nu * (log_x - 1.0)
+    else:  # k log x < 12 where k < 0 (k > -1, x >= 2**-17), so expm1 stays finite
+        box_cox = np.expm1(k * log_x) - k if center else x**k
+        box_cox /= 1.0 + k
+    best, i, j = max_pair_ratio(grid, avg, box_cox, float(center), lam, cap, mode, ramp)
     return float(best), (float(grid[i]), float(grid[j]))

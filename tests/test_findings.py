@@ -193,6 +193,17 @@ def test_extremal_near_p_one_builds_the_weight(capsys):
         assert abs(float(rec[key])) <= 1e-14 * scale, (key, rec[key])
 
 
+def test_minus_weight_aq_at_large_q_is_phi_zero():
+    # FOUND 147: Phi(0), which functional_ratio on [0, 1] gives, is the supremum of
+    # the pure power t**nu, nu = -0.427 (corner lemma).  lam nu > 0 took the prefix,
+    # and then the average, of w**lam, whose log(B)/lam multiplied its rounding by q
+    # - 1: 1.197 from the prefixes, 1.150 from the average.  The average of w**lam - 1,
+    # taken wherever 1 + B >= 1/2 on row [0], gives 1.1387231136261413
+    w = extremal_weight(2.0, 1.5, (1.0, 2.25), "minus")
+    sup = sup_ratio_search(w, FunctionalKind.aq(1e14), 12)[0]
+    assert rel_err(sup, 1.1387231136261406) <= 1e-13
+
+
 # -- open ---------------------------------------------------------------------
 
 
@@ -200,24 +211,13 @@ def found(text):
     return pytest.mark.xfail(reason=text)
 
 
-@found("row [0] of `verify --p 3 --q 1000 --delta 30`: from pair (0, 304) on, whose "
-       "plain prefix is subnormal, exp(-G) overflows where <w> exp(-G) is finite, so "
+@found("row [0] of `verify --p 3 --q 1000 --delta 30`: from pair (0, 302) on, whose "
+       "plain average is subnormal, exp(-G) overflows where <w> exp(-G) is finite, so "
        "the scan reports sup = inf against the constant 1.65e142")
 def test_verify_at_a_subnormal_plain_average(capsys):
     assert cli.main(["verify", "--p", "3", "--q", "1000", "--delta", "30"]) == 0
     rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
     assert rel_err(float(rec["sup"]), float(rec["constant"])) <= 1e-13
-
-
-@found("A_q of a weight with nu < 0 at large q: lam nu > 0, so p2 is the prefix of "
-       "w**lam and its rounding, raised to 1/|lam|, grows with q - 1; row [0]'s own "
-       "averages of w**lam give 1.197 at depth 12, where Phi(0) is 1.1387 (ROADMAP item 18)")
-def test_minus_weight_aq_at_large_q_is_phi_zero():
-    # FOUND 147: Phi(0), which functional_ratio on [0, 1] gives, is the supremum of
-    # the pure power t**nu, nu = -0.427 (corner lemma)
-    w = extremal_weight(2.0, 1.5, (1.0, 2.25), "minus")
-    sup = sup_ratio_search(w, FunctionalKind.aq(1e14), 12)[0]
-    assert rel_err(sup, 1.1387231136261406) <= 1e-13
 
 
 @found("the noise band of log F near u = 0: u_plus_from_log(2, -1e-20) is off by 1.1e-7")

@@ -1,5 +1,6 @@
-"""The row-[0] supremum oracle against brute-force references, and the
-corner lemma, checked at 50 digits, that lets row [0] stand for every pair."""
+"""The row-[0] supremum oracle against references on its own averages and the
+50-digit Phi(0), and the corner lemma, checked at 50 digits, that lets row [0]
+stand for every pair."""
 
 import math
 import tracemalloc
@@ -9,114 +10,62 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sharpweights import FunctionalKind, PowerWeight, cli, extremal_weight, functional_ratio, sup_ratio_search
+from sharpweights import (FunctionalKind, PowerWeight, cli, extremal_weight, functional_ratio, q_star,
+                          sup_ratio_search, t_star)
 from sharpweights import weights
 from sharpweights.weights import max_pair_ratio
 
-_REF_ROWS = 256
+
+def box_cox_value(avg, b, center, lam):
+    """A_q, A_inf or RH_t from the plain average and the average b of w**lam -
+    center (of log w at lam = 0): A exp(-G), or exp(G)/A where lam > 0, with G =
+    log(center + b)/lam, and b at lam = 0."""
+    if lam == 0.0:
+        return avg * np.exp(-b)
+    g = (np.log1p(b) if center else np.log(b)) * (1.0 / abs(lam))
+    return np.exp(g) / avg if lam > 0.0 else avg * np.exp(g)
 
 
-def box_cox_value(a1, b, e1, e2):
-    """A_q, A_inf or RH_t from the plain average A = a1 and the average b of
-    the second prefix, that of w**lam - e1 (of log w at lam = 0): A exp(-G),
-    or exp(G)/A where lam = e2 > 0, with G = log(e1 + b)/lam, and b at lam = 0."""
-    if e2 == 0.0:
-        return a1 * np.exp(-b)
-    g = (np.log1p(b) if e1 else np.log(b)) * (1.0 / abs(e2))
-    return np.exp(g) / a1 if e2 > 0.0 else a1 * np.exp(g)
-
-
-def brute_values(grid, p1, p2, e1, e2, cap, mode, rows, cols=slice(None)):
-    """The mode's ratio on rows x cols, and the interval lengths.
-
-    Modes 0 and 1 -> box_cox_value(d1/L, d2/L, e1, e2), 2 -> cap[j] / (d1/L).
-    """
-    length = grid[None, cols] - grid[rows, None]
+def row_0_scan(grid, avg, box_cox, center, lam, cap, mode, ramp):
+    """The pairs (0, j), 1 <= j <= ramp, scored out of place from the averages,
+    NaN scored -inf, ties to the smallest j: the oracle's own pairs, bit for bit."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a1 = (p1[None, cols] - p1[rows, None]) / length
-        if mode == 2:
-            vals = cap[None, cols] / a1
-        else:
-            vals = box_cox_value(a1, (p2[None, cols] - p2[rows, None]) / length, e1, e2)
-    return vals, length
-
-
-def brute_scores(vals, length):
-    """Empty intervals and -inf score the lowest float, NaN scores -inf."""
-    vals[length <= 0.0] = -np.inf
-    return np.nan_to_num(vals, copy=False, nan=-np.inf, posinf=np.inf)
-
-
-def brute_force_scan(grid, p1, p2, e1, e2, cap, mode, ramp=None):
-    """Every pair, _REF_ROWS rows at a time, the ramp aside: what the oracle
-    returns wherever rounding moves no pair off row [0] above it.
-
-    Ties resolve to the first (i, j) in row-major order because only a
-    strict improvement replaces the incumbent.
-    """
-    g = np.asarray(grid, dtype=np.float64)
-    q1 = np.asarray(p1, dtype=np.float64)
-    q2 = np.asarray(p2, dtype=np.float64)
-    cp = np.asarray(cap, dtype=np.float64)
-    n = g.size
-    if n < 2:
-        raise ValueError("need at least two grid points")
-    best = -np.inf
-    bi, bj = 0, 1
-    for lo in range(0, n - 1, _REF_ROWS):
-        hi = min(lo + _REF_ROWS, n - 1)
-        vals = brute_scores(*brute_values(g, q1, q2, e1, e2, cp, mode, slice(lo, hi)))
-        flat = int(np.argmax(vals))
-        r, c = divmod(flat, n)
-        v = float(vals[r, c])
-        if v > best:
-            best = v
-            bi, bj = lo + r, c
-    return best, bi, bj
-
-
-def reference_scan(grid, p1, p2, e1, e2, cap, mode):
-    """Plain double loop with the same strict-improvement tie rule."""
-    best, bi, bj = -math.inf, 0, 1
-    n = len(grid)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            length = grid[j] - grid[i]
-            if length <= 0.0:
-                continue
-            a1 = (p1[j] - p1[i]) / length
-            b = (p2[j] - p2[i]) / length
-            try:
-                if mode == 2:
-                    v = cap[j] / a1
-                elif e2 == 0.0:
-                    v = a1 * math.exp(-b)
-                else:
-                    g = (math.log1p(b) if e1 else math.log(b)) / abs(e2)
-                    v = math.exp(g) / a1 if e2 > 0.0 else a1 * math.exp(g)
-            except (ValueError, ZeroDivisionError):
-                continue
-            except OverflowError:  # of exp, on positive averages
-                v = math.inf
-            if math.isnan(v):
-                continue
-            if v > best:
-                best, bi, bj = v, i, j
-    return best, bi, bj
-
-
-def row_0_scan(grid, p1, p2, e1, e2, cap, mode, ramp):
-    """The pairs (0, j), 1 <= j <= ramp, from brute_values, which subtracts the
-    origin's values, NaN scored -inf, ties to the smallest j: the oracle's own
-    pairs, bit for bit."""
-    vals, _ = brute_values(grid, p1, p2, e1, e2, cap, mode, slice(0, 1), slice(1, ramp + 1))
-    vals = np.where(np.isnan(vals[0]), -np.inf, vals[0])
+        vals = cap / avg if mode == 2 else box_cox_value(avg, box_cox, center, lam)
+    vals = np.where(np.isnan(vals), -np.inf, vals)
     j = int(np.argmax(vals))
     return float(vals[j]), 0, j + 1
 
 
-# the row-[0] oracle, and the brute force over every pair that the corner lemma spares it
-SCANS = [("numpy", max_pair_ratio), ("brute", brute_force_scan)]
+def reference_values(grid, avg, box_cox, center, lam, cap, mode, ramp):
+    """The value of each pair (0, j), 1 <= j <= ramp, in a plain loop in math, -inf
+    where it is NaN or has no value."""
+    vals = []
+    for a1, b, top in zip(avg.tolist(), box_cox.tolist(), cap.tolist()):
+        try:
+            if mode == 2:
+                v = top / a1
+            elif lam == 0.0:
+                v = a1 * math.exp(-b)
+            else:
+                g = (math.log1p(b) if center else math.log(b)) / abs(lam)
+                v = math.exp(g) / a1 if lam > 0.0 else a1 * math.exp(g)
+        except (ValueError, ZeroDivisionError):
+            v = -math.inf
+        except OverflowError:  # of exp, on positive averages
+            v = math.inf
+        vals.append(-math.inf if math.isnan(v) else v)
+    return vals
+
+
+def reference_scan(*args):
+    """reference_values' largest, with the same strict-improvement tie rule."""
+    vals = reference_values(*args)
+    j = vals.index(max(vals))
+    return vals[j], 0, j + 1
+
+
+# the row-[0] oracle, and the same pairs scored out of place
+SCANS = [("numpy", max_pair_ratio), ("row", row_0_scan)]
 
 
 def search_args(w, kind, depth, grid=None):
@@ -159,7 +108,7 @@ def random_search(rng, depth, mode):
 
 
 def assert_bit_identical(*args):
-    assert max_pair_ratio(*args) == row_0_scan(*args) == brute_force_scan(*args)
+    assert max_pair_ratio(*args) == row_0_scan(*args)
 
 
 @pytest.mark.parametrize("name,fn", SCANS)
@@ -168,15 +117,18 @@ def test_backend_matches_reference(name, fn, mode):
     rng = np.random.default_rng(20240814 + mode)
     for trial in range(5):
         args = random_search(rng, 5, mode)[2]
-        expected = reference_scan(*args[:7])
+        best = reference_scan(*args)[0]
         got = fn(*args)
-        assert got[1] == expected[1] and got[2] == expected[2]
-        assert got[0] == pytest.approx(expected[0], rel=1e-13)
+        # every exact value on row [0] is Phi(0), so which pair rounds highest
+        # depends on the exp and log: the pair must score the maximum in both
+        assert got[0] == pytest.approx(best, rel=1e-13) and got[1] == 0
+        assert reference_values(*args)[got[2] - 1] == pytest.approx(best, rel=1e-13)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_pruned_scan_is_bit_identical_on_random_prefixes(mode):
-    # the prefixes of random power weights, as the search builds them
+    # the averages of random power weights, as the search builds them (prefix
+    # integrals until the averages were formed in closed form)
     rng = np.random.default_rng(31 + mode)
     for depth in (6, 6, 6, 8, 8):
         assert_bit_identical(*random_search(rng, depth, mode)[2])
@@ -197,22 +149,15 @@ def phi_zero(w, kind):
 
 
 def test_random_power_weights_are_bit_identical():
-    # to the oracle's own pairs on every search, and to the brute force over every
-    # pair on all but 16.  Those are A_q at q above 1e10 of a weight with nu < 0:
-    # lam nu > 0 leaves p2 the prefix of w**lam, whose rounding log(B)/lam multiplies
-    # by q - 1, and that puts a pair off row [0] above it.  There the oracle is the
-    # closer of the two to the 50-digit Phi(0): by 1.2e-2 at worst, against 1.23
-    apart = []
+    # to the oracle's own pairs scored out of place, on every search
     for w, kind, args in random_power_weights():
-        got = max_pair_ratio(*args)
-        assert got == row_0_scan(*args)
-        brute = brute_force_scan(*args)
-        if got != brute:
-            phi = phi_zero(w, kind)
-            assert abs(got[0] - phi) < abs(brute[0] - phi), (w, kind, got, brute)
-            assert kind.name == "aq" and kind.exponent > 1e10 and w.nu < 0.0, (w, kind)
-            apart.append(float(abs(got[0] - phi) / phi))
-    assert len(apart) <= 16 and max(apart) <= 1.2e-2, apart
+        assert max_pair_ratio(*args) == row_0_scan(*args), (w, kind)
+
+
+def grid_pairs_max(w, kind, grid):
+    """The largest functional_ratio over every pair of ``grid``, from the scalar closed forms."""
+    g = grid.tolist()
+    return max(functional_ratio(w, kind, g[i], g[j]) for j in range(1, len(g)) for i in range(j))
 
 
 # weights with a plateau: a on the grid (0.5), off it (0.1, 0.7071), and at the first step of depth 12
@@ -225,15 +170,15 @@ PLATEAU_IDS = {f"plateau a={w.a:.4g}": w for w in PLATEAUS}
 @pytest.mark.parametrize("weight", ["positive", "negative", *PLATEAU_IDS])
 @pytest.mark.parametrize("all_pairs", [True, False])
 def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, weight, all_pairs):
-    # to the brute force over every pair, which rounding moves above row [0] on none
-    # of these weights, and to the oracle's own pairs, row [0] up to a
+    # to the oracle's own pairs, row [0] up to a, at depth 9; and at depth 5 within 8
+    # rounding units (6 at most) of the largest functional_ratio over every pair of
+    # the grid, the float brute force over all pairs from the scalar closed forms
     scans = []
-    reference = brute_force_scan if all_pairs else row_0_scan
 
     def checked(*args):
-        expected = reference(*args)
+        expected = row_0_scan(*args)
         assert max_pair_ratio(*args) == expected
-        scans.append(args[6])
+        scans.append(args)
         return expected
 
     monkeypatch.setattr(weights, "max_pair_ratio", checked)
@@ -246,49 +191,44 @@ def test_pruned_scan_is_bit_identical_on_extremal_weights(monkeypatch, weight, a
         assert (w.nu > 0.0) == (weight == "positive") and w.a < 1.0
         kinds = [FunctionalKind.aq(5.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(2.0), FunctionalKind.rh_inf()]
     # rh_inf needs nu >= 0, and rh_p(3) diverges at 0 where 3 nu <= -1, with no scan
-    finite = [sup_ratio_search(w, kind, 9)[0] < math.inf for kind in kinds if w.nu >= 0.0 or kind.name != "rhinf"]
-    assert len(scans) == sum(finite) >= 2
+    depth = 5 if all_pairs else 9
+    finite = 0
+    for kind in kinds:
+        if w.nu < 0.0 and kind.name == "rhinf":
+            continue
+        sup = sup_ratio_search(w, kind, depth)[0]
+        if sup < math.inf:
+            finite += 1
+            if all_pairs:
+                brute = grid_pairs_max(w, kind, scans[-1][0])
+                assert abs(sup - brute) <= 8.0 * math.ulp(brute), (kind, sup, brute)
+    assert len(scans) == finite >= 2
 
 
 def test_exponential_scan_with_a_negative_log_prefix():
-    # the log prefix of a weight with nu > 0 falls below zero, that of one with
-    # nu < 0 rises above it, with a breakpoint at 1 or off the grid
+    # the average of log w from 0 is below zero for nu > 0 and above it for nu
+    # < 0, with a breakpoint at 1 or off the grid: -nu at a
     args = search_args(extremal_weight(2.0, 2.0, (1.0, 4.0), "plus"), FunctionalKind.a_inf(), 9)
-    assert args[2].min() < 0.0 and args[7] == 512
+    assert args[2].max() < 0.0 and args[7] == 512
     assert_bit_identical(*args)
     for nu in (-0.5, 0.5):
         args = search_args(PowerWeight(1.0, 0.3, nu), FunctionalKind.a_inf(), 9)
-        assert np.sign(args[2][-1]) == -np.sign(nu)
+        assert np.all(np.sign(args[2]) == -np.sign(nu)) and args[2][-1] == -nu
         assert_bit_identical(*args)
-
-
-def test_row_0_is_closer_to_phi_zero_than_a_maximum_off_row_0():
-    # A_q of w = (t/0.3)**-0.01 and then 1 at q = 1e10: lam nu > 0, so p2 is the
-    # prefix of w**lam, whose rounding log(B)/lam multiplies by q - 1.  Every exact
-    # average on the plateau is 1, below Phi(0), but that rounding puts the
-    # brute force's maximum there, at (257, 258); row [0] is closer to Phi(0)
-    w, kind = PowerWeight(1.0, 0.3, -0.01), FunctionalKind.aq(1e10)
-    args = search_args(w, kind, 9)
-    brute = brute_force_scan(*args)
-    assert brute[1:] == (257, 258) and args[7] == 154 and args[3] == 0.0
-    got = max_pair_ratio(*args)
-    assert got == row_0_scan(*args) and got[2] <= args[7]
-    phi = phi_zero(w, kind)
-    assert abs(got[0] - phi) < abs(brute[0] - phi), (got, brute, phi)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_constant_weight_ties_resolve_to_the_first_pair(mode):
-    # every pair of every block ties at exactly 1
-    grid = np.arange(301, dtype=np.float64) / 300.0
-    # w = 1 has the Box-Cox prefix 0, at lam = 0 (a_inf) and at lam = 2 (rh_p(2))
-    args = (grid, grid, np.zeros_like(grid), 1.0, 0.0 if mode == 1 else 2.0, np.ones_like(grid), mode, 300)
-    assert max_pair_ratio(*args) == brute_force_scan(*args) == (1.0, 0, 1)
+    # every pair ties at exactly 1: the averages of w = 1, with the Box-Cox
+    # average 0, at lam = 0 (a_inf) and at lam = 2 (rh_p(2))
+    grid, ones = np.arange(301, dtype=np.float64) / 300.0, np.ones(300)
+    args = (grid, ones, np.zeros(300), 1.0, 0.0 if mode == 1 else 2.0, ones, mode, 300)
+    assert max_pair_ratio(*args) == row_0_scan(*args) == reference_scan(*args) == (1.0, 0, 1)
 
 
 def test_constant_weight_search_reports_the_first_interval():
-    # a constant weight's prefix integrals are the grid itself, whatever
-    # the breakpoint, so every interval scores exactly 1
+    # a constant weight scores exactly 1 on every interval, whatever the
+    # breakpoint
     kinds = [FunctionalKind.aq(4.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
     for a in (1.0, 0.3, 0.7071):
         for kind in kinds:
@@ -309,8 +249,8 @@ CONSTANT_KINDS = {
 @pytest.mark.parametrize("mode", sorted(CONSTANT_KINDS))
 def test_constant_path_computes_no_bound(monkeypatch, mode):
     # nu = 0 is decided before any array is built: no scan runs, and the
-    # result is what the full scan gives on the arrays of a constant
-    # weight, also where the breakpoint lies below the first grid step
+    # result is what the scan gives on the averages of a constant weight,
+    # also where the breakpoint lies below the first grid step
     def refuse(*args):
         raise ScanCalled
 
@@ -321,10 +261,11 @@ def test_constant_path_computes_no_bound(monkeypatch, mode):
             got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, depth)
             grid = np.arange(2**depth + 1, dtype=np.float64) / 2**depth
             grid = np.unique(np.concatenate([grid, [0.0, a, 1.0]]))
-            # the plain prefix is the grid, the Box-Cox prefix 0 (at lam = -1/3 for aq(4),
-            # and 0 in mode 1), the cap 1
+            ramp = int(grid.searchsorted(a))
+            # the plain average 1, the Box-Cox average 0 (at lam = -1/3 for aq(4), and
+            # 0 in mode 1), the cap 1
             lam = 0.0 if mode == 1 else -1.0 / 3.0
-            best, i, j = brute_force_scan(grid, grid, np.zeros_like(grid), 1.0, lam, np.ones_like(grid), mode)
+            best, i, j = row_0_scan(grid, np.ones(ramp), np.zeros(ramp), 1.0, lam, np.ones(ramp), mode, ramp)
             assert got == (best, (grid[i], grid[j])) == (1.0, (0.0, min(a, 2.0**-depth)))
         with pytest.raises(ScanCalled):
             sup_ratio_search(PowerWeight(3.0, 0.3, 0.5), kind, depth)
@@ -338,29 +279,10 @@ def exponential_mode_inputs():
         w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
         cases[f"extremal delta-1={excess}"] = search_args(w, FunctionalKind.a_inf(), 10)
     # nu = 50 puts the average of log w near the origin at about -360; a breakpoint
-    # off the grid, where the log prefix stops falling or rising
+    # off the grid, where the log average stops falling or rising
     for a, nu in ((0.5, -0.9), (0.5, 12.0), (0.5, 50.0), (0.3, -0.5), (0.3, 2.0)):
         cases[f"ramp a={a} nu={nu}"] = search_args(PowerWeight(1.0, a, nu), FunctionalKind.a_inf(), 10)
     return cases
-
-
-@pytest.mark.parametrize("mode", [0, 1, 2])
-def test_row_0_from_the_origin_is_bit_identical(mode):
-    # the oracle reads each average from the origin as P[j] / g[j], with no
-    # subtraction, as grid[0], p1[0] and p2[0] are +0.0, all eight bytes zero, in
-    # every search: the same floats as (P[j] - P[0]) / (g[j] - g[0]).  At e2 == 0
-    # it scores exp(-0.0) where the subtraction scores exp(+0.0), both 1: the
-    # constant weight's log prefix
-    kinds = {0: [FunctionalKind.aq(10.0), FunctionalKind.rh_p(3.0)], 1: [FunctionalKind.a_inf()],
-             2: [FunctionalKind.rh_inf()]}[mode]
-    pure = [extremal_weight(2.0, 1.5, (1.0, 2.25), branch) for branch in ("plus", "minus")]
-    cases = [search_args(w, kind, 7) for w in pure + PLATEAUS[:2] for kind in kinds if w.nu > 0.0 or mode < 2]
-    grid = np.linspace(0.0, 1.0, 129)  # the constant weight: p1 the grid, p2 0, the cap 1
-    lam = 0.0 if mode == 1 else -0.5
-    cases.append((grid, grid.copy(), np.zeros_like(grid), 1.0, lam, np.ones_like(grid), mode, 128))
-    for args in filter(None, cases):
-        assert all(x[:1].tobytes() == bytes(8) for x in args[:3])
-        assert max_pair_ratio(*args) == row_0_scan(*args)
 
 
 def corner_phi(kind, nu, r, q=None):
@@ -518,7 +440,7 @@ def test_scan_supremum_is_the_50_digit_phi_zero(monkeypatch, depth):
     # Box-Cox leaf adds no rounding that grows with q - 1: 1.8e-14 at most, where
     # the power form erred by 3.4e-10 at q = 1e6, 3.8e-6 at 1e10 and 6.4e17 at 1e14
     # (functional_ratio on [0, 1] by up to 9.7e-7 at 1e10 and 2.6e-3 at 1e14)
-    if depth == 10:  # and the scan is the brute-force scan bit for bit
+    if depth == 10:  # and the scan is its own pairs scored out of place, bit for bit
         monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: assert_bit_identical(*args) or max_pair_ratio(*args))
     for label, w, kind in phi_zero_searches():
         sup = sup_ratio_search(w, kind, depth)[0]
@@ -530,23 +452,64 @@ def test_scan_supremum_is_the_50_digit_phi_zero(monkeypatch, depth):
             assert float(abs(closed - phi) / phi) <= 3e-14, (label, closed, phi)
 
 
+def accuracy_corpus():
+    """(weight, kind): 50 draws of the benchmark's region, p in [1.5, 6] and delta - 1
+    log-uniform in [1e-3, 1], each giving the upper-curve extremal weights with aq(q)
+    (q above q_star) and a_inf on the plus one, rh_p(t) (t below t_star) on the minus
+    one and rh_inf on the p = inf one; and 50 plateau weights, a log-uniform in [1e-3,
+    1), nu in [-1, -1e-3), with aq(q), q - 1 log-uniform in [0.1, 1e6], a_inf and
+    rh_p(t), t nu > -1."""
+    rng = np.random.default_rng(38)
+    kinds = FunctionalKind
+    cases = []
+    for _ in range(50):
+        p, delta = float(rng.uniform(1.5, 6.0)), 1.0 + float(10.0 ** rng.uniform(-3.0, 0.0))
+        plus, minus = (extremal_weight(p, delta, (1.0, delta**p), branch) for branch in ("plus", "minus"))
+        top = extremal_weight(math.inf, delta, (1.0, delta), "plus")
+        q = q_star(p, delta) * float(1.0 + 10.0 ** rng.uniform(-2.0, 1.0))
+        t = 1.0 + (t_star(p, delta) - 1.0) * float(rng.uniform(0.05, 0.95))
+        cases += [(plus, kinds.aq(q)), (plus, kinds.a_inf()), (minus, kinds.rh_p(t)), (top, kinds.rh_inf())]
+    for _ in range(50):
+        w = PowerWeight(1.0, float(10.0 ** rng.uniform(-3.0, -0.01)), -float(10.0 ** rng.uniform(-3.0, -0.005)))
+        t = 1.0 + (-1.0 / w.nu - 1.0) * float(rng.uniform(0.05, 0.95))
+        cases += [(w, kinds.aq(1.0 + float(10.0 ** rng.uniform(-1.0, 6.0)))), (w, kinds.a_inf())]
+        cases += [(w, kinds.rh_p(t))] * (t > 1.0)
+    return cases
+
+
+def test_oracle_is_within_a_few_ulp_of_the_50_digit_phi_zero():
+    # the depth-12 search against Phi(0) in ulp of Phi(0): median 1.13 (1.67 from the
+    # prefix integrals), upper curve at most 57.0 (74.0), plateaus at most 6.6 (1.54e6,
+    # from aq at large q: lam nu > 0 took the prefix of w**lam, and log(B)/lam
+    # multiplied its rounding by q - 1)
+    cases = accuracy_corpus()
+    assert len(cases) == 350
+    ulps = {True: [], False: []}
+    for w, kind in cases:
+        sup = sup_ratio_search(w, kind, 12)[0]
+        phi = phi_zero(w, kind)
+        ulps[w.a < 1.0].append(float(abs(sup - phi)) / math.ulp(float(phi)))
+    assert np.median(ulps[True] + ulps[False]) <= 1.5
+    assert max(ulps[False]) <= 64.0 and max(ulps[True]) <= 8.0, (max(ulps[False]), max(ulps[True]))
+
+
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_scan_emits_no_float_warnings(mode):
-    # inf and NaN are scored inside the oracle, under its own errstate, on
-    # grids of 2 to 65 points
+    # inf and NaN are scored inside the oracle, under its own errstate, on rows
+    # of 1 to 64 points
     grids = (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.linspace(0.0, 1.0, 5),
              np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 40))
-    cases = [(grid, grid, grid, grid.size - 1) for grid in (np.array([-1e308, 1e308]), *grids)]
-    # constant, subnormal and overflowing prefixes: the Box-Cox prefix 0 of w = 1,
-    # the plain prefix 0, which the oracle divides by; prefixes of 1e-310 t and
-    # -1e-315 t; and of 1e308 t and 1e308 (2 t - 1), whose averages overflow
-    even = np.linspace(0.0, 1.0, 65)
-    cases += [(even, even, np.zeros_like(even), 64), (even, np.zeros_like(even), -even, 64),
-              (even, 1e-310 * even, -1e-315 * even, 64), (even, 1e308 * even, 1e308 * (2.0 * even - 1.0), 64)]
+    cases = [(grid, grid[1:], grid[1:], grid.size - 1) for grid in grids]
+    # constant, zero, subnormal and overflowing averages: the Box-Cox average 0 of w
+    # = 1, the plain average 0, which the oracle divides by; averages of 1e-310 and
+    # -1e-315; and of 1e308 and 2e308 - 1, whose values overflow
+    even, ones = np.linspace(0.0, 1.0, 65), np.ones(64)
+    cases += [(even, ones, np.zeros(64), 64), (even, np.zeros(64), -ones, 64),
+              (even, 1e-310 * ones, -1e-315 * ones, 64), (even, 1e308 * ones, np.full(64, np.inf), 64)]
     w = extremal_weight(2.0, 1.001, (1.0, 1.001**2), "plus")
     cases += [(*args[:3], args[7]) for args in (search_args(w, FunctionalKind.a_inf(), 1, grid) for grid in grids)]
     cases += [(*args[:3], args[7]) for args in exponential_mode_inputs().values()]
-    # searches: at p = 1.01, delta = 2, nu is q_star - 1 = 6.9e30 and the prefix
+    # searches: at p = 1.01, delta = 2, nu is q_star - 1 = 6.9e30 and the average
     # underflows to 0 at all but the last point; aq(1e14) and aq(1e17) take lam =
     # -1e-14 and -1e-17 into log1p; a breakpoint between the last two grid points
     # leaves the plateau one point; breakpoints at g[1], g[2] and g[64] end row [0]
@@ -558,17 +521,19 @@ def test_scan_emits_no_float_warnings(mode):
              1: [FunctionalKind.a_inf()], 2: [FunctionalKind.rh_inf()]}[mode]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for grid, p1, p2, ramp in cases:
-            max_pair_ratio(grid, p1, p2, 1.0, -1.0, p1, mode, ramp)
+        for grid, avg, box_cox, ramp in cases:
+            for center in (1.0, 0.0):
+                max_pair_ratio(grid, avg, box_cox, center, -1.0, avg, mode, ramp)
         for w in searches:
             for kind in kinds:
                 sup_ratio_search(w, kind, 9)
 
 
 def test_searches_give_the_scan_its_one_input(monkeypatch):
-    # the scan checks none of this itself: equal-length float64 arrays on a
-    # strictly increasing grid, the ramp index of a, the plain-average prefix
-    # first in every mode, and a nonnegative, nondecreasing cap in mode 2
+    # the scan checks none of this itself: a strictly increasing float64 grid from 0
+    # to 1 with a at index ramp, and float64 averages over [0, g[j]] at index j - 1,
+    # for 1 <= j <= ramp: the plain average first in every mode, monotone as w is, and
+    # a nonnegative, nondecreasing cap in mode 2
     scans = []
     monkeypatch.setattr(weights, "max_pair_ratio", lambda *args: scans.append(args) or (1.0, 0, 1))
     kinds = set()
@@ -580,22 +545,22 @@ def test_searches_give_the_scan_its_one_input(monkeypatch):
                     continue
                 scans.clear()
                 sup_ratio_search(w, kind, depth)
-                for grid, p1, p2, e1, e2, cap, mode, ramp in scans:
-                    n = grid.size
-                    assert all(x.dtype == np.float64 and x.shape == (n,) for x in (grid, p1, p2, cap))
+                for grid, avg, box_cox, center, lam, cap, mode, ramp in scans:
+                    assert grid.dtype == np.float64 and grid.shape == (2**depth + 1 + (w.a * 2**depth % 1 > 0),)
                     assert np.all(np.diff(grid) > 0.0) and grid[0] == 0.0 and grid[-1] == 1.0
-                    assert isinstance(ramp, int) and 1 <= ramp < n and grid[ramp] == w.a
-                    assert np.array_equal(p1, weights._prefix_power(weights._grid_parts(grid, w.a), w.a, w.nu, 1.0))
-                    assert np.all(np.diff(p1) >= 0.0)
+                    assert isinstance(ramp, int) and 1 <= ramp < grid.size and grid[ramp] == w.a
+                    assert all(x.dtype == np.float64 and x.shape == (ramp,) for x in (avg, box_cox, cap))
+                    assert np.all(np.diff(avg) * w.nu >= 0.0) and avg[-1] == 1.0 / (1.0 + w.nu)
                     assert mode == {"aq": 0, "rhp": 0, "ainf": 1, "rhinf": 2}[kind.name]
                     if mode == 2:
                         assert np.all(cap >= 0.0) and np.all(np.diff(cap) >= 0.0)
                     else:
-                        # e2 is lam, e1 says whether p2 is the Box-Cox prefix (lam nu <= 0)
-                        # or that of w**lam; each integrates a function of one sign
-                        assert e2 == weights._box_cox_exponent(kind) and e1 == float(e2 * w.nu <= 0.0)
-                        steps = np.diff(p2)
-                        assert np.all(steps >= 0.0) or np.all(steps <= 0.0)
+                        # lam is the kind's, and center says whether box_cox is the average
+                        # of w**lam - 1 (always where lam nu <= 0) or of w**lam; each
+                        # averages a function of one sign
+                        assert lam == weights._box_cox_exponent(kind) and center in (0.0, 1.0)
+                        assert center or lam * w.nu > 0.0
+                        assert np.all(box_cox >= 0.0) or np.all(box_cox <= 0.0)
                     kinds.add(kind.name)
     assert kinds == {"aq", "ainf", "rhp", "rhinf"}
 
@@ -637,14 +602,15 @@ def extremal_peak(delta, depth):
 
 @pytest.mark.parametrize("delta", [1.001, 2.0])
 def test_search_peak_allocation(delta):
-    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 0.52
-    # MiB at either delta, the two prefixes and row [0]'s two arrays of n floats
-    # (0.89 with the caches emptied before the traced search; 0.38 when the
-    # block-pruned scan read row [0] in slices of 8,192 pairs), against 4.4 MiB with
-    # an array over all ramp block pairs and 7.6 MiB when the chord-and-slope bounds
-    # covered every one
+    # NumPy reports its buffers to tracemalloc, so the peak repeats exactly: 0.38
+    # MiB at either delta, three arrays of the n - 1 ramp points: the plain and
+    # Box-Cox averages and the scores (0.75 with the caches emptied before the
+    # traced search).  The ceiling is that peak plus 20%.  Before: 0.50 MiB from the
+    # prefix integrals over the grid, 0.38 when the block-pruned scan read row [0]
+    # in slices of 8,192 pairs, 4.4 MiB with an array over all ramp block pairs and
+    # 7.6 MiB when the chord-and-slope bounds covered every one
     peak = extremal_peak(delta, 14)
-    assert peak < 1.5 * 2**20, peak
+    assert peak < 0.45 * 2**20, peak
 
 
 def test_search_peak_allocation_grows_linearly():
@@ -655,13 +621,14 @@ def test_search_peak_allocation_grows_linearly():
 
 
 def test_plateau_search_peak_allocation():
-    # the oracle reads row [0] up to a = 0.1 alone: 0.28 MiB at depth 14, the
-    # prefixes and two arrays of a tenth of the points (0.77 with the caches emptied
-    # before the traced search).  The block-pruned scan kept every row open on a
-    # plateau, with its block pairs' bounds: 1.59 MiB, and 3.81 with the
-    # chord-and-slope bounds and their per-block slopes
+    # the oracle reads row [0] up to a = 0.1 alone: 0.038 MiB at depth 14, three
+    # arrays of a tenth of the points (0.25 with the caches emptied before the traced
+    # search, the grid's build).  The ceiling is that peak plus 20%.  Before: 0.28
+    # MiB from the prefix integrals over the whole grid (0.77 cold), 1.59 when the
+    # block-pruned scan kept every row open on a plateau, with its block pairs'
+    # bounds, and 3.81 with the chord-and-slope bounds and their per-block slopes
     peak = search_peak(PowerWeight(1.0, 0.1, 3.0), FunctionalKind.a_inf(), 14)
-    assert peak < 0.28 * 2**20, peak
+    assert peak < 0.046 * 2**20, peak
 
 
 def cached_arrays(entry):
@@ -692,7 +659,7 @@ def test_warm_caches_change_no_search(depth):
             assert repr(sup_ratio_search(w, kind, depth)) == cold, (w, kind)
             assert weights._dyadic_parts.cache_info().hits == hits + 1
             entries = cached_arrays(weights._dyadic_parts(depth, w.a))
-            assert len(entries) == 4
+            assert len(entries) == 3
             for x in entries:
                 with pytest.raises(ValueError):
                     x[...] = 0.0
@@ -702,12 +669,10 @@ def test_warm_caches_change_no_search(depth):
 
 @pytest.mark.parametrize("name,fn", SCANS)
 def test_tie_resolution_is_lexicographic(name, fn):
-    # a constant ratio field must report the first pair
-    grid = np.linspace(0.0, 1.0, 9)
-    p1 = grid.copy()
-    p2 = np.zeros_like(grid)  # the Box-Cox prefix of w = 1
-    cap = np.ones_like(grid)
-    best, i, j = fn(grid, p1, p2, 1.0, -0.5, cap, 0, 8)
+    # a constant ratio field must report the first pair: the averages of w = 1,
+    # with the Box-Cox average 0
+    grid, ones = np.linspace(0.0, 1.0, 9), np.ones(8)
+    best, i, j = fn(grid, ones, np.zeros(8), 1.0, -0.5, ones, 0, 8)
     assert best == 1.0
     assert (i, j) == (0, 1)
 
@@ -719,29 +684,29 @@ def nan_and_inf_inputs(mode, e1):
     grid = scan_grids(130)["injected breakpoint"]
     cases = {}
 
-    def infinite(k, sign):  # column k scores sign * inf
-        _, p1, p2, _, _, cap, _, _ = args
+    def infinite(j, sign):  # the pair (0, j) scores sign * inf
+        _, avg, box_cox, _, _, cap, _, _ = args
         if mode == 2:
-            cap[k] = sign * np.inf
-        elif mode == 0 and e1 != 1.0:  # rh_p from exp(G) / A: +inf from p2, -inf from A = -0.0
-            (p2.__setitem__(k, np.inf) if sign > 0 else p1.__setitem__(k, -0.0))
+            cap[j - 1] = sign * np.inf
+        elif mode == 0 and e1 != 1.0:  # rh_p from exp(G) / A: +inf from B, -inf from A = -0.0
+            (box_cox.__setitem__(j - 1, np.inf) if sign > 0 else avg.__setitem__(j - 1, -0.0))
         else:
-            p1[k] = sign * np.inf
+            avg[j - 1] = sign * np.inf
 
     # the maximum, +inf, at (0, 60), after 39 NaN
     args = power_weight_inputs(grid, mode, e1)
-    args[1][1:40] = np.nan
+    args[1][:39] = np.nan
     infinite(60, 1)
     cases["NaN before the maximum"] = args, (math.inf, 0, 60)
-    # -inf at column 50 and +inf at 51
+    # -inf at (0, 50) and +inf at (0, 51)
     args = power_weight_inputs(grid, mode, e1)
     infinite(50, -1)
     infinite(51, 1)
     cases["+inf and -inf"] = args, (math.inf, 0, 51)
     # NaN everywhere but one -inf: all tie at -inf, so the first pair
     args = power_weight_inputs(grid, mode, e1)
-    args[1][1:] = np.nan
-    args[1][70] = 0.5
+    args[1][:] = np.nan
+    args[1][69] = 0.5
     infinite(70, -1)
     cases["NaN or -inf only"] = args, (-math.inf, 0, 1)
     return cases

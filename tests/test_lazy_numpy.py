@@ -31,8 +31,8 @@ VERIFY = ["verify", "--p", "2", "--q", "10", "--delta", "2"]
 
 # what `verify` printed while NumPy was imported with the package
 VERIFY_RECORD = (
-    "p=2 q=10 delta=2 depth=12 constant=11967.912848418317 sup=11967.912848418375 "
-    "argmax_alpha=0 argmax_beta=0.014404296875 rel_err=4.8636434481690054e-15 status=ok"
+    "p=2 q=10 delta=2 depth=12 constant=11967.912848418317 sup=11967.912848418369 "
+    "argmax_alpha=0 argmax_beta=0.00244140625 rel_err=4.4076768749031614e-15 status=ok"
 )
 
 # delta = 1 admits only constant weights, decided without a scan; the
