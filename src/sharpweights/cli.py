@@ -5,9 +5,11 @@ sweep.  Each is a function from the parsed arguments to records, and
 ``main`` prints them as key/value rows in plain, csv, or json (one
 object per line) form; +inf prints as the literal token "inf" in every
 format.  ``verify --depth`` must lie in [1, ``weights._MAX_DEPTH``] and
-``--tol`` must be at least 0.  Exit codes: 0 success, 1 verification
-failure (``status=mismatch``), 2 usage or domain error, 3 internal error
-(the traceback goes to stderr).
+``--tol`` must be at least 0; the supremum ``verify`` prints is the corner
+pair's value in closed form, the same at every depth, and the depth sets
+only its witness, argmax_beta = min(a, 2**-depth).  Exit codes: 0
+success, 1 verification failure (``status=mismatch``), 2 usage or domain
+error, 3 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations

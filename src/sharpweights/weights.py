@@ -6,9 +6,8 @@ form, which gives exact extremal weights (the weight whose averages hit a
 domain point with class norm exactly delta) and a supremum oracle over all
 dyadic subintervals, ``sup_ratio_search``: the numeric court of appeal for
 every sharpness claim, as the closed-form constants must be attained by
-these weights.  Only the oracle needs arrays, so NumPy is imported inside
-the functions that use them: the scalar API and the CLI commands other
-than ``verify`` never load NumPy.
+these weights.  By the corner lemma below the oracle scores one pair in
+closed form, so no part of the package needs arrays or NumPy.
 
 The corner lemma.  Let F(alpha, beta) be A_q, A_inf, RH_t or RH_inf of w
 on [alpha, beta].  Then F is nonincreasing in alpha for each beta, and
@@ -36,19 +35,13 @@ past it, A_inf is 1.25 on [0.4, 0.6] and 1.19 on [0, 0.6].
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from . import roots
 from .domain import INF, DomainPoint, classify_point, exp_or_inf, power_or_inf, require_finite
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 # The relative move of x, from the rounding of a and nu, past which extremal_weight refuses.
 _WEIGHT_RTOL = 1e-10
@@ -291,74 +284,28 @@ def functional_ratio(w: PowerWeight, kind: FunctionalKind, alpha: float, beta: f
     return exp_or_inf(g1 - g if lam <= 0.0 else g - g1)
 
 
-def _grid_parts(grid: np.ndarray, a: float) -> tuple:
-    """The weight-independent arrays of a search on ``grid``, strictly increasing from 0
-    with a point at or above a: (grid with a, inserted if need be, at index ramp, ramp,
-    x = g/a and log x over g[1..ramp], the ramp's points past 0)."""
-    import numpy as np
-
-    ramp = int(grid.searchsorted(a))
-    if grid[ramp] != a:
-        grid = np.insert(grid, ramp, a)
-    x = grid[1 : ramp + 1] / a
-    return grid, ramp, x, np.log(x)
-
-
-# The searches of a certificate, and of a `verify`, share one (depth, a), so two entries
-# suffice: the grid and two arrays over its ramp, at most three arrays of n floats each
-# (3 MB at depth 17).
-_GRIDS = 2
-
-
-@functools.lru_cache(maxsize=_GRIDS)
-def _dyadic_parts(depth: int, a: float) -> tuple:
-    """_grid_parts of the dyadic grid of 2**depth + 1 points, its arrays read-only."""
-    import numpy as np
-
-    n = (1 << depth) + 1
-    parts = _grid_parts(np.arange(n, dtype=np.float64) / float(n - 1), a)
-    for x in (parts[0], *parts[2:]):
-        x.flags.writeable = False
-    return parts
-
-
 def max_pair_ratio(grid, avg, box_cox, center, lam, cap, mode, ramp):
-    """The largest value on row [0] up to the ramp, the pairs (0, j) with 1 <= j <= ramp:
-    (best, 0, j), ties to the smallest j, NaN scored -inf (so (-inf, 0, 1) where no pair
-    has a value).  By the corner lemma (see the module docstring) that is the supremum
-    over all pairs of the grid.  avg, box_cox and cap hold at index j - 1 the averages
-    over [0, g[j]] of w, of w**lam - center (of log w at lam = 0) and ess sup w.  Mode 2
-    scores cap / A, modes 0 and 1 A exp(-G), or exp(G) / A where lam > 0: +-G =
-    log(center + B) / |lam|, B = box_cox, and -G = -B at lam = 0.  It reads neither the
-    grid nor the ramp, which it takes so that callers which wrap it see every search's
-    grid as a module attribute."""
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if mode == 2:
-            vals = cap / avg
-        else:
-            if lam:
-                vals = (np.log1p if center else np.log)(box_cox)
-                vals *= 1.0 / abs(lam)
-            else:
-                vals = np.negative(box_cox)
-            np.exp(vals, out=vals)
-            if lam > 0.0:
-                np.divide(vals, avg, out=vals)
-            else:
-                vals *= avg
-    j = int(vals.argmax())
-    if vals.item(j) != vals.item(j):  # a NaN: argmax stops at the first one
-        vals[np.isnan(vals)] = -np.inf
-        j = int(vals.argmax())
-    return vals.item(j), 0, j + 1
+    """The functional on the one pair of ``grid``, (0, g): (value, 0, 1).  avg, box_cox and
+    cap are the averages over [0, g] of v = w/w(g), of v**lam - center (of log v at lam =
+    0) and ess sup v; v stands for w, as each functional is invariant under scaling.  Mode
+    2 scores cap / A, modes 0 and 1 A exp(-G), or exp(G) / A where lam > 0: +-G =
+    log(center + B) / |lam|, B = box_cox, and -G = -B at lam = 0; where exp(-G) alone
+    passes the float range, A exp(-G) is formed from two halves of it.  It reads neither
+    the grid nor the ramp, which it takes so that callers which wrap it see each search's
+    pair as a module attribute."""
+    if mode == 2:
+        return cap / avg, 0, 1
+    g = (math.log1p(box_cox) if center else math.log(box_cox)) / abs(lam) if lam else -box_cox
+    e = exp_or_inf(g)
+    if lam > 0.0:
+        return e / avg, 0, 1
+    if e == INF:
+        e = exp_or_inf(0.5 * g)
+        return e * avg * e, 0, 1
+    return e * avg, 0, 1
 
 
-# The oracle's memory grows with the points: a process making one depth-17 aq(10)
-# search of the p = 2 extremal weight peaks at 33 MB RSS, interpreter, NumPy and the
-# cached grid arrays included, and at depth 18 at 38 MB.  The cap stays at 17, as no
-# check of the constants needs a finer grid.
+# No check of the constants needs a grid finer than this depth.
 _MAX_DEPTH = 17
 
 
@@ -367,23 +314,18 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     dyadic grid of size 2**depth, depth in [1, _MAX_DEPTH], plus the
     breakpoint a: (sup, (alpha, beta)).
 
-    By the corner lemma (see the module docstring) the maximum over all
-    pairs is on row [0] up to a, so ``max_pair_ratio`` scores only the
-    intervals [0, g] with g <= a; the result is the largest rounding of
-    their common exact value, Phi(0).  Each functional is invariant under
-    scaling the weight, so the search takes c = 1, and with x = g/a and k =
-    lam nu every average over [0, g] is closed, formed point by point: <w>
-    = x**nu/(1 + nu), the cap x**nu, <log w> = nu (log x - 1), and B =
-    <w**lam - 1> = (expm1(k log x) - k)/(1 + k) where 1 + B >= 1/2 on the
-    whole row (always where k <= 0), so that log1p(B)/lam keeps its digits
-    however small lam is, else 1 + B = <w**lam> = x**k/(1 + k).  A_q,
-    A_inf and RH_t are <w> exp(-G) or its reciprocal, G the Box-Cox mean
-    at lam = -1/(q - 1), 0 and t.  The grid with a, its index, and x and
-    log x over the ramp do not depend on nu and are kept per (depth, a)
-    (``_dyadic_parts``).  Intervals touching 0 with a divergent moment make
-    the result +inf with the witness (0, a).  A constant weight (nu = 0)
-    scores exactly 1 on every interval, so it returns 1 with the first
-    interval, (0, first grid point), without building a grid.
+    By the corner lemma (see the module docstring) every pair (0, g) with
+    g <= a attains the maximum over all pairs, Phi(0), the functional of
+    t**nu on [0, 1], so the value does not depend on the depth, and the
+    witness is the first pair of that tie, (0, min(a, 2**-depth)).
+    ``max_pair_ratio`` scores it from the averages over [0, g] of v =
+    w/w(g) = (t/g)**nu, which are closed: with k = lam nu, <v> = 1/(1 +
+    nu), the cap 1, <log v> = -nu, and B = <v**lam - 1> = -k/(1 + k) where
+    k <= 1, so that 1 + B >= 1/2 and log1p(B)/lam keeps its digits however
+    small lam is, else <v**lam> = 1/(1 + k).  A_q, A_inf and RH_t are <v>
+    exp(-G) or its reciprocal, G the Box-Cox mean at lam = -1/(q - 1), 0
+    and t.  A divergent moment at 0 makes the result +inf with the witness
+    (0, a); a constant weight (nu = 0) scores exactly 1 on every interval.
     """
     try:
         depth = operator.index(depth)
@@ -398,20 +340,12 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     k = lam * nu
     if nu <= -1.0 or k <= -1.0:
         return INF, (0.0, a)
+    witness = (0.0, min(a, 2.0**-depth))
     if nu == 0.0:
-        return 1.0, (0.0, min(a, 2.0**-depth))
-    import numpy as np
-
-    grid, ramp, x, log_x = _dyadic_parts(depth, a)
-    cap = x**nu  # which modes 0 and 1 do not read, so <w> takes its place there
-    avg = cap / (1.0 + nu) if mode == 2 else np.divide(cap, 1.0 + nu, out=cap)
-    center = x.item(0) ** k >= 0.5 * (1.0 + k)  # 1 + B = x**k/(1 + k), least at g[1] if k > 0
-    if mode == 2:  # the oracle reads only the average and the cap
-        box_cox = avg
-    elif not lam:
-        box_cox = nu * (log_x - 1.0)
-    else:  # k log x < 12 where k < 0 (k > -1, x >= 2**-17), so expm1 stays finite
-        box_cox = np.expm1(k * log_x) - k if center else x**k
-        box_cox /= 1.0 + k
-    best, i, j = max_pair_ratio(grid, avg, box_cox, float(center), lam, cap, mode, ramp)
-    return float(best), (float(grid[i]), float(grid[j]))
+        return 1.0, witness
+    if k == INF:
+        raise DomainError(f"the RH_t search needs t*nu in the float range, got t = {lam}, nu = {nu}")
+    center = k <= 1.0
+    box_cox = -nu if not lam else -k / (1.0 + k) if center else 1.0 / (1.0 + k)
+    best = max_pair_ratio(witness, 1.0 / (1.0 + nu), box_cox, float(center), lam, 1.0, mode, 1)[0]
+    return best, witness

@@ -204,20 +204,31 @@ def test_minus_weight_aq_at_large_q_is_phi_zero():
     assert rel_err(sup, 1.1387231136261406) <= 1e-13
 
 
+def test_verify_at_a_subnormal_plain_average(capsys):
+    # FOUND 146: on row [0], from pair (0, 302) on, the plain average was subnormal
+    # and exp(-G) overflowed where <w> exp(-G) is finite, so the scan printed sup =
+    # inf against the constant 1.65e142.  The corner pair's plain average is 1/(1 +
+    # nu): sup = 1.6533542920025835e+142, rel_err 1.9e-14
+    assert cli.main(["verify", "--p", "3", "--q", "1000", "--delta", "30"]) == 0
+    rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+    assert rel_err(float(rec["sup"]), float(rec["constant"])) <= 1e-13
+
+
+def test_rh_t_search_where_the_row_average_of_w_to_the_t_is_subnormal():
+    # FOUND 178: t nu log(a/g) passed about 708 on row [0], so <w**t> there was
+    # subnormal, and the depth-12 search returned 15.687578375168810 at (0, 0.0176).
+    # The corner pair's <v**t> is 1/(1 + t nu); the reference is Phi(0) = (1 + nu)/
+    # (1 + t nu)**(1/t) at 50 digits
+    w = PowerWeight(1.0, 0.5244171172091389, 38.76595077333037)
+    sup = sup_ratio_search(w, FunctionalKind.rh_p(5.6156586223125995), 12)[0]
+    assert rel_err(sup, 15.23518017145158878115627) <= 1e-15
+
+
 # -- open ---------------------------------------------------------------------
 
 
 def found(text):
     return pytest.mark.xfail(reason=text)
-
-
-@found("row [0] of `verify --p 3 --q 1000 --delta 30`: from pair (0, 302) on, whose "
-       "plain average is subnormal, exp(-G) overflows where <w> exp(-G) is finite, so "
-       "the scan reports sup = inf against the constant 1.65e142")
-def test_verify_at_a_subnormal_plain_average(capsys):
-    assert cli.main(["verify", "--p", "3", "--q", "1000", "--delta", "30"]) == 0
-    rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
-    assert rel_err(float(rec["sup"]), float(rec["constant"])) <= 1e-13
 
 
 @found("the noise band of log F near u = 0: u_plus_from_log(2, -1e-20) is off by 1.1e-7")

@@ -1,8 +1,9 @@
-"""NumPy loads only when a supremum search runs.
+"""No command loads NumPy.
 
-The scalar API and every CLI command but ``verify`` stay free of NumPy,
-which is most of a cold ``import sharpweights``.  Nor do they load
-``dataclasses`` (the records are namedtuples) or ``json`` (only
+The supremum oracle scores one pair in closed form, so neither the scalar
+API nor any CLI command, ``verify`` included, imports NumPy, and ``verify``
+runs in an interpreter started without site-packages.  Nor do the commands
+load ``dataclasses`` (the records are namedtuples) or ``json`` (only
 ``--format json`` needs it).  The import boundary is checked in a fresh
 interpreter, since this test process has all three loaded already.
 """
@@ -29,10 +30,12 @@ SCALAR_COMMANDS = [
 ]
 VERIFY = ["verify", "--p", "2", "--q", "10", "--delta", "2"]
 
-# what `verify` printed while NumPy was imported with the package
+# what `verify` prints: the corner pair's value, with the first grid pair as witness
+# (sup=11967.912848418369 at argmax_beta=0.00244140625, rel_err 4.4e-15, as the
+# maximum over row [0])
 VERIFY_RECORD = (
-    "p=2 q=10 delta=2 depth=12 constant=11967.912848418317 sup=11967.912848418369 "
-    "argmax_alpha=0 argmax_beta=0.00244140625 rel_err=4.4076768749031614e-15 status=ok"
+    "p=2 q=10 delta=2 depth=12 constant=11967.912848418317 sup=11967.912848418284 "
+    "argmax_alpha=0 argmax_beta=0.000244140625 rel_err=2.7357994395950656e-15 status=ok"
 )
 
 # delta = 1 admits only constant weights, decided without a scan; the
@@ -68,15 +71,25 @@ def run_fresh(commands):
     return printed, json.loads(steps)
 
 
-def test_scalar_commands_never_load_numpy_and_verify_does():
+def test_no_command_loads_numpy():
     printed, steps = run_fresh(SCALAR_COMMANDS + [VERIFY])
-    # the oracle's module attribute exists before NumPy does, so a tracer
-    # that looks in vars(weights) can wrap it without loading NumPy
+    # the oracle's module attribute exists at import, so a tracer that looks in
+    # vars(weights) can wrap it
     assert steps[0] == ["import", [], True]
-    for argv, (name, code, mods) in zip(SCALAR_COMMANDS, steps[1:-1]):
+    for argv, (name, code, mods) in zip(SCALAR_COMMANDS + [VERIFY], steps[1:]):
         assert (name, code, mods) == (argv[0], 0, []), argv
-    assert steps[-1] == ["verify", 0, ["numpy"]]
     assert printed[-1] == VERIFY_RECORD
+
+
+def test_verify_runs_without_site_packages():
+    # python -S leaves site-packages, and with it NumPy, off sys.path
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "sharpweights.cli", *VERIFY],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [VERIFY_RECORD]
 
 
 def test_verify_at_delta_one_loads_no_numpy():

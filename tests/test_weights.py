@@ -652,31 +652,6 @@ def test_sup_search_monotone_in_depth():
     assert sups[0] <= sups[1] <= sups[2]
 
 
-def test_sup_search_grid_is_the_sorted_union_with_the_breakpoint(monkeypatch):
-    # the breakpoint is inserted into the sorted dyadic grid; the reference
-    # is the sorted union of the grid with {0, a, 1}, bit for bit
-    from sharpweights import weights
-
-    grids = []
-
-    def captured(grid, *args):
-        grids.append(grid)
-        return 0.0, 0, 1
-
-    monkeypatch.setattr(weights, "max_pair_ratio", captured)
-    depth = 6
-    dyadic = np.arange(2**depth + 1, dtype=np.float64) / 2**depth
-    step = 2.0**-depth
-    corpus = [1.0, 0.5, 0.25, step, 1.0 - step, 0.7071, 1.0 / 3.0, 1e-300, 5e-324,
-              np.nextafter(step, 0.0), np.nextafter(step, 1.0), np.nextafter(1.0, 0.0)]
-    for a in corpus:
-        grids.clear()
-        sup_ratio_search(PowerWeight(1.0, float(a), 0.5), FunctionalKind.aq(3.0), depth)
-        expected = np.unique(np.concatenate([dyadic, [0.0, a, 1.0]]))
-        assert grids[0].tobytes() == expected.tobytes(), a
-        assert grids[0].size == dyadic.size + (a not in dyadic)
-
-
 def test_sup_search_validation():
     w = PowerWeight(1.0, 0.5, 1.0)
     with pytest.raises(DomainError):
