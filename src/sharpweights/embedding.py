@@ -40,8 +40,6 @@ def aq_constant(p: float, q: float, delta: float) -> EmbeddingResult:
     qs = roots.q_star(p, delta)
     if not 1.0 < q < INF:
         raise DomainError(f"q must be a finite real above 1, got q = {q}")
-    if delta == 1.0:
-        return EmbeddingResult(1.0, 1.0)
     if not q > qs:
         return EmbeddingResult(INF, qs)
     # log((q - 1)/(q - qs)) as a log1p, which keeps its digits as q grows

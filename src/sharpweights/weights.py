@@ -343,8 +343,8 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     witness = (0.0, min(a, 2.0**-depth))
     if nu == 0.0:
         return 1.0, witness
-    if k == INF:
-        raise DomainError(f"the RH_t search needs t*nu in the float range, got t = {lam}, nu = {nu}")
+    if k == INF:  # <v**t> has no float; the closed class norm takes 1 + t nu apart
+        return rhp_norm_closed(w, lam), witness
     center = k <= 1.0
     box_cox = -nu if not lam else -k / (1.0 + k) if center else 1.0 / (1.0 + k)
     best = max_pair_ratio(witness, 1.0 / (1.0 + nu), box_cox, float(center), lam, 1.0, mode, 1)[0]

@@ -38,6 +38,8 @@ from sharpweights import (
     tangent_segment,
 )
 
+from reference import rel_err
+
 INF = math.inf
 
 
@@ -63,14 +65,6 @@ def report(num, label, failures):
     else:
         print(line, flush=True)
     assert not failures, f"criterion {num}: " + "; ".join(failures[:5])
-
-
-def rel_gap(got, want):
-    if math.isinf(got) and math.isinf(want):
-        return 0.0
-    if math.isinf(got) or math.isinf(want):
-        return INF
-    return abs(got - want) / abs(want)
 
 
 def interior_points(p, delta, count, seed):
@@ -110,13 +104,13 @@ def test_criterion_02_root_identities_on_random_parameters():
         delta = rng.uniform(1.01, 10.0)
         ts = t_star(p, delta)
         qsub = q_sub(p, delta)
-        if rel_gap(ts, 1.0 / (1.0 - qsub)) > 1e-9:
+        if rel_err(ts, 1.0 / (1.0 - qsub)) > 1e-9:
             failures.append(f"t_star identity at p={p}, delta={delta}")
         _, sp = s_pair(p, delta)
         want = (1.0 - (p - 1.0) * sp) / (1.0 - p * sp)
-        if rel_gap(q_star(p, delta), want) > 1e-9:
+        if rel_err(q_star(p, delta), want) > 1e-9:
             failures.append(f"q_star identity at p={p}, delta={delta}")
-        if rel_gap(rht_constant(p, p, delta).constant, delta) > 1e-9:
+        if rel_err(rht_constant(p, p, delta).constant, delta) > 1e-9:
             failures.append(f"self-embedding at p={p}, delta={delta}")
     report(2, "root identities and self-embedding on 50 random draws", failures)
 
@@ -176,12 +170,12 @@ def test_criterion_05_extremal_weights_attain_the_supremum():
     for x in interior_points(p, delta, 50, seed=55):
         for params, branch in ((upper, "plus"), (gehring, "minus")):
             w = extremal_weight(p, delta, x, branch)
-            if rel_gap(moment(w, 1.0), x[0]) > 1e-13:
+            if rel_err(moment(w, 1.0), x[0]) > 1e-13:
                 failures.append(f"{branch} x1 at {x}")
-            if rel_gap(moment(w, p), x[1]) > 1e-12:
+            if rel_err(moment(w, p), x[1]) > 1e-12:
                 failures.append(f"{branch} x2 at {x}")
             theta = 1.0 - params.q_conj
-            if rel_gap(moment(w, theta), bellman_value(params, x)) > 1e-12:
+            if rel_err(moment(w, theta), bellman_value(params, x)) > 1e-12:
                 failures.append(f"{branch} supremum at {x}")
         # q = 3 sits in the critical band, so the moment diverges
         w = extremal_weight(p, delta, x, "plus")
@@ -215,7 +209,7 @@ def test_criterion_06_numeric_sharpness_oracle():
     # before that 1e-3
     for w, kind, constant in searched:
         sup, _ = sup_ratio_search(w, kind, 12)
-        if rel_gap(sup, constant) > 1e-14:
+        if rel_err(sup, constant) > 1e-14:
             failures.append(f"searched gap for {kind.name}: {sup} vs {constant}")
     report(6, "verification oracle matches the constants at depth 12 within 1e-14", failures)
 
@@ -230,10 +224,10 @@ def test_criterion_07_interval_norms_of_power_weights():
             for p in (1.5, 2.0, 3.0):
                 sup, _ = sup_ratio_search(w, FunctionalKind.rh_p(p), 10)
                 want = (1.0 + nu) / (1.0 + p * nu) ** (1.0 / p)
-                if rel_gap(sup, want) > 1e-14:
+                if rel_err(sup, want) > 1e-14:
                     failures.append(f"rh_p nu={nu} a={a} p={p}")
             sup, _ = sup_ratio_search(w, FunctionalKind.rh_inf(), 10)
-            if rel_gap(sup, nu + 1.0) > 1e-14:
+            if rel_err(sup, nu + 1.0) > 1e-14:
                 failures.append(f"rh_inf nu={nu} a={a}")
     report(7, "searched interval norms match the closed forms within 1e-14", failures)
 
@@ -251,7 +245,7 @@ def test_criterion_08_boundary_supremum_structure():
                 frac = (j + 0.5) / 20.0
                 lo, hi = x1**p, (delta * x1) ** p
                 x = (x1, lo + frac * (hi - lo))
-                if rel_gap(bellman_value(params, x),
+                if rel_err(bellman_value(params, x),
                            bellman_value_gamma_form(params, x)) > 1e-10:
                     failures.append(f"two forms disagree at {x}")
 
@@ -260,7 +254,7 @@ def test_criterion_08_boundary_supremum_structure():
     power = 1.0 - upper.q_conj
     for lam in (0.5, 2.0, 10.0):
         scaled = bellman_value(upper, (lam * x[0], lam**2 * x[1]))
-        if rel_gap(scaled, lam**power * base) > 1e-10:
+        if rel_err(scaled, lam**power * base) > 1e-10:
             failures.append(f"scaling law at lam={lam}")
 
     rng = random.Random(13)
@@ -281,7 +275,7 @@ def test_criterion_08_boundary_supremum_structure():
     for d1, d2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.7, -0.4)):
         h = 1e-3 / math.hypot(d1, d2)
         fd = (4.0 * second_diff(d1, d2, h / 2.0) - second_diff(d1, d2, h)) / 3.0
-        if rel_gap(hessian_form(upper, x, d1, d2), fd) > 1e-5:
+        if rel_err(hessian_form(upper, x, d1, d2), fd) > 1e-5:
             failures.append(f"finite differences disagree along ({d1}, {d2})")
 
     _, r_plus = r_pair(2.0, 2.0, x)
@@ -299,7 +293,7 @@ def test_criterion_08_boundary_supremum_structure():
             mid = ((xa[0] + xb[0]) / 2.0, (xa[1] + xb[1]) / 2.0)
             va = bellman_value(params, xa)
             vb = bellman_value(params, xb)
-            if rel_gap(bellman_value(params, mid), (va + vb) / 2.0) > 1e-9:
+            if rel_err(bellman_value(params, mid), (va + vb) / 2.0) > 1e-9:
                 failures.append(f"not affine on {branch} segment b={b}")
     report(8, "boundary supremum: two forms, scaling, curvature", failures)
 
@@ -329,7 +323,7 @@ def test_criterion_10_exponential_class_sharpness():
         w = extremal_weight(p, delta, x, "plus")
         got = functional_ratio(w, FunctionalKind.a_inf(), 0.0, 1.0)
         want = ainf_constant(p, delta).constant
-        if rel_gap(got, want) > 2.0**-51:
+        if rel_err(got, want) > 2.0**-51:
             failures.append(f"p={p}: {got} vs {want}")
     report(10, "extremal weight attains the exponential constant within 4 rounding units",
            failures)
@@ -345,7 +339,7 @@ def test_criterion_11_dyadic_cube_bounds():
     big_l = 2.0 + 4.0 * math.expm1(-2.0 * math.log(delta))
     y_closed = (1.0 + math.sqrt(1.0 - (big_l - 1.0) ** 2)) / (big_l - 1.0)
     y = ratio_bound_y(2.0, 2, delta)
-    if rel_gap(y, y_closed) > 1e-9:
+    if rel_err(y, y_closed) > 1e-9:
         failures.append(f"quadratic closed form: {y} vs {y_closed}")
     # worst-case vector: 1 and y at opposite corners, the balance value
     # elsewhere; it must achieve the two-dimensional ratio bound exactly
@@ -353,7 +347,7 @@ def test_criterion_11_dyadic_cube_bounds():
     v = [1.0, a, a, y]
     lhs = sum(t * t for t in v) / sum(v) ** 2
     rhs = delta**2 / 2.0 ** (2 * (2 - 1))
-    if rel_gap(lhs, rhs) > 1e-9:
+    if rel_err(lhs, rhs) > 1e-9:
         failures.append(f"witness ratio: {lhs} vs {rhs}")
     values = [ndim_aq_bound(2.0, 3.0, 2, 1.0 + 10.0**-k).constant
               for k in range(1, 9)]

@@ -23,6 +23,8 @@ from sharpweights import (
 )
 from sharpweights.roots import r_pair
 
+import reference
+
 UPPER = Parameters(2.0, 10.0, 2.0)
 LOWER = Parameters(2.0, 0.7, 1.05)
 
@@ -157,6 +159,8 @@ def test_infinity_value_overflows_to_inf():
     # the true values, about 4.3e314 and e**992, pass the float range
     assert bellman_infinity_value(1.2224, 2.9048, (1.0, 1.5)) == math.inf
     assert bellman_infinity_value(math.inf, 1000.0, (1.0, 1000.0)) == math.inf
+    # q_star itself passes the float range
+    assert bellman_infinity_value(1.001, 10.0, (1.0, 2.0)) == math.inf
 
 
 def test_infinity_value_lower_curve_exact():
@@ -279,33 +283,21 @@ def test_tangent_segment_endpoints():
     assert x2l == pytest.approx(x1l**2, rel=1e-12)
 
 
-def critical_roots_50(p, delta):
-    """(q_star, q_sub) at 50 digits: the roots above and below 1 of
-    (q/delta)**p = 1 + p*(q - 1), solved in y = log(1 + p*(q - 1))."""
-    with mp.workdps(60):
-        big_p, log_delta = mp.mpf(p), mp.log(delta)
-        q = lambda y: 1 + mp.expm1(y) / big_p
-        g = lambda y: big_p * (mp.log(q(y)) - log_delta) - y
-        # g(0) < 0; g > 0 at y_hi, as q >= exp(y)/p, and at y_lo, as q > (p-1)/p
-        y_hi = big_p * (mp.log(big_p) + log_delta) / (big_p - 1) + 1
-        y_lo = big_p * (mp.log((big_p - 1) / big_p) - log_delta) - 1
-        return [q(mp.findroot(g, ends, solver="anderson")) for ends in ((0, y_hi), (y_lo, 0))]
-
-
 @pytest.mark.parametrize("p, delta", [(1.01, 1.5), (1.2, 10.0), (2.0, 2.0), (3.0, 1.001), (50.0, 3.0)])
 def test_tangent_segment_meets_the_lower_curve_at_the_critical_exponents(p, delta):
     # the lower endpoint is b*q_star on the plus branch and b*q_sub on the
     # minus one.  Taken from the class parameter it was 8.9e15 at (1.01, 1.5),
     # where q_star is 1.65e18, and 7.7e-11 off at (1.2, 10).  q_star is good
     # to a few ulp of z = log(q_star/delta), q_sub to a few ulp of itself
-    qs, qsub = critical_roots_50(p, delta)
+    qs, qsub = reference.critical(p, delta)[:2]
     assert tangent_segment(p, delta, 1.0).endpoint_gamma_one[0] == q_star(p, delta)
     plus_tol = 4.0 * math.ulp(max(1.0, math.log(float(qs) / delta)))
     for branch, q, tol in (("plus", qs, plus_tol), ("minus", qsub, 2.0**-51)):
         x1, x2 = tangent_segment(p, delta, 1.0, branch).endpoint_gamma_one
-        with mp.workdps(50):
-            assert abs(x1 - q) <= tol * q, (branch, x1)
-            assert abs(x2 - q**p) <= (p * tol + 2.0**-51) * q**p, (branch, x2)
+        with mp.workdps(reference.DPS):
+            q_p = q**p
+        assert reference.rel_err(x1, q) <= tol, (branch, x1)
+        assert reference.rel_err(x2, q_p) <= p * tol + 2.0**-51, (branch, x2)
 
 
 def test_tangent_segment_line_equation():

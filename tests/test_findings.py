@@ -33,9 +33,7 @@ from sharpweights import (
 from sharpweights import cli
 from sharpweights.roots import u_plus_from_log
 
-
-def rel_err(value, reference):
-    return abs(value - reference) / abs(reference)
+from reference import abs_err, phi, rel_err
 
 
 # -- mended -------------------------------------------------------------------
@@ -222,6 +220,16 @@ def test_rh_t_search_where_the_row_average_of_w_to_the_t_is_subnormal():
     w = PowerWeight(1.0, 0.5244171172091389, 38.76595077333037)
     sup = sup_ratio_search(w, FunctionalKind.rh_p(5.6156586223125995), 12)[0]
     assert rel_err(sup, 15.23518017145158878115627) <= 1e-15
+
+
+def test_rh_t_search_where_t_nu_passes_the_float_range():
+    # FOUND 183: t*nu is inf, so <v**t> = 1/(1 + t nu) has no float, and the search
+    # raised DomainError, though Phi(0) = (1 + nu)/(1 + t nu)**(1/t) is 7.07e153.  The
+    # closed class norm takes 1 + t nu apart: 1.05 ulp from the 50-digit Phi(0)
+    w, kind = PowerWeight(1.0, 1.0, 1e308), FunctionalKind.rh_p(2.0)
+    sup, witness = sup_ratio_search(w, kind, 12)
+    assert witness == (0.0, 2.0**-12)
+    assert abs_err(sup, phi(kind, w.nu)) <= 2 * math.ulp(sup), sup
 
 
 # -- open ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The supremum oracle, which scores the one corner pair (0, a) in closed form,
-against a reference scorer on its own averages, a float brute force over every
-grid pair and the 50-digit Phi(0), and the corner lemma, checked at 50 digits,
-that lets that pair stand for every pair."""
+"""The supremum oracle, sup_ratio_search, and its scorer max_pair_ratio: the one
+corner pair (0, a) scored in closed form, against a reference scorer on the same
+averages, a float brute force over every grid pair and the 50-digit Phi(0); the
+corner lemma that lets that pair stand for every pair, checked at 50 digits; and
+the scorer's interface and the search's memory."""
 
 import math
 import tracemalloc
@@ -15,6 +16,8 @@ from sharpweights import (FunctionalKind, PowerWeight, cli, extremal_weight, fun
                           sup_ratio_search, t_star)
 from sharpweights import weights
 from sharpweights.weights import max_pair_ratio
+
+import reference
 
 
 def reference_score(grid, avg, box_cox, center, lam, cap, mode, ramp):
@@ -83,12 +86,6 @@ def random_power_weights():
     rng = np.random.default_rng(26)
     for k in range(1000):
         yield random_search(rng, int(rng.choice([6, 6, 7, 7, 8, 9])), k % 3)
-
-
-def phi_zero(w, kind):
-    """The 50-digit Phi(0) of w and kind, the functional of t**nu on [0, 1]."""
-    with mp.workdps(50):
-        return corner_phi(kind.name, mp.mpf(w.nu), mp.mpf(0), kind.exponent and mp.mpf(kind.exponent))
 
 
 def test_random_power_weights_are_bit_identical():
@@ -212,21 +209,6 @@ def test_constant_path_computes_no_bound(monkeypatch, mode):
             sup_ratio_search(PowerWeight(3.0, 0.3, 0.5), kind, depth)
 
 
-def corner_phi(kind, nu, r, q=None):
-    """Phi(r): the functional of t**nu on [r, 1], in closed form, r = 0 included."""
-    def average(s):  # of t**s over [r, 1]
-        e = s + 1
-        return (-mp.log(r) if e == 0 else (1 - r**e) / e) / (1 - r)
-
-    if kind == "aq":
-        return average(nu) * average(-nu / (q - 1)) ** (q - 1)
-    if kind == "rhp":  # q is the exponent p of RH_p
-        return average(q * nu) ** (1 / q) / average(nu)
-    if kind == "ainf":  # the average of log t over [r, 1] is (r - 1 - r log r)/(1 - r)
-        return average(nu) * mp.exp(-nu * (r - 1 - (r * mp.log(r) if r else 0)) / (1 - r))
-    return 1 / average(nu)  # rhinf: sup t**nu = 1 for nu >= 0
-
-
 def test_corner_lemma_phi_is_nonincreasing_at_50_digits():
     # the lemma behind the corner bound, checked on a corpus of nu, q (or p) and r
     with mp.workdps(50):
@@ -235,13 +217,13 @@ def test_corner_lemma_phi_is_nonincreasing_at_50_digits():
         rs += [1 - mp.mpf(10) ** -k for k in (2, 4, 6, 8, 11)]
         nus = [mp.mpf(x) for x in ("-0.99", "-0.5", "-1e-6", "1e-6", "0.3", "1", "4", "25", "100")]
         exponents = [mp.mpf(x) for x in ("1.01", "1.5", "2", "10", "1e6")]
-        cases = [("aq", nu, q) for nu in nus for q in exponents]
-        cases += [("rhp", nu, t) for nu in nus for t in exponents if t * nu > -1]
-        cases += [("ainf", nu, None) for nu in nus] + [("rhinf", nu, None) for nu in nus if nu > 0]
-        for kind, nu, q in cases:
-            phi = [corner_phi(kind, nu, r, q) for r in rs]
-            assert all(x >= y for x, y in zip(phi, phi[1:])), (kind, nu, q)
-            assert phi[0] > phi[-1], (kind, nu, q)
+        cases = [(FunctionalKind.aq(q), nu) for nu in nus for q in exponents]
+        cases += [(FunctionalKind.rh_p(t), nu) for nu in nus for t in exponents if t * nu > -1]
+        cases += [(FunctionalKind.a_inf(), nu) for nu in nus] + [(FunctionalKind.rh_inf(), nu) for nu in nus if nu > 0]
+    for kind, nu in cases:
+        phi = [reference.phi(kind, nu, r) for r in rs]
+        assert all(x >= y for x, y in zip(phi, phi[1:])), (kind, nu)
+        assert phi[0] > phi[-1], (kind, nu)
 
 
 def lemma_pairs(kind, grid, integral, top=None):
@@ -264,24 +246,13 @@ def lemma_pairs(kind, grid, integral, top=None):
     return values
 
 
-def lemma_violations(values, bound, tol=mp.mpf(10) ** -30):
+def lemma_violations(values, bound):
     """(the pairs whose F passes ``bound``, the pairs (i, j) where F rises from alpha =
-    grid[i] to grid[i + 1]), beyond the relative tolerance."""
+    grid[i] to grid[i + 1]), beyond 1e-30 relative."""
+    tol = mp.mpf(10) ** -30
     above = [ij for ij, v in values.items() if v > bound * (1 + tol)]
     rises = [(i, j) for (i, j), v in values.items() if i + 1 < j and values[i + 1, j] > v * (1 + tol)]
     return above, rises
-
-
-def plateau_parts(a, nu):
-    """integral and top (see lemma_pairs) of (min(t, a)/a)**nu at 50 digits, a and nu mpf."""
-    def integral(theta, t):
-        m = min(t, a)
-        if theta is None:
-            return nu * m * (mp.log(m / a) - 1) if m else mp.mpf(0)
-        e = theta * nu + 1
-        return a / e * (m / a) ** e + max(t - a, 0)
-
-    return integral, lambda t: (min(t, a) / a) ** nu
 
 
 def lemma_corpus():
@@ -313,8 +284,10 @@ def test_plateau_lemma_holds_on_every_grid_pair_at_50_digits():
         for w, kind, depth in cases:
             grid = np.unique(np.r_[np.arange(2**depth + 1) / 2**depth, w.a])
             ramp = int(grid.searchsorted(w.a))
-            values = lemma_pairs(kind, [mp.mpf(float(g)) for g in grid], *plateau_parts(mp.mpf(w.a), mp.mpf(w.nu)))
-            phi = phi_zero(w, kind)
+            a, nu = mp.mpf(w.a), mp.mpf(w.nu)
+            values = lemma_pairs(kind, [mp.mpf(float(g)) for g in grid],
+                                 lambda theta, t: reference.integral(w, theta, 0, t), lambda t: (min(t, a) / a) ** nu)
+            phi = reference.phi(kind, w.nu)
             assert lemma_violations(values, phi) == ([], []), (w, kind, depth)
             assert abs(values[0, ramp] / phi - 1) <= mp.mpf(10) ** -30, (w, kind, depth)
 
@@ -346,8 +319,8 @@ def test_verify_near_delta_one_is_within_4_ulp_of_phi_zero(capsys):
     delta = float(rec["delta"])
     w = extremal_weight(2.0, delta, (1.0, delta**2), "plus")
     assert w.a == 1.0 and rec["argmax_alpha"] == "0"
-    phi = phi_zero(w, FunctionalKind.aq(10.0))
-    assert abs(float(rec["sup"]) - phi) <= 4 * math.ulp(float(phi)), (rec["sup"], phi)
+    phi = reference.phi(FunctionalKind.aq(10.0), w.nu)
+    assert reference.abs_err(float(rec["sup"]), phi) <= 4 * math.ulp(float(phi)), (rec["sup"], phi)
 
 
 def phi_zero_searches():
@@ -370,12 +343,11 @@ def test_scan_supremum_is_the_50_digit_phi_zero(depth):
     # (functional_ratio on [0, 1] by up to 9.7e-7 at 1e10 and 2.6e-3 at 1e14)
     for label, w, kind in phi_zero_searches():
         sup = sup_ratio_search(w, kind, depth)[0]
-        with mp.workdps(50):
-            phi = corner_phi(kind.name, mp.mpf(w.nu), mp.mpf(0), kind.exponent and mp.mpf(kind.exponent))
-            assert float(abs(sup - phi) / phi) <= 3e-14, (label, sup, phi)
-            # and so is the closed form on [0, 1]
-            closed = functional_ratio(w, kind, 0.0, 1.0)
-            assert float(abs(closed - phi) / phi) <= 3e-14, (label, closed, phi)
+        phi = reference.phi(kind, w.nu)
+        assert reference.rel_err(sup, phi) <= 3e-14, (label, sup, phi)
+        # and so is the closed form on [0, 1]
+        closed = functional_ratio(w, kind, 0.0, 1.0)
+        assert reference.rel_err(closed, phi) <= 3e-14, (label, closed, phi)
 
 
 def accuracy_corpus():
@@ -415,8 +387,8 @@ def test_oracle_is_within_a_few_ulp_of_the_50_digit_phi_zero():
     ulps = {True: [], False: []}
     for w, kind in cases:
         sup = sup_ratio_search(w, kind, 12)[0]
-        phi = phi_zero(w, kind)
-        ulps[w.a < 1.0].append(float(abs(sup - phi)) / math.ulp(float(phi)))
+        phi = reference.phi(kind, w.nu)
+        ulps[w.a < 1.0].append(reference.abs_err(sup, phi) / math.ulp(float(phi)))
     assert np.median(ulps[True] + ulps[False]) <= 0.4
     assert max(ulps[False]) <= 48.0 and max(ulps[True]) <= 3.0, (max(ulps[False]), max(ulps[True]))
 
@@ -453,8 +425,8 @@ def test_a_inf_past_the_range_of_exp_is_phi_zero():
     for nu in (709.0, 712.0, 716.0):
         w = PowerWeight(1.0, 0.5, nu)
         sup = sup_ratio_search(w, FunctionalKind.a_inf(), 12)[0]
-        phi = phi_zero(w, FunctionalKind.a_inf())
-        assert abs(sup - phi) <= 4 * math.ulp(float(phi)), (nu, sup, phi)
+        phi = reference.phi(FunctionalKind.a_inf(), nu)
+        assert reference.abs_err(sup, phi) <= 4 * math.ulp(float(phi)), (nu, sup, phi)
     assert sup_ratio_search(PowerWeight(1.0, 0.5, 717.0), FunctionalKind.a_inf(), 12)[0] == math.inf
 
 

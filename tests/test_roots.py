@@ -29,6 +29,8 @@ from sharpweights import (
 )
 from sharpweights import cli, ndim, roots
 
+import reference
+
 SQRT3 = math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
 
@@ -295,59 +297,17 @@ def test_bisect_root_ends_within_its_bound_on_adversarial_equations(name):
 # -- agreement with 50-digit roots of the log-form equations -----------------
 
 
-def _eq_critical(x, p, delta):
-    return p * (mp.log(x) - mp.log(delta)) - mp.log(1 + p * (x - 1))
-
-
-def _eq_gehring(x, p, delta):
-    return p * (mp.log(delta) + mp.log(x) - mp.log(x - 1)) + mp.log(x - p) - mp.log(x)
-
-
-def _eq_branch(u, p, log_t):
-    return (p - 1) * mp.log(1 - p * u) - p * mp.log(1 - (p - 1) * u) - log_t
-
-
-def _eq_ratio(y, p, log_l):
-    return p * mp.log(1 + y) - mp.log(1 + y**p) - (p - 1) * log_l
-
-
-def _ndim_log_l(p, delta):
-    return mp.log(2 + 4 * (mp.exp(-p / (p - 1) * mp.log(delta)) - 1))
-
-
-# name -> (float solve, equation, its parameter c, open domain (lo, hi)); the
-# parameters are formed at 50 digits whatever the global mpmath precision
 def _case(name, p, delta):
+    """(the float solve, its 50-digit reference given the float root)."""
     log_t = -p * math.log(delta)
-    with mp.workdps(50):
-        p_m, d_m = mp.mpf(p), mp.mpf(delta)
-        return {
-            "q_star": (lambda: q_star(p, delta), _eq_critical, d_m, (1, mp.inf)),
-            "q_sub": (lambda: q_sub(p, delta), _eq_critical, d_m, ((p_m - 1) / p_m, 1)),
-            "t_star": (lambda: t_star(p, delta), _eq_gehring, d_m, (p_m, mp.inf)),
-            "u_plus": (lambda: roots.u_plus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (0, 1 / p_m)),
-            "u_minus": (lambda: roots.u_minus_from_log(p, log_t), _eq_branch, mp.mpf(log_t), (-mp.inf, 0)),
-            "y": (lambda: ndim.ratio_bound_y(p, 2, delta), _eq_ratio, _ndim_log_l(p_m, d_m), (1, mp.inf)),
-        }[name]
-
-
-def _reference(eq, p, c, x, domain):
-    """50-digit root by bisection on x*(1 -+ 1e-9), clipped to the domain."""
-    with mp.workdps(50):
-        x = mp.mpf(x)
-        w = abs(x) * mp.mpf("1e-9")
-        lo = max(x - w, domain[0] + mp.mpf("1e-45"))
-        hi = min(x + w, domain[1] - mp.mpf("1e-45"))
-        f = lambda v: eq(v, mp.mpf(p), c)
-        f_lo = f(lo)
-        assert mp.sign(f_lo) != mp.sign(f(hi)), "float root is off by more than 1e-9"
-        for _ in range(130):
-            mid = (lo + hi) / 2
-            if mp.sign(f(mid)) == mp.sign(f_lo):
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+    return {
+        "q_star": (lambda: q_star(p, delta), lambda x: reference.critical(p, delta).q_star),
+        "q_sub": (lambda: q_sub(p, delta), lambda x: reference.critical(p, delta).q_sub),
+        "t_star": (lambda: t_star(p, delta), lambda x: reference.critical(p, delta).t_star),
+        "u_plus": (lambda: roots.u_plus_from_log(p, log_t), lambda x: reference.branch_root(p, log_t, x)),
+        "u_minus": (lambda: roots.u_minus_from_log(p, log_t), lambda x: reference.branch_root(p, log_t, x)),
+        "y": (lambda: ndim.ratio_bound_y(p, 2, delta), lambda x: reference.ndim_y(p, delta, x)),
+    }[name]
 
 
 GRID_P = (1.5, 2.0, 6.0, 50.0)
@@ -379,10 +339,9 @@ def _grid(name):
 def test_roots_match_50_digit_references(name):
     failures = []
     for p, dm, delta in _grid(name):
-        solve, eq, c, domain = _case(name, p, delta)
+        solve, want = _case(name, p, delta)
         got = solve()
-        want = _reference(eq, p, c, got, domain)
-        err = float(abs((mp.mpf(got) - want) / want))
+        err = reference.rel_err(got, want(got))
         bound = EVALUATION_LIMITED.get((name, p, dm), 1e-15)
         if err > bound:
             failures.append(f"p={p} delta-1={dm}: {got!r} off by {err:.1e}")
@@ -391,8 +350,9 @@ def test_roots_match_50_digit_references(name):
 
 def test_q_star_hits_closed_form_at_p_two():
     # the parent bisection stopped 4e-13 short of 4 + 2*sqrt(3)
-    want = 4 + 2 * mp.sqrt(3)
-    assert float(abs((mp.mpf(q_star(2.0, 2.0)) - want) / want)) <= 1e-15
+    with mp.workdps(reference.DPS):
+        want = 4 + 2 * mp.sqrt(3)
+    assert reference.rel_err(q_star(2.0, 2.0), want) <= 1e-15
 
 
 LARGE_P_CORNERS = [
@@ -575,26 +535,16 @@ def test_the_constants_command_solves_q_star_once(solves, capsys):
 # -- the branches at large p and on the whole p range -------------------------
 
 
-def _eq_branch_in_v(v, p, log_t):
-    """log F - log t in v = p*u, as (p-1)*log1p(-a) - log1p(-b) with b = v - v/p
-    and a = (v/p)/(1 - b): no term cancels at large p, where the power
-    form would need hundreds of digits."""
-    b = v - v / p
-    return (p - 1) * mp.log1p(-(v / p) / (1 - b)) - mp.log1p(-b) - log_t
-
-
 @pytest.mark.parametrize("p", [1e15, 1e17, 1e30, 1e100, 1e305])
 @pytest.mark.parametrize("t", [0.5, 1e-3])
 def test_branches_at_large_p_within_4_ulp(p, t):
     # the left bracket end once lay right of the root near p = 1e15 (and
     # p/e times too far out from 1e16 on), and the right seed past 1/p
     log_t = math.log(t)
-    for solve, domain in ((roots.u_plus_from_log, (0, 1)), (roots.u_minus_from_log, (-mp.inf, 0))):
+    for solve in (roots.u_plus_from_log, roots.u_minus_from_log):
         got = solve(p, log_t)
-        with mp.workdps(50):
-            want = _reference(_eq_branch_in_v, p, mp.mpf(log_t), p * got, domain) / p
-            err = abs(mp.mpf(got) - want)
-        assert err <= 4 * math.ulp(got), (solve.__name__, got, want)
+        want = reference.branch_root(p, log_t, got)
+        assert reference.abs_err(got, want) <= 4 * math.ulp(got), (solve.__name__, got, want)
 
 
 WHOLE_P = (1.0001, 1.5, 2.0, 50.0, 300.0, 1e6, 1e15, 1e17, 1e30, 1e100, 1e305, 1.7e308)
@@ -618,41 +568,17 @@ def test_branches_return_a_float_on_the_whole_p_range():
 # -- q_star near p = 1 and at the corners ------------------------------------
 
 
-def _q_star_miss(p, delta):
-    """None when q_star(p, delta) is within 4 ulp of max(1, log(q_star/delta))
-    of a 50-digit root of the log-form equation, solved for z = log(q/delta)
-    by bisection on [0, (log p + log delta)/(p - 1)], or is inf exactly
-    where that root passes the float range; else a description."""
-    got = q_star(p, delta)
-    with mp.workdps(50):
-        p_m, d_m = mp.mpf(p), mp.mpf(delta)
-        f = lambda z: _eq_critical(d_m * mp.exp(z), p_m, d_m)
-        lo, hi = mp.mpf(0), (mp.log(p_m) + mp.log(d_m)) / (p_m - 1)
-        # f(0) < 0 < f(hi), unless the root equals hi to 50 digits
-        if f(hi) > 0:
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
-        z = hi
-        want = d_m * mp.exp(z)
-        if want > sys.float_info.max:
-            return None if got == math.inf else f"{got!r}, want inf"
-        err = abs((got - want) / want)
-        bound = 4 * 2.0**-52 * max(1, z)
-        return None if err <= bound else f"{got!r} off by {float(err):.1e} > {float(bound):.1e}"
-
-
 @pytest.mark.parametrize("p", [1.01, 1.001])
 def test_q_star_near_p_one_is_representable(p):
     # about 1.6495e18 and 5.03e176: far past any doubling budget from 2
-    assert _q_star_miss(p, 1.5) is None
+    assert reference.q_star_miss(q_star(p, 1.5), p, 1.5) is None
 
 
 def test_q_star_corners_within_a_few_ulp_of_log_q_over_delta():
     failures = []
     for pm in (1e-6, 1e-4, 1e-2, 1.0, 299.0):
         for dm in (1e-12, 1e-6, 1e-3, 0.5, 999.0):
-            miss = _q_star_miss(1.0 + pm, 1.0 + dm)
+            miss = reference.q_star_miss(q_star(1.0 + pm, 1.0 + dm), 1.0 + pm, 1.0 + dm)
             if miss:
                 failures.append(f"p-1={pm} delta-1={dm}: {miss}")
     assert not failures, failures
@@ -693,8 +619,7 @@ def test_left_branch_beyond_its_bracket_end_is_representable(p, log_t):
     # p*(-2C/t) overflows while p times the root, about -C/t, does not
     got = roots.u_minus_from_log(p, log_t)
     assert math.isfinite(p * got)
-    want = _reference(_eq_branch, p, mp.mpf(log_t), got, (-mp.inf, 0))
-    assert float(abs((mp.mpf(got) - want) / want)) <= 1e-15
+    assert reference.rel_err(got, reference.branch_root(p, log_t, got)) <= 1e-15
 
 
 def test_gehring_side_on_the_4000_draw_sweep():
@@ -743,8 +668,7 @@ def test_left_branch_at_log_t_near_700_within_4_ulp():
     # short of where the left bracket end overflows
     for log_t in (-707.5, -706.5):
         got = roots.u_minus_from_log(2.0, log_t)
-        want = _reference(_eq_branch, 2.0, mp.mpf(log_t), got, (-mp.inf, 0))
-        assert abs(mp.mpf(got) - want) <= 4 * math.ulp(got)
+        assert reference.abs_err(got, reference.branch_root(2.0, log_t, got)) <= 4 * math.ulp(got)
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-7, 2.0, 3e305])
@@ -765,24 +689,13 @@ def test_degenerate_class_gives_zero_roots(p):
     assert t_star(p, 1.0) == math.inf
 
 
-def _log_f_of_gap(p, log_gap):
-    """log F at 1 - p*u = exp(log_gap), at the working precision."""
-    k = p - 1
-    y = k * mp.exp(log_gap)
-    return k * mp.log(p * mp.exp(log_gap) / (1 + y)) - mp.log((1 + y) / p)
-
-
 @pytest.mark.parametrize("p", [1.000001, 1.001, 1.5, 3.0, 10.0, 1e6, 1e15, 1e30])
 @pytest.mark.parametrize("gap", [1 / 64, 1e-3, 1e-6, 1e-12, 1e-100])
 def test_right_gap_within_a_few_ulp_of_its_reference(p, gap):
-    # past v = 15/16 the gap 1 - p*u comes from its own solve: against
-    # 50-digit roots it is within 8 ulp of log(gap), and u within 4 ulp;
-    # log F sums terms of size p, hence the digits beyond 50
-    with mp.workdps(90):
-        log_t = float(_log_f_of_gap(mp.mpf(p), mp.log(gap)))
-        u, log_m = roots.u_plus_gap_from_log(p, log_t)
-        assert log_m is not None
-        ref = mp.findroot(lambda z: _log_f_of_gap(mp.mpf(p), z) - log_t, mp.log(gap))
-        assert abs(mp.mpf(log_m) - mp.log(p) - ref) <= 8 * 2.0**-53 * max(1.0, abs(ref))
-        u_ref = -mp.expm1(ref) / p
-        assert abs(mp.mpf(u) - u_ref) <= 4 * 2.0**-53 * u_ref
+    # past v = 15/16 the gap 1 - p*u comes from its own solve: against 90-digit
+    # roots it is within 8 ulp of log(gap), and u within 4 ulp
+    log_t, u_ref, z, log_m_ref = reference.right_gap(p, gap)
+    u, log_m = roots.u_plus_gap_from_log(p, log_t)
+    assert log_m is not None
+    assert reference.abs_err(log_m, log_m_ref) <= 8 * 2.0**-53 * max(1.0, abs(float(z)))
+    assert reference.rel_err(u, u_ref) <= 4 * 2.0**-53

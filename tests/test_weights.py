@@ -30,6 +30,8 @@ from sharpweights import (
 )
 from sharpweights import roots
 
+import reference
+
 SQRT3 = math.sqrt(3.0)
 
 # pinned by 50-digit evaluation of the closed forms
@@ -118,23 +120,6 @@ def _moment_corpus(seed=22, n=3000):
     return out
 
 
-def _errors_in_u(call, cases):
-    """|value/exact - 1| in units of 2**-53 over the cases whose exact average is a
-    normal float."""
-    errs = []
-    for c, a, nu, theta, alpha, beta in cases:
-        with mp.workdps(50):
-            lo, hi, b = mp.mpf(alpha), min(mp.mpf(beta), mp.mpf(a)), mp.mpf(beta)
-            if lo == 0 and theta * mp.mpf(nu) <= -1:
-                continue
-            exact = mp.mpf(c) ** theta * (_ramp_integral_50(PowerWeight(c, a, nu), theta, alpha, beta)
-                                          + max(b - max(lo, mp.mpf(a)), 0)) / (b - lo)
-            if 2.2250738585072014e-308 <= exact <= 1.7976931348623157e308:
-                got = call(PowerWeight(c, a, nu), theta, alpha, beta)
-                errs.append(float(abs(got / exact - 1)) * 2.0**53)
-    return errs
-
-
 @pytest.mark.parametrize("name, call, on_unit, max_u, median_u", [
     # 708 cases: 2.62u and 0.53085u (38.83u and 0.53172u before moment was
     # interval_moment on [0, 1])
@@ -145,7 +130,7 @@ def _errors_in_u(call, cases):
 ], ids=["moment", "interval_moment"])
 def test_moments_on_a_seeded_corpus_at_50_digits(name, call, on_unit, max_u, median_u):
     cases = [x for x in _moment_corpus() if not on_unit or x[4:] == (0.0, 1.0)]
-    errs = _errors_in_u(call, cases)
+    errs = reference.moment_errors(call, cases)
     assert len(errs) >= 600
     assert max(errs) <= max_u and statistics.median(errs) <= median_u, (
         max(errs), statistics.median(errs))
@@ -186,37 +171,14 @@ def test_interval_moment_next_to_the_log_limit(theta, alpha, beta):
     # (beta**e - alpha**e)/e with e = 2*theta + 1 near 0, and on short
     # intervals: a plain difference of powers cancels there (4e-4
     # relative error in the first case)
-    got = interval_moment(PowerWeight(1.0, 1.0, 2.0), theta, alpha, beta)
-    with mp.workdps(50):
-        e = 2 * mp.mpf(theta) + 1
-        a, b = mp.mpf(alpha), mp.mpf(beta)
-        ramp = mp.log(b / a) if e == 0 else (b**e - a**e) / e
-        assert float(abs(got / (ramp / (b - a)) - 1)) <= 1e-15
+    w = PowerWeight(1.0, 1.0, 2.0)
+    assert reference.rel_err(interval_moment(w, theta, alpha, beta), reference.average(w, theta, alpha, beta)) <= 1e-15
 
 
 def test_log_moment_examples():
     assert log_moment(PowerWeight(1.0, 1.0, 1.0), 0.0, 1.0) == pytest.approx(-1.0, rel=1e-14)
     assert log_moment(PowerWeight(math.e, 0.5, 0.0), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
     assert log_moment(PowerWeight(1.0, 0.5, 2.0), 0.0, 1.0) == pytest.approx(-1.0, rel=1e-14)
-
-
-def _ramp_integral_50(w, theta, alpha, beta):
-    """Integral of (w/c)**theta over the ramp part of [alpha, beta]."""
-    a, tn = mp.mpf(w.a), mp.mpf(theta) * mp.mpf(w.nu)
-    lo, hi = mp.mpf(alpha), min(mp.mpf(beta), a)
-    if lo >= hi:
-        return mp.mpf(0)
-    e = tn + 1
-    return (mp.log(hi / lo) if e == 0 else (hi**e - lo**e) / e) / a**tn
-
-
-def _log_moment_50(w, alpha, beta):
-    a, lo, hi = mp.mpf(w.a), mp.mpf(alpha), min(mp.mpf(beta), mp.mpf(w.a))
-    total = mp.log(mp.mpf(w.c)) * (mp.mpf(beta) - lo)
-    if lo < hi:
-        antideriv = lambda t: t * (mp.log(t / a) - 1) if t > 0 else mp.mpf(0)
-        total += mp.mpf(w.nu) * (antideriv(hi) - antideriv(lo))
-    return total / (mp.mpf(beta) - lo)
 
 
 SHORT_WEIGHTS = [
@@ -231,41 +193,20 @@ SHORT_WEIGHTS = [
 def test_log_moment_keeps_its_digits_on_short_intervals(w):
     # the ramp average subtracts no two nearly equal antiderivatives, so
     # the error stays at rounding level down to intervals 1e-14 long
-    with mp.workdps(50):
-        for k in range(15):
-            length = 10.0**-k
-            for alpha in (0.0, 1e-3, 0.1, 0.5 * w.a, w.a - 0.5 * length, w.a):
-                beta = min(alpha + length, 1.0)
-                if not 0.0 <= alpha < beta:
-                    continue
-                ref = _log_moment_50(w, alpha, beta)
-                got = log_moment(w, alpha, beta)
-                assert float(abs(got - ref)) <= 1e-14 * max(1.0, float(abs(ref))), (
-                    alpha, beta, got, ref)
-                # Jensen: the average of w is at least exp of the average of
-                # log w.  The ratio may fall below 1 only by the relative
-                # error exp(-log_moment) inherits, the error allowed above
-                ratio = functional_ratio(w, FunctionalKind.a_inf(), alpha, beta)
-                assert ratio >= 1.0 - 1e-14 * max(1.0, abs(got)), (alpha, beta, ratio)
-
-
-def _functional_of_a_pure_power_50(nu, kind, x0):
-    """The functional of t**nu on [x0, 1] at 50 digits, from <t**(lam nu)> = (1 -
-    x0**e)/(e (1 - x0)), e = lam nu + 1: x0**e is tiny or huge for large |e|, never
-    near 1, so nothing cancels."""
-    nu, x0 = mp.mpf(nu), mp.mpf(x0)
-
-    def mean(lam):
-        e = lam * nu + 1
-        return (1 - x0**e) / (e * (1 - x0)) if e else -mp.log(x0) / (1 - x0)
-
-    if kind.name == "rhinf":
-        return 1 / mean(1)  # ess sup is 1 at t = 1
-    if kind.name == "ainf":
-        return mean(1) / mp.exp(-nu * (1 + x0 * mp.log(x0) / (1 - x0)))
-    s = -1 / (mp.mpf(kind.exponent) - 1) if kind.name == "aq" else mp.mpf(kind.exponent)
-    ratio = mp.power(mean(s), 1 / s) / mean(1)
-    return 1 / ratio if kind.name == "aq" else ratio
+    for k in range(15):
+        length = 10.0**-k
+        for alpha in (0.0, 1e-3, 0.1, 0.5 * w.a, w.a - 0.5 * length, w.a):
+            beta = min(alpha + length, 1.0)
+            if not 0.0 <= alpha < beta:
+                continue
+            ref = reference.average(w, None, alpha, beta)
+            got = log_moment(w, alpha, beta)
+            assert reference.abs_err(got, ref) <= 1e-14 * max(1.0, float(abs(ref))), (alpha, beta, got, ref)
+            # Jensen: the average of w is at least exp of the average of
+            # log w.  The ratio may fall below 1 only by the relative
+            # error exp(-log_moment) inherits, the error allowed above
+            ratio = functional_ratio(w, FunctionalKind.a_inf(), alpha, beta)
+            assert ratio >= 1.0 - 1e-14 * max(1.0, abs(got)), (alpha, beta, ratio)
 
 
 @pytest.mark.parametrize("nu", [1e2, 1e6, 1e10, 1e14, 1e16, -0.9, -0.25])
@@ -280,34 +221,27 @@ def test_functionals_on_ramp_intervals_at_large_nu(nu, kind, alpha, beta):
     if kind.name == "rhinf" and nu < 0.0:
         return
     got = functional_ratio(w, kind, alpha, beta)
-    with mp.workdps(50):
-        ref = _functional_of_a_pure_power_50(nu, kind, mp.mpf(alpha) / mp.mpf(beta))
+    ref = reference.functional(w, kind, alpha, beta)
     if ref > 1.7976931348623157e308:
         assert got == math.inf
     else:
-        assert float(abs(got / ref - 1)) <= 1e-13, (got, ref)
+        assert reference.rel_err(got, ref) <= 1e-13, (got, ref)
 
 
 def test_a_inf_functional_on_a_short_interval():
     w = PowerWeight(2.0, 0.7, 6.46)
     alpha, beta = 0.1, 0.1 + 2.0**-20
     got = functional_ratio(w, FunctionalKind.a_inf(), alpha, beta)
-    with mp.workdps(50):
-        avg = _ramp_integral_50(w, 1.0, alpha, beta) / (mp.mpf(beta) - mp.mpf(alpha))
-        ref = avg * mp.exp(-_log_moment_50(w, alpha, beta) + mp.log(mp.mpf(w.c)))
     assert got > 1.0
-    assert float(abs(got / ref - 1)) <= 1e-14
+    assert reference.rel_err(got, reference.functional(w, FunctionalKind.a_inf(), alpha, beta)) <= 1e-14
 
 
 def test_interval_moment_where_the_endpoint_power_underflows():
     # a**(-theta*nu) times ramp_hi**(theta*nu + 1) underflowed to 0 here
     w = PowerWeight(1.2016080357978036, 0.2264456716748494, 26.432547035434)
     theta, alpha, beta = 9.963694793968244, 0.02635453440905089, 0.02803930625538631
-    got = interval_moment(w, theta, alpha, beta)
-    with mp.workdps(50):
-        ref = mp.mpf(w.c) ** theta * _ramp_integral_50(w, theta, alpha, beta) / (
-            mp.mpf(beta) - mp.mpf(alpha))
-    assert float(abs(got / ref - 1)) <= 1e-13, (got, ref)
+    got, ref = interval_moment(w, theta, alpha, beta), reference.average(w, theta, alpha, beta)
+    assert reference.rel_err(got, ref) <= 1e-13, (got, ref)
 
 
 def test_interval_moment_where_the_ramp_power_is_large():
@@ -315,10 +249,8 @@ def test_interval_moment_where_the_ramp_power_is_large():
     # 6.7e298, does not
     w = PowerWeight(1.0, 1.0, -31.0)
     alpha, beta = 1e-10, 0.5
-    got = interval_moment(w, 1.0, alpha, beta)
-    with mp.workdps(50):
-        ref = _ramp_integral_50(w, 1.0, alpha, beta) / (mp.mpf(beta) - mp.mpf(alpha))
-    assert float(abs(got / ref - 1)) <= 1e-13, (got, ref)
+    got, ref = interval_moment(w, 1.0, alpha, beta), reference.average(w, 1.0, alpha, beta)
+    assert reference.rel_err(got, ref) <= 1e-13, (got, ref)
 
 
 def test_ess_sup_examples():
@@ -486,12 +418,9 @@ def test_extremal_minus_branch_outside_integrable_range():
     # the exponent itself is right to a few ulp
     nu = roots.ramp_exponents(20.0, 5.0, "minus")[0]
     assert nu > -1.0 / 20.0
-    with mp.workdps(50):
-        log_t = -20 * mp.log(5)
-        v = mp.findroot(lambda v: 19 * mp.log1p(-v) - 20 * mp.log1p(-v * 19 / 20) - log_t, -2.7e14)
-        exact_nu = (v / 20) / (1 - v)
-        assert exact_nu + mp.mpf(1) / 20 > 20 * math.ulp(1.0 / 20.0)
-        assert abs(nu - exact_nu) <= 4 * math.ulp(nu)
+    exact_nu = reference.critical(20.0, 5.0).nu_minus
+    assert exact_nu > -0.05 and reference.abs_err(exact_nu, "-0.05") > 20 * math.ulp(1.0 / 20.0)
+    assert reference.abs_err(nu, exact_nu) <= 4 * math.ulp(nu)
 
 
 def test_extremal_minus_branch_past_the_float_range():
