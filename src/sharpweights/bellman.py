@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from typing import NamedTuple
 
 from . import roots
@@ -37,10 +36,10 @@ from .errors import DomainError
 
 
 class Parameters(namedtuple("Parameters", "p q delta")):
-    """Validated (p, q, delta) triple with the derived exponents cached.
+    """Validated (p, q, delta) triple.  The derived exponents are plain
+    properties; the roots come from the memos in ``roots``."""
 
-    No ``__slots__``: the instance dict holds the cached properties.
-    """
+    __slots__ = ()
 
     def __new__(cls, p: float, q: float, delta: float) -> Parameters:
         validate_exponent(p)
@@ -56,43 +55,37 @@ class Parameters(namedtuple("Parameters", "p q delta")):
             raise DomainError(f"q must exceed (p-1)/p = {(p - 1.0) / p}, got q = {q}")
         return super().__new__(cls, p, q, delta)
 
-    @cached_property
+    @property
     def q_conj(self) -> float:
         """Dual exponent q/(q-1); negative for q < 1."""
         return self.q / (self.q - 1.0)
 
-    @cached_property
+    @property
     def gamma(self) -> float | None:
         """Combined exponent p + q' - 1; None when p is infinite."""
         if math.isinf(self.p):
             return None
         return self.p + self.q_conj - 1.0
 
-    @cached_property
+    @property
     def q_star(self) -> float:
         return roots.q_star(self.p, self.delta)
 
-    @cached_property
-    def s_minus(self) -> float | None:
-        """Left class parameter, solved once; None when p is infinite."""
-        if math.isinf(self.p):
-            return None
-        return roots.class_parameter(self.p, self.delta, "minus")
-
-    @cached_property
+    @property
     def q_sub(self) -> float | None:
         if math.isinf(self.p):
             return None
         return roots.q_sub(self.p, self.delta)
 
-    @cached_property
+    @property
     def regime(self) -> str:
         """'upper' above q_star, 'lower' below q_sub, 'band' in between;
         below 1, gamma*s_minus < 1 is q < q_sub in exact arithmetic, and
         the float product whose log1p the lower value takes."""
         if self.q > 1.0:
             return "upper" if self.q > self.q_star else "band"
-        return "lower" if self.gamma * self.s_minus < 1.0 else "band"
+        s_minus = roots.class_parameter(self.p, self.delta, "minus")
+        return "lower" if self.gamma * s_minus < 1.0 else "band"
 
 
 def _log_product(
@@ -126,7 +119,7 @@ def _log_product(
         else:
             log_value = (1.0 - qc) * log_x1 - qc * a + (qc - 1.0) * b + (c + log_class)
     else:
-        s = params.s_minus
+        s = roots.class_parameter(p, params.delta, "minus")
         a_s, b_s, c_s = math.log1p(-p * s), math.log1p(-(p - 1.0) * s), math.log1p(-g * s)
         if gamma_form:
             log_value = -g * log_x1 + log_x2 + g * (a_s - a) + g * (b - b_s) + c - c_s

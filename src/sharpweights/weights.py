@@ -341,8 +341,6 @@ def sup_ratio_search(w: PowerWeight, kind: FunctionalKind, depth: int) -> tuple[
     if nu <= -1.0 or k <= -1.0:
         return INF, (0.0, a)
     witness = (0.0, min(a, 2.0**-depth))
-    if nu == 0.0:
-        return 1.0, witness
     if k == INF:  # <v**t> has no float; the closed class norm takes 1 + t nu apart
         return rhp_norm_closed(w, lam), witness
     center = k <= 1.0

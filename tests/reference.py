@@ -1,10 +1,12 @@
 """High-precision references for the tests, each quantity written once.
 
 The functionals of a ramp-plateau weight on an interval, from the integrals of
-(w/c)**theta and of log(w/c), and Phi(r), that of t**nu on [r, 1]; the critical
-exponents q_star and q_sub of (q/delta)**p = 1 + p*(q - 1), and t_star = 1/(1 - q_sub);
-the branch roots of log F(u) = log t, F(u) = (1 - p*u)**(p-1)/(1 - (p-1)*u)**p; the
-n = 2 ratio root of ndim; and the error measures.
+(w/c)**theta and of log(w/c) or by quadrature, Phi(r), that of t**nu on [r, 1], and
+the functional on every pair of a grid; the boundary curves, the A_q constant from a
+given q_star and ndim's enlarged norm; the critical exponents q_star and q_sub of
+(q/delta)**p = 1 + p*(q - 1), and t_star = 1/(1 - q_sub); the branch roots of log F(u)
+= log t, F(u) = (1 - p*u)**(p-1)/(1 - (p-1)*u)**p; the n = 2 ratio root of ndim; and
+the error measures.
 
 Each function evaluates in its own mp.workdps, at DPS digits or more where noted, and
 returns a float, an error measured at that precision, or an mpf that carries those
@@ -82,10 +84,59 @@ def functional(w, kind, alpha, beta):
     return average(w, e, alpha, beta) ** (1 / e) / avg
 
 
+@mp.workdps(DPS)
+def quad_average(w, theta, alpha, beta):
+    """<w**theta> over [alpha, beta], <log w> at theta = None, by mp.quad of w's mpf
+    values, apart from the closed forms above: split at a, and on a piece from 0 in
+    t = s**16, which takes the t**(theta*nu) singularity out of the integrand."""
+    c, a, nu = mp.mpf(w.c), mp.mpf(w.a), mp.mpf(w.nu)
+    g = lambda v: mp.log(v) if theta is None else v**theta
+    f = lambda t: g(c * (t / a) ** nu if t < a else c)
+    lo, hi = mp.mpf(alpha), mp.mpf(beta)
+    total = 0
+    for x, y in ((lo, min(hi, a)), (max(lo, a), hi)):
+        if x == 0 < y:
+            total += mp.quad(lambda s: f(s**16) * 16 * s**15, [0, mp.root(y, 16)])
+        elif x < y:
+            total += mp.quad(f, [x, y])
+    return total / (hi - lo)
+
+
 def phi(kind, nu, r=0):
     """Phi(r), the functional of t**nu on [r, 1]: Phi(0) is the supremum over every
     subinterval of a weight of exponent nu (the corner lemma in sharpweights.weights)."""
     return functional(PowerWeight(1.0, 1.0, nu), kind, r, 1)
+
+
+@mp.workdps(DPS)
+def grid_functionals(kind, grid, integral_to, top=None):
+    """{(i, j): F} for every pair i < j of ``grid``, mpf points: the kind's functional on
+    [grid[i], grid[j]] from integral_to(theta, t), the integral of w**theta from 0 to t (of
+    log w at theta = None), and for rh_inf top(t), ess sup w up to t, w nondecreasing."""
+    e = kind.exponent and mp.mpf(kind.exponent)
+    second, value = {
+        "aq": (e and -1 / (e - 1), lambda a1, b, t: a1 * b ** (e - 1)),
+        "rhp": (e, lambda a1, b, t: b ** (1 / e) / a1),
+        "ainf": (None, lambda a1, b, t: a1 * mp.exp(-b)),
+        "rhinf": (1, lambda a1, b, t: top(t) / a1),
+    }[kind.name]
+    p1, p2 = ([integral_to(theta, t) for t in grid] for theta in (1, second))
+    values = {}
+    for j in range(1, len(grid)):
+        for i in range(j):
+            length = grid[j] - grid[i]
+            values[i, j] = value((p1[j] - p1[i]) / length, (p2[j] - p2[i]) / length, grid[j])
+    return values
+
+
+@mp.workdps(DPS)
+def lemma_violations(values, bound):
+    """(the pairs whose F passes ``bound``, the pairs (i, j) where F rises from alpha =
+    grid[i] to grid[i + 1]), beyond 1e-30 relative, of grid_functionals' values."""
+    tol = mp.mpf(10) ** -30
+    above = [ij for ij, v in values.items() if v > bound * (1 + tol)]
+    rises = [(i, j) for (i, j), v in values.items() if i + 1 < j and values[i + 1, j] > v * (1 + tol)]
+    return above, rises
 
 
 @mp.workdps(DPS)
@@ -102,6 +153,38 @@ def moment_errors(call, cases):
         if 2.2250738585072014e-308 <= exact <= 1.7976931348623157e308:
             errs.append(rel_err(call(w, theta, alpha, beta), exact) * 2.0**53)
     return errs
+
+
+# -- closed forms at given inputs ----------------------------------------------------
+
+
+@mp.workdps(DPS)
+def decimals(texts):
+    """The numbers written in texts, each rounded once to DPS digits."""
+    return [mp.mpf(text) for text in texts]
+
+
+@mp.workdps(DPS)
+def boundary(p, delta, x1):
+    """(x1**p, (delta*x1)**p), the x2 of the lower and of the upper curve at x1."""
+    return mp.power(x1, p), mp.power(mp.mpf(delta) * x1, p)
+
+
+@mp.workdps(DPS + 10)
+def aq_constant(q, q_star):
+    """C_q = ((q - 1)/(q - q_star))**(q - 1)/q_star from the given q_star, with 10 more
+    digits, as the cancellation in q - q_star grows with q."""
+    q, qs = mp.mpf(q), mp.mpf(q_star)
+    return mp.exp((q - 1) * mp.log((q - 1) / (q - qs)) - mp.log(qs))
+
+
+@mp.workdps(DPS)
+def ndim_epsilon(p, delta, y):
+    """The enlarged class norm of ndim at the ratio bound y: delta*(f/p)*((f - 1)/(p -
+    1))**((1 - p)/p) with f = (y**2 - y**(2 - 2*p))/(y**2 - 1)."""
+    p, y = mp.mpf(p), mp.mpf(y)
+    f = (y**2 - y ** (2 - 2 * p)) / (y**2 - 1)
+    return mp.mpf(delta) * (f / p) * ((f - 1) / (p - 1)) ** ((1 - p) / p)
 
 
 # -- roots -------------------------------------------------------------------------
@@ -143,6 +226,13 @@ def critical(p, delta):
     y_minus = _bisect(g, p * (mp.log((p - 1) / p) - log_delta) - 1, 0)
     nu_plus, nu_minus = mp.expm1(y_plus) / p, mp.expm1(y_minus) / p
     return Critical(1 + nu_plus, 1 + nu_minus, -1 / nu_minus, nu_minus)
+
+
+@mp.workdps(DPS)
+def q_star_at_p_two(delta):
+    """q_star at p = 2 in closed form, the larger root of q**2 = delta**2*(2*q - 1)."""
+    d = mp.mpf(delta)
+    return d**2 + d * mp.sqrt(d**2 - 1)
 
 
 @mp.workdps(DPS)

@@ -269,7 +269,7 @@ def test_verify_trivial_class_is_exact(capsys):
 
 
 def test_verify_trivial_class_at_the_deepest_grid(capsys):
-    # a constant weight needs no scan, so depth 17 costs no more than 12
+    # the oracle scores one corner pair at every depth, so 17 costs no more than 12
     code, out, _ = run_cli(
         ["verify", "--p", "2", "--q", "10", "--delta", "1", "--depth", "17"], capsys
     )

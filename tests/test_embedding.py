@@ -4,7 +4,6 @@ and the supremum provenance over the domain boundary."""
 import math
 import random
 
-import mpmath as mp
 import pytest
 
 from sharpweights import (
@@ -19,6 +18,8 @@ from sharpweights import (
     q_star,
     rht_constant,
 )
+
+import reference
 
 SQRT3 = math.sqrt(3.0)
 
@@ -132,10 +133,7 @@ def test_aq_approaches_ainf_for_large_q():
 def test_aq_keeps_its_digits_at_large_q(q):
     # the closed form at 60 digits from the same float q_star, so that only
     # its evaluation is tested: cancellation there grows with q
-    qs = q_star(2.0, 2.0)
-    with mp.workdps(60):
-        qm, qsm = mp.mpf(q), mp.mpf(qs)
-        ref = mp.exp((qm - 1) * mp.log((qm - 1) / (qm - qsm)) - mp.log(qsm))
+    ref = reference.aq_constant(q, q_star(2.0, 2.0))
     assert aq_constant(2.0, q, 2.0).constant == pytest.approx(float(ref), rel=1e-14)
 
 

@@ -3,7 +3,6 @@ norm, and the limit behavior of the resulting constants."""
 
 import math
 
-import mpmath as mp
 import pytest
 
 from sharpweights import (
@@ -15,6 +14,8 @@ from sharpweights import (
     ndim_aq_bound,
     ratio_bound_y,
 )
+
+import reference
 
 # pinned by 50-digit evaluation of the p = 2 closed chain
 Y_105 = 2.8308668336619440935
@@ -156,9 +157,5 @@ def test_large_dimensions_admit_only_the_degenerate_class(p, n, capsys):
 def test_epsilon_matches_50_digits_at_large_y(p, n, delta):
     # y is about 5370 and 652 here, so f is within 1/y**2 of 1 and f - 1
     # keeps its digits only if it is not formed by subtracting 1 from f
-    y = ratio_bound_y(p, n, delta)
-    with mp.workdps(50):
-        mp_p, mp_y = mp.mpf(p), mp.mpf(y)
-        f = (mp_y**2 - mp_y ** (2 - 2 * mp_p)) / (mp_y**2 - 1)
-        ref = mp.mpf(delta) * (f / mp_p) * ((f - 1) / (mp_p - 1)) ** ((1 - mp_p) / mp_p)
-        assert abs(epsilon_bound(p, n, delta) - ref) <= 1e-15 * ref
+    ref = reference.ndim_epsilon(p, delta, ratio_bound_y(p, n, delta))
+    assert reference.rel_err(epsilon_bound(p, n, delta), ref) <= 1e-15

@@ -168,91 +168,27 @@ def test_constant_weight_ties_resolve_to_the_first_pair(mode):
 
 def test_constant_weight_search_reports_the_first_interval():
     # a constant weight scores exactly 1 on every interval, whatever the
-    # breakpoint
+    # breakpoint, also where it lies below the first grid step
     kinds = [FunctionalKind.aq(4.0), FunctionalKind.a_inf(), FunctionalKind.rh_p(3.0), FunctionalKind.rh_inf()]
-    for a in (1.0, 0.3, 0.7071):
+    for a in (1.0, 0.3, 0.7071, 2.0**-9):
         for kind in kinds:
-            assert sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, 8) == (1.0, (0.0, 1.0 / 256.0))
-
-
-class ScanCalled(Exception):
-    pass
-
-
-CONSTANT_KINDS = {
-    0: [FunctionalKind.aq(4.0), FunctionalKind.rh_p(3.0)],
-    1: [FunctionalKind.a_inf()],
-    2: [FunctionalKind.rh_inf()],
-}
-
-
-@pytest.mark.parametrize("mode", sorted(CONSTANT_KINDS))
-def test_constant_path_computes_no_bound(monkeypatch, mode):
-    # nu = 0 is decided before any array is built: no scan runs, and the
-    # result is what the scan gives on the averages of a constant weight,
-    # also where the breakpoint lies below the first grid step
-    def refuse(*args):
-        raise ScanCalled
-
-    monkeypatch.setattr(weights, "max_pair_ratio", refuse)
-    depth = 6
-    for kind in CONSTANT_KINDS[mode]:
-        for a in (1.0, 0.3, 2.0**-9):
-            got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, depth)
-            # the plain average 1, the Box-Cox average 0 (at lam = -1/3 for aq(4), and
-            # 0 in mode 1), the cap 1, on the first pair of the grid
-            lam = 0.0 if mode == 1 else -1.0 / 3.0
-            witness = (0.0, min(a, 2.0**-depth))
-            best = reference_score(witness, 1.0, 0.0, 1.0, lam, 1.0, mode, 1)[0]
-            assert got == (best, witness) == (1.0, witness)
-        with pytest.raises(ScanCalled):
-            sup_ratio_search(PowerWeight(3.0, 0.3, 0.5), kind, depth)
+            got = sup_ratio_search(PowerWeight(3.0, a, 0.0), kind, 8)
+            assert got == (1.0, (0.0, min(a, 1.0 / 256.0)))
 
 
 def test_corner_lemma_phi_is_nonincreasing_at_50_digits():
     # the lemma behind the corner bound, checked on a corpus of nu, q (or p) and r
-    with mp.workdps(50):
-        rs = [mp.mpf(10) ** -k for k in (15, 12, 9, 6, 4, 3, 2)]
-        rs += [mp.mpf(x) / 10 for x in range(1, 10)]
-        rs += [1 - mp.mpf(10) ** -k for k in (2, 4, 6, 8, 11)]
-        nus = [mp.mpf(x) for x in ("-0.99", "-0.5", "-1e-6", "1e-6", "0.3", "1", "4", "25", "100")]
-        exponents = [mp.mpf(x) for x in ("1.01", "1.5", "2", "10", "1e6")]
-        cases = [(FunctionalKind.aq(q), nu) for nu in nus for q in exponents]
-        cases += [(FunctionalKind.rh_p(t), nu) for nu in nus for t in exponents if t * nu > -1]
-        cases += [(FunctionalKind.a_inf(), nu) for nu in nus] + [(FunctionalKind.rh_inf(), nu) for nu in nus if nu > 0]
+    rs = reference.decimals([f"1e-{k}" for k in (15, 12, 9, 6, 4, 3, 2)] + [f"0.{x}" for x in range(1, 10)]
+                            + ["0." + "9" * k for k in (2, 4, 6, 8, 11)])
+    nus = reference.decimals(["-0.99", "-0.5", "-1e-6", "1e-6", "0.3", "1", "4", "25", "100"])
+    exponents = reference.decimals(["1.01", "1.5", "2", "10", "1e6"])
+    cases = [(FunctionalKind.aq(q), nu) for nu in nus for q in exponents]
+    cases += [(FunctionalKind.rh_p(t), nu) for nu in nus for t in exponents if t * nu > -1]
+    cases += [(FunctionalKind.a_inf(), nu) for nu in nus] + [(FunctionalKind.rh_inf(), nu) for nu in nus if nu > 0]
     for kind, nu in cases:
         phi = [reference.phi(kind, nu, r) for r in rs]
         assert all(x >= y for x, y in zip(phi, phi[1:])), (kind, nu)
         assert phi[0] > phi[-1], (kind, nu)
-
-
-def lemma_pairs(kind, grid, integral, top=None):
-    """{(i, j): F} for every pair i < j of ``grid``, mpf points: the kind's functional on
-    [grid[i], grid[j]] from integral(theta, t), the integral of w**theta from 0 to t (of
-    log w at theta = None), and for rh_inf top(t), ess sup w up to t, w nondecreasing."""
-    e = kind.exponent and mp.mpf(kind.exponent)
-    second, value = {
-        "aq": (e and -1 / (e - 1), lambda a1, b, t: a1 * b ** (e - 1)),
-        "rhp": (e, lambda a1, b, t: b ** (1 / e) / a1),
-        "ainf": (None, lambda a1, b, t: a1 * mp.exp(-b)),
-        "rhinf": (1, lambda a1, b, t: top(t) / a1),
-    }[kind.name]
-    p1, p2 = ([integral(theta, t) for t in grid] for theta in (1, second))
-    values = {}
-    for j in range(1, len(grid)):
-        for i in range(j):
-            length = grid[j] - grid[i]
-            values[i, j] = value((p1[j] - p1[i]) / length, (p2[j] - p2[i]) / length, grid[j])
-    return values
-
-
-def lemma_violations(values, bound):
-    """(the pairs whose F passes ``bound``, the pairs (i, j) where F rises from alpha =
-    grid[i] to grid[i + 1]), beyond 1e-30 relative."""
-    tol = mp.mpf(10) ** -30
-    above = [ij for ij, v in values.items() if v > bound * (1 + tol)]
-    rises = [(i, j) for (i, j), v in values.items() if i + 1 < j and values[i + 1, j] > v * (1 + tol)]
-    return above, rises
 
 
 def lemma_corpus():
@@ -280,16 +216,16 @@ def test_plateau_lemma_holds_on_every_grid_pair_at_50_digits():
     cases = lemma_corpus()
     assert {kind.name for _, kind, _ in cases} == {"aq", "ainf", "rhp", "rhinf"}
     assert any(w.nu < 0.0 for w, _, _ in cases) and max(w.nu for w, _, _ in cases) > 10.0
-    with mp.workdps(50):
-        for w, kind, depth in cases:
-            grid = np.unique(np.r_[np.arange(2**depth + 1) / 2**depth, w.a])
-            ramp = int(grid.searchsorted(w.a))
-            a, nu = mp.mpf(w.a), mp.mpf(w.nu)
-            values = lemma_pairs(kind, [mp.mpf(float(g)) for g in grid],
-                                 lambda theta, t: reference.integral(w, theta, 0, t), lambda t: (min(t, a) / a) ** nu)
-            phi = reference.phi(kind, w.nu)
-            assert lemma_violations(values, phi) == ([], []), (w, kind, depth)
-            assert abs(values[0, ramp] / phi - 1) <= mp.mpf(10) ** -30, (w, kind, depth)
+    for w, kind, depth in cases:
+        grid = np.unique(np.r_[np.arange(2**depth + 1) / 2**depth, w.a])
+        ramp = int(grid.searchsorted(w.a))
+        a, nu = mp.mpf(w.a), mp.mpf(w.nu)
+        integral_to = lambda theta, t: reference.integral(w, theta, 0, t)
+        top = lambda t: (min(t, a) / a) ** nu
+        values = reference.grid_functionals(kind, [mp.mpf(float(g)) for g in grid], integral_to, top)
+        phi = reference.phi(kind, w.nu)
+        assert reference.lemma_violations(values, phi) == ([], []), (w, kind, depth)
+        assert reference.rel_err(values[0, ramp], phi) <= 1e-30, (w, kind, depth)
 
 
 def test_lemma_check_finds_the_two_step_counterexample():
@@ -300,20 +236,16 @@ def test_lemma_check_finds_the_two_step_counterexample():
         past = max(t - half, 0)
         return past * mp.log(4) if theta is None else min(t, half) + 4**theta * past
 
-    with mp.workdps(50):
-        half, grid = mp.mpf(1) / 2, [mp.mpf(k) / 10 for k in range(11)]
-        values = lemma_pairs(FunctionalKind.a_inf(), grid, integral)
-        above, rises = lemma_violations(values, values[0, 5])
-        assert values[0, 5] == 1 and float(values[4, 6]) == 1.25 and round(float(values[0, 6]), 2) == 1.19
-        assert (4, 6) in above and {(0, 6), (1, 6), (2, 6)} <= set(rises)
+    half, grid = mp.mpf(0.5), reference.decimals([str(k / 10) for k in range(11)])
+    values = reference.grid_functionals(FunctionalKind.a_inf(), grid, integral)
+    above, rises = reference.lemma_violations(values, values[0, 5])
+    assert values[0, 5] == 1 and float(values[4, 6]) == 1.25 and round(float(values[0, 6]), 2) == 1.19
+    assert (4, 6) in above and {(0, 6), (1, 6), (2, 6)} <= set(rises)
 
 
 def test_verify_near_delta_one_is_within_4_ulp_of_phi_zero(capsys):
     # the pure power's row [0] ties at Phi(0) in exact arithmetic, and the oracle
-    # scores the corner pair in closed form: 0.45 ulp here (1.5 when it reported the
-    # largest rounding of the tie over the row).  The block-pruned scan
-    # printed sup=1.0000000000216525, 92,510 ulp above, at a pair near (0.9775,
-    # 0.9775) whose rounding its envelopes could not bound below row [0]
+    # scores the corner pair in closed form: 0.45 ulp here
     assert cli.main(["verify", "--p", "2", "--q", "10", "--delta", "1.000000000001", "--depth", "17"]) == 0
     rec = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
     delta = float(rec["delta"])
@@ -378,10 +310,7 @@ def accuracy_corpus():
 def test_oracle_is_within_a_few_ulp_of_the_50_digit_phi_zero():
     # the depth-12 search against Phi(0) in ulp of Phi(0): median 0.31, upper curve
     # at most 40.7, plateaus at most 2.3, from the corner pair's closed-form averages;
-    # each bound is about 1.2 to 1.3 times that.  The maximum over row [0] gave 1.13,
-    # 57.0 and 6.6 (bounds 1.5, 64 and 8); the prefix integrals 1.67, 74.0 and 1.54e6,
-    # from aq at large q: lam nu > 0 took the prefix of w**lam, and log(B)/lam
-    # multiplied its rounding by q - 1
+    # each bound is about 1.2 to 1.3 times that
     cases = accuracy_corpus()
     assert len(cases) == 350
     ulps = {True: [], False: []}
@@ -503,27 +432,18 @@ def extremal_peak(delta, depth):
 @pytest.mark.parametrize("delta", [1.001, 2.0])
 def test_search_peak_allocation(delta):
     # a search holds a few floats and tuples at once: 48 bytes at either delta.  The
-    # ceiling, 1 KiB, leaves room for other interpreters' object sizes.  Before:
-    # 0.38 MiB of NumPy buffers, three arrays of the n - 1 ramp points (0.75 with the
-    # grid caches emptied), 0.50 MiB from the prefix integrals over the grid, 4.4 MiB
-    # with an array over all ramp block pairs and 7.6 MiB when the chord-and-slope
-    # bounds covered every one
+    # ceiling, 1 KiB, leaves room for other interpreters' object sizes
     peak = extremal_peak(delta, 14)
     assert peak < 1024, peak
 
 
 def test_search_peak_allocation_grows_linearly():
-    # 4x the points from depth 14 to 16: the same 48 bytes now, as no array is
-    # built; linear memory gave about 4x the peak, an array over all pairs about 16x
+    # 4x the points from depth 14 to 16: the same 48 bytes, as no array is built
     ratio = extremal_peak(2.0, 16) / extremal_peak(2.0, 14)
     assert ratio <= 1.5, ratio
 
 
 def test_plateau_search_peak_allocation():
-    # a = 0.1 at depth 14: 48 bytes, as on the upper curve.  Before: 0.038 MiB, three
-    # arrays of a tenth of the points (0.25 with the grid caches emptied), 0.28 MiB
-    # from the prefix integrals over the whole grid (0.77 cold), 1.59 when the
-    # block-pruned scan kept every row open on a plateau, with its block pairs'
-    # bounds, and 3.81 with the chord-and-slope bounds and their per-block slopes
+    # a = 0.1 at depth 14: 48 bytes, as on the upper curve
     peak = search_peak(PowerWeight(1.0, 0.1, 3.0), FunctionalKind.a_inf(), 14)
     assert peak < 1024, peak

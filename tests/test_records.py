@@ -5,11 +5,14 @@ read-only fields and pickling below are pinned to what the dataclass
 versions gave; construction still validates every input.
 """
 
+import ast
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
+import sharpweights
 from sharpweights import (
     DomainError,
     EmbeddingResult,
@@ -147,21 +150,57 @@ def test_invalid_construction_raises_domain_error(make):
         make()
 
 
-def test_q_star_is_computed_once_per_instance(monkeypatch):
-    calls = []
-    q_star = bellman.roots.q_star
+def test_parameters_read_their_roots_through_the_root_memo(monkeypatch):
+    for memo in (bellman.roots.q_star, bellman.roots.u_plus_gap_from_log,
+                 bellman.roots.u_minus_from_log):
+        memo.cache_clear()
+    solves = []
+    bisect_root = bellman.roots.bisect_root
 
-    def counted(p, delta):
-        calls.append((p, delta))
-        return q_star(p, delta)
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return bisect_root(*args, **kwargs)
 
-    monkeypatch.setattr(bellman.roots, "q_star", counted)
-    params = Parameters(2.0, 10.0, 2.0)
-    assert params.q_star == params.q_star == q_star(2.0, 2.0)
-    assert params.regime == "upper"
-    assert calls == [(2.0, 2.0)]
-    # a pickled copy carries the cached value with it
-    assert pickle.loads(pickle.dumps(params)).q_star == params.q_star
-    assert calls == [(2.0, 2.0)]
-    Parameters(2.0, 10.0, 2.0).q_star
-    assert len(calls) == 2
+    monkeypatch.setattr(bellman.roots, "bisect_root", counted)
+    upper, lower = Parameters(2.0, 10.0, 2.0), Parameters(2.0, 0.52, 2.0)
+    first = (upper.q_star, upper.q_sub, upper.regime, lower.regime)
+    assert solves and first[2:] == ("upper", "lower")
+    assert (upper.q_star, upper.q_sub, upper.regime, lower.regime) == first
+    solves.clear()
+    again, below = Parameters(2.0, 10.0, 2.0), Parameters(2.0, 0.52, 2.0)
+    assert (again.q_star, again.q_sub, again.regime, below.regime) == first
+    assert solves == []
+    # no cached state rides along: the record pickles as its (p, q, delta)
+    assert upper.__reduce_ex__(2)[1:] == ((Parameters, 2.0, 10.0, 2.0), None, None, None)
+
+
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _names_a_cache(node):
+    if isinstance(node, ast.Name):
+        return node.id in CACHES
+    if isinstance(node, ast.Attribute):
+        return node.attr in CACHES
+    return isinstance(node, ast.alias) and node.name.rpartition(".")[2] in CACHES
+
+
+def test_the_root_memos_are_the_only_caches_and_every_record_is_slot_only():
+    # a root is kept in one place, its memo in roots, and a record holds its
+    # fields and nothing else: no instance dict for a cache to fill
+    memos, elsewhere = [], []
+    for path in sorted(Path(sharpweights.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorating = set()
+        for node in ast.walk(tree):
+            for decorator in getattr(node, "decorator_list", []):
+                if any(map(_names_a_cache, ast.walk(decorator))):
+                    memos.append(f"{path.stem}.{node.name}")
+                    decorating.update(ast.walk(decorator))
+        elsewhere += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _names_a_cache(n) and n not in decorating]
+    assert sorted(memos) == ["roots.q_star", "roots.u_minus_from_log", "roots.u_plus_gap_from_log"]
+    assert elsewhere == []
+    instances = {type(rec): rec for rec in (make() for make, _, _ in RECORDS.values())}
+    exported = {getattr(sharpweights, name) for name in sharpweights.__all__}
+    assert {cls for cls in exported if isinstance(cls, type) and issubclass(cls, tuple)} <= set(instances)
+    assert [cls.__name__ for cls, rec in instances.items() if hasattr(rec, "__dict__")] == []

@@ -5,7 +5,6 @@ import math
 import random
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -350,9 +349,7 @@ def test_roots_match_50_digit_references(name):
 
 def test_q_star_hits_closed_form_at_p_two():
     # the parent bisection stopped 4e-13 short of 4 + 2*sqrt(3)
-    with mp.workdps(reference.DPS):
-        want = 4 + 2 * mp.sqrt(3)
-    assert reference.rel_err(q_star(2.0, 2.0), want) <= 1e-15
+    assert reference.rel_err(q_star(2.0, 2.0), reference.q_star_at_p_two(2.0)) <= 1e-15
 
 
 LARGE_P_CORNERS = [

@@ -5,10 +5,8 @@ import math
 import random
 import statistics
 
-import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sharpweights import (
     DomainError,
@@ -310,8 +308,7 @@ def test_every_upper_curve_weight_is_a_pure_power():
         delta = 1.0 + 10.0 ** rng.uniform(-6.0, 0.5)
         x1 = 10.0 ** rng.uniform(-2.0, 2.0)
         x = (x1, (delta * x1) ** p)
-        with mp.workdps(50):
-            rounded_down += mp.mpf(x[1]) < (mp.mpf(delta) * x1) ** p
+        rounded_down += x[1] < reference.boundary(p, delta, x1)[1]
         assert classify_point(p, delta, x) == "upper"
         for branch in ("plus", "minus"):
             assert extremal_weight(p, delta, x, branch).a == 1.0, (p, delta, x, branch)
@@ -510,17 +507,7 @@ def test_quadrature_cross_check():
         if not alpha < beta:
             continue
         closed = interval_moment(w, theta, alpha, beta)
-        numeric, err = quad(
-            lambda t: w(t) ** theta,
-            alpha,
-            beta,
-            points=[a] if alpha < a < beta else None,
-            limit=300,
-            epsabs=1e-13,
-            epsrel=1e-12,
-        )
-        numeric /= beta - alpha
-        assert closed == pytest.approx(numeric, rel=1e-9)
+        assert reference.rel_err(closed, reference.quad_average(w, theta, alpha, beta)) <= 1e-12
         checked += 1
 
 
@@ -531,16 +518,8 @@ def test_log_moment_quadrature_cross_check():
         alpha = rng.uniform(0.0, 0.5)
         beta = rng.uniform(alpha + 0.1, 1.0)
         closed = log_moment(w, alpha, beta)
-        numeric, _ = quad(
-            lambda t: math.log(w(t)),
-            alpha,
-            beta,
-            points=[w.a] if alpha < w.a < beta else None,
-            limit=300,
-            epsabs=1e-13,
-            epsrel=1e-12,
-        )
-        assert closed == pytest.approx(numeric / (beta - alpha), rel=1e-8, abs=1e-10)
+        numeric = reference.quad_average(w, None, alpha, beta)
+        assert reference.abs_err(closed, numeric) <= max(1e-12 * float(abs(numeric)), 1e-14)
 
 
 def test_sup_search_constant_weight():
