@@ -13,9 +13,9 @@ Above q_star the class factor is C_q**(1/(q-1)), from q_star alone, and
 the two product representations share it (times F(s) = delta**-p in the
 gamma form), so their agreement checks the solve of r; below q_sub both
 are formed from the left class parameter s, and check its solve too.
-Where p*r passes 15/16 on the right branch the point's factors come from
-the gap 1 - p*r, solved on its own; the gamma form, which consumes x2
-and delta**-p apart, still loses about p ulp there.
+The point's factors come from its root y = -log(1 - p*r), past the right
+pivot from the gap 1 - p*r = e**-y alone; the gamma form, which consumes
+x2 and delta**-p apart, still loses about p ulp there.
 ``bellman_infinity_value`` is the q -> inf limit object lim
 B**(1/(q-1)) normalized to the exponential functional, ``hessian_form``
 is the second-order concavity form along a direction at an interior
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from . import roots
 from .domain import (INF, DomainPoint, boundary_values, classify_point, exp_or_inf,
@@ -96,14 +95,11 @@ def _log_product(
     the point's terms.  The log is +inf where 1 - gamma*r <= 0: q then
     lies in the band for this point (a few ulp above a float q_star)."""
     p, qc, g = params.p, params.q_conj, params.gamma
-    upper = params.regime == "upper"
+    upper = params.q > 1.0  # off the band, the regime follows from the side of 1
     r, eps, mr, a, b, shift = roots.point_factors(p, params.delta, x, "plus" if upper else "minus")
-    if shift:  # 1 - gamma*r = (1 - p*r) - r/(q - 1), and c is shifted too
-        cg = eps - r / (params.q - 1.0)
-        c = math.log(p * cg) if cg > 0.0 else INF
-    else:
-        cg = 1.0 - g * r
-        c = math.log1p(-g * r) if cg > 0.0 else INF
+    # 1 - gamma*r = (1 - p*r) - r/(q - 1), whose log is shifted with the others
+    cg = eps - r / (params.q - 1.0)
+    c = math.log(p * cg if shift else cg) if cg > 0.0 else INF
     if c == INF:
         return INF, r, mr, cg
     log_x1, log_x2 = math.log(x[0]), math.log(x[1])
@@ -234,16 +230,14 @@ def hessian_form(params: Parameters, x: DomainPoint, d1: float, d2: float) -> fl
     return prefactor * line * line
 
 
-class TangentSegment(NamedTuple):
+class TangentSegment(namedtuple("TangentSegment", "b endpoint_gamma_delta endpoint_gamma_one branch",
+                                defaults=("plus",))):
     """Chord between the two boundary curves along which the value is
     linear: from (b, (delta*b)**p) on the upper curve (gamma_delta) to
     the point on the lower curve (gamma_one) with the same branch
     parameter.  Second coordinates past the float range are +inf."""
 
-    b: float
-    endpoint_gamma_delta: DomainPoint
-    endpoint_gamma_one: DomainPoint
-    branch: str = "plus"
+    __slots__ = ()
 
 
 def tangent_segment(p: float, delta: float, b: float, branch: str = "plus") -> TangentSegment:

@@ -38,6 +38,44 @@ def exp_or_inf(log_value: float) -> float:
         return INF
 
 
+def expm1mx(y: float) -> float:
+    """expm1(y) - y to about an ulp: its Taylor series for |y| < 1, where the
+    difference cancels, through y**13 for |y| <= 1/4 and y**18 beyond, and the
+    difference outside."""
+    if not -1.0 < y < 1.0:
+        return math.expm1(y) - y
+    if -0.25 <= y <= 0.25:
+        return y * y * (1 / 2 + y * (1 / 6 + y * (1 / 24 + y * (1 / 120 + y * (
+            1 / 720 + y * (1 / 5040 + y * (1 / 40320 + y * (1 / 362880 + y * (
+                1 / 3628800 + y * (1 / 39916800 + y * (1 / 479001600
+                                                        + y / 6227020800)))))))))))
+    return y * y * (1 / 2 + y * (1 / 6 + y * (1 / 24 + y * (1 / 120 + y * (
+        1 / 720 + y * (1 / 5040 + y * (1 / 40320 + y * (1 / 362880 + y * (
+            1 / 3628800 + y * (1 / 39916800 + y * (1 / 479001600 + y * (
+                1 / 6227020800 + y * (1 / 87178291200 + y * (1 / 1307674368000 + y * (
+                    1 / 20922789888000 + y * (1 / 355687428096000
+                                              + y / 6402373705728000))))))))))))))))
+
+
+def log1pmx(x: float) -> float:
+    """log1p(x) - x to about an ulp.  With s = x/(2 + x), log1p(x) is
+    2*atanh(s), so the difference is -x*s + 2*s**3*(1/3 + s**2/5 + ...),
+    summed through s**13 where s**2 <= 0.002 and s**31 where s**2 <= 0.1
+    (the log1pmx of R's nmath, M. Welinder); outside, where it cancels
+    little, the difference."""
+    s = x / (2.0 + x)
+    t = s * s
+    if t <= 0.002:
+        return s * (2.0 * t * (1 / 3 + t * (1 / 5 + t * (1 / 7 + t * (1 / 9 + t * (
+            1 / 11 + t / 13))))) - x)
+    if t > 0.1:
+        return math.log1p(x) - x
+    return s * (2.0 * t * (1 / 3 + t * (1 / 5 + t * (1 / 7 + t * (1 / 9 + t * (
+        1 / 11 + t * (1 / 13 + t * (1 / 15 + t * (1 / 17 + t * (1 / 19 + t * (
+            1 / 21 + t * (1 / 23 + t * (1 / 25 + t * (1 / 27 + t * (
+                1 / 29 + t / 31)))))))))))))) - x)
+
+
 def validate_exponent(p: float) -> None:
     """Require p > 1, finite or infinite."""
     if math.isnan(p) or p <= 1.0:

@@ -17,18 +17,17 @@ exponent makes the direct power overflow long before the value does.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import roots
 from .domain import INF, exp_or_inf, require_finite
 from .errors import DomainError
 
 
-class EmbeddingResult(NamedTuple):
+class EmbeddingResult(namedtuple("EmbeddingResult", "constant critical_exponent")):
     """A sharp constant plus the critical exponent that governs it."""
 
-    constant: float
-    critical_exponent: float
+    __slots__ = ()
 
     @property
     def finite(self) -> bool:

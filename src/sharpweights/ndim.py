@@ -13,21 +13,18 @@ nothing here feeds the sharpness oracles.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import embedding, roots
 from .domain import require_finite, validate_delta
 from .errors import DomainError
 
 
-class NDimBound(NamedTuple):
+class NDimBound(namedtuple("NDimBound", "n y epsilon constant")):
     """Bundle of the cube-splitting bound: the average-ratio bound y,
     the enlarged class norm epsilon, and the resulting constant."""
 
-    n: int
-    y: float
-    epsilon: float
-    constant: float
+    __slots__ = ()
 
 
 def delta_threshold(p: float, n: int) -> float:

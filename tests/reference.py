@@ -5,8 +5,8 @@ The functionals of a ramp-plateau weight on an interval, from the integrals of
 the functional on every pair of a grid; the boundary curves, the A_q constant from a
 given q_star and ndim's enlarged norm; the critical exponents q_star and q_sub of
 (q/delta)**p = 1 + p*(q - 1), and t_star = 1/(1 - q_sub); the branch roots of log F(u)
-= log t, F(u) = (1 - p*u)**(p-1)/(1 - (p-1)*u)**p; the n = 2 ratio root of ndim; and
-the error measures.
+= log t, F(u) = (1 - p*u)**(p-1)/(1 - (p-1)*u)**p; the n = 2 ratio root of ndim;
+expm1(y) - y and log1p(x) - x; and the error measures.
 
 Each function evaluates in its own mp.workdps, at DPS digits or more where noted, and
 returns a float, an error measured at that precision, or an mpf that carries those
@@ -187,6 +187,31 @@ def ndim_epsilon(p, delta, y):
     return mp.mpf(delta) * (f / p) * ((f - 1) / (p - 1)) ** ((1 - p) / p)
 
 
+# -- series ------------------------------------------------------------------------
+
+
+def _digits(x):
+    """DPS digits and the -log10|x| more that expm1(x) - x and log1p(x) - x, of
+    size x**2, cancel at small x."""
+    return DPS + max(0, int(-mp.log10(abs(mp.mpf(x))))) if x else DPS
+
+
+def expm1mx(y):
+    """expm1(y) - y of the float y, to DPS digits."""
+    with mp.workdps(_digits(y)):
+        value = mp.expm1(mp.mpf(y)) - y
+    with mp.workdps(DPS):
+        return +value
+
+
+def log1pmx(x):
+    """log1p(x) - x of the float x > -1, to DPS digits."""
+    with mp.workdps(_digits(x)):
+        value = mp.log1p(mp.mpf(x)) - x
+    with mp.workdps(DPS):
+        return +value
+
+
 # -- roots -------------------------------------------------------------------------
 
 
@@ -209,13 +234,13 @@ def _near(f, x, lo, hi):
     return _bisect(f, max(x - w, lo + mp.mpf("1e-45")), min(x + w, hi - mp.mpf("1e-45")))
 
 
-Critical = namedtuple("Critical", "q_star q_sub t_star nu_minus")
+Critical = namedtuple("Critical", "q_star q_sub t_star nu_minus nu_plus")
 
 
 @mp.workdps(DPS + 15)
 def critical(p, delta):
     """The critical exponents of (p, delta), delta > 1: q_star and q_sub, t_star = 1/(1 -
-    q_sub) and the minus branch's ramp exponent nu_minus = q_sub - 1 = -1/t_star.  The
+    q_sub), and the ramp exponents nu_minus = q_sub - 1 = -1/t_star and nu_plus = q_star - 1.  The
     equation is solved in y = log(1 + p*(q - 1)), q = 1 + expm1(y)/p, which keeps q near 1
     or (p - 1)/p, and q past the float range, in range; it loses up to log10(y/(p - 1))
     digits near p = 1 and about -log10(delta - 1) near delta = 1, hence the 15 more."""
@@ -225,7 +250,7 @@ def critical(p, delta):
     y_plus = _bisect(g, 0, p * (mp.log(p) + log_delta) / (p - 1) + 1)
     y_minus = _bisect(g, p * (mp.log((p - 1) / p) - log_delta) - 1, 0)
     nu_plus, nu_minus = mp.expm1(y_plus) / p, mp.expm1(y_minus) / p
-    return Critical(1 + nu_plus, 1 + nu_minus, -1 / nu_minus, nu_minus)
+    return Critical(1 + nu_plus, 1 + nu_minus, -1 / nu_minus, nu_minus, nu_plus)
 
 
 @mp.workdps(DPS)

@@ -468,11 +468,11 @@ VALUE_IN_MESSAGE = {
     ),
     "bellman_limit_check": (
         lambda: bellman_limit_check(Parameters(2.0, 3.0, 2.0), (1.0, 2.0)),
-        "got q = 3.0, q_star = 7.464101615137755",
+        "got q = 3.0, q_star = 7.464101615137754",
     ),
     "hessian_form band": (
         lambda: hessian_form(Parameters(2.0, 3.0, 2.0), (1.0, 2.0), 1.0, 0.0),
-        "band [0.5358983848622454, 7.464101615137755]: the value is infinite, got q = 3.0",
+        "band [0.5358983848622454, 7.464101615137754]: the value is infinite, got q = 3.0",
     ),
     "hessian_form point": (
         lambda: hessian_form(Parameters(2.0, 10.0, 2.0), (1.0, 4.0), 1.0, 0.0),

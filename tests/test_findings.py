@@ -55,8 +55,8 @@ def test_value_just_above_q_star_is_within_its_conditioning():
 
 def test_aq_constant_nine_parts_in_1e13_above_q_star_is_finite():
     # the 1e-12 band guard returned inf here; kappa*u is about 8e-4
-    q = q_star(2.0, 2.0) * (1.0 + 9e-13)
-    assert q == 7.464101615144473
+    q = 7.464101615144473  # q_star*(1 + 9e-13)
+    assert q / q_star(2.0, 2.0) - 1.0 == pytest.approx(9e-13, rel=1e-3)
     assert rel_err(aq_constant(2.0, q, 2.0).constant, 3.8734113448734093859e76) <= 8e-4
 
 
@@ -232,21 +232,16 @@ def test_rh_t_search_where_t_nu_passes_the_float_range():
     assert abs_err(sup, phi(kind, w.nu)) <= 2 * math.ulp(sup), sup
 
 
-# -- open ---------------------------------------------------------------------
-
-
-def found(text):
-    return pytest.mark.xfail(reason=text)
-
-
-@found("the noise band of log F near u = 0: u_plus_from_log(2, -1e-20) is off by 1.1e-7")
+# the noise band of log F near u = 0 (the v form cancelled to p*(p-1)*u**2/2):
+# u_plus_from_log(2, -1e-20) was off by 1.1e-7; log F is now summed in y by the
+# series of expm1(y) - y and log1p(x) - x
 def test_right_branch_deep_in_the_noise_band():
     # at p = 2 the branch is (sqrt(1 - t) - (1 - t))/t
     assert rel_err(u_plus_from_log(2.0, -1e-20), 9.999999998999999725841357e-11) <= 1e-15
 
 
-@found("t_star for delta very near 1 comes from the noise band of the left "
-       "branch: t_star(p, 1 + 1e-12) is off by 5e-12 to 1.9e-11")
+# t_star for delta very near 1 came from the noise band of the left branch:
+# t_star(p, 1 + 1e-12) was off by 5e-12 to 1.9e-11
 @pytest.mark.parametrize("p, reference", [
     (1.5, 499978.6096699262802554354),
     (2.0, 707076.3521802927271933105),
@@ -256,14 +251,20 @@ def test_t_star_at_delta_near_one(p, reference):
     assert rel_err(t_star(p, 1.0 + 1e-12), reference) <= 1e-14
 
 
-@found("roots._branch_equation forms w = v/p, a subnormal float of about 11 "
-       "digits for small v at p above about 1e305: u_plus_from_log(1e307, -1e-10) "
-       "is 1.6e-8 off")
+# the v form took w = v/p, a subnormal float of about 11 digits for small v at p
+# above about 1e305: u_plus_from_log(1e307, -1e-10) was 1.6e-8 off
 def test_right_branch_at_subnormal_v_over_p():
     # a 700-digit root of (p-1)*log(1 - v) - p*log(1 - r*v) = log t: its terms
     # of size p*v = 1e302 cancel, so a reference below about 320 digits is noise
     reference = 1.414200229141898725678209e-312
     assert abs(u_plus_from_log(1e307, -1e-10) - reference) <= 2 * math.ulp(reference)
+
+
+# -- open ---------------------------------------------------------------------
+
+
+def found(text):
+    return pytest.mark.xfail(reason=text)
 
 
 @found("interval_moment raises the rounding of larger/a to the power theta*nu "

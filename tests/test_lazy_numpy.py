@@ -34,8 +34,8 @@ VERIFY = ["verify", "--p", "2", "--q", "10", "--delta", "2"]
 # (sup=11967.912848418369 at argmax_beta=0.00244140625, rel_err 4.4e-15, as the
 # maximum over row [0])
 VERIFY_RECORD = (
-    "p=2 q=10 delta=2 depth=12 constant=11967.912848418317 sup=11967.912848418284 "
-    "argmax_alpha=0 argmax_beta=0.000244140625 rel_err=2.7357994395950656e-15 status=ok"
+    "p=2 q=10 delta=2 depth=12 constant=11967.912848418275 sup=11967.912848418262 "
+    "argmax_alpha=0 argmax_beta=0.000244140625 rel_err=1.0639220042869736e-15 status=ok"
 )
 
 # delta = 1 admits only constant weights, decided without a scan; the
@@ -92,6 +92,16 @@ def test_verify_runs_without_site_packages():
     assert proc.stdout.splitlines() == [VERIFY_RECORD]
 
 
+def test_the_package_imports_without_typing():
+    # typing pulls re and enum into every process; the package needs neither
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, sharpweights; print('typing' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 def test_verify_at_delta_one_loads_no_numpy():
     printed, steps = run_fresh([VERIFY_DELTA_ONE])
     assert steps[1] == ["verify", 0, []]
@@ -140,12 +150,11 @@ print(steps)
 # what the parent of the namedtuple records printed for --format json, with the
 # residuals of moment as interval_moment on [0, 1]
 JSON_LINES = [
-    '{"p": 2.0, "q": 5.0, "delta": 2.0, "q_star": 7.464101615137755, "c_q": "inf", '
-    '"c_inf": 85.96984005009588}',
+    '{"p": 2.0, "q": 5.0, "delta": 2.0, "q_star": 7.464101615137754, "c_q": "inf", '
+    '"c_inf": 85.96984005009581}',
     '{"p": 2.0, "delta": 2.0, "x1": 1.0, "x2": 2.0, "branch": "minus", '
-    '"c": 0.9148357668252574, "a": 0.10749381415070441, "nu": -0.4641016151377546, '
-    '"resid_x1": -1.1102230246251565e-16, "resid_x2": 4.440892098500626e-16, '
-    '"resid_delta": 4.440892098500626e-16}',
+    '"c": 0.9148357668252574, "a": 0.10749381415070447, "nu": -0.4641016151377546, '
+    '"resid_x1": 0.0, "resid_x2": 8.881784197001252e-16, "resid_delta": 4.440892098500626e-16}',
 ]
 JSON_COMMANDS = [
     ["constants", "--p", "2", "--q", "5", "--delta", "2", "--format", "json"],

@@ -317,8 +317,6 @@ ROOT_NAMES = ("q_star", "q_sub", "t_star", "u_plus", "u_minus", "y")
 # agreement: its sign is rounding noise over a band of a few 1e-15 around
 # the root, and the solver returns a point inside that band.
 EVALUATION_LIMITED = {
-    # log F ~ -p*(p-1)*u**2/2 is what is left of terms of size (p-1)*u
-    ("u_plus", 1.5, 1e-3): 1e-14,
     # L - 1 = 0.06 next to the threshold: the rounding of delta**-p' moves
     # log(L), and with it y, by a few 1e-15
     ("y", 50.0, 0.3): 1e-14,
@@ -347,6 +345,26 @@ def test_roots_match_50_digit_references(name):
     assert not failures, failures
 
 
+# p - 1 from 1e-2 to 1e4 and delta - 1 from 1e-12 to 100, ten of each, log-spaced
+CRITICAL_GRID = [(1.0 + 10.0 ** (-2.0 + 6.0 * i / 9.0), 1.0 + 10.0 ** (-12.0 + 14.0 * j / 9.0))
+                 for i in range(10) for j in range(10)]
+
+
+def test_ramp_exponents_and_t_star_on_the_critical_grid():
+    # in ulp of the 50-digit values: nu_plus measured p90 2.9, worst 256 at p - 1 = 0.01
+    # and delta = 101, where q_star's condition number in p is 46,613; t_star measured
+    # p90 1.65, worst 4.05 at p = 2 and delta - 1 = 2.2e-3.  The v and z solvers gave
+    # p90 5.3e5 and 3.8e4
+    nu, ts = [], []
+    for p, delta in CRITICAL_GRID:
+        want = reference.critical(p, delta)
+        nu.append(reference.rel_err(roots.ramp_exponents(p, delta, "plus")[0], want.nu_plus))
+        ts.append(reference.rel_err(t_star(p, delta), want.t_star))
+    for errs, p90, worst in ((nu, 32, 260), (ts, 4, 4.5)):
+        errs = sorted(e * 2.0**53 for e in errs)
+        assert errs[90] <= p90 and errs[-1] <= worst, errs[88:]
+
+
 def test_q_star_hits_closed_form_at_p_two():
     # the parent bisection stopped 4e-13 short of 4 + 2*sqrt(3)
     assert reference.rel_err(q_star(2.0, 2.0), reference.q_star_at_p_two(2.0)) <= 1e-15
@@ -358,9 +376,8 @@ LARGE_P_CORNERS = [
 
 
 def _cold():
-    """Empty the three root memos, so that the next call solves its roots."""
-    for memo in (roots.q_star, roots.u_plus_gap_from_log, roots.u_minus_from_log):
-        memo.cache_clear()
+    """Empty the root memo, so that the next call solves its roots."""
+    roots.critical_root.cache_clear()
 
 
 def _left_root_past_the_float_range(p, delta):
@@ -399,13 +416,13 @@ def test_no_solve_takes_more_than_16_evaluations(monkeypatch):
             left = name in ("q_sub", "t_star", "u_minus")
             assert counts[-1] >= 1 or left and _left_root_past_the_float_range(p, delta), (
                 name, p, delta)
-    # the right branch's pair (u, gap) as the Bellman functions take it:
-    # one solve, of the gap past v = 15/16, on the keys the u_plus loop solved
+    # the right branch's root as the Bellman functions take it, (c, z, u,
+    # e**-y) from one solve, on the keys the u_plus loop solved
     for p, dm, delta in [*_grid("u_plus"), (300.0, 9.0, 10.0), *LARGE_P_CORNERS]:
         _cold()
         counts.append(0)
-        roots.u_plus_gap_from_log(p, -p * math.log(delta))
-        worst["u_plus_gap"] = max(worst.get("u_plus_gap", 0), counts[-1])
+        roots.critical_root(p, -p * math.log(delta), "plus")
+        worst["critical_root"] = max(worst.get("critical_root", 0), counts[-1])
         assert counts[-1] >= 1, (p, delta)
     assert max(worst.values()) <= 16, worst
     # a root within rounding of v = 1 near p = 1 once bisected 54 times
@@ -426,36 +443,36 @@ def _bits(root):
 
 
 def _memo_cases():
-    """(entry point, arguments that are equal as numbers) on the roots grid,
-    at log t = +-0.0 and with int and np.float64 arguments."""
-    branches = (roots.u_plus_gap_from_log, roots.u_minus_from_log)
+    """Arguments of the memo that are equal as numbers: the roots grid's class
+    keys as floats and as np.float64, log t = +-0.0, and int arguments."""
     for p in GRID_P:
         for dm in GRID_DELTA_M1:
-            delta = 1.0 + dm
-            log_t = -p * math.log(delta)
-            yield roots.q_star, [(np.float64(p), np.float64(delta)), (p, delta)]
-            for branch in branches:
-                yield branch, [(np.float64(p), np.float64(log_t)), (p, log_t)]
-                yield branch, [(p, 0.0), (p, -0.0)]
-    yield roots.q_star, [(2, 2), (2.0, 2.0)]
-    yield roots.q_star, [(3, 1), (3.0, 1.0)]
-    for branch in branches:
-        yield branch, [(2, -1), (2.0, -1.0)]
+            log_t = -p * math.log(1.0 + dm)
+            for branch in ("plus", "minus"):
+                yield [(np.float64(p), np.float64(log_t), branch), (p, log_t, branch)]
+                yield [(p, 0.0, branch), (p, -0.0, branch)]
+    for branch in ("plus", "minus"):
+        yield [(2, -1, branch), (2.0, -1.0, branch)]
 
 
 def test_the_memo_returns_what_a_cold_solve_returns():
-    for entry, group in _memo_cases():
+    memo = roots.critical_root
+    for group in _memo_cases():
         cold = []
         for args in group:
             _cold()
-            cold.append(_bits(entry(*args)))
+            cold.append(_bits(memo(*args)))
         _cold()
         for args in group:
-            entry(*args)
-        hits = entry.cache_info().hits
-        warm = [_bits(entry(*args)) for args in group]
-        assert entry.cache_info().hits == hits + len(group), (entry.__name__, group)
-        assert warm == cold, (entry.__name__, group)
+            memo(*args)
+        hits = memo.cache_info().hits
+        warm = [_bits(memo(*args)) for args in group]
+        assert memo.cache_info().hits == hits + len(group), group
+        assert warm == cold, group
+    # and the roots formed from it: q_star of an np.float64 class is an np.float64,
+    # with the bits of the float solve
+    _cold()
+    assert _bits(q_star(np.float64(3.0), np.float64(1.5))) == (np.float64, q_star(3.0, 1.5).hex())
 
 
 @pytest.mark.parametrize(
@@ -689,10 +706,11 @@ def test_degenerate_class_gives_zero_roots(p):
 @pytest.mark.parametrize("p", [1.000001, 1.001, 1.5, 3.0, 10.0, 1e6, 1e15, 1e30])
 @pytest.mark.parametrize("gap", [1 / 64, 1e-3, 1e-6, 1e-12, 1e-100])
 def test_right_gap_within_a_few_ulp_of_its_reference(p, gap):
-    # past v = 15/16 the gap 1 - p*u comes from its own solve: against 90-digit
-    # roots it is within 8 ulp of log(gap), and u within 4 ulp
+    # the gap 1 - p*u = e**-y comes from y, or from zeta past the pivot, where
+    # the log of p times it is log(t)/p - zeta: against 90-digit roots that log
+    # is within 8 ulp of log(gap), and u within 4 ulp
     log_t, u_ref, z, log_m_ref = reference.right_gap(p, gap)
-    u, log_m = roots.u_plus_gap_from_log(p, log_t)
-    assert log_m is not None
-    assert reference.abs_err(log_m, log_m_ref) <= 8 * 2.0**-53 * max(1.0, abs(float(z)))
+    c, zeta, u, _ = roots.critical_root(p, log_t, "plus")
+    got, want = (log_t / p - zeta, log_m_ref) if c else (-zeta, z)
+    assert reference.abs_err(got, want) <= 8 * 2.0**-53 * max(1.0, abs(float(z)))
     assert reference.rel_err(u, u_ref) <= 4 * 2.0**-53
